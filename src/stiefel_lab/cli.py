@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
-from stiefel_lab.rings import RingError, finite_field, localized_at, padic
+from stiefel_lab.rings import BudgetError, RingError, finite_field, localized_at, padic
 from stiefel_lab.quadmod import euclidean, frame
-from stiefel_lab.stiefel import BudgetError
 
 VERSION = "stiefel-lab/1"
 
@@ -70,26 +68,11 @@ def _seeded_frames(ring, n: int, r: int, s: int, seed: int):
     sphere = UnitSphere(q)
     out = []
     for size in (r, s):
-        for _ in range(1000):
-            idxs = []
-            ok = True
-            import numpy as np
-
-            mask = np.ones(sphere.m, dtype=bool)
-            for _ in range(size):
-                pool = np.flatnonzero(mask)
-                if pool.size == 0:
-                    ok = False
-                    break
-                pick = int(pool[rng.randrange(pool.size)])
-                idxs.append(pick)
-                mask &= sphere.orthogonal_mask(pick)
-            if ok:
-                out.append(frame(q, [
-                    [int(c) for c in sphere.vectors[i]] for i in idxs]))
-                break
-        else:
-            raise RuntimeError("could not sample a frame")
+        idxs = sphere.random_clique(rng, size, attempts=1000)
+        if idxs is None:
+            raise ValueError(f"no frame of {size} vectors in Euclidean {n}-space over "
+                             f"{ring.label()} found in 1000 random tries")
+        out.append(frame(q, [[int(c) for c in sphere.vectors[i]] for i in idxs]))
     return q, out[0], out[1]
 
 
@@ -326,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for every pseudo-random choice (default 0)")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("STIEFEL_LAB_THREADS", "1")),
-                        help="worker cap; results are independent of it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="P, s, u, m of a coefficient ring")

@@ -26,8 +26,9 @@ DENSE_COLUMN_CUTOFF = 2000
 # ---------------------------------------------------------------------------
 
 
-def _dense_snf(rows: list[list[int]], want_transforms: bool):
-    a = [row[:] for row in rows]
+def _dense_snf(a: list[list[int]], want_transforms: bool = False):
+    """Diagonalize the integer matrix `a` in place; returns the nonzero
+    invariant factors, plus unimodular U, V with U M V = D on request."""
     m = len(a)
     n = len(a[0]) if m else 0
     u = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
@@ -114,11 +115,11 @@ def _dense_snf(rows: list[list[int]], want_transforms: bool):
         s += 1
     diag = [a[i][i] for i in range(min(m, n)) if a[i][i]]
     if want_transforms:
-        return diag, u, v, a
-    return diag, None, None, a
+        return diag, u, v
+    return diag
 
 
-def _sparse_unit_reduce(entries: dict[tuple[int, int], int], nrows: int, ncols: int):
+def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
     """Eliminate with +-1 pivots, preferring low fill; returns the count of
     unit pivots and the leftover entries (to finish densely)."""
     rows: dict[int, dict[int, int]] = {}
@@ -172,6 +173,29 @@ def _sparse_unit_reduce(entries: dict[tuple[int, int], int], nrows: int, ncols: 
     return unit_pivots, leftover
 
 
+def _densify(entries: dict[tuple[int, int], int], row_ids, col_ids) -> list[list[int]]:
+    """Dense matrix of the entries, rows and columns in the given id order."""
+    ri = {r: k for k, r in enumerate(row_ids)}
+    ci = {c: k for k, c in enumerate(col_ids)}
+    dense = [[0] * len(ci) for _ in range(len(ri))]
+    for (i, j), val in entries.items():
+        dense[ri[i]][ci[j]] = val
+    return dense
+
+
+def _invariant_factors(entries: dict[tuple[int, int], int], nrows: int, ncols: int,
+                       dense_cutoff: int) -> list[int]:
+    """Nonzero invariant factors of the matrix with the given sparse entries:
+    dense elimination up to `dense_cutoff` columns, above it unit-pivot
+    elimination with the leftover finished densely."""
+    if ncols <= dense_cutoff:
+        return _dense_snf(_densify(entries, range(nrows), range(ncols)))
+    units, leftover = _sparse_unit_reduce(entries)
+    rest = _dense_snf(_densify(
+        leftover, sorted({i for i, _ in leftover}), sorted({j for _, j in leftover})))
+    return [1] * units + rest
+
+
 def smith_normal_form(
     matrix,
     transforms: bool = False,
@@ -182,33 +206,12 @@ def smith_normal_form(
     With transforms=True also returns unimodular U, V with U M V = D
     (dense path only).  Returns the factor list, or (factors, U, V).
     """
-    rows = [list(map(int, r)) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if transforms or n <= dense_cutoff:
-        diag, u, v, final = _dense_snf(rows, transforms)
-        if transforms:
-            return diag, u, v
-        return diag
-    entries = {
-        (i, j): rows[i][j] for i in range(m) for j in range(n) if rows[i][j]
-    }
-    units, leftover = _sparse_unit_reduce(entries, m, n)
-    if leftover:
-        ri = {r: k for k, r in enumerate(sorted({i for i, _ in leftover}))}
-        ci = {c: k for k, c in enumerate(sorted({j for _, j in leftover}))}
-        dense = [[0] * len(ci) for _ in range(len(ri))]
-        for (i, j), val in leftover.items():
-            dense[ri[i]][ci[j]] = val
-        rest = _dense_snf(dense, False)[0]
-    else:
-        rest = []
-    return [1] * units + rest
-
-
-def snf_rank_and_torsion(matrix, dense_cutoff: int = DENSE_COLUMN_CUTOFF):
-    factors = smith_normal_form(matrix, dense_cutoff=dense_cutoff)
-    return len(factors), [d for d in factors if d not in (0, 1)]
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    if transforms:
+        return _dense_snf([list(map(int, r)) for r in matrix], True)
+    entries = {(i, j): int(x) for i, r in enumerate(matrix) for j, x in enumerate(r) if x}
+    return _invariant_factors(entries, m, n, dense_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +250,6 @@ class SimplicialComplex:
     def n_simplices(self, d: int) -> int:
         return len(self.simplices.get(d, []))
 
-    def verify_closed(self) -> None:
-        for d in sorted(self.simplices):
-            if d == 0:
-                continue
-            lower = set(self.simplices.get(d - 1, []))
-            for s in self.simplices[d]:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    if face not in lower:
-                        raise ValueError(f"face {face} of {s} is missing")
-
     def boundary_entries(self, d: int):
         """Sparse entries of the boundary map C_d -> C_(d-1)."""
         lower_index = {s: i for i, s in enumerate(self.simplices.get(d - 1, []))}
@@ -290,9 +282,9 @@ def complex_from_simplices(simps: Iterable[Sequence[int]],
     return SimplicialComplex(out, complete_dim)
 
 
-def _component_count(K: SimplicialComplex) -> int:
-    verts = [s[0] for s in K.simplices.get(0, [])]
-    parent = {v: v for v in verts}
+def _component_count(vertices: Iterable, edges: Iterable[tuple]) -> int:
+    """Connected components of the graph (vertices, edges), by union-find."""
+    parent = {v: v for v in vertices}
 
     def find(x):
         while parent[x] != x:
@@ -300,11 +292,11 @@ def _component_count(K: SimplicialComplex) -> int:
             x = parent[x]
         return x
 
-    for a, b in K.simplices.get(1, []):
+    for a, b in edges:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    return len({find(v) for v in verts})
+    return len({find(v) for v in parent})
 
 
 @dataclass(frozen=True)
@@ -371,7 +363,8 @@ def reduced_homology(
             empty=True,
             complete=complete,
         )
-    components = _component_count(K)
+    components = _component_count((s[0] for s in K.simplices.get(0, [])),
+                                  K.simplices.get(1, []))
     ranks: dict[int, int] = {}
     torsion_by_source: dict[int, list[int]] = {}
 
@@ -387,29 +380,10 @@ def reduced_homology(
             ranks[d] = K.n_simplices(0) - components
             torsion_by_source[d] = []
             return
-        entries = K.boundary_entries(d)
-        nrows = K.n_simplices(d - 1)
-        ncols = K.n_simplices(d)
-        if ncols <= dense_cutoff:
-            dense = [[0] * ncols for _ in range(nrows)]
-            for (i, j), v in entries.items():
-                dense[i][j] = v
-            rank, tors = snf_rank_and_torsion(dense, dense_cutoff)
-        else:
-            units, leftover = _sparse_unit_reduce(entries, nrows, ncols)
-            if leftover:
-                ri = {r: k for k, r in enumerate(sorted({i for i, _ in leftover}))}
-                ci = {c: k for k, c in enumerate(sorted({j for _, j in leftover}))}
-                dense = [[0] * len(ci) for _ in range(len(ri))]
-                for (i, j), v in leftover.items():
-                    dense[ri[i]][ci[j]] = v
-                rest = _dense_snf(dense, False)[0]
-            else:
-                rest = []
-            rank = units + len(rest)
-            tors = [d0 for d0 in rest if d0 not in (0, 1)]
-        ranks[d] = rank
-        torsion_by_source[d] = tors
+        factors = _invariant_factors(K.boundary_entries(d), K.n_simplices(d - 1),
+                                     K.n_simplices(d), dense_cutoff)
+        ranks[d] = len(factors)
+        torsion_by_source[d] = [f for f in factors if f != 1]
 
     betti = []
     torsion = []
@@ -418,8 +392,11 @@ def reduced_homology(
             b = components - 1
             boundary_data(1)
             # SNF cross-check of the union-find count.
-            if K.n_simplices(1) and K.dimension > 1:
-                assert K.n_simplices(0) - ranks[1] - 1 == b, "component count mismatch"
+            if K.n_simplices(1) and K.dimension > 1 and K.n_simplices(0) - ranks[1] - 1 != b:
+                raise AssertionError(
+                    f"component count mismatch: union-find gives {components}, "
+                    f"the boundary rank gives {K.n_simplices(0) - ranks[1]}"
+                )
             betti.append(b)
             torsion.append(())
             continue
@@ -507,15 +484,11 @@ class Poset:
         out = [j for j in range(len(self.elements)) if j != i and (j in ups[i] or i in ups[j])]
         return out
 
-    def image_restriction(self, f: Sequence[int]) -> "Poset":
-        return self.restrict(sorted(set(f)))
-
-    def homology(self, max_degree: Optional[int] = None,
-                 dense_cutoff: int = DENSE_COLUMN_CUTOFF) -> HomologyProfile:
+    def homology(self, max_degree: Optional[int] = None) -> HomologyProfile:
         K = self.order_complex()
         if max_degree is None:
             max_degree = max(K.dimension, 0)
-        return reduced_homology(K, max_degree, dense_cutoff)
+        return reduced_homology(K, max_degree)
 
 
 def poset_from_less(elements: Sequence, less: Callable) -> Poset:

@@ -1,7 +1,7 @@
 """Vectorized linear algebra modulo an odd prime, for the bulk enumerations.
 
 These helpers work on plain numpy int64 arrays of residues.  They back the
-hot paths (unit-vector enumeration, orthogonality graphs, group closures);
+hot paths (unit-vector enumeration, form values, rank and inverses mod p);
 the Scalar layer in `rings` stays the source of truth for exactness and all
 results feed back through exact checks there.
 """
@@ -25,123 +25,42 @@ def gram_values(gram: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("ij,jk,ik->i", X, gram, X) % p
 
 
-def polar_matrix(gram: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """B(x, y) = 2 x G y^T mod p for all row pairs (x in X, y in Y)."""
-    return (2 * (X @ gram @ Y.T)) % p
-
-
 def unit_sphere(gram: np.ndarray, p: int) -> np.ndarray:
     """All vectors of q-value 1, in lexicographic order."""
     X = all_vectors(p, gram.shape[0])
     return X[gram_values(gram, X, p) == 1]
 
 
-def rank_mod_p(M: np.ndarray, p: int) -> int:
-    A = np.array(M, dtype=np.int64) % p
-    rows, cols = A.shape
+def _row_reduce(A: np.ndarray, p: int, ncols: int) -> int:
+    """Gauss-Jordan elimination mod p on the first `ncols` columns of the
+    residue array A, in place: each pivot row is scaled to 1 and its column
+    cleared in every other row.  Returns the rank of that block."""
+    rows = A.shape[0]
     r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i, c] % p:
-                piv = i
-                break
-        if piv is None:
+    for c in range(ncols):
+        if r == rows:
+            break
+        nonzero = np.flatnonzero(A[r:, c])
+        if nonzero.size == 0:
             continue
+        piv = r + int(nonzero[0])
         A[[r, piv]] = A[[piv, r]]
         A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
         for i in range(rows):
             if i != r and A[i, c]:
                 A[i] = (A[i] - A[i, c] * A[r]) % p
         r += 1
-        if r == rows:
-            break
     return r
 
 
-def kernel_mod_p(M: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel of M over F_p, rows = basis vectors."""
+def rank_mod_p(M: np.ndarray, p: int) -> int:
     A = np.array(M, dtype=np.int64) % p
-    rows, cols = A.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
-        for i in range(rows):
-            if i != r and A[i, c]:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-A[i, fc]) % p
-    return basis
+    return _row_reduce(A, p, A.shape[1])
 
 
 def inverse_mod_p(M: np.ndarray, p: int) -> np.ndarray:
     n = M.shape[0]
     A = np.concatenate([np.array(M, dtype=np.int64) % p, np.eye(n, dtype=np.int64)], axis=1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if A[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular mod p")
-        A[[c, piv]] = A[[piv, c]]
-        A[c] = A[c] * pow(int(A[c, c]), -1, p) % p
-        for i in range(n):
-            if i != c and A[i, c]:
-                A[i] = (A[i] - A[i, c] * A[c]) % p
+    if _row_reduce(A, p, n) < n:
+        raise ZeroDivisionError("matrix is singular mod p")
     return A[:, n:]
-
-
-def orthogonality_components(vertices: np.ndarray, gram: np.ndarray, p: int,
-                             chunk: int = 512) -> int:
-    """Number of connected components of the graph on `vertices` whose edges
-    are the pairs with vanishing polar form.  Frontier BFS, vectorized and
-    chunked so the intermediate products stay small."""
-    m = len(vertices)
-    if m == 0:
-        return 0
-    right = (2 * gram) % p @ vertices.T % p  # n x m, computed once
-    visited = np.zeros(m, dtype=bool)
-    components = 0
-    while not visited.all():
-        seed = int(np.argmin(visited))
-        visited[seed] = True
-        frontier = vertices[[seed]]
-        components += 1
-        while True:
-            reach = np.zeros(m, dtype=bool)
-            for lo in range(0, len(frontier), chunk):
-                prods = frontier[lo:lo + chunk] @ right % p
-                reach |= (prods == 0).any(axis=0)
-            reach &= ~visited
-            if not reach.any():
-                break
-            visited |= reach
-            frontier = vertices[reach]
-    return components
-
-
-def orthogonal_adjacency(vertices: np.ndarray, gram: np.ndarray, p: int) -> np.ndarray:
-    """Boolean adjacency matrix of the orthogonality graph (loops excluded)."""
-    B = polar_matrix(gram, vertices, vertices, p)
-    adj = B == 0
-    np.fill_diagonal(adj, False)
-    return adj

@@ -18,6 +18,7 @@ from stiefel_lab import gfnum
 from stiefel_lab.rings import (
     FINITE_FIELD,
     PADIC,
+    BudgetError,
     RingError,
     Scalar,
     is_square,
@@ -299,6 +300,29 @@ def block_sum(phi: Isometry, b_mod: QuadraticModule) -> Isometry:
 ENUMERATION_CAP = 1_000_000
 
 
+def _closure_mod_p(gens: Sequence[np.ndarray], n: int, p: int,
+                   cap: Optional[int] = None) -> dict[tuple, np.ndarray]:
+    """The group generated by invertible n x n matrices mod p: breadth-first
+    from the identity, multiplying on the left by each generator.  Keyed by
+    the flattened matrix; refuses to grow past `cap` elements."""
+    identity = np.eye(n, dtype=np.int64)
+    seen = {tuple(identity.ravel().tolist()): identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = (g @ m) % p
+                key = tuple(prod.ravel().tolist())
+                if key not in seen:
+                    if cap is not None and len(seen) >= cap:
+                        raise BudgetError(f"group exceeds the enumeration cap {cap}")
+                    seen[key] = prod
+                    nxt.append(prod)
+        frontier = nxt
+    return seen
+
+
 def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isometry]:
     """Every element of O(q) over a prime field, as the closure of the
     hyperplane reflections under composition; canonically sorted."""
@@ -315,21 +339,7 @@ def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isom
             continue
         tau = _int_reflection(G, v, int(val), p)
         gens.setdefault(tuple(tau.ravel().tolist()), tau)
-    identity = np.eye(n, dtype=np.int64)
-    seen = {tuple(identity.ravel().tolist()): identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for tau in gens.values():
-                prod = (tau @ m) % p
-                key = tuple(prod.ravel().tolist())
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise RuntimeError(f"group exceeds the enumeration cap {cap}")
-                    seen[key] = prod
-                    nxt.append(prod)
-        frontier = nxt
+    seen = _closure_mod_p(list(gens.values()), n, p, cap)
     out = []
     for key in sorted(seen):
         m = seen[key]
@@ -367,22 +377,7 @@ def derived_subgroup(elements: list[Isometry]) -> set:
         for j in range(len(mats)):
             c = (lhs[j] @ rhs[j]) % p
             commutators[tuple(c.ravel().tolist())] = c
-    n = mats.shape[1]
-    identity = np.eye(n, dtype=np.int64)
-    seen = {tuple(identity.ravel().tolist())}
-    frontier = [identity]
-    gens = list(commutators.values())
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for c in gens:
-                prod = (c @ m) % p
-                key = tuple(prod.ravel().tolist())
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
+    return set(_closure_mod_p(list(commutators.values()), mats.shape[1], p))
 
 
 def abelianization_exponent(elements: list[Isometry]) -> int:
@@ -414,20 +409,10 @@ def reflections_generate(q: QuadraticModule, elements: list[Isometry]) -> bool:
 
 def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
     """All ordered k-tuples of pairwise-orthogonal unit vectors."""
-    from stiefel_lab.stiefel import UnitSphere
+    from stiefel_lab.stiefel import SIMPLEX_BUDGET, UnitSphere, _cliques, _ordered_cliques
 
     sphere = UnitSphere(q)
-    adj = sphere.adjacency()
-    out: list[tuple[int, ...]] = [()]
-    for _ in range(k):
-        nxt = []
-        for t in out:
-            mask = np.ones(sphere.m, dtype=bool)
-            for i in t:
-                mask &= adj[i]
-            for j in np.flatnonzero(mask):
-                nxt.append(t + (int(j),))
-        out = nxt
+    out = _ordered_cliques(_cliques(sphere.adjacency(), k, SIMPLEX_BUDGET), k) if k else [()]
     ring = q.ring
     return [tuple(vec(ring, tuple(int(c) for c in sphere.vectors[i])) for i in t)
             for t in out]

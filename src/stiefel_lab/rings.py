@@ -29,6 +29,11 @@ class RingError(ValueError):
     """Operation applied to a scalar whose ring does not support it."""
 
 
+class BudgetError(RuntimeError):
+    """A construction would exceed its size budget; counts are reported
+    instead of silently truncating."""
+
+
 def is_odd_prime(p: int) -> bool:
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         return False

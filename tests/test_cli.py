@@ -99,6 +99,15 @@ def test_budget_error_exit_2(capsys):
     assert code == 2
 
 
+def test_unsampleable_frame_exit_2(capsys):
+    # F_3^1 has two unit vectors and they are not orthogonal: no 2-frame.
+    code = main(["morse-replay", "--field", "3", "--n", "1", "--l", "2", "--r", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
@@ -143,14 +152,6 @@ def test_cnt_ranges_command(capsys):
     payload = json.loads(out)
     assert payload["results"]["literal"] == 7
     assert "corrected" in payload["results"]
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("STIEFEL_LAB_THREADS", "3")
-    from stiefel_lab.cli import build_parser
-
-    args = build_parser().parse_args(["invariants", "--field", "5"])
-    assert args.threads == 3
 
 
 def test_console_entry_point():

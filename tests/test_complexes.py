@@ -137,6 +137,17 @@ def test_homology_torsion_rp2():
     assert prof.torsion[1] == (2,)
 
 
+def test_h0_cross_check_raises_on_mismatch(monkeypatch):
+    # The SNF rank of the boundary C_1 -> C_0 must confirm the union-find
+    # count; a wrong count is refused by an explicit exception (not a bare
+    # assert, which python -O would strip).
+    import stiefel_lab.complexes as cx
+
+    monkeypatch.setattr(cx, "_component_count", lambda vertices, edges: 2)
+    with pytest.raises(AssertionError, match="component count mismatch"):
+        reduced_homology(octahedron(), 2)
+
+
 def test_homology_skeleton_guard():
     k = complex_from_simplices([(0, 1), (1, 2), (0, 2)], complete_dim=1)
     reduced_homology(k, 0)

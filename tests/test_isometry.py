@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stiefel_lab.rings import Scalar, finite_field, localized_at, rationals
+from stiefel_lab.rings import BudgetError, Scalar, finite_field, localized_at, rationals
 from stiefel_lab.quadmod import (
     diagonal_module,
     euclidean,
@@ -26,6 +26,7 @@ from stiefel_lab.isometry import (
     enumerate_group,
     frame_transport,
     identity_isometry,
+    ordered_frames,
     orthonormal_extension,
     reflection,
     stabilizer_restrict,
@@ -211,6 +212,27 @@ def test_enumerate_group_examples():
     group3 = enumerate_group(euclidean(F3, 3))
     assert len(group3) == 48
     assert abelianization_exponent(group3) == 2
+
+
+def test_enumerate_group_cap_is_a_budget_error():
+    with pytest.raises(BudgetError, match="enumeration cap 4"):
+        enumerate_group(euclidean(F3, 2), cap=4)
+
+
+@pytest.mark.parametrize("p,n,k", [(3, 4, 2), (5, 3, 1)])
+def test_ordered_frames_are_sorted_clique_permutations(p, n, k):
+    """Reference: k-cliques of the orthogonality graph by brute force over
+    index subsets, then every ordering, sorted lexicographically by index."""
+    from stiefel_lab.stiefel import unit_vectors
+
+    q = euclidean(finite_field(p), n)
+    units = unit_vectors(q)
+    cliques = [
+        c for c in itertools.combinations(range(len(units)), k)
+        if all(polar(q, units[a], units[b]).is_zero() for a, b in itertools.combinations(c, 2))
+    ]
+    ordered = sorted(t for c in cliques for t in itertools.permutations(c))
+    assert ordered_frames(q, k) == [tuple(units[i] for i in t) for t in ordered]
 
 
 def test_abelianization_exponent_divides_two():

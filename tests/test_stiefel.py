@@ -1,5 +1,6 @@
 """Stiefel complexes, skeleton posets, ordered variant, Morse replay."""
 
+import numpy as np
 import pytest
 
 from stiefel_lab.rings import finite_field, integers
@@ -7,6 +8,7 @@ from stiefel_lab.quadmod import euclidean, frame, polar
 from stiefel_lab.complexes import reduced_homology
 from stiefel_lab.stiefel import (
     BudgetError,
+    UnitSphere,
     build_ordered_stiefel,
     build_skeleton_poset,
     build_stiefel,
@@ -202,6 +204,20 @@ def test_morse_replay_sampled_l3():
                         sample_budget=12, seed=0)
     assert cert.passed and cert.mode == "sampled"
     assert cert.config["frame_counts"][3] == 63685440
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 1), (3, 3), (5, 2), (3, 4), (7, 3)])
+def test_sphere_components_match_union_find(p, n):
+    # F_5 and F_3 with n = 1: the unit vectors +-1 are not orthogonal, so the
+    # graph is two isolated vertices.
+    from stiefel_lab.complexes import _component_count
+
+    sphere = UnitSphere(euclidean(finite_field(p), n))
+    ii, jj = np.nonzero(np.triu(sphere.adjacency()))
+    expected = _component_count(range(sphere.m), zip(ii.tolist(), jj.tolist()))
+    assert sphere.components() == expected
+    if n == 1:
+        assert expected == 2
 
 
 def test_intersection_connectivity():
