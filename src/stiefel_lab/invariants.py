@@ -182,7 +182,8 @@ def padic_invariants(ring: RingDescriptor, max_rank: int = 3) -> InvariantReport
         if sum_of_squares(ring.scalar(-1), k) is not None:
             s_val = k
             break
-    assert s_val == kappa_report.stufe.value()
+    if s_val != kappa_report.stufe.value():
+        raise AssertionError("Hensel-certified Stufe disagrees with the residue field")
     u_val = 0
     for rank in range(1, max_rank + 1):
         found_aniso = False
@@ -195,7 +196,8 @@ def padic_invariants(ring: RingDescriptor, max_rank: int = 3) -> InvariantReport
             u_val = rank
         else:
             break
-    assert u_val == kappa_report.u_invariant.value()
+    if u_val != kappa_report.u_invariant.value():
+        raise AssertionError("Hensel-certified u-invariant disagrees with the residue field")
     m_val = None
     for rank in range(1, max_rank + 1):
         if all(
@@ -204,7 +206,8 @@ def padic_invariants(ring: RingDescriptor, max_rank: int = 3) -> InvariantReport
         ):
             m_val = rank
             break
-    assert m_val == kappa_report.m_invariant.value()
+    if m_val != kappa_report.m_invariant.value():
+        raise AssertionError("Hensel-certified m-invariant disagrees with the residue field")
     # P: squeezed between P(kappa) and s + 1 (2 is a unit).
     p_lo = kappa_report.pythagoras.value()
     p_hi = s_val + 1
@@ -232,18 +235,22 @@ def localized_invariants(ring: RingDescriptor, height: int = 50) -> InvariantRep
     # nonnegative); report the searched floor rather than asserting infinity.
     s_checked = 4
     for k in range(1, s_checked + 1):
-        assert sum_of_squares(ring.scalar(-1), k, height_bound=height) is None
+        if sum_of_squares(ring.scalar(-1), k, height_bound=height) is not None:
+            raise AssertionError(f"-1 is a sum of {k} squares in {ring.label()}")
     stufe = InvariantValue(s_checked + 1, INF, f"no witness for k <= {s_checked} at height {height}")
     # u: n<1> is definite, hence anisotropic at every tested rank.
     u_checked = 6
     for rank in range(1, u_checked + 1):
-        assert not find_isotropic(euclidean(ring, rank), height_bound=height).found
+        if find_isotropic(euclidean(ring, rank), height_bound=height).found:
+            raise AssertionError(f"{rank}<1> is isotropic over {ring.label()}")
     u = InvariantValue(u_checked, INF, f"n<1> anisotropic for n <= {u_checked} at height {height}")
     wit = m_zp_witness(ring.p, height)
-    assert wit.establishes_lower_bound
+    if not wit.establishes_lower_bound:
+        raise AssertionError("rank-3 witness does not establish m >= 4")
     m = InvariantValue(4, 4, f"rank-3 witness at height {height}; <= m_Q = 4")
     # P: 7 is a sum of four squares but of no three at the searched height.
-    assert no_rational_three_square(7, height)
+    if not no_rational_three_square(7, height):
+        raise AssertionError("7 is a sum of three rational squares")
     pyth = InvariantValue(4, INF, f"7 needs four squares; searched height {height}")
     return InvariantReport(ring, pyth, stufe, u, m, search_bound=height)
 
@@ -433,10 +440,12 @@ def m_zp_witness(p: int, height: int) -> MZpWitness:
         if sum(c * c for c in combo) == 7:
             quads = combo
             break
-    assert quads is not None
+    if quads is None:
+        raise AssertionError("no four-square decomposition of 7")
     four = tuple(Fraction(c, 7) for c in quads)
     total = sum(f * f for f in four)
-    assert total == Fraction(1, 7)
+    if total != Fraction(1, 7):
+        raise AssertionError("rescaled squares do not sum to 1/7")
     for f in four:
         Scalar(ring, f)  # all lie in Z_(p) since p does not divide 7
     rational_found = not no_rational_three_square(7, height)

@@ -30,6 +30,8 @@ from stiefel_lab.quadmod import (
     QuadraticModule,
     Submodule,
     Vector,
+    _gauss_jordan,
+    det,
     diagonalize,
     evaluate,
     identity_matrix,
@@ -80,20 +82,15 @@ class Isometry:
 
 
 def _invert(rows: Matrix, ring) -> Matrix:
+    """Inverse over a local ring: Gauss-Jordan on [M | I].  A unit
+    determinant guarantees a unit pivot at every step."""
     n = len(rows)
-    aug = [list(r) + list(identity_matrix(ring, n)[i]) for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c].is_unit()), None)
-        if piv is None:
-            raise ValueError("matrix not invertible over the ring")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c]
-        aug[c] = [e / inv for e in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [e - f * pe for e, pe in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    if not det(rows, ring).is_unit():
+        raise ValueError("matrix not invertible over the ring")
+    aug = tuple(r + e for r, e in zip(rows, identity_matrix(ring, n)))
+    reduced, pivots = _gauss_jordan(aug, ring, n)
+    # Row i holds the pivot of column pivots[i]; put it back at that row.
+    return tuple(tuple(row[n:]) for _, row in sorted(zip(pivots, reduced)))
 
 
 def identity_isometry(q: QuadraticModule) -> Isometry:
@@ -222,9 +219,11 @@ def _orthonormal_columns(q: QuadraticModule, sub: Submodule,
         raise RingError("orthonormal extension: odd leftover non-square entry")
     out = [sub.to_ambient(c) for c in ortho]
     for i, v in enumerate(out):
-        assert evaluate(q, v) == ring.one
+        if evaluate(q, v) != ring.one:
+            raise AssertionError(f"extension column {i} does not have value 1")
         for j in range(i):
-            assert polar(q, v, out[j]).is_zero()
+            if not polar(q, v, out[j]).is_zero():
+                raise AssertionError(f"extension columns {i}, {j} are not orthogonal")
     return out
 
 
@@ -234,9 +233,7 @@ def orthonormal_extension(q: QuadraticModule, f: Frame) -> Isometry:
     ring = q.ring
     if q.gram != identity_matrix(ring, q.rank):
         raise RingError("extension implemented for Euclidean Gram matrices")
-    comp = orthogonal_complement(q, f.as_submodule()) if len(f) else Submodule(
-        q, identity_matrix(ring, q.rank))
-    rest = _orthonormal_columns(q, comp)
+    rest = _orthonormal_columns(q, orthogonal_complement(q, f.as_submodule()))
     cols = list(f.vectors) + rest
     if len(cols) != q.rank:
         raise AssertionError("extension has wrong rank")
@@ -401,12 +398,6 @@ def abelianization_exponent(elements: list[Isometry]) -> int:
     return 2 if nontrivial else 1
 
 
-def reflections_generate(q: QuadraticModule, elements: list[Isometry]) -> bool:
-    """Sanity: the reflection closure reproduces the whole list."""
-    closure = {e.int_matrix() for e in enumerate_group(q)}
-    return {e.int_matrix() for e in elements} <= closure
-
-
 def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
     """All ordered k-tuples of pairwise-orthogonal unit vectors."""
     from stiefel_lab.stiefel import SIMPLEX_BUDGET, UnitSphere, _cliques, _ordered_cliques
@@ -463,5 +454,6 @@ def frame_transport_exhaustive(q: QuadraticModule, k: int,
         f2 = frames[rng.randrange(len(frames))]
         phi = frame_transport(q, _Frame(q, f1), _Frame(q, f2))
         for v1, v2 in zip(f1, f2):
-            assert phi.apply(v1) == v2
+            if phi.apply(v1) != v2:
+                raise AssertionError("spot-checked transport failed to match the frames")
     return {"frames": len(frames), "pairs": total, "spot_checks": min(spot_check, len(frames) ** 2)}

@@ -14,6 +14,7 @@ Vectors are tuples of Scalars; matrices are tuples of row tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -73,6 +74,16 @@ def identity_matrix(ring: RingDescriptor, n: int) -> Matrix:
     return tuple(std_basis_vector(ring, n, i) for i in range(n))
 
 
+def integer_lift(rows: Matrix, ring: RingDescriptor) -> tuple[list[list[int]], int]:
+    """Integer matrix D*rows and the positive scale D clearing denominators.
+
+    Residue rings and Z store ints, so D = 1 and no Fraction is built."""
+    if ring.kind not in (RATIONALS, LOCALIZED):
+        return [[e.value for e in row] for row in rows], 1
+    scale = math.lcm(*(e.value.denominator for row in rows for e in row))
+    return [[int(e.value * scale) for e in row] for row in rows], scale
+
+
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix."""
     n = len(rows)
@@ -96,30 +107,10 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 
 
 def det(rows: Matrix, ring: RingDescriptor) -> Scalar:
-    """Exact determinant, via integer lifts for residue rings."""
-    n = len(rows)
-    if n == 0:
-        return ring.one
-    if ring.kind in (FINITE_FIELD, PADIC, INTEGERS):
-        lifted = [[int(e.value) for e in row] for row in rows]
-        return Scalar(ring, _bareiss_det(lifted))
-    frac = [[Fraction(e.value) for e in row] for row in rows]
-    out = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if frac[i][k] != 0), None)
-        if piv is None:
-            return ring.zero
-        if piv != k:
-            frac[k], frac[piv] = frac[piv], frac[k]
-            out = -out
-        out *= frac[k][k]
-        inv = 1 / frac[k][k]
-        for i in range(k + 1, n):
-            f = frac[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    frac[i][j] -= f * frac[k][j]
-    return Scalar(ring, out)
+    """Exact determinant: Bareiss on the integer lift, divided by scale^n."""
+    lifted, scale = integer_lift(rows, ring)
+    d = _bareiss_det(lifted)
+    return Scalar(ring, d if scale == 1 else Fraction(d, scale ** len(rows)))
 
 
 def _pivot_valuation(x: Scalar):
@@ -131,21 +122,22 @@ def _pivot_valuation(x: Scalar):
     return 0 if not x.is_zero() else INFINITY
 
 
-def kernel(rows: Matrix, ring: RingDescriptor, ncols: Optional[int] = None) -> list[Vector]:
-    """Basis of {x : rows . x = 0} with valuation-aware pivoting.
+def _gauss_jordan(rows: Matrix, ring: RingDescriptor,
+                  ncols: int) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form on the first `ncols` columns, with
+    valuation-aware pivoting; further columns ride along.
 
-    Over Z_(p) pivots are chosen with minimal valuation so the returned basis
-    reduces to a linearly independent family mod p (a direct summand).  Over
-    truncated p-adics only unit pivots keep full precision; anything else
-    raises PrecisionError rather than silently degrading.
+    Returns the reduced rows and the pivot columns: row i has a 1 at column
+    pivots[i] and zeros at the other pivot columns, and rows past the last
+    pivot vanish on the first `ncols` columns.  Over Z_(p) pivots are chosen
+    with minimal valuation, so the first `ncols` columns stay in the ring.
+    Over truncated p-adics only unit pivots keep full precision; anything
+    else raises PrecisionError rather than silently degrading.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
     a = [list(r) for r in rows]
     nrows = len(a)
     pivots: list[int] = []
-    r = 0
-    for _ in range(ncols):
+    for r in range(min(nrows, ncols)):
         best = None
         for i in range(r, nrows):
             for c in range(ncols):
@@ -174,12 +166,20 @@ def kernel(rows: Matrix, ring: RingDescriptor, ncols: Optional[int] = None) -> l
                 f = a[i2][c]
                 a[i2] = [e - f * pe for e, pe in zip(a[i2], a[r])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return a, pivots
+
+
+def kernel(rows: Matrix, ring: RingDescriptor, ncols: Optional[int] = None) -> list[Vector]:
+    """Basis of {x : rows . x = 0}, read off the free columns of the reduced
+    rows.  Over Z_(p) the minimal-valuation pivots make the basis reduce to a
+    linearly independent family mod p (a direct summand)."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    a, pivots = _gauss_jordan(rows, ring, ncols)
     out = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         x = [ring.zero] * ncols
         x[fc] = ring.one
         for i, pc in enumerate(pivots):
@@ -189,9 +189,7 @@ def kernel(rows: Matrix, ring: RingDescriptor, ncols: Optional[int] = None) -> l
 
 
 def row_rank(rows: Matrix, ring: RingDescriptor) -> int:
-    if not rows:
-        return 0
-    return len(rows) - len(kernel(mat_transpose(rows), ring, ncols=len(rows)))
+    return len(_gauss_jordan(rows, ring, len(rows[0]) if rows else 0)[1])
 
 
 @dataclass(frozen=True)
@@ -233,9 +231,6 @@ class QuadraticModule:
             raise RingError("int_gram is a finite-field accessor")
         return [[e.value for e in row] for row in self.gram]
 
-    def scale_vector(self, raw: Sequence) -> Vector:
-        return vec(self.ring, raw)
-
 
 def quadratic_module(ring: RingDescriptor, rows: Sequence[Sequence]) -> QuadraticModule:
     return QuadraticModule(ring, mat(ring, rows))
@@ -257,22 +252,8 @@ def _as_vector(q: QuadraticModule, x: Sequence) -> Vector:
     return vec(q.ring, x)
 
 
-def evaluate(q: QuadraticModule, x: Sequence) -> Scalar:
-    x = _as_vector(q, x)
-    total = q.ring.zero
-    for i in range(q.rank):
-        if x[i].is_zero():
-            continue
-        for j in range(q.rank):
-            if not x[j].is_zero():
-                total = total + x[i] * q.gram[i][j] * x[j]
-    return total
-
-
-def polar(q: QuadraticModule, x: Sequence, y: Sequence) -> Scalar:
-    """B(x, y) = q(x + y) - q(x) - q(y) = 2 x^T G y; the factor of 2 lives
-    here, not in the Gram matrix."""
-    x, y = _as_vector(q, x), _as_vector(q, y)
+def _form_sum(q: QuadraticModule, x: Vector, y: Vector) -> Scalar:
+    """x^T G y, skipping zero coordinates."""
     total = q.ring.zero
     for i in range(q.rank):
         if x[i].is_zero():
@@ -280,6 +261,18 @@ def polar(q: QuadraticModule, x: Sequence, y: Sequence) -> Scalar:
         for j in range(q.rank):
             if not y[j].is_zero():
                 total = total + x[i] * q.gram[i][j] * y[j]
+    return total
+
+
+def evaluate(q: QuadraticModule, x: Sequence) -> Scalar:
+    x = _as_vector(q, x)
+    return _form_sum(q, x, x)
+
+
+def polar(q: QuadraticModule, x: Sequence, y: Sequence) -> Scalar:
+    """B(x, y) = q(x + y) - q(x) - q(y) = 2 x^T G y; the factor of 2 lives
+    here, not in the Gram matrix."""
+    total = _form_sum(q, _as_vector(q, x), _as_vector(q, y))
     return total + total
 
 
@@ -421,7 +414,7 @@ def diagonalize(q: QuadraticModule) -> tuple[Matrix, tuple[Scalar, ...]]:
     sub = comp.restricted_module()
     p_sub, entries_sub = diagonalize(sub)
     columns = [v]
-    for col in mat_transpose(p_sub) if p_sub else ():
+    for col in mat_transpose(p_sub):
         columns.append(comp.to_ambient(col))
     p_matrix = mat_transpose(tuple(columns))
     entries = (a,) + entries_sub
@@ -436,15 +429,17 @@ def diagonalize(q: QuadraticModule) -> tuple[Matrix, tuple[Scalar, ...]]:
     return p_matrix, entries
 
 
+def _perp(q: QuadraticModule, basis: Matrix) -> Submodule:
+    """Vectors orthogonal to every row of `basis`: the kernel of basis . G
+    (the identity when there are no rows)."""
+    return Submodule(q, tuple(kernel(mat_mul(basis, q.gram), q.ring, ncols=q.rank)))
+
+
 def orthogonal_complement(q: QuadraticModule, u: Submodule) -> Submodule:
     """U-perp = kernel of x -> B(x, -)|_U, as a direct summand."""
     if not q.is_nonsingular():
         raise ValueError("ambient module must be non-singular")
-    if u.rank == 0:
-        return Submodule(q, identity_matrix(q.ring, q.rank))
-    rows = mat_mul(u.basis, q.gram)
-    basis = kernel(rows, q.ring, ncols=q.rank)
-    out = Submodule(q, tuple(basis))
+    out = _perp(q, u.basis)
     for b in out.basis:
         for uv in u.basis:
             if not polar(q, b, uv).is_zero():
@@ -454,10 +449,7 @@ def orthogonal_complement(q: QuadraticModule, u: Submodule) -> Submodule:
 
 def intersect_complements(q: QuadraticModule, u: Submodule, v: Submodule) -> Submodule:
     """U-perp intersected with V-perp, via one stacked kernel computation."""
-    if u.rank == 0 and v.rank == 0:
-        return Submodule(q, identity_matrix(q.ring, q.rank))
-    rows = mat_mul(u.basis + v.basis, q.gram)
-    return Submodule(q, tuple(kernel(rows, q.ring, ncols=q.rank)))
+    return _perp(q, u.basis + v.basis)
 
 
 def split_radical(q: QuadraticModule) -> tuple[Submodule, Submodule]:
@@ -475,46 +467,13 @@ def split_radical(q: QuadraticModule) -> tuple[Submodule, Submodule]:
         kappa = ring
         reduced = q
     rad_basis = kernel(reduced.gram, kappa, ncols=n)
-    # Complete the radical to a basis of the reduction; the spanning standard
-    # vectors at non-pivot positions of the radical matrix do the job.
-    if rad_basis:
-        rows = [list(r) for r in rad_basis]
-        pivots = []
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = rows[r][c]
-            rows[r] = [e / inv for e in rows[r]]
-            for i2 in range(len(rows)):
-                if i2 != r and not rows[i2][c].is_zero():
-                    f = rows[i2][c]
-                    rows[i2] = [e - f * pe for e, pe in zip(rows[i2], rows[r])]
-            pivots.append(c)
-            r += 1
-        w_positions = [c for c in range(n) if c not in pivots]
-    else:
-        w_positions = list(range(n))
-    w_basis = tuple(std_basis_vector(ring, n, c) for c in w_positions)
-    w = Submodule(q, w_basis)
-    w_form = w.restricted_module()
-    if w_basis and not w_form.is_nonsingular():
+    # Complete the radical to a basis of the reduction: the standard vectors
+    # at the non-pivot columns of the radical basis do the job.
+    _, pivots = _gauss_jordan(rad_basis, kappa, n)
+    w = Submodule(q, tuple(std_basis_vector(ring, n, c) for c in range(n) if c not in pivots))
+    if not w.restricted_module().is_nonsingular():
         raise AssertionError("lifted complement of the radical is singular")
-    if len(w_positions) == n:
-        return Submodule(q, tuple()), w
-    if not w_positions:
-        return Submodule(q, identity_matrix(ring, n)), w
-    r_sub = orthogonal_complements_inside(q, w)
-    return r_sub, w
-
-
-def orthogonal_complements_inside(q: QuadraticModule, w: Submodule) -> Submodule:
-    """Complement of a non-singular W inside a possibly singular ambient."""
-    rows = mat_mul(w.basis, q.gram)
-    basis = kernel(rows, q.ring, ncols=q.rank)
-    return Submodule(q, tuple(basis))
+    return _perp(q, w.basis), w
 
 
 def complement_core(
@@ -532,7 +491,7 @@ def complement_core(
         raise AssertionError(
             f"core has rank {w.rank} < n - r - 2s = {n - r - 2 * s}"
         )
-    if w.rank and not w.restricted_module().is_nonsingular():
+    if not w.restricted_module().is_nonsingular():
         raise AssertionError("core is singular")
     return w
 

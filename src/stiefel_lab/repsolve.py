@@ -15,7 +15,6 @@ conflated with proven absence.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,6 +27,7 @@ from stiefel_lab.rings import (
     LOCALIZED,
     PADIC,
     RATIONALS,
+    BudgetError,
     RingError,
     Scalar,
     hensel_root,
@@ -39,8 +39,10 @@ from stiefel_lab.quadmod import (
     QuadraticModule,
     Vector,
     complement_core,
+    det,
     diagonal_module,
     evaluate,
+    integer_lift,
     intersect_complements,
     orthogonal_sum,
     polar,
@@ -89,16 +91,6 @@ def _ff_first_zero(q: QuadraticModule) -> Optional[tuple[int, ...]]:
     return tuple(int(c) for c in X[hits[0]])
 
 
-def _int_gram_lift(q: QuadraticModule) -> tuple[list[list[int]], int]:
-    """Integer matrix D*G and the positive scale D clearing denominators."""
-    denoms = [Fraction(e.value).denominator for row in q.gram for e in row]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // math.gcd(scale, d)
-    lifted = [[int(Fraction(e.value) * scale) for e in row] for row in q.gram]
-    return lifted, scale
-
-
 def _integer_shells(n: int, bound: int):
     """Nonzero integer vectors by increasing max-norm, lexicographic within."""
     for h in range(1, bound + 1):
@@ -114,29 +106,8 @@ def _rational_definite(q: QuadraticModule) -> bool:
     """Exact Sylvester test: all leading principal minors strictly positive
     (or strictly alternating) makes the form definite over Q, hence
     anisotropic -- a proof, not a search outcome."""
-    n = q.rank
-    minors = []
-    for k in range(1, n + 1):
-        sub = [[Fraction(q.gram[i][j].value) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        mat = [row[:] for row in sub]
-        sign = 1
-        for c in range(k):
-            piv = next((i for i in range(c, k) if mat[i][c] != 0), None)
-            if piv is None:
-                det = Fraction(0)
-                break
-            if piv != c:
-                mat[c], mat[piv] = mat[piv], mat[c]
-                sign = -sign
-            det *= mat[c][c]
-            inv = 1 / mat[c][c]
-            for i in range(c + 1, k):
-                f = mat[i][c] * inv
-                if f:
-                    for j in range(c, k):
-                        mat[i][j] -= f * mat[c][j]
-        minors.append(sign * det)
+    minors = [det(tuple(row[:k] for row in q.gram[:k]), q.ring).value
+              for k in range(1, q.rank + 1)]
     if all(m > 0 for m in minors):
         return True
     return all((m > 0) == (i % 2 == 1) and m != 0 for i, m in enumerate(minors))
@@ -162,7 +133,7 @@ def find_isotropic(
         if _rational_definite(q):
             # Definite over Q: only the zero vector vanishes, exactly.
             return IsotropyWitness(None, REGIME_EXHAUSTIVE)
-        lifted, _ = _int_gram_lift(q)
+        lifted, _ = integer_lift(q.gram, ring)
         n = q.rank
         for cand in _integer_shells(n, height_bound):
             total = 0
@@ -178,9 +149,9 @@ def find_isotropic(
                 v = vec(ring, cand)
                 if ring.kind == LOCALIZED:
                     v = scale_to_primitive(v, ring.p)
-                witness = IsotropyWitness(v, REGIME_RESCALED, height_bound=height_bound)
-                assert evaluate(q, witness.vector).is_zero()
-                return witness
+                if not evaluate(q, v).is_zero():
+                    raise AssertionError("rescaled witness is not isotropic")
+                return IsotropyWitness(v, REGIME_RESCALED, height_bound=height_bound)
         return IsotropyWitness(None, REGIME_NOT_FOUND, height_bound=height_bound)
     raise RingError(f"isotropy search not supported over {ring.label()}")
 
@@ -213,8 +184,10 @@ def _padic_isotropic(q: QuadraticModule) -> IsotropyWitness:
     a, b, c = evaluate(q, u), polar(q, u, v), evaluate(q, v)
     lam = hensel_root(ring, (a, b, c), 0)
     w = tuple(lam * ui + vi for ui, vi in zip(u, v))
-    assert evaluate(q, w).is_zero()
-    assert any(residue(c).value != 0 for c in w), "witness not primitive"
+    if not evaluate(q, w).is_zero():
+        raise AssertionError("Hensel witness is not isotropic")
+    if all(residue(c).is_zero() for c in w):
+        raise AssertionError("witness not primitive")
     return IsotropyWitness(w, REGIME_HENSEL, precision=ring.precision)
 
 
@@ -298,11 +271,12 @@ def _padic_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
         raise AssertionError("primitive vector with no unit pairing in a non-singular form")
     lam = hensel_root(ring, (evaluate(total, w), polar(total, x0, w), evaluate(total, x0)), 0)
     x = tuple(xi + lam * wi for xi, wi in zip(x0, w))
-    assert evaluate(total, x).is_zero()
+    if not evaluate(total, x).is_zero():
+        raise AssertionError("lifted transversal vector is not isotropic")
     offset = 0
     for b in blocks:
-        part = x[offset: offset + b.rank]
-        assert evaluate(b, part).is_unit(), "block value left the unit class"
+        if not evaluate(b, x[offset: offset + b.rank]).is_unit():
+            raise AssertionError("block value left the unit class")
         offset += b.rank
     return x
 
@@ -313,7 +287,7 @@ def _bounded_transversal(
     ring = blocks[0].ring
     total = orthogonal_sum_all(blocks)
     n = total.rank
-    lifted, _ = _int_gram_lift(total)
+    lifted, _ = integer_lift(total.gram, ring)
     spans = [b.rank for b in blocks]
     for cand in _integer_shells(n, height_bound):
         total_val = 0
@@ -371,10 +345,8 @@ def represents(
         w, x = t, t[-1]
     v = tuple(c / x for c in w[:-1])
     got = evaluate(q, v)
-    if ring.kind == PADIC:
-        assert got == a
-    else:
-        assert got == a, f"representation check failed: {got} != {a}"
+    if got != a:
+        raise AssertionError(f"representation check failed: {got} != {a}")
     return v
 
 
@@ -396,7 +368,7 @@ def hensel_isotropy_replay(p: int = 5, precision: int = 4, count: int = 50,
     while done < count:
         generated += 1
         if generated > 100 * count:
-            raise RuntimeError("form generation stalled")
+            raise BudgetError(f"form generation stalled after {generated - 1} forms")
         rank = rng.choice([2, 3])
         rows = [[rng.randrange(p ** precision) for _ in range(rank)] for _ in range(rank)]
         for i in range(rank):
@@ -496,9 +468,11 @@ def unit_vector_in_complement(
             if hits.size:
                 found_vec = inter.to_ambient(vec(ring, tuple(map(int, X[hits[0]]))))
     if found_vec is not None:
-        assert evaluate(q, found_vec) == ring.one
+        if evaluate(q, found_vec) != ring.one:
+            raise AssertionError("complement vector does not have value 1")
         for fr in (u_frame, v_frame):
             for fv in fr.vectors:
-                assert polar(q, found_vec, fv).is_zero()
+                if not polar(q, found_vec, fv).is_zero():
+                    raise AssertionError("complement vector is not orthogonal to the frames")
     report = ConditionReport(n, r, s, conditions, found_vec is not None)
     return found_vec, report

@@ -61,9 +61,6 @@ class RangeResult:
     def empty(self) -> bool:
         return self.surjective_up_to < 0
 
-    def as_row(self) -> tuple:
-        return (self.kind, self.case, self.surjective_up_to, self.isomorphism_up_to)
-
 
 _CONSTANT_SURJ = {
     "i": lambda n, v: Fraction(n - v - 1, 3),
@@ -416,5 +413,6 @@ def golden_grid() -> list[dict]:
         rows.append({"kind": "corollary-1(d=2)", "case": "a", "n": n,
                      "invariant": "m_K=4", "surjective": bound,
                      "isomorphism": bound})
-    assert len(rows) == 200, len(rows)
+    if len(rows) != 200:
+        raise AssertionError(f"golden grid has {len(rows)} rows, expected 200")
     return rows

@@ -99,6 +99,18 @@ def test_budget_error_exit_2(capsys):
     assert code == 2
 
 
+def test_hensel_stall_exit_2(monkeypatch, capsys):
+    from stiefel_lab import repsolve
+
+    monkeypatch.setattr(repsolve, "find_isotropic",
+                        lambda q, *a: repsolve.IsotropyWitness(None, repsolve.REGIME_EXHAUSTIVE))
+    code = main(["hensel", "--count", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_unsampleable_frame_exit_2(capsys):
     # F_3^1 has two unit vectors and they are not orthogonal: no 2-frame.
     code = main(["morse-replay", "--field", "3", "--n", "1", "--l", "2", "--r", "2"])

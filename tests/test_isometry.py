@@ -13,6 +13,8 @@ from stiefel_lab.quadmod import (
     evaluate,
     frame,
     identity_matrix,
+    mat,
+    mat_mul,
     mat_transpose,
     polar,
     quadratic_module,
@@ -20,6 +22,7 @@ from stiefel_lab.quadmod import (
 )
 from stiefel_lab.isometry import (
     Isometry,
+    _invert,
     abelianization_exponent,
     block_sum,
     cartan_dieudonne,
@@ -281,3 +284,35 @@ def test_o4_f3_order_and_abelianization():
 def test_o3_f5_order():
     # |O_3| over a field with q elements is 2 q (q^2 - 1); here 2*5*24.
     assert len(enumerate_group(euclidean(F5, 3))) == 240
+
+
+@pytest.mark.parametrize("ring", [F5, Q, Z5], ids=["F5", "Q", "Z_(5)"])
+def test_inverse_round_trip(ring):
+    """M . M^(-1) = I for random invertible matrices and for isometries of a
+    non-diagonal form (whose inverse goes through G^(-1))."""
+    rng = random.Random(3)
+    q = quadratic_module(ring, [[1, 1, 0], [1, 3, 1], [0, 1, 2]])
+    eye = identity_matrix(ring, 3)
+    checked = 0
+    while checked < 8:
+        m = mat(ring, [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
+        try:
+            inv = _invert(m, ring)
+        except ValueError:
+            continue
+        assert mat_mul(m, inv) == eye and mat_mul(inv, m) == eye
+        phi = identity_isometry(q)
+        for _ in range(3):
+            v = [rng.randint(-3, 3) for _ in range(3)]
+            if evaluate(q, v).is_unit():
+                phi = phi.compose(reflection(q, v))
+        assert phi.compose(phi.inverse()).is_identity()
+        assert phi.inverse().compose(phi).is_identity()
+        checked += 1
+
+
+def test_invert_needs_a_unit_determinant():
+    # diag(5, 1) is invertible over Q but not over Z_(5).
+    assert _invert(mat(Q, [[5, 0], [0, 1]]), Q) == mat(Q, [[Fraction(1, 5), 0], [0, 1]])
+    with pytest.raises(ValueError):
+        _invert(mat(Z5, [[5, 0], [0, 1]]), Z5)

@@ -8,6 +8,7 @@ import pytest
 from stiefel_lab.rings import (
     RingError,
     finite_field,
+    integers,
     is_square,
     localized_at,
     padic,
@@ -16,8 +17,10 @@ from stiefel_lab.rings import (
 from stiefel_lab.quadmod import (
     Frame,
     PrecisionError,
+    QuadraticModule,
     Submodule,
     complement_core,
+    det,
     diagonal_module,
     diagonalize,
     euclidean,
@@ -343,3 +346,51 @@ def test_padic_precision_guard():
     rows = mat(ring, [[5, 5]])
     with pytest.raises(PrecisionError):
         kernel(rows, ring)
+
+
+def leibniz_det(rows, ring):
+    """Independent oracle: the signed sum over all permutations."""
+    n = len(rows)
+    total = ring.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = ring.one
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + term if inversions % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("ring,draw", [
+    (F5, lambda rng: rng.randrange(5)),
+    (Q, lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+    (Z5, lambda rng: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7]))),
+    (padic(5, 3), lambda rng: rng.randrange(125)),
+    (integers(), lambda rng: rng.randint(-9, 9)),
+], ids=["F5", "Q", "Z_(5)", "Z5^3", "Z"])
+def test_det_matches_leibniz(ring, draw):
+    import random
+
+    rng = random.Random(11)
+    assert det((), ring) == ring.one
+    for n in range(1, 5):
+        for _ in range(6):
+            rows = mat(ring, [[draw(rng) for _ in range(n)] for _ in range(n)])
+            assert det(rows, ring) == leibniz_det(rows, ring)
+        singular = mat(ring, [[draw(rng) for _ in range(n)] for _ in range(n - 1)])
+        singular += (singular[0],) if n > 1 else (vec(ring, [0]),)
+        assert det(singular, ring).is_zero()
+
+
+def test_split_radical_padic_rank4_radical_rank2():
+    ring = padic(5, 3)
+    p_matrix = mat(ring, [[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 4], [0, 1, 0, 1]])
+    d = diagonal_module(ring, [1, 2, 5, 10]).gram
+    q = QuadraticModule(ring, mat_mul(mat_mul(mat_transpose(p_matrix), d), p_matrix))
+    r, w = split_radical(q)
+    assert r.rank == 2 and w.rank == 2
+    assert w.restricted_module().is_nonsingular()
+    for b in r.basis:
+        assert not evaluate(q, b).is_unit()
+        for c in w.basis:
+            assert polar(q, b, c).is_zero()

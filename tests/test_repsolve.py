@@ -77,6 +77,13 @@ def test_find_isotropic_anisotropic_reduction_is_exact():
     assert not w.found and w.regime == REGIME_EXHAUSTIVE
 
 
+def test_find_isotropic_negative_definite_is_exhaustive():
+    # Leading minors -2, 3 alternate in sign: negative definite over Q.
+    for ring in (Q, Z5):
+        w = find_isotropic(quadratic_module(ring, [[-2, -1], [-1, -2]]))
+        assert not w.found and w.regime == REGIME_EXHAUSTIVE
+
+
 def test_find_isotropic_bounded_regime():
     # Definite forms are settled exactly (only the zero vector vanishes).
     w = find_isotropic(euclidean(Q, 3), height_bound=5)
