@@ -13,7 +13,6 @@ checked in the test suite.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
@@ -633,8 +632,6 @@ def morse_lemma_check(
     x0_indices: Sequence[int],
     layers: Sequence[Sequence[int]],
     d: int,
-    sample_budget: Optional[int] = None,
-    rng: Optional[random.Random] = None,
     cross_check_budget: int = 200_000,
 ) -> CheckResult:
     """Verify the discrete-Morse hypotheses on a partition X0, L1, ..., Ln:
@@ -642,11 +639,10 @@ def morse_lemma_check(
     (i)  |X0| is a wedge of d-spheres,
     (ii) each layer is an antichain,
     (iii) for x in L_i the link of x inside X0 ∪ L1 ∪ ... ∪ L_(i-1) is a
-         wedge of (d-1)-spheres -- exhaustively, or on a seed-fixed sample
-         whose size is reported.
+         wedge of (d-1)-spheres, for every x.
 
-    On full verification the certificate asserts the wedge profile for |X|
-    and cross-checks it by direct homology when the order complex fits the
+    When the hypotheses hold, the certificate asserts the wedge profile for
+    |X| and cross-checks it by direct homology when the poset fits the
     budget."""
     failures = []
     details: dict = {"clauses": {}}
@@ -662,7 +658,6 @@ def morse_lemma_check(
     details["clauses"]["x0_profile"] = prof0
 
     prev = sorted(set(x0_indices))
-    sampled_any = False
     for li, layer in enumerate(layers, start=1):
         layer = sorted(set(layer))
         for a in range(len(layer)):
@@ -676,15 +671,8 @@ def morse_lemma_check(
             else:
                 continue
             break
-        if sample_budget is not None and len(layer) > sample_budget:
-            gen = rng or random.Random(0)
-            chosen = sorted(gen.sample(layer, sample_budget))
-            sampled_any = True
-        else:
-            chosen = layer
-        details["clauses"][f"L{li}_checked"] = (len(chosen), len(layer))
         prev_set = set(prev)
-        for x in chosen:
+        for x in layer:
             link = [j for j in X.link(x) if j in prev_set]
             prof = X.restrict(link).homology() if link else None
             if prof is None or not prof.is_wedge_of_spheres(d - 1):
@@ -696,10 +684,8 @@ def morse_lemma_check(
                     break
         prev = prev + layer
     passed = not failures
-    details["sampled"] = sampled_any
     if passed:
-        n_chains_cap = len(X) <= cross_check_budget
-        if n_chains_cap and not sampled_any:
+        if len(X) <= cross_check_budget:
             full = X.homology(d)
             details["direct_cross_check"] = full
             passed = full.is_wedge_of_spheres(d)

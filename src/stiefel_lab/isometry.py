@@ -7,28 +7,17 @@ M^T G M = G exactly, which every constructor verifies before returning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from stiefel_lab import gfnum
-from stiefel_lab.rings import (
-    FINITE_FIELD,
-    PADIC,
-    BudgetError,
-    RingError,
-    Scalar,
-    is_square,
-    padic_sqrt,
-)
+from stiefel_lab.rings import FINITE_FIELD, BudgetError, RingError, Scalar
 from stiefel_lab.quadmod import (
     Frame,
     Matrix,
     QuadraticModule,
-    Submodule,
     Vector,
     _gauss_jordan,
     det,
@@ -38,7 +27,6 @@ from stiefel_lab.quadmod import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    orthogonal_complement,
     polar,
     vec,
 )
@@ -97,62 +85,69 @@ def identity_isometry(q: QuadraticModule) -> Isometry:
     return Isometry(q, identity_matrix(q.ring, q.rank))
 
 
+def _reflect(q: QuadraticModule, w: Vector, xs: Sequence[Vector]) -> list[Vector]:
+    """x - (B(x, w) / q(w)) w for each x in xs; requires q(w) to be a unit."""
+    qw = evaluate(q, w)
+    if not qw.is_unit():
+        raise ValueError("reflection needs a vector of unit length value")
+    out = []
+    for x in xs:
+        coef = polar(q, x, w) / qw
+        out.append(tuple(xi - coef * wi for xi, wi in zip(x, w)))
+    return out
+
+
 def reflection(q: QuadraticModule, v: Sequence) -> Isometry:
     """Hyperplane reflection x -> x - (B(x, v) / q(v)) v; requires q(v) to be
     a unit.  Involutive, sends v to -v, fixes the orthogonal hyperplane."""
-    v = vec(q.ring, v)
-    qv = evaluate(q, v)
-    if not qv.is_unit():
-        raise ValueError("reflection needs a vector of unit length value")
-    n = q.rank
-    cols = []
-    for j in range(n):
-        e = tuple(q.ring.one if t == j else q.ring.zero for t in range(n))
-        coef = polar(q, e, v) / qv
-        cols.append(tuple(ei - coef * vi for ei, vi in zip(e, v)))
+    cols = _reflect(q, vec(q.ring, v), identity_matrix(q.ring, q.rank))
     return Isometry(q, mat_transpose(tuple(cols)))
+
+
+def _witt_reflections(q: QuadraticModule, images: Sequence[Vector],
+                      targets: Sequence[Vector]) -> tuple[list[Vector], list[Vector]]:
+    """Witt's extension by reflections: the reflection vectors, in the order
+    they are applied, that carry images[i] onto targets[i] for each target,
+    and every image after them (images past len(targets) ride along).
+
+    Step i reflects in b - c (b the target, c the current image) when
+    q(b - c) is a unit, else in b + c and then b: over a local ring with 2
+    invertible one of the two lengths is a unit, since they sum to 4 q(b).
+    Both vectors are orthogonal to the earlier targets, which stay fixed."""
+    ring = q.ring
+    if not (ring.is_local and ring.two_is_unit):
+        raise RingError("reflection steps need a local ring with 2 a unit")
+    images, targets = list(images), list(targets)
+    refs: list[Vector] = []
+    for i, b in enumerate(targets):
+        c = images[i]
+        if c == b:
+            continue
+        w = tuple(bi - ci for bi, ci in zip(b, c))
+        step = [w] if evaluate(q, w).is_unit() else [tuple(bi + ci for bi, ci in zip(b, c)), b]
+        for v in step:
+            images = _reflect(q, v, images)
+        refs += step
+    if images[:len(targets)] != targets:
+        raise AssertionError("reflections did not carry the images onto the targets")
+    return refs, images
 
 
 def cartan_dieudonne(q: QuadraticModule, phi: Isometry) -> list[Vector]:
     """Reflection vectors whose product (in list order) is exactly phi; at
     most two per basis vector, so at most 2n in total.
 
-    For each vector b of an orthogonal basis, phi is corrected to fix b by
-    one reflection when q(b - phi(b)) is a unit, else by the two-reflection
-    detour through b + phi(b) and b (one of the two lengths is always a unit
-    over a local ring with 2 invertible, since they sum to 4 q(b))."""
-    ring = q.ring
-    if not (ring.is_local and ring.two_is_unit):
-        raise RingError("factorization needs a local ring with 2 a unit")
+    The Witt step carries phi(b) back to b for each vector b of an orthogonal
+    basis.  The reflections r_1, ..., r_m it applies give r_m ... r_1 phi = 1,
+    so phi = r_1 ... r_m since each r_i is an involution."""
     if phi.module != q:
         raise ValueError("isometry belongs to a different module")
     if all(q.gram[i][j].is_zero() for i in range(q.rank) for j in range(q.rank) if i != j) \
             and all(q.gram[i][i].is_unit() for i in range(q.rank)):
-        basis = [tuple(ring.one if t == i else ring.zero for t in range(q.rank))
-                 for i in range(q.rank)]
+        basis = identity_matrix(q.ring, q.rank)
     else:
-        p_matrix, _ = diagonalize(q)
-        basis = list(mat_transpose(p_matrix))
-    refs: list[Vector] = []
-    current = phi
-    for b in basis:
-        c = current.apply(b)
-        if c == vec(ring, b):
-            continue
-        w1 = tuple(bi - ci for bi, ci in zip(b, c))
-        if evaluate(q, w1).is_unit():
-            tau = reflection(q, w1)
-            current = tau.compose(current)
-            refs.append(w1)
-        else:
-            w2 = tuple(bi + ci for bi, ci in zip(b, c))
-            tau2 = reflection(q, w2)
-            taub = reflection(q, b)
-            current = taub.compose(tau2.compose(current))
-            refs.append(w2)
-            refs.append(vec(ring, b))
-    if not current.is_identity():
-        raise AssertionError("reduction did not reach the identity")
+        basis = mat_transpose(diagonalize(q)[0])
+    refs, _ = _witt_reflections(q, [phi.apply(b) for b in basis], basis)
     if len(refs) > 2 * q.rank:
         raise AssertionError("factorization exceeded 2n reflections")
     check = identity_isometry(q)
@@ -163,80 +158,14 @@ def cartan_dieudonne(q: QuadraticModule, phi: Isometry) -> list[Vector]:
     return refs
 
 
-def _orthonormal_columns(q: QuadraticModule, sub: Submodule,
-                         height_bound: int = 40) -> list[Vector]:
-    """Columns spanning `sub` on which the form is the identity: diagonalize,
-    scale square entries to 1, and rotate pairs of non-square entries (their
-    product is a square) onto <1, 1>.  Raises when the ring lacks the needed
-    square roots within the search regime."""
-    from stiefel_lab.repsolve import represents
-
-    ring = q.ring
-    form = sub.restricted_module()
-    if form.rank == 0:
-        return []
-    p_matrix, entries = diagonalize(form)
-    cols = list(mat_transpose(p_matrix))
-
-    def sqrt_scalar(a: Scalar) -> Optional[Scalar]:
-        if ring.kind == FINITE_FIELD:
-            return is_square(a)
-        if ring.kind == PADIC:
-            return padic_sqrt(a)
-        f = Fraction(a.value)
-        if f.numerator < 0:
-            return None
-        num_r = math.isqrt(f.numerator)
-        den_r = math.isqrt(f.denominator)
-        if num_r * num_r == f.numerator and den_r * den_r == f.denominator:
-            return Scalar(ring, Fraction(num_r, den_r))
-        return None
-
-    ortho: list[Vector] = []
-    pending: list[tuple[Vector, Scalar]] = []
-    for col, a in zip(cols, entries):
-        root = sqrt_scalar(a)
-        if root is not None:
-            ortho.append(tuple(c / root for c in col))
-        else:
-            pending.append((col, a))
-    while len(pending) >= 2:
-        (c1, d1), (c2, d2) = pending.pop(), pending.pop()
-        pair = QuadraticModule(ring, ((d1, ring.zero), (ring.zero, d2)))
-        u = represents(pair, ring.one, height_bound)
-        if u is None:
-            raise RingError("orthonormal extension: could not represent 1 on a pair")
-        x, y = u
-        first = tuple(x * a + y * b for a, b in zip(c1, c2))
-        w = (-d2 * y, d1 * x)
-        t = sqrt_scalar(d1 * d2)
-        if t is None:
-            raise RingError("orthonormal extension: product of entries has no square root")
-        second = tuple((w[0] * a + w[1] * b) / t for a, b in zip(c1, c2))
-        ortho.append(first)
-        ortho.append(second)
-    if pending:
-        raise RingError("orthonormal extension: odd leftover non-square entry")
-    out = [sub.to_ambient(c) for c in ortho]
-    for i, v in enumerate(out):
-        if evaluate(q, v) != ring.one:
-            raise AssertionError(f"extension column {i} does not have value 1")
-        for j in range(i):
-            if not polar(q, v, out[j]).is_zero():
-                raise AssertionError(f"extension columns {i}, {j} are not orthogonal")
-    return out
-
-
 def orthonormal_extension(q: QuadraticModule, f: Frame) -> Isometry:
-    """Isometry sending the first len(f) standard basis vectors to the frame;
-    needs the Gram matrix of q to be the identity (Euclidean space)."""
-    ring = q.ring
-    if q.gram != identity_matrix(ring, q.rank):
+    """Isometry sending the first len(f) standard basis vectors to the frame,
+    a Witt product of at most 2 len(f) reflections; needs the Gram matrix of
+    q to be the identity (Euclidean space)."""
+    eye = identity_matrix(q.ring, q.rank)
+    if q.gram != eye:
         raise RingError("extension implemented for Euclidean Gram matrices")
-    rest = _orthonormal_columns(q, orthogonal_complement(q, f.as_submodule()))
-    cols = list(f.vectors) + rest
-    if len(cols) != q.rank:
-        raise AssertionError("extension has wrong rank")
+    _, cols = _witt_reflections(q, eye, f.vectors)
     return Isometry(q, mat_transpose(tuple(cols)))
 
 
@@ -334,8 +263,8 @@ def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isom
     for v, val in zip(vectors, values):
         if val % p == 0:
             continue
-        tau = _int_reflection(G, v, int(val), p)
-        gens.setdefault(tuple(tau.ravel().tolist()), tau)
+        tau = reflection(q, v.tolist()).int_matrix()
+        gens.setdefault(tau, np.array(tau, dtype=np.int64))
     seen = _closure_mod_p(list(gens.values()), n, p, cap)
     out = []
     for key in sorted(seen):
@@ -345,27 +274,16 @@ def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isom
     return out
 
 
-def _int_reflection(G: np.ndarray, v: np.ndarray, qv: int, p: int) -> np.ndarray:
-    n = len(v)
-    inv_qv = pow(qv, -1, p)
-    cols = []
-    for j in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[j] = 1
-        coef = 2 * int(e @ G @ v) % p * inv_qv % p
-        cols.append((e - coef * v) % p)
-    return np.stack(cols, axis=1) % p
-
-
 def derived_subgroup(elements: list[Isometry]) -> set:
     """The subgroup generated by all commutators, as a set of int matrices."""
     if not elements:
         return set()
-    ring = elements[0].module.ring
-    p = ring.p
+    q = elements[0].module
+    p = q.ring.p
     mats = np.stack([np.array(e.int_matrix(), dtype=np.int64) for e in elements])
-    g_gram = np.array(elements[0].module.int_gram(), dtype=np.int64)
-    ginv = gfnum.inverse_mod_p(g_gram, p)
+    g_gram = np.array(q.int_gram(), dtype=np.int64)
+    ginv = np.array([[x.value for x in row] for row in _invert(q.gram, q.ring)],
+                    dtype=np.int64)
     inverses = np.stack([(ginv @ m.T @ g_gram) % p for m in mats])
     commutators: dict[tuple, np.ndarray] = {}
     for i in range(len(mats)):

@@ -517,15 +517,3 @@ def hensel_root(ring: RingDescriptor, coeffs, r0: int) -> Scalar:
     if (r.value - r0) % p != 0:
         raise RingError("lifted root left its residue class")
     return r
-
-
-def padic_sqrt(a: Scalar) -> Optional[Scalar]:
-    """Square root of a unit in truncated Z_p, when the residue is a square."""
-    if a.ring.kind != PADIC:
-        raise RingError("padic_sqrt needs a truncated p-adic ring")
-    if not a.is_unit():
-        raise RingError("padic_sqrt handles units only")
-    root_bar = is_square(residue(a))
-    if root_bar is None:
-        return None
-    return hensel_root(a.ring, (a.ring.one, a.ring.zero, -a), root_bar.value)

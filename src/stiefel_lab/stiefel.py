@@ -288,8 +288,9 @@ def connectivity_report(ring: RingDescriptor, n: int, max_degree: int,
     if ring.kind != FINITE_FIELD:
         raise RingError("connectivity reports are finite-field computations")
     q = euclidean(ring, n)
-    m_val = compute_invariants(ring).m_invariant.value()
-    arith = {"m_A": m_val, "P_kappa": compute_invariants(ring).pythagoras.value(),
+    invariants = compute_invariants(ring)
+    m_val = invariants.m_invariant.value()
+    arith = {"m_A": m_val, "P_kappa": invariants.pythagoras.value(),
              "m_K": m_val, "P_K": None}
     predicted = connectivity_degree("i", n, arith)["literal"]
     sphere = UnitSphere(q)
@@ -590,7 +591,6 @@ def morse_replay(
     v_frame: Frame,
     sample_budget: Optional[int] = None,
     seed: int = 0,
-    explicit_cap: int = EXPLICIT_POSET_CAP,
 ) -> MorseCertificate:
     """Replay the Morse-filtration argument for |X_l| of a double frame
     complement over a prime field.
@@ -643,7 +643,7 @@ def morse_replay(
     total = sum(counts[k] for k in range(1, l + 1)) if counts else None
     if counts:
         cert.config["frame_counts"] = {k: counts[k] for k in range(1, l + 1)}
-    explicit = total is not None and total <= explicit_cap and sample_budget is None
+    explicit = total is not None and total <= EXPLICIT_POSET_CAP and sample_budget is None
     cert.mode = "exhaustive" if explicit else "sampled"
 
     d = l - 1
@@ -668,9 +668,8 @@ def morse_replay(
             direct = lemma.details["direct_cross_check"]
             cert.add("direct-homology", direct.is_wedge_of_spheres(d),
                      f"betti {direct.betti}")
-        _deformation_items(cert, poset, pos_index, filt, sphere, l, explicit=True)
-        _join_items(cert, poset, pos_index, filt, sphere, layers, l, rng,
-                    sample_budget=None)
+        _deformation_items(cert, poset, pos_index, filt, sphere, l)
+        _join_items(cert, poset, filt, sphere, layers, l)
     else:
         sample = sample_budget or 200
         cert.config["sample_budget"] = sample
@@ -700,7 +699,7 @@ def morse_replay(
     return cert
 
 
-def _deformation_items(cert, poset, pos_index, filt, sphere, l, explicit):
+def _deformation_items(cert, poset, pos_index, filt, sphere, l):
     """The X_0 deformation onto the suspension: drop the members pairing
     non-trivially with the pivot (keeping the pivot itself), then compare
     against the suspension of the one-lower skeleton poset of the hyperplane."""
@@ -753,17 +752,13 @@ def _deformation_items(cert, poset, pos_index, filt, sphere, l, explicit):
     )
 
 
-def _join_items(cert, poset, pos_index, filt, sphere, layers, l, rng, sample_budget):
+def _join_items(cert, poset, filt, sphere, layers, l):
     """Claim-2 join decomposition of the links of the all-pairing layers:
     proper subframes below every pure-hyperplane extension."""
     checked = 0
     failures = []
     for layer_i in range(2, l + 1):
-        layer = layers[layer_i - 1]
-        chosen = layer
-        if sample_budget is not None and len(layer) > sample_budget:
-            chosen = sorted(rng.sample(layer, sample_budget))
-        for xi in chosen:
+        for xi in layers[layer_i - 1]:
             x = tuple(sorted(poset.elements[xi]))
             link = _link_in_prev(sphere, filt, x, layer_i, l)
             subs = [f for f in link if f < frozenset(x)]

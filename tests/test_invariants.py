@@ -9,6 +9,7 @@ import pytest
 
 from stiefel_lab import gfnum
 from stiefel_lab.rings import RingError, finite_field, localized_at, padic
+from stiefel_lab.quadmod import det, mat
 from stiefel_lab.invariants import (
     check_inequalities,
     compute_invariants,
@@ -159,8 +160,8 @@ def subspace_has_unit_vector(basis: np.ndarray, p: int) -> bool:
 
 
 def subspace_nonsingular(basis: np.ndarray, p: int) -> bool:
-    gram = basis @ basis.T % p
-    return gfnum.rank_mod_p(gram, p) == basis.shape[0]
+    ring = finite_field(p)
+    return det(mat(ring, (basis @ basis.T % p).tolist()), ring).is_unit()
 
 
 @pytest.mark.parametrize("p,n,k", [

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from stiefel_lab.rings import BudgetError, Scalar, finite_field, localized_at, rationals
+from stiefel_lab.rings import (
+    BudgetError,
+    RingError,
+    Scalar,
+    finite_field,
+    integers,
+    localized_at,
+    padic,
+    rationals,
+)
 from stiefel_lab.quadmod import (
     diagonal_module,
     euclidean,
@@ -23,9 +32,11 @@ from stiefel_lab.quadmod import (
 from stiefel_lab.isometry import (
     Isometry,
     _invert,
+    _witt_reflections,
     abelianization_exponent,
     block_sum,
     cartan_dieudonne,
+    derived_subgroup,
     enumerate_group,
     frame_transport,
     identity_isometry,
@@ -180,6 +191,36 @@ def test_orthonormal_extension_is_isometry():
     assert cols[0] == v1 and cols[1] == v2
 
 
+@pytest.mark.parametrize("ring", [Z5, padic(5, 3)], ids=["Z_(5)", "Z_5^3"])
+def test_orthonormal_extension_off_prime_fields(ring):
+    """Witt extension of a frame with denominators 3 over rings that are not
+    fields; the first columns are the frame itself."""
+    e3 = euclidean(ring, 3)
+    rows = [[Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)],
+            [Fraction(2, 3), Fraction(-1, 3), Fraction(-2, 3)]]
+    ext = orthonormal_extension(e3, frame(e3, rows))
+    cols = mat_transpose(ext.matrix)
+    assert cols[:2] == tuple(vec(ring, r) for r in rows)
+
+
+def test_orthonormal_extension_two_reflection_detour():
+    # f = (1, 1, 2) over F_5: q(e_1 - f) = 0 + 1 + 4 = 0, so the Witt step
+    # reflects in e_1 + f and then in f.
+    e3 = euclidean(F5, 3)
+    f = frame(e3, [[1, 1, 2]])
+    assert evaluate(e3, [0, -1, -2]).is_zero()
+    refs, _ = _witt_reflections(e3, identity_matrix(F5, 3), f.vectors)
+    assert refs == [vec(F5, [2, 1, 2]), vec(F5, [1, 1, 2])]
+    ext = orthonormal_extension(e3, f)
+    assert mat_transpose(ext.matrix)[0] == vec(F5, [1, 1, 2])
+
+
+def test_orthonormal_extension_needs_a_local_ring():
+    e2 = euclidean(integers(), 2)
+    with pytest.raises(RingError):
+        orthonormal_extension(e2, frame(e2, [[0, 1]]))
+
+
 def test_stabilizer_restrict_examples():
     e2 = euclidean(F3, 2)
     psi = reflection(e2, [1, 1])
@@ -215,6 +256,15 @@ def test_enumerate_group_examples():
     group3 = enumerate_group(euclidean(F3, 3))
     assert len(group3) == 48
     assert abelianization_exponent(group3) == 2
+
+
+def test_group_of_a_non_euclidean_form():
+    # <1, 2> over F_5 is anisotropic, so O(q) is dihedral of order 2 (p + 1);
+    # its Gram matrix is not its own inverse.
+    group = enumerate_group(diagonal_module(F5, [1, 2]))
+    assert len(group) == 12
+    assert len(derived_subgroup(group)) == 3
+    assert abelianization_exponent(group) == 2
 
 
 def test_enumerate_group_cap_is_a_budget_error():

@@ -270,13 +270,13 @@ def all_base_changes(p, n):
     """Exhaustive invertible n x n matrices over F_p (small n only)."""
     import numpy as np
 
-    from stiefel_lab.gfnum import all_vectors, rank_mod_p
+    from stiefel_lab.gfnum import all_vectors
 
+    ring = finite_field(p)
     out = []
     for rows in itertools.product(all_vectors(p, n).tolist(), repeat=n):
-        m = np.array(rows)
-        if rank_mod_p(m, p) == n:
-            out.append(m)
+        if det(mat(ring, rows), ring).is_unit():
+            out.append(np.array(rows))
     return out
 
 

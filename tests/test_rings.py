@@ -15,7 +15,6 @@ from stiefel_lab.rings import (
     is_square,
     localized_at,
     padic,
-    padic_sqrt,
     rationals,
     residue,
     sum_of_squares,
@@ -204,13 +203,6 @@ def test_hensel_root_rejects_non_simple_roots():
     ring = padic(5, 3)
     with pytest.raises(RingError):
         hensel_root(ring, (1, 0, 0), 0)  # double root of X^2
-
-
-def test_padic_sqrt():
-    ring = padic(5, 4)
-    r = padic_sqrt(ring.scalar(6))
-    assert r is not None and r * r == ring.scalar(6)
-    assert padic_sqrt(ring.scalar(2)) is None  # 2 is a non-square mod 5
 
 
 def test_division_rules():
