@@ -25,46 +25,24 @@ DENSE_COLUMN_CUTOFF = 2000
 # ---------------------------------------------------------------------------
 
 
-def _dense_snf(a: list[list[int]], want_transforms: bool = False):
+def _dense_snf(a: list[list[int]]) -> list[int]:
     """Diagonalize the integer matrix `a` in place; returns the nonzero
-    invariant factors, plus unimodular U, V with U M V = D on request."""
+    invariant factors."""
     m = len(a)
     n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
 
     def row_op(i, j, q):  # row_i -= q * row_j
         ai, aj = a[i], a[j]
         for k in range(n):
             ai[k] -= q * aj[k]
-        if u is not None:
-            ui, uj = u[i], u[j]
-            for k in range(m):
-                ui[k] -= q * uj[k]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in a:
             row[i] -= q * row[j]
-        if v is not None:
-            for row in v:
-                row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     s = 0
     while True:
@@ -81,7 +59,7 @@ def _dense_snf(a: list[list[int]], want_transforms: bool = False):
                 break
         if pos is None:
             break
-        swap_rows(s, pos[0])
+        a[s], a[pos[0]] = a[pos[0]], a[s]
         swap_cols(s, pos[1])
         while True:
             for i in range(s + 1, m):
@@ -89,7 +67,7 @@ def _dense_snf(a: list[list[int]], want_transforms: bool = False):
                     row_op(i, s, a[i][s] // a[s][s])
             if any(a[i][s] for i in range(s + 1, m)):
                 i = min((i for i in range(s + 1, m) if a[i][s]), key=lambda i: abs(a[i][s]))
-                swap_rows(s, i)
+                a[s], a[i] = a[i], a[s]
                 continue
             for j in range(s + 1, n):
                 if a[s][j]:
@@ -110,12 +88,9 @@ def _dense_snf(a: list[list[int]], want_transforms: bool = False):
                 break
             row_op(s, bad, -1)  # pull the offending row up and keep reducing
         if a[s][s] < 0:
-            negate_row(s)
+            a[s] = [-x for x in a[s]]
         s += 1
-    diag = [a[i][i] for i in range(min(m, n)) if a[i][i]]
-    if want_transforms:
-        return diag, u, v
-    return diag
+    return [a[i][i] for i in range(min(m, n)) if a[i][i]]
 
 
 def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
@@ -195,20 +170,10 @@ def _invariant_factors(entries: dict[tuple[int, int], int], nrows: int, ncols: i
     return [1] * units + rest
 
 
-def smith_normal_form(
-    matrix,
-    transforms: bool = False,
-    dense_cutoff: int = DENSE_COLUMN_CUTOFF,
-):
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
-
-    With transforms=True also returns unimodular U, V with U M V = D
-    (dense path only).  Returns the factor list, or (factors, U, V).
-    """
+def smith_normal_form(matrix, dense_cutoff: int = DENSE_COLUMN_CUTOFF) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... of an integer matrix."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    if transforms:
-        return _dense_snf([list(map(int, r)) for r in matrix], True)
     entries = {(i, j): int(x) for i, r in enumerate(matrix) for j, x in enumerate(r) if x}
     return _invariant_factors(entries, m, n, dense_cutoff)
 
@@ -710,24 +675,9 @@ def invariant_factors_by_minors(matrix) -> list[int]:
     m = len(rows)
     n = len(rows[0]) if m else 0
 
-    def minor_det(ri, ci):
-        sub = [[rows[i][j] for j in ci] for i in ri]
-        k = len(ri)
-        if k == 1:
-            return sub[0][0]
-        det = 0
-        for j in range(k):
-            sign = -1 if j % 2 else 1
-            det += sign * sub[0][j] * _det_small(
-                [r[:j] + r[j + 1:] for r in sub[1:]]
-            )
-        return det
-
     def _det_small(mat):
         if not mat:
             return 1
-        if len(mat) == 1:
-            return mat[0][0]
         det = 0
         for j in range(len(mat)):
             sign = -1 if j % 2 else 1
@@ -739,7 +689,7 @@ def invariant_factors_by_minors(matrix) -> list[int]:
         g = 0
         for ri in combinations(range(m), k):
             for ci in combinations(range(n), k):
-                g = gcd(g, minor_det(ri, ci))
+                g = gcd(g, _det_small([[rows[i][j] for j in ci] for i in ri]))
         if g == 0:
             break
         gcds.append(g)

@@ -104,18 +104,10 @@ def _ff_all_unit_diagonals(p: int, rank: int):
     return itertools.product(range(1, p), repeat=rank)
 
 
-def _ff_diag_isotropic(diag, p: int) -> bool:
-    n = len(diag)
-    X = gfnum.all_vectors(p, n)[1:]
-    vals = (X * X % p) @ np.array(diag, dtype=np.int64) % p
-    return bool((vals == 0).any())
-
-
-def _ff_diag_represents_one(diag, p: int) -> bool:
-    n = len(diag)
-    X = gfnum.all_vectors(p, n)
-    vals = (X * X % p) @ np.array(diag, dtype=np.int64) % p
-    return bool((vals == 1).any())
+def _ff_diag_values(diag, p: int) -> np.ndarray:
+    """Values of the diagonal form on every non-zero vector."""
+    X = gfnum.all_vectors(p, len(diag))[1:]
+    return (X * X % p) @ np.array(diag, dtype=np.int64) % p
 
 
 def compute_invariants(ring: RingDescriptor, max_rank: int = 4) -> InvariantReport:
@@ -144,13 +136,13 @@ def compute_invariants(ring: RingDescriptor, max_rank: int = 4) -> InvariantRepo
         stufe = INF if minus_one not in stable else len(chain)
     u = 0
     for rank in range(1, max_rank + 1):
-        if any(not _ff_diag_isotropic(d, p) for d in _ff_all_unit_diagonals(p, rank)):
+        if any((_ff_diag_values(d, p) != 0).all() for d in _ff_all_unit_diagonals(p, rank)):
             u = rank
         else:
             break
     m = None
     for rank in range(1, max_rank + 1):
-        if all(_ff_diag_represents_one(d, p) for d in _ff_all_unit_diagonals(p, rank)):
+        if all((_ff_diag_values(d, p) == 1).any() for d in _ff_all_unit_diagonals(p, rank)):
             m = rank
             break
     if m is None:
@@ -462,13 +454,13 @@ def m_zp_witness(p: int, height: int) -> MZpWitness:
 
 
 def _signed_perm_orbit_reps(units: np.ndarray, p: int) -> np.ndarray:
-    """One representative per orbit of the signed-permutation action; the
-    orbit invariant is the sorted multiset of min(c, p - c).  Signed
-    permutations are isometries, so the two-vector hypothesis only needs one
-    representative as the first vector of the pair."""
+    """Indices of one representative per orbit of the signed-permutation
+    action; the orbit invariant is the sorted multiset of min(c, p - c).
+    Signed permutations are isometries, so the two-vector hypothesis only
+    needs one representative as the first vector of the pair."""
     keys = np.sort(np.minimum(units, p - units), axis=1)
     _, first = np.unique(keys, axis=0, return_index=True)
-    return units[np.sort(first)]
+    return np.sort(first)
 
 
 def shapiro_bound_check(ring: RingDescriptor, k: int, n_extra: int = 2) -> dict:
@@ -476,31 +468,24 @@ def shapiro_bound_check(ring: RingDescriptor, k: int, n_extra: int = 2) -> dict:
     complement of every pair of unit vectors in Euclidean n-space contains a
     unit vector, then check P <= k - 2 against the exhaustive invariants.
     The prime field F_3 is rejected: the implication fails there."""
+    from stiefel_lab.stiefel import UnitSphere
+
     if ring.kind != FINITE_FIELD:
         raise RingError("hypothesis test implemented over prime fields")
     if ring.p == 3:
         raise ValueError("F_3 is excluded: the bound is false over it")
-    p = ring.p
     results = {}
-    chunk = 2048
     for n in range(k, k + n_extra + 1):
-        G = np.eye(n, dtype=np.int64)
-        units = gfnum.unit_sphere(G, p)
-        reps = _signed_perm_orbit_reps(units, p)
+        # the polar pairing 2 x.y and the dot product have the same zeros
+        sphere = UnitSphere(euclidean(ring, n))
+        rows = sphere.packed_rows()
         ok = True
-        for e in reps:
-            perp = units[(units @ e) % p == 0]
-            if perp.size == 0:
-                ok = False
-                break
+        for e in _signed_perm_orbit_reps(sphere.vectors, ring.p):
             # every candidate f needs a unit vector orthogonal to both e and
-            # f; chunked so the pairing product stays small
-            for lo in range(0, len(units), chunk):
-                pairings = (perp @ units[lo:lo + chunk].T) % p
-                if not (pairings == 0).any(axis=0).all():
-                    ok = False
-                    break
-            if not ok:
+            # f: the rows of perp(e) together cover every vertex
+            cover = np.bitwise_or.reduce(rows[sphere.orthogonal_mask(e)], axis=0)
+            if int(np.bitwise_count(cover).sum()) != sphere.m:
+                ok = False
                 break
         results[n] = ok
     hypothesis = all(results.values())

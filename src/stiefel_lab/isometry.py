@@ -258,6 +258,10 @@ def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isom
     p, n = ring.p, q.rank
     G = np.array(q.int_gram(), dtype=np.int64)
     vectors = gfnum.all_vectors(p, n)[1:]
+    # v and c*v give one reflection: keep the first vector of each line,
+    # the one whose leading non-zero coordinate is 1
+    leading = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
+    vectors = vectors[leading == 1]
     values = gfnum.gram_values(G, vectors, p)
     gens: dict[tuple, np.ndarray] = {}
     for v, val in zip(vectors, values):

@@ -47,6 +47,8 @@ from stiefel_lab.complexes import (
 
 SIMPLEX_BUDGET = 50_000_000
 EXPLICIT_POSET_CAP = 200_000
+PACKED_GRAPH_BYTES = 64 << 20  # F_3, n = 10: 19,764 vertices, 48.9 MB packed
+GRAPH_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +80,17 @@ def unit_vectors(q: QuadraticModule) -> list[Vector]:
 
 
 class UnitSphere:
-    """Vectors of value 1 of a finite-field form, with the orthogonality
-    pairing available as masks; the workhorse for frame enumeration."""
+    """Vectors of value 1 of a finite-field form and their orthogonality
+    graph, the workhorse for frame enumeration.
+
+    The graph is built once, on first use, as bit-packed rows: bit j of
+    row i (word j // 64, bit j % 64) is set when vectors i and j are
+    orthogonal.  The diagonal is clear, since B(v, v) = 2 q(v) = 2 is
+    non-zero over an odd prime field, and bits past m stay zero.  Every
+    orthogonality question about the sphere reads these rows.  Before the
+    graph is built, a single mask and the BFS of `components` pack the rows
+    they need on their own, so drawing a frame or counting components never
+    holds the whole graph."""
 
     def __init__(self, form: QuadraticModule):
         if form.ring.kind != FINITE_FIELD:
@@ -89,54 +100,78 @@ class UnitSphere:
         self.gram = np.array(form.int_gram(), dtype=np.int64)
         self.vectors = gfnum.unit_sphere(self.gram, self.p)
         self.m = len(self.vectors)
-        self._pairing_right = (2 * self.gram) % self.p @ self.vectors.T % self.p
-        self._adj: Optional[np.ndarray] = None
+        self._words = -(-self.m // 64)
+        self._rows: Optional[np.ndarray] = None
 
-    def adjacency(self) -> np.ndarray:
-        if self._adj is None:
+    def packed_rows(self) -> np.ndarray:
+        """The orthogonality graph as an (m, ceil(m / 64)) little-endian
+        uint64 array, built on first use."""
+        if self._rows is None:
+            nbytes = self.m * self._words * 8
+            if nbytes > PACKED_GRAPH_BYTES:
+                raise BudgetError(f"packed orthogonality graph for {self.m} vertices "
+                                  f"({nbytes} bytes) refused above {PACKED_GRAPH_BYTES}")
+            rows = np.empty((self.m, self._words), dtype="<u8")
+            for lo in range(0, self.m, GRAPH_CHUNK):
+                rows[lo:lo + GRAPH_CHUNK] = self._pack(slice(lo, lo + GRAPH_CHUNK))
+            self._rows = rows
+        return self._rows
+
+    def _pack(self, chunk) -> np.ndarray:
+        """Packed rows of a chunk of at most GRAPH_CHUNK vertices: the one
+        pairing product, so it stays at GRAPH_CHUNK x m."""
+        left = self.vectors[chunk] @ (2 * self.gram) % self.p
+        block = left @ self.vectors.T
+        block %= self.p
+        packed = np.packbits(block == 0, axis=1, bitorder="little")
+        rows = np.zeros((len(block), self._words), dtype="<u8")
+        rows.view(np.uint8)[:, :packed.shape[1]] = packed
+        return rows
+
+    def _rows_of(self, chunk) -> np.ndarray:
+        """Packed rows of a chunk of vertices: read from the graph once it
+        is built, packed on their own before."""
+        return self._pack(chunk) if self._rows is None else self._rows[chunk]
+
+    def _unpack(self, rows: np.ndarray) -> np.ndarray:
+        return np.unpackbits(rows.view(np.uint8), axis=-1, count=self.m,
+                             bitorder="little").view(bool)
+
+    def adjacency(self, indices: Optional[np.ndarray] = None) -> np.ndarray:
+        """The orthogonality graph as a bool matrix over the index array
+        `indices` (default: every vertex, refused above 8000 vertices)."""
+        if indices is None:
             if self.m > 8000:
                 raise BudgetError(f"adjacency matrix for {self.m} vertices refused")
-            B = self.vectors @ self._pairing_right % self.p
-            adj = B == 0
-            np.fill_diagonal(adj, False)
-            self._adj = adj
-        return self._adj
+            return self._unpack(self.packed_rows())
+        return self._unpack(self.packed_rows()[indices])[:, indices]
 
     def orthogonal_mask(self, index: int) -> np.ndarray:
-        row = self.vectors[index] @ self._pairing_right % self.p
-        mask = row == 0
-        mask[index] = False
-        return mask
+        return self._unpack(self._rows_of([index])[0])
 
     def orthogonal_mask_all(self, indices: Sequence[int]) -> np.ndarray:
-        mask = np.ones(self.m, dtype=bool)
-        for i in indices:
-            mask &= self.orthogonal_mask(i)
-        for i in indices:
-            mask[i] = False
-        return mask
+        """Vertices orthogonal to every one of `indices` (all, when empty)."""
+        rows = self.packed_rows()[list(indices)]
+        return self._unpack(np.bitwise_and.reduce(rows, axis=0, initial=~np.uint64(0)))
 
     def components(self) -> int:
-        """Connected components of the orthogonality graph: frontier BFS,
-        chunked so the intermediate pairing products stay small."""
-        chunk = 512
-        visited = np.zeros(self.m, dtype=bool)
+        """Connected components of the orthogonality graph: a BFS that ORs
+        the packed rows of each frontier, GRAPH_CHUNK rows at a time, so a
+        sphere too large to hold as packed rows is still handled."""
+        unvisited = np.ones(self.m, dtype=bool)
         components = 0
-        while not visited.all():
-            seed = int(np.argmin(visited))
-            visited[seed] = True
-            frontier = self.vectors[[seed]]
+        while unvisited.any():
+            frontier = np.array([np.argmax(unvisited)])
+            unvisited[frontier] = False
             components += 1
-            while True:
-                reach = np.zeros(self.m, dtype=bool)
-                for lo in range(0, len(frontier), chunk):
-                    prods = frontier[lo:lo + chunk] @ self._pairing_right % self.p
-                    reach |= (prods == 0).any(axis=0)
-                reach &= ~visited
-                if not reach.any():
-                    break
-                visited |= reach
-                frontier = self.vectors[reach]
+            while frontier.size:
+                reach = np.zeros(self._words, dtype="<u8")
+                for lo in range(0, frontier.size, GRAPH_CHUNK):
+                    rows = self._rows_of(frontier[lo:lo + GRAPH_CHUNK])
+                    reach |= np.bitwise_or.reduce(rows, axis=0)
+                reach = self._unpack(reach) & unvisited
+                unvisited &= ~reach
+                frontier = np.flatnonzero(reach)
         return components
 
     def random_clique(self, rng: random.Random, size: int,
@@ -200,6 +235,16 @@ def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tupl
     return out
 
 
+def _integer_graph(q: QuadraticModule) -> tuple[list[Vector], np.ndarray]:
+    """The unit vectors of a form over Z and their orthogonality graph,
+    through the exact polar form."""
+    verts = unit_vectors(q)
+    m = len(verts)
+    adj = np.array([[i != j and polar(q, verts[i], verts[j]).is_zero() for j in range(m)]
+                    for i in range(m)], dtype=bool)
+    return verts, adj
+
+
 def _ordered_cliques(by_size: dict[int, list[tuple[int, ...]]],
                      size: int) -> list[tuple[int, ...]]:
     """Every ordering of every clique of the given size, sorted."""
@@ -214,16 +259,7 @@ def build_stiefel(q: QuadraticModule, max_dim: int,
     The skeleton is returned as a complete complex in its own right: it is
     the space |sk X(q)| whose homology agrees with the full complex in every
     degree strictly below max_dim."""
-    ring = q.ring
-    if ring.kind == INTEGERS:
-        verts = unit_vectors(q)
-        idx = range(len(verts))
-        adj = np.array(
-            [[polar(q, verts[i], verts[j]).is_zero() and i != j for j in idx] for i in idx]
-        )
-    else:
-        sphere = UnitSphere(q)
-        adj = sphere.adjacency()
+    adj = _integer_graph(q)[1] if q.ring.kind == INTEGERS else UnitSphere(q).adjacency()
     by_size = _cliques(adj, max_dim + 1, budget)
     simplices = {size - 1: sorted(v) for size, v in by_size.items()}
     return SimplicialComplex(simplices)
@@ -534,16 +570,17 @@ class MorseCertificate:
         return [f"{n}: {d}" for n, ok, d in self.assertions if not ok]
 
 
-def _count_cliques(adj: np.ndarray, upto: int) -> dict[int, int]:
-    """Numbers of cliques of sizes 1..upto (upto <= 3) of the graph."""
-    counts = {1: int(adj.shape[0]), 2: int(adj.sum()) // 2}
+def _count_cliques(sphere: UnitSphere, upto: int) -> dict[int, int]:
+    """Numbers of frames of sizes 1..upto (upto <= 3): each triangle {i, j, k}
+    is one common neighbour of six ordered edges (i, j)."""
+    rows = sphere.packed_rows()
+    counts = {1: sphere.m, 2: int(np.bitwise_count(rows).sum()) // 2}
     if upto >= 3:
-        tri = 0
-        for v in range(adj.shape[0]):
-            nb = np.flatnonzero(adj[v])
-            if nb.size >= 2:
-                tri += int(adj[np.ix_(nb, nb)].sum()) // 2
-        counts[3] = tri // 3
+        walks = 0
+        for i in range(sphere.m):
+            neighbours = rows[sphere.orthogonal_mask(i)]
+            walks += int(np.bitwise_count(neighbours & rows[i]).sum())
+        counts[3] = walks // 6
     return counts
 
 
@@ -571,7 +608,7 @@ def _link_in_prev(sphere: UnitSphere, filt: MorseFiltration, x: tuple[int, ...],
                 exts = [(int(c),) for c in candidates]
             else:
                 if sub_adj is None:
-                    sub_adj = sphere.adjacency()[np.ix_(candidates, candidates)]
+                    sub_adj = sphere.adjacency(candidates)
                 exts = []
                 local = _cliques(sub_adj, size, budget=10_000_000)
                 for clique in local.get(size, []):
@@ -638,8 +675,7 @@ def morse_replay(
     filt = MorseFiltration(l, pivot, neg, orth)
     cert.add("pivot", True, f"index {pivot}, coords {sphere.vectors[pivot].tolist()}")
 
-    adj = sphere.adjacency()
-    counts = _count_cliques(adj, l) if l <= 3 else None
+    counts = _count_cliques(sphere, l) if l <= 3 else None
     total = sum(counts[k] for k in range(1, l + 1)) if counts else None
     if counts:
         cert.config["frame_counts"] = {k: counts[k] for k in range(1, l + 1)}
@@ -649,7 +685,7 @@ def morse_replay(
     d = l - 1
     rng = random.Random(seed)
     if explicit:
-        by_size = _cliques(adj, l, budget=SIMPLEX_BUDGET)
+        by_size = _cliques(sphere.adjacency(), l, budget=SIMPLEX_BUDGET)
         frames = [frozenset(t) for size in sorted(by_size) for t in by_size[size]]
         poset = poset_from_frames(frames)
         pos_index = {f: i for i, f in enumerate(poset.elements)}
@@ -874,7 +910,7 @@ def _sampled_x0_items(cert, sphere, filt, rng, l, sample):
              f"idempotent {idem_bad} failures")
     # Exact base of the suspension: the hyperplane skeleton poset at l - 1.
     w_indices = np.flatnonzero(filt.orthogonal_to_pivot)
-    w_adj = sphere.adjacency()[np.ix_(w_indices, w_indices)]
+    w_adj = sphere.adjacency(w_indices)
     if l - 1 == 2:
         verts = len(w_indices)
         ii, jj = np.nonzero(np.triu(w_adj))
@@ -915,11 +951,10 @@ def integer_aut_check(n: int) -> CheckResult:
 
     ring = integers()
     q = euclidean(ring, n)
-    verts = unit_vectors(q)
+    verts, graph = _integer_graph(q)
+    adj = graph.tolist()
     m = len(verts)
     failures = []
-    adj = [[bool(polar(q, verts[i], verts[j]).is_zero()) and i != j for j in range(m)]
-           for i in range(m)]
     # Antipode characterization: the unique non-neighbor of v is -v.
     for i in range(m):
         non = [j for j in range(m) if j != i and not adj[i][j]]

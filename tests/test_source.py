@@ -1,6 +1,7 @@
 """Source-level checks on the library package."""
 
 import ast
+import re
 from pathlib import Path
 
 import stiefel_lab
@@ -32,4 +33,30 @@ def test_library_has_no_unused_imports():
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_library_has_no_unreferenced_private_names():
+    """Every `_`-prefixed function, method or attribute that the package
+    defines is referenced on some line of the package other than the one
+    that defines it."""
+    paths = sorted(Path(stiefel_lab.__file__).parent.glob("*.py"))
+    lines = [(path.name, number, line) for path in paths
+             for number, line in enumerate(path.read_text().splitlines(), start=1)]
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                name = node.attr
+            else:
+                continue
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            word = re.compile(rf"\b{name}\b")
+            if not any(word.search(line) for where, number, line in lines
+                       if (where, number) != (path.name, node.lineno)):
+                found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []

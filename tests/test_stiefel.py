@@ -1,14 +1,19 @@
 """Stiefel complexes, skeleton posets, ordered variant, Morse replay."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from stiefel_lab.rings import finite_field, integers
-from stiefel_lab.quadmod import euclidean, frame, polar
+from stiefel_lab.quadmod import diagonal_module, euclidean, frame, polar, vec
+from stiefel_lab import stiefel
 from stiefel_lab.complexes import reduced_homology
 from stiefel_lab.stiefel import (
     BudgetError,
     UnitSphere,
+    _count_cliques,
     build_ordered_stiefel,
     build_skeleton_poset,
     build_stiefel,
@@ -206,16 +211,80 @@ def test_morse_replay_sampled_l3():
     assert cert.config["frame_counts"][3] == 63685440
 
 
-@pytest.mark.parametrize("p,n", [(5, 1), (3, 1), (3, 3), (5, 2), (3, 4), (7, 3)])
-def test_sphere_components_match_union_find(p, n):
+# F_3 n = 5 has 90 vertices, so each packed row spans two words; the last
+# form is not Euclidean.
+KERNEL_FORMS = {
+    "F3-n5": euclidean(F3, 5),
+    "F5-n3": euclidean(F5, 3),
+    "F5-diag123": diagonal_module(F5, [1, 2, 3]),
+}
+
+
+def _polar_graph(sphere):
+    """The orthogonality graph from the exact Scalar polar form."""
+    q = sphere.form
+    verts = [vec(q.ring, [int(c) for c in v]) for v in sphere.vectors]
+    return np.array([[i != j and polar(q, verts[i], verts[j]).is_zero()
+                      for j in range(sphere.m)] for i in range(sphere.m)])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+def test_packed_rows_match_scalar_polar(name, monkeypatch):
+    monkeypatch.setattr(stiefel, "GRAPH_CHUNK", 7)  # several chunks per graph
+    sphere = UnitSphere(KERNEL_FORMS[name])
+    expected = _polar_graph(sphere)
+    for i in range(sphere.m):  # each row packed on its own
+        assert (sphere.orthogonal_mask(i) == expected[i]).all()
+    rows = sphere.packed_rows()
+    assert rows.shape == (sphere.m, -(-sphere.m // 64))
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    assert (bits[:, :sphere.m] == expected).all()
+    assert not bits[:, sphere.m:].any()  # padding stays zero
+    assert (sphere.adjacency() == expected).all()
+    for i in range(sphere.m):  # rows read from the built graph
+        assert (sphere.orthogonal_mask(i) == expected[i]).all()
+    picks = np.array([3, 0, sphere.m - 1])
+    assert (sphere.adjacency(picks) == expected[np.ix_(picks, picks)]).all()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+def test_orthogonal_mask_all_is_the_and_of_rows(name):
+    sphere = UnitSphere(KERNEL_FORMS[name])
+    rng = random.Random(0)
+    assert sphere.orthogonal_mask_all([]).all()
+    for size in (1, 2, 3):
+        for _ in range(20):
+            picks = rng.sample(range(sphere.m), size)
+            want = np.ones(sphere.m, dtype=bool)
+            for i in picks:
+                want &= sphere.orthogonal_mask(i)
+            assert (sphere.orthogonal_mask_all(picks) == want).all()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FORMS))
+def test_count_cliques_matches_brute_force(name):
+    sphere = UnitSphere(KERNEL_FORMS[name])
+    adj = _polar_graph(sphere)
+    edges = [e for e in itertools.combinations(range(sphere.m), 2) if adj[e]]
+    triangles = sum(1 for i, j, k in itertools.combinations(range(sphere.m), 3)
+                    if adj[i, j] and adj[i, k] and adj[j, k])
+    assert _count_cliques(sphere, 3) == {1: sphere.m, 2: len(edges), 3: triangles}
+    assert triangles > 0
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 1), (3, 3), (5, 2), (3, 4), (7, 3), (3, 5)])
+def test_sphere_components_match_union_find(p, n, monkeypatch):
     # F_5 and F_3 with n = 1: the unit vectors +-1 are not orthogonal, so the
     # graph is two isolated vertices.
     from stiefel_lab.complexes import _component_count
 
-    sphere = UnitSphere(euclidean(finite_field(p), n))
+    q = euclidean(finite_field(p), n)
+    sphere = UnitSphere(q)
     ii, jj = np.nonzero(np.triu(sphere.adjacency()))
     expected = _component_count(range(sphere.m), zip(ii.tolist(), jj.tolist()))
-    assert sphere.components() == expected
+    assert sphere.components() == expected  # on the built graph
+    monkeypatch.setattr(stiefel, "GRAPH_CHUNK", 1)
+    assert UnitSphere(q).components() == expected  # rows packed one at a time
     if n == 1:
         assert expected == 2
 
