@@ -6,9 +6,9 @@ package means that reduced homology vanishes in degrees <= k; the fundamental
 group is never computed, and every certificate that depends on sphericity in
 degrees >= 2 says so.
 
-Boundary matrices are reduced dense below a configurable column cutoff and by
-sparse unit-pivot elimination above it; the two paths agree and are cross-
-checked in the test suite.
+Every matrix is first reduced by sparse unit-pivot elimination in Markowitz
+order; only the leftover without a +-1 entry is finished by dense elimination,
+which the test suite cross-checks against dense elimination of the whole.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
+# Routes nothing here.  The benchmark's traced runs name their SNF spans
+# "dense" or "sparse" by this column count, and need both names to occur.
 DENSE_COLUMN_CUTOFF = 2000
 
 
@@ -94,54 +96,57 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
 
 
 def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
-    """Eliminate with +-1 pivots, preferring low fill; returns the count of
-    unit pivots and the leftover entries (to finish densely)."""
+    """Eliminate with +-1 pivots in Markowitz order (Dumas, Saunders and
+    Villard 2001): pop the shortest live row off a heap and pivot on its unit
+    entry with the fewest column entries.  Only rows a pivot changes are
+    pushed again, and only while they hold a unit; stale heap entries are
+    skipped.  Returns the count of unit pivots and the leftover entries (to
+    finish densely)."""
+    import heapq  # its C part is an extension library; load it only to reduce
+
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (i, j), val in entries.items():
         if val:
             rows.setdefault(i, {})[j] = val
             cols.setdefault(j, set()).add(i)
+
+    def has_unit(row):
+        return any(v == 1 or v == -1 for v in row.values())
+
+    heap = [(len(row), i) for i, row in rows.items() if has_unit(row)]
+    heapq.heapify(heap)
     unit_pivots = 0
-    while True:
-        pivot = None
-        best_fill = None
-        for i, row in rows.items():
-            for j, val in row.items():
-                if val in (1, -1):
-                    fill = (len(row) - 1) * (len(cols[j]) - 1)
-                    if best_fill is None or fill < best_fill:
-                        best_fill, pivot = fill, (i, j)
-                        if fill == 0:
-                            break
-            if best_fill == 0:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        prow = rows.pop(pi)
-        pval = prow[pj]
+    while heap:
+        size, pi = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != size or not has_unit(prow):
+            continue
+        _, pj = min((len(cols[j]), j) for j, v in prow.items() if v == 1 or v == -1)
+        del rows[pi]
+        pval = prow.pop(pj)
         for j in prow:
             cols[j].discard(pi)
-        for i in list(cols.get(pj, ())):
+        for i in cols.pop(pj):
+            if i == pi:
+                continue
             row = rows[i]
-            factor = row[pj] * pval  # pval in {1,-1}: division is multiplication
+            factor = row.pop(pj) * pval  # pval in {1,-1}: division is multiplication
             for j, val in prow.items():
-                if j == pj:
-                    continue
-                new = row.get(j, 0) - factor * val
-                if new:
-                    row[j] = new
-                    cols.setdefault(j, set()).add(i)
+                val *= factor
+                old = row.get(j)
+                if old is None:
+                    row[j] = -val
+                    cols[j].add(i)
+                elif old != val:
+                    row[j] = old - val
                 else:
-                    if j in row:
-                        del row[j]
-                        cols[j].discard(i)
-            del row[pj]
-            cols[pj].discard(i)
+                    del row[j]
+                    cols[j].discard(i)
             if not row:
                 del rows[i]
-        cols.pop(pj, None)
+            elif has_unit(row):
+                heapq.heappush(heap, (len(row), i))
         unit_pivots += 1
     leftover = {(i, j): v for i, row in rows.items() for j, v in row.items()}
     return unit_pivots, leftover
@@ -157,25 +162,19 @@ def _densify(entries: dict[tuple[int, int], int], row_ids, col_ids) -> list[list
     return dense
 
 
-def _invariant_factors(entries: dict[tuple[int, int], int], nrows: int, ncols: int,
-                       dense_cutoff: int) -> list[int]:
+def _invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
     """Nonzero invariant factors of the matrix with the given sparse entries:
-    dense elimination up to `dense_cutoff` columns, above it unit-pivot
-    elimination with the leftover finished densely."""
-    if ncols <= dense_cutoff:
-        return _dense_snf(_densify(entries, range(nrows), range(ncols)))
+    unit-pivot elimination, with the leftover finished densely."""
     units, leftover = _sparse_unit_reduce(entries)
     rest = _dense_snf(_densify(
         leftover, sorted({i for i, _ in leftover}), sorted({j for _, j in leftover})))
     return [1] * units + rest
 
 
-def smith_normal_form(matrix, dense_cutoff: int = DENSE_COLUMN_CUTOFF) -> list[int]:
+def smith_normal_form(matrix) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    entries = {(i, j): int(x) for i, r in enumerate(matrix) for j, x in enumerate(r) if x}
-    return _invariant_factors(entries, m, n, dense_cutoff)
+    return _invariant_factors(
+        {(i, j): int(x) for i, r in enumerate(matrix) for j, x in enumerate(r) if x})
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,6 @@ class HomologyProfile:
 def reduced_homology(
     K: SimplicialComplex,
     max_degree: int,
-    dense_cutoff: int = DENSE_COLUMN_CUTOFF,
 ) -> HomologyProfile:
     """Reduced integer homology in degrees <= max_degree via boundary SNF;
     the zeroth Betti number is cross-checked against a union-find count."""
@@ -344,8 +342,7 @@ def reduced_homology(
             ranks[d] = K.n_simplices(0) - components
             torsion_by_source[d] = []
             return
-        factors = _invariant_factors(K.boundary_entries(d), K.n_simplices(d - 1),
-                                     K.n_simplices(d), dense_cutoff)
+        factors = _invariant_factors(K.boundary_entries(d))
         ranks[d] = len(factors)
         torsion_by_source[d] = [f for f in factors if f != 1]
 

@@ -35,6 +35,22 @@ def test_connectivity_command(capsys):
     assert payload["assertions"][0]["pass"]
 
 
+@pytest.mark.parametrize("field, n, betti, torsion", [
+    # 252 / 11,340 / 90,720 simplices: H_1 is Z/3.
+    (3, 6, [0, 0], [[], [3]]),
+    # The d = 2 boundary leaves a 96 x 3,415 block without unit entries.
+    (7, 4, [0, 18], [[], [2] * 16]),
+])
+def test_connectivity_degree_one_homology(capsys, field, n, betti, torsion):
+    code, out = run_cli(["connectivity", "--field", str(field), "--n", str(n),
+                         "--max-degree", "1"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["betti"] == betti
+    assert results["torsion"] == torsion
+    assert results["bound_satisfied"]
+
+
 def test_ranges_command(capsys):
     code, out = run_cli(["ranges", "--theorem", "A", "--case", "i",
                          "--n", "20", "--m", "4"], capsys)

@@ -21,6 +21,10 @@ from stiefel_lab.complexes import (
     reduced_homology,
     smith_normal_form,
 )
+from stiefel_lab.complexes import _dense_snf, _sparse_unit_reduce
+from stiefel_lab.quadmod import euclidean
+from stiefel_lab.rings import finite_field
+from stiefel_lab.stiefel import build_stiefel
 
 
 def test_snf_examples():
@@ -50,31 +54,58 @@ def test_snf_divisibility_chain():
             assert b % a == 0
 
 
+def test_unit_reduce_repushes_changed_rows():
+    # Row 1 holds no unit until the first pivot turns (2, 3) into (0, 1).
+    assert _sparse_unit_reduce({(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 3}) == (2, {})
+
+
+def test_unit_reduce_without_units_leaves_everything():
+    entries = {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}
+    assert _sparse_unit_reduce(entries) == (0, entries)
+
+
+def test_unit_reduce_plus_dense_leftover_matches_minor_oracle():
+    rng = random.Random(3)
+    for _ in range(40):
+        m = [[rng.choice([0, 0, 0, 1, -1, 2, 3]) for _ in range(5)] for _ in range(5)]
+        entries = {(i, j): x for i, r in enumerate(m) for j, x in enumerate(r) if x}
+        units, leftover = _sparse_unit_reduce(entries)
+        rows = sorted({i for i, _ in leftover})
+        cols = sorted({j for _, j in leftover})
+        rest = _dense_snf([[leftover.get((i, j), 0) for j in cols] for i in rows])
+        assert [1] * units + rest == invariant_factors_by_minors(m)
+
+
+def test_unit_reduce_pivot_count_on_f3_n5_boundary():
+    K = build_stiefel(euclidean(finite_field(3), 5), 2)
+    assert _sparse_unit_reduce(K.boundary_entries(2)) == (837, {})
+
+
 def test_snf_sparse_path_matches_dense():
     rng = random.Random(2)
     for _ in range(10):
         m = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(30)] for _ in range(25)]
-        assert smith_normal_form(m, dense_cutoff=5) == smith_normal_form(m, dense_cutoff=10_000)
+        assert smith_normal_form(m) == _dense_snf([row[:] for row in m])
 
 
 def test_snf_sparse_on_boundary_matrices():
-    """The two elimination paths agree on genuine boundary matrices, and the
-    homology computed through a tiny dense cutoff is unchanged."""
-    for build in (octahedron, triangle_boundary):
+    """On genuine boundary matrices the unit-pivot path agrees with dense
+    elimination of the whole matrix, factor by factor and in homology."""
+    for build in (octahedron, triangle_boundary, rp2):
         K = build()
-        for d in sorted(K.simplices):
-            if d == 0:
-                continue
-            entries = K.boundary_entries(d)
-            nrows, ncols = K.n_simplices(d - 1), K.n_simplices(d)
-            dense = [[0] * ncols for _ in range(nrows)]
-            for (i, j), v in entries.items():
+        ranks, torsion = {0: 0, K.dimension + 1: 0}, {K.dimension + 1: ()}
+        for d in range(1, K.dimension + 1):
+            dense = [[0] * K.n_simplices(d) for _ in range(K.n_simplices(d - 1))]
+            for (i, j), v in K.boundary_entries(d).items():
                 dense[i][j] = v
-            assert smith_normal_form(dense, dense_cutoff=2) == \
-                smith_normal_form(dense, dense_cutoff=10_000)
-        via_sparse = reduced_homology(K, K.dimension, dense_cutoff=2)
-        via_dense = reduced_homology(K, K.dimension, dense_cutoff=10_000)
-        assert via_sparse == via_dense
+            factors = _dense_snf([row[:] for row in dense])
+            assert smith_normal_form(dense) == factors
+            ranks[d], torsion[d] = len(factors), tuple(f for f in factors if f != 1)
+        betti = [K.n_simplices(0) - ranks[1] - 1] + [
+            K.n_simplices(d) - ranks[d] - ranks[d + 1] for d in range(1, K.dimension + 1)]
+        prof = reduced_homology(K, K.dimension)
+        assert prof.betti == tuple(betti)
+        assert prof.torsion == ((),) + tuple(torsion[d + 1] for d in range(1, K.dimension + 1))
 
 
 def triangle_boundary():
@@ -110,14 +141,17 @@ def test_homology_disc_is_trivial():
     assert prof.is_trivial()
 
 
-def test_homology_torsion_rp2():
+def rp2():
     # Minimal 6-vertex triangulation of the real projective plane
     # (10 faces, 15 edges, Euler characteristic 1): H_1 = Z/2.
-    faces = [
+    return complex_from_simplices([
         (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
         (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
-    ]
-    K = complex_from_simplices(faces)
+    ])
+
+
+def test_homology_torsion_rp2():
+    K = rp2()
     assert K.n_simplices(1) == 15
     prof = reduced_homology(K, 2)
     assert prof.betti == (0, 0, 0)
