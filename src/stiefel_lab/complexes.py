@@ -376,39 +376,44 @@ def reduced_homology(
 
 @dataclass
 class Poset:
-    """Finite poset: elements plus the full strict-order relation.
+    """Finite poset: elements plus the full strict-order relation, kept both
+    ways.
 
-    `above[i]` lists the indices strictly greater than element i.  The
+    `above[i]` is the set of indices strictly greater than element i, and
+    `below[i]`, derived from `above` once, the set strictly smaller.  The
     relation must already be transitive; `validate` checks irreflexivity,
     antisymmetry, and transitivity on demand.
     """
 
     elements: list
-    above: list[tuple[int, ...]]
+    above: list[frozenset[int]]
+    below: list[frozenset[int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.above = [frozenset(a) for a in self.above]
+        below: list[list[int]] = [[] for _ in self.above]
+        for i, up in enumerate(self.above):
+            for j in up:
+                below[j].append(i)
+        self.below = [frozenset(b) for b in below]
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def less(self, i: int, j: int) -> bool:
-        return j in self._above_sets()[i]
+        return j in self.above[i]
 
     def comparable(self, i: int, j: int) -> bool:
-        return self.less(i, j) or self.less(j, i)
-
-    def _above_sets(self):
-        if not hasattr(self, "_above_cache"):
-            self._above_cache = [frozenset(a) for a in self.above]
-        return self._above_cache
+        return j in self.above[i] or j in self.below[i]
 
     def validate(self) -> None:
-        ups = self._above_sets()
-        for i, up in enumerate(ups):
+        for i, up in enumerate(self.above):
             if i in up:
                 raise ValueError(f"order is not irreflexive at {i}")
             for j in up:
-                if i in ups[j]:
+                if i in self.above[j]:
                     raise ValueError(f"2-cycle between {i} and {j}")
-                if not ups[j] <= up:
+                if not self.above[j] <= up:
                     raise ValueError(f"order not transitive at {i} < {j}")
 
     def order_complex(self, max_dim: Optional[int] = None) -> SimplicialComplex:
@@ -430,20 +435,18 @@ class Poset:
         complete = cap if max_dim is not None and frontier else None
         return SimplicialComplex(by_dim, complete)
 
-    def restrict(self, indices: Sequence[int]) -> "Poset":
+    def restrict(self, indices: Iterable[int]) -> "Poset":
         keep = sorted(set(indices))
         pos = {old: new for new, old in enumerate(keep)}
         kept = set(keep)
         return Poset(
             [self.elements[i] for i in keep],
-            [tuple(pos[j] for j in self.above[i] if j in kept) for i in keep],
+            [frozenset(pos[j] for j in self.above[i] & kept) for i in keep],
         )
 
     def link(self, i: int) -> list[int]:
         """Indices comparable with element i (the open star boundary)."""
-        ups = self._above_sets()
-        out = [j for j in range(len(self.elements)) if j != i and (j in ups[i] or i in ups[j])]
-        return out
+        return sorted(self.above[i] | self.below[i])
 
     def homology(self, max_degree: Optional[int] = None) -> HomologyProfile:
         K = self.order_complex()
@@ -456,7 +459,7 @@ def poset_from_less(elements: Sequence, less: Callable) -> Poset:
     n = len(elements)
     above = []
     for i in range(n):
-        above.append(tuple(j for j in range(n) if i != j and less(elements[i], elements[j])))
+        above.append([j for j in range(n) if i != j and less(elements[i], elements[j])])
     p = Poset(list(elements), above)
     p.validate()
     return p
@@ -472,13 +475,12 @@ def poset_from_frames(frames: Sequence[frozenset]) -> Poset:
         raise ValueError("duplicate frames")
     above: list[list[int]] = [[] for _ in frames]
     for j, fj in enumerate(frames):
-        elems = sorted(fj, key=repr)
-        for k in range(1, len(elems)):
-            for sub in combinations(elems, k):
+        for k in range(1, len(fj)):
+            for sub in combinations(fj, k):
                 i = index.get(frozenset(sub))
                 if i is not None:
                     above[i].append(j)
-    return Poset(list(frames), [tuple(sorted(a)) for a in above])
+    return Poset(list(frames), above)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +506,12 @@ def closure_deformation_check(P: Poset, f: Sequence[int],
     deformation lemma)."""
     failures = []
     n = len(P)
-    ups = P._above_sets()
     for i in range(n):
         fi = f[i]
         if fi != i and not P.less(fi, i):
             failures.append(f"f({i}) = {fi} is not <= {i}")
     for i in range(n):
-        for j in ups[i]:
+        for j in P.above[i]:
             if f[i] != f[j] and not P.less(f[i], f[j]):
                 failures.append(f"monotonicity fails on {i} < {j}")
     if failures:
@@ -594,7 +595,6 @@ def morse_lemma_check(
     x0_indices: Sequence[int],
     layers: Sequence[Sequence[int]],
     d: int,
-    cross_check_budget: int = 200_000,
 ) -> CheckResult:
     """Verify the discrete-Morse hypotheses on a partition X0, L1, ..., Ln:
 
@@ -604,8 +604,7 @@ def morse_lemma_check(
          wedge of (d-1)-spheres, for every x.
 
     When the hypotheses hold, the certificate asserts the wedge profile for
-    |X| and cross-checks it by direct homology when the poset fits the
-    budget."""
+    |X| and cross-checks it by direct homology."""
     failures = []
     details: dict = {"clauses": {}}
     cover = set(x0_indices)
@@ -619,23 +618,21 @@ def morse_lemma_check(
         failures.append(f"clause (i): |X0| profile {prof0} is not a wedge of S^{d}")
     details["clauses"]["x0_profile"] = prof0
 
-    prev = sorted(set(x0_indices))
+    prev = set(x0_indices)
     for li, layer in enumerate(layers, start=1):
-        layer = sorted(set(layer))
-        for a in range(len(layer)):
-            for b in range(a + 1, len(layer)):
-                if X.comparable(layer[a], layer[b]):
-                    failures.append(
-                        f"clause (ii): comparable pair in L{li}: "
-                        f"{X.elements[layer[a]]}, {X.elements[layer[b]]}"
-                    )
-                    break
-            else:
-                continue
-            break
-        prev_set = set(prev)
+        members = set(layer)
+        layer = sorted(members)
+        # an antichain: no member lies below another member
         for x in layer:
-            link = [j for j in X.link(x) if j in prev_set]
+            higher = X.above[x] & members
+            if higher:
+                failures.append(
+                    f"clause (ii): comparable pair in L{li}: "
+                    f"{X.elements[x]} < {X.elements[min(higher)]}"
+                )
+                break
+        for x in layer:
+            link = (X.above[x] | X.below[x]) & prev
             prof = X.restrict(link).homology() if link else None
             if prof is None or not prof.is_wedge_of_spheres(d - 1):
                 failures.append(
@@ -644,17 +641,14 @@ def morse_lemma_check(
                 )
                 if len(failures) > 10:
                     break
-        prev = prev + layer
+        prev |= members
     passed = not failures
     if passed:
-        if len(X) <= cross_check_budget:
-            full = X.homology(d)
-            details["direct_cross_check"] = full
-            passed = full.is_wedge_of_spheres(d)
-            if not passed:
-                failures.append(f"direct homology {full} contradicts the certificate")
-        else:
-            details["direct_cross_check"] = None
+        full = X.homology(d)
+        details["direct_cross_check"] = full
+        passed = full.is_wedge_of_spheres(d)
+        if not passed:
+            failures.append(f"direct homology {full} contradicts the certificate")
     return CheckResult("morse-lemma", passed, failures, details)
 
 

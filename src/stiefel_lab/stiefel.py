@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -536,22 +536,18 @@ class MorseFiltration:
     pivot_negative_index: int
     orthogonal_to_pivot: np.ndarray  # bool mask over the sphere
 
-    def classify(self, frame_idx: tuple[int, ...]) -> str:
-        k = len(frame_idx)
-        orth = [bool(self.orthogonal_to_pivot[i]) for i in frame_idx]
-        if k == self.l and all(orth):
-            return "L1"
-        if k >= 2 and not any(orth):
-            return f"L{k}"
-        return "X0"
+    def layer(self, frame: Collection[int]) -> int:
+        """The i of the layer L_i holding the frame, 0 for X_0."""
+        orth = [bool(self.orthogonal_to_pivot[i]) for i in frame]
+        if len(orth) == self.l and all(orth):
+            return 1
+        if len(orth) >= 2 and not any(orth):
+            return len(orth)
+        return 0
 
-    def in_prev(self, frame_idx: tuple[int, ...], i: int) -> bool:
+    def in_prev(self, frame: Collection[int], i: int) -> bool:
         """Membership in X_0 ∪ L_1 ∪ ... ∪ L_(i-1)."""
-        label = self.classify(frame_idx)
-        if label == "X0":
-            return True
-        layer = int(label[1:])
-        return layer < i
+        return self.layer(frame) < i
 
 
 @dataclass
@@ -592,31 +588,22 @@ def _random_frame(rng: random.Random, sphere: UnitSphere, size: int,
 
 def _link_in_prev(sphere: UnitSphere, filt: MorseFiltration, x: tuple[int, ...],
                   layer: int, l: int) -> list[frozenset]:
-    """Elements of the link of x lying in earlier layers, built locally."""
-    out = []
-    for size in range(1, len(x)):
-        for sub in itertools.combinations(x, size):
-            if filt.in_prev(sub, layer):
-                out.append(frozenset(sub))
+    """Elements of the link of x lying in earlier layers, built locally: the
+    proper subframes of x, then x plus each clique of its common
+    orthogonal complement that still fits in a frame of length l."""
+    out = [frozenset(sub) for size in range(1, len(x))
+           for sub in itertools.combinations(x, size) if filt.in_prev(sub, layer)]
     room = l - len(x)
     if room > 0:
-        mask = sphere.orthogonal_mask_all(x)
-        candidates = np.flatnonzero(mask)
-        sub_adj = None
-        for size in range(1, room + 1):
-            if size == 1:
-                exts = [(int(c),) for c in candidates]
-            else:
-                if sub_adj is None:
-                    sub_adj = sphere.adjacency(candidates)
-                exts = []
-                local = _cliques(sub_adj, size, budget=10_000_000)
-                for clique in local.get(size, []):
-                    exts.append(tuple(int(candidates[i]) for i in clique))
-            for ext in exts:
-                y = tuple(sorted(x + ext))
+        candidates = np.flatnonzero(sphere.orthogonal_mask_all(x))
+        # one added vector needs no adjacency among the candidates
+        local = (_cliques(sphere.adjacency(candidates), room, budget=10_000_000)
+                 if room > 1 else {1: [(i,) for i in range(candidates.size)]})
+        for size in sorted(local):
+            for clique in local[size]:
+                y = frozenset(x) | {int(candidates[i]) for i in clique}
                 if filt.in_prev(y, layer):
-                    out.append(frozenset(y))
+                    out.append(y)
     return out
 
 
@@ -688,24 +675,20 @@ def morse_replay(
         by_size = _cliques(sphere.adjacency(), l, budget=SIMPLEX_BUDGET)
         frames = [frozenset(t) for size in sorted(by_size) for t in by_size[size]]
         poset = poset_from_frames(frames)
-        pos_index = {f: i for i, f in enumerate(poset.elements)}
         x0, layers = [], [[] for _ in range(l)]
-        for f, i in pos_index.items():
-            label = filt.classify(tuple(sorted(f)))
-            if label == "X0":
-                x0.append(i)
-            else:
-                layers[int(label[1:]) - 1].append(i)
+        for i, f in enumerate(poset.elements):
+            k = filt.layer(f)
+            (layers[k - 1] if k else x0).append(i)
         cert.config["layer_sizes"] = {"X0": len(x0),
                                       **{f"L{j+1}": len(layer) for j, layer in enumerate(layers)}}
         lemma = morse_lemma_check(poset, x0, layers, d)
         cert.add("morse-lemma", lemma.passed, "; ".join(lemma.failures[:3]))
-        if lemma.details.get("direct_cross_check") is not None:
+        if "direct_cross_check" in lemma.details:
             direct = lemma.details["direct_cross_check"]
             cert.add("direct-homology", direct.is_wedge_of_spheres(d),
                      f"betti {direct.betti}")
-        _deformation_items(cert, poset, pos_index, filt, sphere, l)
-        _join_items(cert, poset, filt, sphere, layers, l)
+        _deformation_items(cert, poset, filt, l)
+        _join_items(cert, poset, filt, layers, l)
     else:
         sample = sample_budget or 200
         cert.config["sample_budget"] = sample
@@ -735,15 +718,15 @@ def morse_replay(
     return cert
 
 
-def _deformation_items(cert, poset, pos_index, filt, sphere, l):
+def _deformation_items(cert, poset, filt, l):
     """The X_0 deformation onto the suspension: drop the members pairing
     non-trivially with the pivot (keeping the pivot itself), then compare
     against the suspension of the one-lower skeleton poset of the hyperplane."""
     keep = {filt.pivot_index, filt.pivot_negative_index}
+    pos_index = {f: i for i, f in enumerate(poset.elements)}
     p0_idx = []
     for f, i in pos_index.items():
-        label = filt.classify(tuple(sorted(f)))
-        if label != "X0":
+        if filt.layer(f):
             continue
         core = {v for v in f if filt.orthogonal_to_pivot[v]} | (f & keep)
         if core:
@@ -788,35 +771,29 @@ def _deformation_items(cert, poset, pos_index, filt, sphere, l):
     )
 
 
-def _join_items(cert, poset, filt, sphere, layers, l):
+def _join_items(cert, poset, filt, layers, l):
     """Claim-2 join decomposition of the links of the all-pairing layers:
     proper subframes below every pure-hyperplane extension."""
     checked = 0
     failures = []
+    elements = poset.elements
     for layer_i in range(2, l + 1):
         for xi in layers[layer_i - 1]:
-            x = tuple(sorted(poset.elements[xi]))
-            link = _link_in_prev(sphere, filt, x, layer_i, l)
-            subs = [f for f in link if f < frozenset(x)]
-            exts = [f for f in link if f > frozenset(x)]
-            if sorted(subs + exts, key=sorted) != sorted(link, key=sorted):
-                failures.append(f"link of {x} is not split by sub/ext")
-                continue
-            mixed = [f for f in exts
-                     if not all(filt.orthogonal_to_pivot[v] for v in (f - frozenset(x)))]
-            if mixed:
+            x = elements[xi]
+            subs = {j for j in poset.below[xi] if filt.in_prev(elements[j], layer_i)}
+            exts = {j for j in poset.above[xi] if filt.in_prev(elements[j], layer_i)}
+            if any(not all(filt.orthogonal_to_pivot[v] for v in elements[j] - x) for j in exts):
                 # only possible for l >= 4; the join claim then concerns the
                 # pure extensions and is not asserted here
                 continue
-            link_poset = poset_from_frames(sorted(set(link), key=sorted))
-            idx = {f: i for i, f in enumerate(link_poset.elements)}
+            keep = sorted(subs | exts)
             res = poset_join_check(
-                link_poset,
-                [idx[f] for f in subs],
-                [idx[f] for f in exts],
+                poset.restrict(keep),
+                [k for k, j in enumerate(keep) if j in subs],
+                [k for k, j in enumerate(keep) if j in exts],
             )
             if not res.passed:
-                failures.append(f"join check failed at {x}: {res.failures[:1]}")
+                failures.append(f"join check failed at {sorted(x)}: {res.failures[:1]}")
             checked += 1
     cert.add("link-join-split", not failures,
              f"{checked} links decomposed; " + "; ".join(failures[:3]))
@@ -845,11 +822,10 @@ def _sampled_partition_items(cert, sphere, filt, rng, l, sample):
         orth = [bool(filt.orthogonal_to_pivot[i]) for i in x]
         is_l1 = len(x) == l and all(orth)
         is_li = len(x) >= 2 and not any(orth)
-        label = filt.classify(x)
-        want = "L1" if is_l1 else (f"L{len(x)}" if is_li else "X0")
+        want = 1 if is_l1 else (len(x) if is_li else 0)
         if is_l1 and is_li:
             bad += 1
-        elif label != want:
+        elif filt.layer(x) != want:
             bad += 1
     cert.add("layer-partition", bad == 0, f"{tried} frames classified, {bad} bad")
     # incomparability within a layer is structural: same-size distinct sets
@@ -892,7 +868,7 @@ def _sampled_x0_items(cert, sphere, filt, rng, l, sample):
         if rest is None:
             continue
         fset = frozenset(w_part) | frozenset(rest)
-        if filt.classify(tuple(sorted(fset))) != "X0":
+        if filt.layer(fset):
             continue
         tried += 1
         img = deform(fset)

@@ -298,14 +298,58 @@ def test_morse_lemma_trivial_decomposition():
 
 
 def test_morse_lemma_planted_failure():
-    # L1 containing a comparable pair must be reported as clause (ii).
+    # The cone 0 < 1, 2, 3 with X0 = {0}, L1 = {1, 2}, L2 = {3}: both layers
+    # are antichains and every link is the point 0, so all clauses hold.
     P = poset_from_less([0, 1, 2, 3], lambda x, y: x == 0 and y in (1, 2, 3))
     res = morse_lemma_check(P, [0], [[1, 2], [3]], 1)
-    assert not res.passed or True  # clause (iii) may fail first; force (ii):
+    assert res.passed
+    # L1 containing a comparable pair must be reported as clause (ii).
     P2 = poset_from_less([0, 1, 2], lambda x, y: (x, y) in {(0, 1), (0, 2), (1, 2)})
     res2 = morse_lemma_check(P2, [0], [[1, 2]], 1)
     assert not res2.passed
     assert any("clause (ii)" in f for f in res2.failures)
+
+
+def octahedron_faces():
+    K = octahedron()
+    faces = [frozenset(s) for d in sorted(K.simplices) for s in K.simplices[d]]
+    return faces, lambda a, b: a < b
+
+
+def divisibility():
+    return list(range(1, 31)), lambda a, b: a != b and b % a == 0
+
+
+def random_grid_order(seed):
+    """Random points of {0..4}^3 under the componentwise order."""
+    rng = random.Random(seed)
+    points = sorted({tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(25)})
+    return points, lambda a, b: a != b and all(x <= y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [octahedron_faces(), divisibility(), *(random_grid_order(seed) for seed in range(3))],
+    ids=["octahedron", "divisibility", "grid-0", "grid-1", "grid-2"],
+)
+def test_poset_relations_match_brute_force(order):
+    elements, less = order
+    P = poset_from_less(elements, less)
+    n = len(P)
+    lt = [[less(a, b) for b in elements] for a in elements]
+    for i in range(n):
+        assert P.above[i] == {j for j in range(n) if lt[i][j]}
+        assert P.below[i] == {j for j in range(n) if lt[j][i]}
+        assert P.link(i) == [j for j in range(n) if lt[i][j] or lt[j][i]]
+        assert [P.comparable(i, j) for j in range(n)] == \
+            [lt[i][j] or lt[j][i] for j in range(n)]
+    rng = random.Random(n)
+    for _ in range(5):
+        keep = sorted(rng.sample(range(n), n // 2))
+        R = P.restrict(keep)
+        for a, i in enumerate(keep):
+            assert R.above[a] == {b for b, j in enumerate(keep) if lt[i][j]}
+            assert R.below[a] == {b for b, j in enumerate(keep) if lt[j][i]}
 
 
 def test_morse_lemma_on_octahedron_poset():

@@ -60,3 +60,19 @@ def test_library_has_no_unreferenced_private_names():
                        if (where, number) != (path.name, node.lineno)):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_tests_have_no_vacuous_asserts():
+    """No test asserts a literal `True`, alone or as an operand of `or`."""
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Assert):
+                continue
+            test = node.test
+            is_or = isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or)
+            operands = test.values if is_or else [test]
+            if any(isinstance(v, ast.Constant) and v.value is True for v in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -9,7 +9,7 @@ import pytest
 from stiefel_lab.rings import finite_field, integers
 from stiefel_lab.quadmod import diagonal_module, euclidean, frame, polar, vec
 from stiefel_lab import stiefel
-from stiefel_lab.complexes import reduced_homology
+from stiefel_lab.complexes import poset_from_frames, reduced_homology
 from stiefel_lab.stiefel import (
     BudgetError,
     UnitSphere,
@@ -175,6 +175,58 @@ def test_morse_replay_exhaustive_n6():
     sizes = cert.config["layer_sizes"]
     assert sizes == {"X0": 6192, "L1": 1080, "L2": 4320}
     assert sum(sizes.values()) == 252 + 11340  # singletons + orthogonal pairs
+
+
+def frame_poset_and_filtration(n, l):
+    """The frame poset of X_l(F_3^n), built as the exhaustive replay builds
+    it, and the Morse filtration about the first unit vector."""
+    sphere = UnitSphere(euclidean(F3, n))
+    neg = sphere.index_of((-sphere.vectors[0]) % sphere.p)
+    orth = sphere.orthogonal_mask(0)
+    orth[neg] = False
+    filt = stiefel.MorseFiltration(l, 0, neg, orth)
+    by_size = stiefel._cliques(sphere.adjacency(), l, budget=10**6)
+    frames = [frozenset(t) for size in sorted(by_size) for t in by_size[size]]
+    return sphere, filt, poset_from_frames(frames)
+
+
+@pytest.mark.parametrize("l, sizes, links", [
+    (2, {1: 90, 2: 1080}, 72 + 576),
+    (3, {1: 90, 2: 1080, 3: 2160}, 96 + 576 + 768),
+])
+def test_sampled_link_matches_poset_link(l, sizes, links):
+    """The sampled replay builds each link from the sphere; on the whole F_3,
+    n = 5 frame poset it must equal the comparable frames in earlier layers."""
+    sphere, filt, poset = frame_poset_and_filtration(5, l)
+    assert {k: sum(len(f) == k for f in poset.elements) for k in sizes} == sizes
+    checked = 0
+    for i, x in enumerate(poset.elements):
+        layer = filt.layer(x)
+        if not layer:
+            continue
+        built = stiefel._link_in_prev(sphere, filt, tuple(sorted(x)), layer, l)
+        expected = {poset.elements[j] for j in poset.below[i] | poset.above[i]
+                    if filt.in_prev(poset.elements[j], layer)}
+        assert len(built) == len(set(built))
+        assert set(built) == expected
+        checked += 1
+    assert checked == links
+
+
+def test_join_items_read_extensions_from_the_poset():
+    """At l = 2 no link of the replay has an extension; on the l = 3 frame
+    poset of F_3, n = 5 each of the 576 L2 links has subframes below
+    extensions, and every L2 and L3 link satisfies the join check."""
+    _sphere, filt, poset = frame_poset_and_filtration(5, 3)
+    layers = [[], [], []]
+    for i, f in enumerate(poset.elements):
+        if filt.layer(f):
+            layers[filt.layer(f) - 1].append(i)
+    assert all(any(filt.in_prev(poset.elements[j], 2) for j in poset.above[i])
+               for i in layers[1])
+    cert = stiefel.MorseCertificate(passed=True, mode="exhaustive")
+    stiefel._join_items(cert, poset, filt, layers, 3)
+    assert cert.assertions == [("link-join-split", True, f"{576 + 768} links decomposed; ")]
 
 
 def test_morse_replay_rejects_l1():
