@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 # Routes nothing here.  The benchmark's traced runs name their SNF spans
 # "dense" or "sparse" by this column count, and need both names to occur.
@@ -382,12 +382,14 @@ class Poset:
     `above[i]` is the set of indices strictly greater than element i, and
     `below[i]`, derived from `above` once, the set strictly smaller.  The
     relation must already be transitive; `validate` checks irreflexivity,
-    antisymmetry, and transitivity on demand.
+    antisymmetry, and transitivity on demand.  Homology is answered for any
+    index set and kept, so each subposet's order complex is built once.
     """
 
     elements: list
     above: list[frozenset[int]]
     below: list[frozenset[int]] = field(init=False, repr=False)
+    _profiles: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.above = [frozenset(a) for a in self.above]
@@ -416,43 +418,38 @@ class Poset:
                 if not self.above[j] <= up:
                     raise ValueError(f"order not transitive at {i} < {j}")
 
-    def order_complex(self, max_dim: Optional[int] = None) -> SimplicialComplex:
+    def order_complex(self) -> SimplicialComplex:
         """Chains of the poset as simplices (vertex = element index)."""
-        n = len(self.elements)
-        cap = max_dim if max_dim is not None else n
-        by_dim: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in range(n)]}
-        frontier = [(i,) for i in range(n)]
-        d = 0
-        while frontier and d < cap:
-            nxt = []
-            for chain in frontier:
-                for j in self.above[chain[-1]]:
-                    nxt.append(chain + (j,))
-            d += 1
-            if nxt:
-                by_dim[d] = sorted(tuple(sorted(c)) for c in nxt)
-            frontier = nxt
-        complete = cap if max_dim is not None and frontier else None
-        return SimplicialComplex(by_dim, complete)
+        return self._chains(frozenset(range(len(self))))
 
-    def restrict(self, indices: Iterable[int]) -> "Poset":
-        keep = sorted(set(indices))
-        pos = {old: new for new, old in enumerate(keep)}
-        kept = set(keep)
-        return Poset(
-            [self.elements[i] for i in keep],
-            [frozenset(pos[j] for j in self.above[i] & kept) for i in keep],
-        )
+    def _chains(self, indices: frozenset[int]) -> SimplicialComplex:
+        """Chains inside the index set, walked through `above[i] & indices`;
+        vertices keep their indices, so no restricted copy is made."""
+        by_dim: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in sorted(indices)]}
+        frontier = by_dim[0]
+        while frontier:
+            frontier = [chain + (j,) for chain in frontier
+                        for j in self.above[chain[-1]] & indices]
+            if frontier:
+                by_dim[len(by_dim)] = sorted(tuple(sorted(c)) for c in frontier)
+        return SimplicialComplex(by_dim)
 
     def link(self, i: int) -> list[int]:
         """Indices comparable with element i (the open star boundary)."""
         return sorted(self.above[i] | self.below[i])
 
-    def homology(self, max_degree: Optional[int] = None) -> HomologyProfile:
-        K = self.order_complex()
-        if max_degree is None:
-            max_degree = max(K.dimension, 0)
-        return reduced_homology(K, max_degree)
+    def homology(self, indices: Optional[Iterable[int]] = None,
+                 max_degree: Optional[int] = None) -> HomologyProfile:
+        """Reduced homology of the subposet on `indices` (all of it by
+        default), up to `max_degree` (the top chain dimension by default).
+        Each (index set, degree) profile is computed once and kept."""
+        chosen = frozenset(range(len(self)) if indices is None else indices)
+        key = (chosen, max_degree)
+        if key not in self._profiles:
+            K = self._chains(chosen)
+            deg = max(K.dimension, 0) if max_degree is None else max_degree
+            self._profiles[key] = reduced_homology(K, deg)
+        return self._profiles[key]
 
 
 def poset_from_less(elements: Sequence, less: Callable) -> Poset:
@@ -499,29 +496,29 @@ class CheckResult:
         return self.passed
 
 
-def closure_deformation_check(P: Poset, f: Sequence[int],
-                              max_degree: Optional[int] = None) -> CheckResult:
-    """Verify f is a monotone, deflationary poset endomorphism and that |P|
-    and |im f| have equal homology profiles (the testable consequence of the
-    deformation lemma)."""
+def closure_deformation_check(P: Poset, f: Mapping[int, int] | Sequence[int]) -> CheckResult:
+    """Verify that f, a map from a set of P's indices into that set (a
+    sequence maps its positions), is monotone and deflationary, and that the
+    subposets on its domain and on its image have equal homology profiles
+    (the testable consequence of the deformation lemma)."""
+    f = dict(f) if isinstance(f, Mapping) else dict(enumerate(f))
+    domain = frozenset(f)
     failures = []
-    n = len(P)
-    for i in range(n):
-        fi = f[i]
-        if fi != i and not P.less(fi, i):
+    for i, fi in f.items():
+        if fi not in domain:
+            failures.append(f"f({i}) = {fi} leaves the domain")
+        elif fi != i and not P.less(fi, i):
             failures.append(f"f({i}) = {fi} is not <= {i}")
-    for i in range(n):
-        for j in P.above[i]:
+    if failures:
+        return CheckResult("closure-deformation", False, failures[:10])
+    for i in domain:
+        for j in P.above[i] & domain:
             if f[i] != f[j] and not P.less(f[i], f[j]):
                 failures.append(f"monotonicity fails on {i} < {j}")
     if failures:
         return CheckResult("closure-deformation", False, failures[:10])
-    image = sorted(set(f))
-    sub = P.restrict(image)
-    k_full = P.order_complex()
-    deg = max_degree if max_degree is not None else max(k_full.dimension, 0)
-    prof_full = reduced_homology(k_full, deg)
-    prof_image = reduced_homology(sub.order_complex(), deg)
+    prof_full = P.homology(domain)
+    prof_image = P.homology(f.values(), prof_full.max_degree)
     ok = prof_full == prof_image
     return CheckResult(
         "closure-deformation",
@@ -552,32 +549,28 @@ def join_betti_prediction(by: HomologyProfile, bz: HomologyProfile, max_degree: 
     return tuple(out)
 
 
-def poset_join_check(P: Poset, y_indices: Sequence[int], z_indices: Sequence[int],
-                     max_degree: Optional[int] = None) -> CheckResult:
-    """Hypothesis: P = Y ⊔ Z with every y < z.  Conclusion checked: the
-    homology of |P| matches the join prediction from |Y| and |Z| (rational
-    Betti comparison; integral equality asserted when both factors are
-    torsion-free)."""
+def poset_join_check(P: Poset, y_indices: Iterable[int],
+                     z_indices: Iterable[int]) -> CheckResult:
+    """Hypothesis: Y and Z are disjoint index sets of P with every y < z.
+    Conclusion checked: the homology of the subposet on Y ∪ Z matches the
+    join prediction from |Y| and |Z| (rational Betti comparison; integral
+    equality asserted when both factors are torsion-free)."""
     failures = []
-    yset, zset = set(y_indices), set(z_indices)
-    if yset & zset or yset | zset != set(range(len(P))):
-        failures.append("Y, Z do not partition the poset")
+    yset, zset = frozenset(y_indices), frozenset(z_indices)
+    if yset & zset:
+        failures.append("Y and Z are not disjoint")
     else:
         for y in yset:
-            for z in zset:
-                if not P.less(y, z):
-                    failures.append(f"hypothesis fails: {y} not < {z}")
-                    break
-            if failures:
+            if not zset <= P.above[y]:
+                z = min(zset - P.above[y])
+                failures.append(f"hypothesis fails: {y} not < {z}")
                 break
     if failures:
         return CheckResult("poset-join", False, failures)
-    kp = P.order_complex()
-    deg = max_degree if max_degree is not None else max(kp.dimension, 0)
-    prof_p = reduced_homology(kp, deg)
-    py = P.restrict(sorted(yset)).homology(deg)
-    pz = P.restrict(sorted(zset)).homology(deg)
-    predicted = join_betti_prediction(py, pz, deg)
+    prof_p = P.homology(yset | zset)
+    py = P.homology(yset)
+    pz = P.homology(zset)
+    predicted = join_betti_prediction(py, pz, prof_p.max_degree)
     ok = prof_p.betti == predicted
     torsion_free = all(not t for t in py.torsion) and all(not t for t in pz.torsion)
     if torsion_free and ok:
@@ -612,8 +605,7 @@ def morse_lemma_check(
         cover |= set(layer)
     if cover != set(range(len(X))):
         return CheckResult("morse-lemma", False, ["parts do not cover the poset"])
-    x0_poset = X.restrict(sorted(set(x0_indices)))
-    prof0 = x0_poset.homology()
+    prof0 = X.homology(x0_indices)
     if not prof0.is_wedge_of_spheres(d):
         failures.append(f"clause (i): |X0| profile {prof0} is not a wedge of S^{d}")
     details["clauses"]["x0_profile"] = prof0
@@ -633,7 +625,7 @@ def morse_lemma_check(
                 break
         for x in layer:
             link = (X.above[x] | X.below[x]) & prev
-            prof = X.restrict(link).homology() if link else None
+            prof = X.homology(link) if link else None
             if prof is None or not prof.is_wedge_of_spheres(d - 1):
                 failures.append(
                     f"clause (iii): link of {X.elements[x]} in layer L{li} "
@@ -644,7 +636,7 @@ def morse_lemma_check(
         prev |= members
     passed = not failures
     if passed:
-        full = X.homology(d)
+        full = X.homology(max_degree=d)
         details["direct_cross_check"] = full
         passed = full.is_wedge_of_spheres(d)
         if not passed:

@@ -34,6 +34,10 @@ from stiefel_lab.quadmod import diagonal_module, euclidean
 from stiefel_lab.repsolve import find_isotropic, represents
 
 INF = math.inf
+# Largest rank the exhaustive u and m scans try over a prime field, and
+# the Hensel-certified scans over truncated Z_p.
+FIELD_SEARCH_RANK = 4
+PADIC_SEARCH_RANK = 3
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ def _ff_diag_values(diag, p: int) -> np.ndarray:
     return (X * X % p) @ np.array(diag, dtype=np.int64) % p
 
 
-def compute_invariants(ring: RingDescriptor, max_rank: int = 4) -> InvariantReport:
+def compute_invariants(ring: RingDescriptor) -> InvariantReport:
     """All four invariants of an odd prime field, by exhaustive search.
 
     P from the stabilization of the sums-of-squares chain; s from the least k
@@ -135,18 +139,18 @@ def compute_invariants(ring: RingDescriptor, max_rank: int = 4) -> InvariantRepo
     if stufe is None:
         stufe = INF if minus_one not in stable else len(chain)
     u = 0
-    for rank in range(1, max_rank + 1):
+    for rank in range(1, FIELD_SEARCH_RANK + 1):
         if any((_ff_diag_values(d, p) != 0).all() for d in _ff_all_unit_diagonals(p, rank)):
             u = rank
         else:
             break
     m = None
-    for rank in range(1, max_rank + 1):
+    for rank in range(1, FIELD_SEARCH_RANK + 1):
         if all((_ff_diag_values(d, p) == 1).any() for d in _ff_all_unit_diagonals(p, rank)):
             m = rank
             break
     if m is None:
-        raise AssertionError(f"no rank <= {max_rank} forces a unit vector over F_{p}")
+        raise AssertionError(f"no rank <= {FIELD_SEARCH_RANK} forces a unit vector over F_{p}")
     return InvariantReport(
         ring,
         pythagoras=exact(pyth),
@@ -161,7 +165,7 @@ def compute_invariants(ring: RingDescriptor, max_rank: int = 4) -> InvariantRepo
 # ---------------------------------------------------------------------------
 
 
-def padic_invariants(ring: RingDescriptor, max_rank: int = 3) -> InvariantReport:
+def padic_invariants(ring: RingDescriptor) -> InvariantReport:
     """s, u, m over truncated Z_p by Hensel-certified witnesses; these agree
     with the residue field (the lifts are the certificates, the failures are
     exact because an anisotropic reduction stays anisotropic)."""
@@ -177,7 +181,7 @@ def padic_invariants(ring: RingDescriptor, max_rank: int = 3) -> InvariantReport
     if s_val != kappa_report.stufe.value():
         raise AssertionError("Hensel-certified Stufe disagrees with the residue field")
     u_val = 0
-    for rank in range(1, max_rank + 1):
+    for rank in range(1, PADIC_SEARCH_RANK + 1):
         found_aniso = False
         for d in _ff_all_unit_diagonals(ring.p, rank):
             q = diagonal_module(ring, list(d))
@@ -191,7 +195,7 @@ def padic_invariants(ring: RingDescriptor, max_rank: int = 3) -> InvariantReport
     if u_val != kappa_report.u_invariant.value():
         raise AssertionError("Hensel-certified u-invariant disagrees with the residue field")
     m_val = None
-    for rank in range(1, max_rank + 1):
+    for rank in range(1, PADIC_SEARCH_RANK + 1):
         if all(
             represents(diagonal_module(ring, list(d)), ring.one) is not None
             for d in _ff_all_unit_diagonals(ring.p, rank)
@@ -339,10 +343,9 @@ def _eq(x: InvariantValue, y: InvariantValue) -> str:
 def check_inequalities(
     report_a: InvariantReport,
     report_kappa: Optional[InvariantReport] = None,
-    report_k: Optional[InvariantReport] = None,
 ) -> list[tuple[str, str]]:
-    """Evaluate the invariant inequalities on a ring / residue-field /
-    quotient-field triple; each entry is (name, pass | fail | undetermined).
+    """Evaluate the invariant inequalities on a ring and, optionally, its
+    residue field; each entry is (name, pass | fail | undetermined).
     Failures list the violated inequality by name."""
     out = []
     a = report_a
@@ -370,13 +373,6 @@ def check_inequalities(
             rec("henselian: m_A = m_kappa", _eq(a.m_invariant, k.m_invariant))
             rec("henselian: s_A = s_kappa", _eq(a.stufe, k.stufe))
             rec("henselian: u_A = u_kappa", _eq(a.u_invariant, k.u_invariant))
-    if report_k is not None:
-        kk = report_k
-        if kk.ring.kind != RATIONALS or a.ring.kind != LOCALIZED:
-            raise ValueError("quotient-field comparison wired for Z_(p) inside Q")
-        rec("m_A <= m_K", _leq(a.m_invariant, kk.m_invariant))
-        rec("s(A) = s(K)", _eq(a.stufe, kk.stufe))
-        rec("u(A) <= u(K)", _leq(a.u_invariant, kk.u_invariant))
     return out
 
 

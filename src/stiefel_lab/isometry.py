@@ -332,8 +332,7 @@ def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
 
 
 def frame_transport_exhaustive(q: QuadraticModule, k: int,
-                               spot_check: int = 50, seed: int = 0,
-                               chunk: int = 200) -> dict:
+                               spot_check: int = 50, seed: int = 0) -> dict:
     """Transport between *every* ordered pair of k-frames: one verified
     orthonormal extension per frame, then a vectorized pass that builds each
     transport B A^(-1) and re-checks both the frame matching and form
@@ -358,6 +357,7 @@ def frame_transport_exhaustive(q: QuadraticModule, k: int,
     f_cols = mats[:, :, :k]  # the frame vectors are the leading columns
     inv = np.transpose(mats, (0, 2, 1))  # Euclidean Gram: inverse = transpose
     total = 0
+    chunk = 200  # source frames per vectorized block
     for lo in range(0, len(mats), chunk):
         a_inv = inv[lo:lo + chunk]
         a_cols = f_cols[lo:lo + chunk]

@@ -209,9 +209,7 @@ def scale_to_primitive(x: Sequence[Scalar], p: int) -> Vector:
     return out
 
 
-def transversal_zero(
-    blocks: Sequence[QuadraticModule], height_bound: int = DEFAULT_HEIGHT_BOUND
-) -> Optional[Vector]:
+def transversal_zero(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
     """Zero vector of the orthogonal sum whose block components all have unit
     values.  Even block count and a semi-local ring are required; exhaustive
     over prime fields, residue transversal plus a Hensel adjustment over
@@ -229,7 +227,7 @@ def transversal_zero(
         return _ff_transversal(blocks)
     if ring.kind == PADIC:
         return _padic_transversal(blocks)
-    return _bounded_transversal(blocks, height_bound)
+    return _bounded_transversal(blocks)
 
 
 def _ff_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
@@ -281,15 +279,13 @@ def _padic_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
     return x
 
 
-def _bounded_transversal(
-    blocks: Sequence[QuadraticModule], height_bound: int
-) -> Optional[Vector]:
+def _bounded_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
     ring = blocks[0].ring
     total = orthogonal_sum_all(blocks)
     n = total.rank
     lifted, _ = integer_lift(total.gram, ring)
     spans = [b.rank for b in blocks]
-    for cand in _integer_shells(n, height_bound):
+    for cand in _integer_shells(n, DEFAULT_HEIGHT_BOUND):
         total_val = 0
         for i in range(n):
             if cand[i]:
@@ -317,9 +313,7 @@ def orthogonal_sum_all(blocks: Sequence[QuadraticModule]) -> QuadraticModule:
     return total
 
 
-def represents(
-    q: QuadraticModule, a: Scalar, height_bound: int = DEFAULT_HEIGHT_BOUND
-) -> Optional[Vector]:
+def represents(q: QuadraticModule, a: Scalar) -> Optional[Vector]:
     """Vector v with q(v) = a, via isotropy of q + <-a>.
 
     The isotropic witness (v | x) gives v/x directly when its last coordinate
@@ -333,13 +327,13 @@ def represents(
     if q.rank == 0:
         return None
     aug = orthogonal_sum(q, diagonal_module(ring, [-a.value]))
-    witness = find_isotropic(aug, height_bound)
+    witness = find_isotropic(aug)
     if not witness.found:
         return None
     w = witness.vector
     x = w[-1]
     if not x.is_unit():
-        t = transversal_zero([q, diagonal_module(ring, [-a.value])], height_bound)
+        t = transversal_zero([q, diagonal_module(ring, [-a.value])])
         if t is None:
             return None
         w, x = t, t[-1]
@@ -442,7 +436,6 @@ def unit_vector_in_complement(
     q: QuadraticModule,
     u_frame: Frame,
     v_frame: Frame,
-    height_bound: int = DEFAULT_HEIGHT_BOUND,
 ) -> tuple[Optional[Vector], ConditionReport]:
     """Unit vector orthogonal to both frames, searched first in the
     non-singular core and then (over finite fields) in the full intersection;
@@ -454,7 +447,7 @@ def unit_vector_in_complement(
     found_vec: Optional[Vector] = None
     core = complement_core(q, u_frame, v_frame)
     if core.rank:
-        got = represents(core.restricted_module(), ring.one, height_bound)
+        got = represents(core.restricted_module(), ring.one)
         if got is not None:
             found_vec = core.to_ambient(got)
     if found_vec is None and ring.kind == FINITE_FIELD:

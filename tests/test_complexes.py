@@ -204,7 +204,7 @@ def face_poset(K: SimplicialComplex) -> Poset:
 def test_barycentric_invariance(build):
     K = build()
     direct = reduced_homology(K, K.dimension)
-    sub = face_poset(K).homology(K.dimension)
+    sub = face_poset(K).homology(max_degree=K.dimension)
     assert direct.betti == sub.betti and direct.torsion == sub.torsion
 
 
@@ -218,9 +218,8 @@ def test_closure_deformation_examples():
     simplex = complex_from_simplices([(0, 1, 2)])
     P_all = face_poset(simplex)
     star_idx = [i for i, e in enumerate(P_all.elements) if 0 in e]
-    P = P_all.restrict(star_idx)
-    bottom = next(i for i, e in enumerate(P.elements) if e == frozenset({0}))
-    res = closure_deformation_check(P, [bottom] * len(P))
+    bottom = next(i for i, e in enumerate(P_all.elements) if e == frozenset({0}))
+    res = closure_deformation_check(P_all, {i: bottom for i in star_idx})
     assert res.passed
     assert res.details["image"].is_trivial()
 
@@ -230,6 +229,18 @@ def test_closure_deformation_examples():
     g[idx[frozenset({0, 1})]] = idx[frozenset({2})]
     res = closure_deformation_check(P_all, g)
     assert not res.passed and res.failures
+
+
+def test_closure_deformation_rejects_a_map_leaving_its_domain():
+    # On the open star of vertex 0 in the face poset of a 2-simplex, sending
+    # {0, 1} to {1} is deflationary but leaves the star.
+    P_all = face_poset(complex_from_simplices([(0, 1, 2)]))
+    idx = {e: i for i, e in enumerate(P_all.elements)}
+    star = {i: i for e, i in idx.items() if 0 in e}
+    assert closure_deformation_check(P_all, star).passed
+    star[idx[frozenset({0, 1})]] = idx[frozenset({1})]
+    res = closure_deformation_check(P_all, star)
+    assert not res.passed and "leaves the domain" in res.failures[0]
 
 
 def test_closure_deformation_rejects_inflationary():
@@ -327,11 +338,14 @@ def random_grid_order(seed):
     return points, lambda a, b: a != b and all(x <= y for x, y in zip(a, b))
 
 
-@pytest.mark.parametrize(
+ORDERS = pytest.mark.parametrize(
     "order",
     [octahedron_faces(), divisibility(), *(random_grid_order(seed) for seed in range(3))],
     ids=["octahedron", "divisibility", "grid-0", "grid-1", "grid-2"],
 )
+
+
+@ORDERS
 def test_poset_relations_match_brute_force(order):
     elements, less = order
     P = poset_from_less(elements, less)
@@ -343,13 +357,26 @@ def test_poset_relations_match_brute_force(order):
         assert P.link(i) == [j for j in range(n) if lt[i][j] or lt[j][i]]
         assert [P.comparable(i, j) for j in range(n)] == \
             [lt[i][j] or lt[j][i] for j in range(n)]
+
+
+@ORDERS
+def test_index_set_homology_matches_built_subposet(order):
+    """The homology of an index set equals that of the poset built on those
+    elements alone, and asking again returns the kept profile."""
+    elements, less = order
+    P = poset_from_less(elements, less)
+    n = len(P)
     rng = random.Random(n)
-    for _ in range(5):
-        keep = sorted(rng.sample(range(n), n // 2))
-        R = P.restrict(keep)
-        for a, i in enumerate(keep):
-            assert R.above[a] == {b for b, j in enumerate(keep) if lt[i][j]}
-            assert R.below[a] == {b for b, j in enumerate(keep) if lt[j][i]}
+    chosen = [[], [rng.randrange(n)], list(range(n))]
+    chosen += [rng.sample(range(n), rng.randint(2, n - 1)) for _ in range(12)]
+    for S in chosen:
+        alone = poset_from_less([elements[i] for i in sorted(S)], less)
+        prof = P.homology(S)
+        assert prof == alone.homology()
+        assert P.homology(reversed(S)) is prof
+        top = max(prof.max_degree + 1, 2)
+        assert P.homology(S, max_degree=top) == alone.homology(max_degree=top)
+    assert P.homology() == P.homology(range(n))
 
 
 def test_morse_lemma_on_octahedron_poset():

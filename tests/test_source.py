@@ -76,3 +76,50 @@ def test_tests_have_no_vacuous_asserts():
             if any(isinstance(v, ast.Constant) and v.value is True for v in operands):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _defaults(tree):
+    """(callable name, parameter, position after self or None) for every
+    parameter with a default; `__init__` is called by its class name."""
+    for owner in ast.walk(tree):
+        for node in ast.iter_child_nodes(owner):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            method = isinstance(owner, ast.ClassDef)
+            name = owner.name if method and node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for k in range(first, len(positional)):
+                yield name, positional[k].arg, k - int(method)
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def test_library_defaults_are_set_by_some_caller():
+    """Every parameter default in the package is overridden by some call in
+    the package, the tests or the benchmark; one never set is a constant.
+    Calls are matched by name, and a call with `*` or `**` sets everything."""
+    paths = sorted(Path(stiefel_lab.__file__).parent.glob("*.py"))
+    here = Path(__file__).parent
+    callers = paths + sorted(here.glob("*.py")) + sorted((here.parent / "bench").glob("*.py"))
+    calls: dict[str, list] = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            calls.setdefault(name, []).append(
+                (starred, len(node.args), {k.arg for k in node.keywords}))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, param, position in _defaults(tree):
+            if not any(starred or param in keywords
+                       or (position is not None and position < npos)
+                       for starred, npos, keywords in calls.get(name, [])):
+                found.append(f"{path.name} {name}({param})")
+    assert found == []

@@ -8,7 +8,7 @@ import pytest
 
 from stiefel_lab.rings import finite_field, integers
 from stiefel_lab.quadmod import diagonal_module, euclidean, frame, polar, vec
-from stiefel_lab import stiefel
+from stiefel_lab import complexes, stiefel
 from stiefel_lab.complexes import poset_from_frames, reduced_homology
 from stiefel_lab.stiefel import (
     BudgetError,
@@ -227,6 +227,49 @@ def test_join_items_read_extensions_from_the_poset():
     cert = stiefel.MorseCertificate(passed=True, mode="exhaustive")
     stiefel._join_items(cert, poset, filt, layers, 3)
     assert cert.assertions == [("link-join-split", True, f"{576 + 768} links decomposed; ")]
+
+
+class SingletonsLast(stiefel.MorseFiltration):
+    """A wrong filtration: singletons lie in no earlier layer, so every link
+    of a layer frame loses its one-element subframes."""
+
+    def layer(self, frame):
+        return self.l + 1 if len(frame) == 1 else super().layer(frame)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_join_split_requires_every_subframe(l):
+    """The split must put all 2^|x| - 2 proper subframes of x below the
+    extensions; a filtration that drops the singletons fails it."""
+    _sphere, filt, poset = frame_poset_and_filtration(5, l)
+    wrong = SingletonsLast(filt.l, filt.pivot_index, filt.pivot_negative_index,
+                           filt.orthogonal_to_pivot)
+    layers = [[i for i, f in enumerate(poset.elements) if wrong.layer(f) == k]
+              for k in range(1, l + 1)]
+    cert = stiefel.MorseCertificate(passed=True, mode="exhaustive")
+    stiefel._join_items(cert, poset, wrong, layers, l)
+    [(name, ok, detail)] = cert.assertions
+    assert name == "link-join-split" and not ok
+    assert detail.startswith(f"{sum(len(layer) for layer in layers[1:])} links decomposed; ")
+    assert "subframes of" in detail
+
+
+def test_exhaustive_replay_builds_each_order_complex_once(monkeypatch):
+    """The F_3, n = 5, l = 2 replay asks for the homology of 654 distinct
+    subposets of its frame poset, and computes each one once."""
+    built = []
+    compute = complexes.reduced_homology
+
+    def counted(K, max_degree):
+        built.append(frozenset(s[0] for s in K.simplices[0]))
+        return compute(K, max_degree)
+
+    monkeypatch.setattr(complexes, "reduced_homology", counted)
+    q5 = euclidean(F3, 5)
+    cert = morse_replay(F3, 5, 2, frame(q5, []), frame(q5, []))
+    assert cert.passed and cert.mode == "exhaustive"
+    assert len(built) <= 654
+    assert len(built) == len(set(built))
 
 
 def test_morse_replay_rejects_l1():
