@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from stiefel_lab.rings import (
@@ -43,7 +44,7 @@ class PrecisionError(RingError):
 
 
 def vec(ring: RingDescriptor, entries: Sequence) -> Vector:
-    return tuple(Scalar(ring, e) for e in entries)
+    return tuple(e if type(e) is Scalar and e.ring is ring else Scalar(ring, e) for e in entries)
 
 
 def mat(ring: RingDescriptor, rows: Sequence[Sequence]) -> Matrix:
@@ -54,16 +55,31 @@ def std_basis_vector(ring: RingDescriptor, n: int, i: int) -> Vector:
     return vec(ring, [1 if j == i else 0 for j in range(n)])
 
 
+def _values(ring: RingDescriptor, rows: Sequence[Sequence[Scalar]], width: int) -> list[list]:
+    """Raw values of a matrix's entries, checked to lie in `ring` and to form
+    rows of length `width`."""
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row of length {len(row)} where {width} is needed")
+        for e in row:
+            if e.ring is not ring and e.ring != ring:
+                raise RingError(f"ring mismatch: {ring.label()} vs {e.ring.label()}")
+    return [[e.value for e in row] for row in rows]
+
+
 def mat_vec(rows: Matrix, x: Vector) -> Vector:
-    return tuple(sum((r[j] * x[j] for j in range(1, len(x))), r[0] * x[0]) for r in rows)
+    ring, n = x[0].ring, len(x)
+    (xs,) = _values(ring, [x], n)
+    return tuple(Scalar(ring, sum(map(mul, r, xs))) for r in _values(ring, rows, n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((ra[k] * cb[k] for k in range(1, len(ra))), ra[0] * cb[0]) for cb in bt)
-        for ra in a
-    )
+    if not (a and b and b[0]):
+        return tuple(() for _ in a)
+    ring = b[0][0].ring
+    bt = tuple(zip(*_values(ring, b, len(b[0]))))
+    return tuple(tuple(Scalar(ring, sum(map(mul, ra, cb))) for cb in bt)
+                 for ra in _values(ring, a, len(b)))
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -253,15 +269,10 @@ def _as_vector(q: QuadraticModule, x: Sequence) -> Vector:
 
 
 def _form_sum(q: QuadraticModule, x: Vector, y: Vector) -> Scalar:
-    """x^T G y, skipping zero coordinates."""
-    total = q.ring.zero
-    for i in range(q.rank):
-        if x[i].is_zero():
-            continue
-        for j in range(q.rank):
-            if not y[j].is_zero():
-                total = total + x[i] * q.gram[i][j] * y[j]
-    return total
+    """x^T G y, skipping zero coordinates of x."""
+    xs, ys = _values(q.ring, [x, y], q.rank)
+    return Scalar(q.ring, sum(xi * sum(map(mul, row, ys))
+                              for xi, row in zip(xs, _values(q.ring, q.gram, q.rank)) if xi))
 
 
 def evaluate(q: QuadraticModule, x: Sequence) -> Scalar:

@@ -67,6 +67,9 @@ class RingDescriptor:
                 raise RingError("p-adic precision must be >= 1")
         elif self.precision is not None:
             raise RingError(f"{self.kind} carries no precision")
+        # What stored residues are reduced by; None where values are unreduced.
+        object.__setattr__(self, "modulus", self.p ** (self.precision or 1)
+                           if self.kind in (FINITE_FIELD, PADIC) else None)
 
     @property
     def henselian(self) -> bool:
@@ -89,12 +92,6 @@ class RingDescriptor:
     @property
     def two_is_unit(self) -> bool:
         return self.kind != INTEGERS
-
-    @property
-    def modulus(self) -> Optional[int]:
-        if self.kind == PADIC:
-            return self.p ** self.precision
-        return None
 
     def residue_ring(self) -> "RingDescriptor":
         if self.kind not in (LOCALIZED, PADIC):
@@ -173,7 +170,7 @@ class Scalar:
 
     def __init__(self, ring: RingDescriptor, value: Raw) -> None:
         if isinstance(value, Scalar):
-            if value.ring != ring:
+            if value.ring is not ring and value.ring != ring:
                 raise RingError(f"cannot reinterpret {value.ring.label()} scalar as {ring.label()}")
             value = value.value
         kind = ring.kind
@@ -210,7 +207,7 @@ class Scalar:
 
     def _coerce(self, other: Raw) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingError(
                     f"ring mismatch: {self.ring.label()} vs {other.ring.label()}"
                 )
@@ -219,27 +216,33 @@ class Scalar:
             return Scalar(self.ring, other)
         raise TypeError(f"cannot coerce {other!r} into {self.ring.label()}")
 
+    def _closed(self, value: Union[int, Fraction]) -> "Scalar":
+        """Scalar of this ring from a sum, difference or product of its
+        values, which every ring is closed under: only residues need reducing."""
+        m = self.ring.modulus
+        out = _new_object(Scalar)
+        _set_ring(out, self.ring)
+        _set_value(out, value if m is None else value % m)
+        return out
+
     def __add__(self, other: Raw) -> "Scalar":
-        other = self._coerce(other)
-        return Scalar(self.ring, self.value + other.value)
+        return self._closed(self.value + self._coerce(other).value)
 
     __radd__ = __add__
 
     def __sub__(self, other: Raw) -> "Scalar":
-        other = self._coerce(other)
-        return Scalar(self.ring, self.value - other.value)
+        return self._closed(self.value - self._coerce(other).value)
 
     def __rsub__(self, other: Raw) -> "Scalar":
         return self._coerce(other) - self
 
     def __mul__(self, other: Raw) -> "Scalar":
-        other = self._coerce(other)
-        return Scalar(self.ring, self.value * other.value)
+        return self._closed(self.value * self._coerce(other).value)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.ring, -self.value)
+        return self._closed(-self.value)
 
     def __truediv__(self, other: Raw) -> "Scalar":
         other = self._coerce(other)
@@ -288,7 +291,7 @@ class Scalar:
                 return False
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ring == other.ring and self.value == other.value
+        return (self.ring is other.ring or self.ring == other.ring) and self.value == other.value
 
     def __hash__(self) -> int:
         return hash((self.ring, self.value))
@@ -312,6 +315,9 @@ class Scalar:
     def lift(self) -> Union[int, Fraction]:
         """Exact integer/fraction representative (residues lift to [0, mod))."""
         return self.value
+
+
+_new_object, _set_ring, _set_value = object.__new__, Scalar.ring.__set__, Scalar.value.__set__
 
 
 def valuation(x: Scalar, p: Optional[int] = None) -> Union[int, float]:
@@ -370,18 +376,13 @@ def is_square(a: Scalar) -> Optional[Scalar]:
 
 def _heights(bound: int):
     """Rationals of height <= bound: max(|num|, |den|) after reduction,
-    ordered by increasing height and then numerically."""
-    seen = set()
-    for h in range(0, bound + 1):
-        batch = []
-        for num in range(-h, h + 1):
-            for den in range(1, h + 1):
-                f = Fraction(num, den)
-                if max(abs(f.numerator), f.denominator) == h and f not in seen:
-                    seen.add(f)
-                    batch.append(f)
-        for f in sorted(batch):
-            yield f
+    ordered by height and then numerically.  At height h that is -h/d, n/h
+    with |n| < h, then h/d, for d and n coprime to h (at h = 1: -1, 0, 1)."""
+    for h in range(1, bound + 1):
+        dens = [d for d in range(1, h + 1) if math.gcd(h, d) == 1]
+        yield from (Fraction(-h, d) for d in dens)
+        yield from (Fraction(n, h) for n in range(1 - h, h) if math.gcd(n, h) == 1)
+        yield from (Fraction(h, d) for d in reversed(dens))
 
 
 def sum_of_squares(a: Scalar, k: int, height_bound: Optional[int] = None):
@@ -412,7 +413,6 @@ def sum_of_squares(a: Scalar, k: int, height_bound: Optional[int] = None):
         candidates.sort(key=lambda f: (abs(f), f < 0))
     else:
         candidates = list(_heights(height_bound))
-        candidates.sort(key=lambda f: (max(abs(f.numerator), f.denominator), f))
         if kind == LOCALIZED:
             candidates = [c for c in candidates if c.denominator % ring.p != 0]
     target = Fraction(a.value)

@@ -33,6 +33,7 @@ from stiefel_lab.quadmod import (
     mat,
     mat_mul,
     mat_transpose,
+    mat_vec,
     orthogonal_complement,
     orthogonal_sum,
     polar,
@@ -361,13 +362,16 @@ def leibniz_det(rows, ring):
     return total
 
 
-@pytest.mark.parametrize("ring,draw", [
+RING_DRAWS = pytest.mark.parametrize("ring,draw", [
     (F5, lambda rng: rng.randrange(5)),
     (Q, lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
     (Z5, lambda rng: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7]))),
     (padic(5, 3), lambda rng: rng.randrange(125)),
     (integers(), lambda rng: rng.randint(-9, 9)),
 ], ids=["F5", "Q", "Z_(5)", "Z5^3", "Z"])
+
+
+@RING_DRAWS
 def test_det_matches_leibniz(ring, draw):
     import random
 
@@ -394,3 +398,57 @@ def test_split_radical_padic_rank4_radical_rank2():
         assert not evaluate(q, b).is_unit()
         for c in w.basis:
             assert polar(q, b, c).is_zero()
+
+
+def scalar_sum(terms, ring):
+    """Oracle: fold Scalar products one addition at a time."""
+    total = ring.zero
+    for t in terms:
+        total = total + t
+    return total
+
+
+@RING_DRAWS
+def test_products_and_forms_match_the_scalar_fold(ring, draw):
+    """mat_mul, mat_vec, evaluate and polar sum raw values and build one
+    Scalar per entry; each equals the entry-by-entry Scalar fold."""
+    import random
+
+    rng = random.Random(17)
+    for n, m, k in [(1, 1, 1), (2, 3, 1), (3, 3, 3), (4, 2, 5)]:
+        a = mat(ring, [[draw(rng) for _ in range(m)] for _ in range(n)])
+        b = mat(ring, [[draw(rng) for _ in range(k)] for _ in range(m)])
+        x = vec(ring, [draw(rng) for _ in range(m)])
+        assert mat_mul(a, b) == tuple(
+            tuple(scalar_sum((a[i][t] * b[t][j] for t in range(m)), ring) for j in range(k))
+            for i in range(n))
+        assert mat_vec(a, x) == tuple(
+            scalar_sum((a[i][t] * x[t] for t in range(m)), ring) for i in range(n))
+        upper = [[draw(rng) for _ in range(m)] for _ in range(m)]
+        q = quadratic_module(ring, [[upper[min(i, j)][max(i, j)] for j in range(m)]
+                                    for i in range(m)])
+        y = vec(ring, [draw(rng) if rng.random() < 0.7 else 0 for _ in range(m)])
+        cross = scalar_sum((x[i] * q.gram[i][j] * y[j] for i in range(m) for j in range(m)),
+                           ring)
+        assert polar(q, x, y) == cross + cross
+        assert evaluate(q, y) == scalar_sum(
+            (y[i] * q.gram[i][j] * y[j] for i in range(m) for j in range(m)), ring)
+        for entry in mat_mul(a, b)[0] + mat_vec(a, x) + (evaluate(q, x),):
+            assert entry.ring is ring and entry == ring.scalar(entry.value)
+
+
+def test_products_check_every_entry_ring():
+    a = mat(F5, [[1, 2], [3, 4]])
+    same = mat(finite_field(5), [[1, 0], [0, 1]])  # equal ring, distinct descriptor
+    assert mat_mul(a, same) == a and mat_mul(same, a) == a
+    mixed = (a[0], (a[1][0], F3.scalar(1)))
+    with pytest.raises(RingError):
+        mat_mul(a, mixed)
+    with pytest.raises(RingError):
+        mat_mul(mixed, a)
+    with pytest.raises(RingError):
+        mat_vec(a, mixed[1])
+    with pytest.raises(RingError):
+        evaluate(euclidean(F5, 2), mixed[1])
+    with pytest.raises(ValueError):
+        mat_mul(a, mat(F5, [[1, 2]]))

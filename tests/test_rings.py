@@ -9,6 +9,7 @@ import pytest
 from stiefel_lab.rings import (
     RingError,
     Scalar,
+    _heights,
     finite_field,
     hensel_root,
     integers,
@@ -230,9 +231,47 @@ def test_ring_descriptor_flags():
     assert rationals().formally_real and localized_at(5).formally_real
     assert not finite_field(5).formally_real
     assert not integers().two_is_unit and localized_at(3).two_is_unit
+    assert (F5.modulus, padic(5, 3).modulus, Z5.modulus, Q.modulus) == (5, 125, None, None)
     with pytest.raises(RingError):
         finite_field(2)
     with pytest.raises(RingError):
         localized_at(9)
     with pytest.raises(RingError):
         padic(5, 0)
+
+
+def test_heights_match_brute_force():
+    """Every reduced rational with max(|num|, den) <= b, sorted by (height,
+    value): the order the Q and Z_(p) square searches rely on."""
+    for b in range(13):
+        brute = {Fraction(n, d) for d in range(1, b + 1) for n in range(-b, b + 1)}
+        assert list(_heights(b)) == sorted(
+            brute, key=lambda f: (max(abs(f.numerator), f.denominator), f))
+
+
+@pytest.mark.parametrize("ring,draw", [
+    (F5, lambda rng: rng.randrange(5)),
+    (Q, lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+    (Z5, lambda rng: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6, 7]))),
+    (padic(5, 3), lambda rng: rng.randrange(125)),
+    (integers(), lambda rng: rng.randint(-9, 9)),
+], ids=["F5", "Q", "Z_(5)", "Z5^3", "Z"])
+def test_ring_operations_match_the_constructor(ring, draw):
+    """+, -, * and unary - skip the constructor for two scalars of one ring;
+    each result equals Scalar(ring, raw) in value and in value type."""
+    rng = random.Random(23)
+    twin = type(ring)(ring.kind, ring.p, ring.precision)
+    assert twin == ring and twin is not ring
+    for _ in range(40):
+        a, b = Scalar(ring, draw(rng)), Scalar(twin, draw(rng))
+        for got, raw in [(a + b, a.value + b.value), (a - b, a.value - b.value),
+                         (a * b, a.value * b.value), (-a, -a.value),
+                         (b + 3, b.value + 3), (2 - a, 2 - a.value)]:
+            want = Scalar(ring, raw)
+            assert got == want and type(got.value) is type(want.value)
+    with pytest.raises(RingError):
+        Scalar(ring, 1) + F3.scalar(1)
+    with pytest.raises(RingError):
+        Scalar(ring, 1) * F3.scalar(1)
+    with pytest.raises(RingError):
+        Scalar(ring, 1) - F3.scalar(1)
