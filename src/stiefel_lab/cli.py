@@ -15,7 +15,7 @@ import random
 import sys
 
 from stiefel_lab.rings import BudgetError, RingError, finite_field, localized_at, padic
-from stiefel_lab.quadmod import euclidean, frame
+from stiefel_lab.quadmod import euclidean, frame, vec
 
 VERSION = "stiefel-lab/1"
 
@@ -164,7 +164,6 @@ def cmd_morse_replay(args) -> int:
 
 def cmd_reflect(args) -> int:
     from stiefel_lab.isometry import reflection
-    from stiefel_lab.quadmod import vec
 
     ring = finite_field(args.field)
     q = euclidean(ring, args.n)
@@ -189,7 +188,6 @@ def cmd_orbit_check(args) -> int:
         frame_transport_exhaustive,
         stabilizer_restrict,
     )
-    from stiefel_lab.quadmod import vec
 
     ring = finite_field(args.field)
     q = euclidean(ring, args.n)

@@ -182,20 +182,11 @@ def smith_normal_form(matrix) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-class SkeletonError(ValueError):
-    """Homology requested beyond the dimensions actually stored."""
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Simplices stored per dimension as sorted tuples of vertex indices.
-
-    `complete_dim` is the largest dimension up to which the stored skeleton
-    is known to be complete; None means the complex is stored in full.
-    """
+    """Simplices stored per dimension as sorted tuples of vertex indices."""
 
     simplices: dict[int, list[tuple[int, ...]]]
-    complete_dim: Optional[int] = None
 
     def __post_init__(self) -> None:
         for d, simps in self.simplices.items():
@@ -226,8 +217,7 @@ class SimplicialComplex:
         return entries
 
 
-def complex_from_simplices(simps: Iterable[Sequence[int]],
-                           complete_dim: Optional[int] = None) -> SimplicialComplex:
+def complex_from_simplices(simps: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Close the given simplices downward and sort canonically."""
     by_dim: dict[int, set[tuple[int, ...]]] = {}
     stack = [tuple(sorted(set(s))) for s in simps]
@@ -242,7 +232,7 @@ def complex_from_simplices(simps: Iterable[Sequence[int]],
                     seen.add(face)
                     stack.append(face)
     out = {d: sorted(v) for d, v in by_dim.items()}
-    return SimplicialComplex(out, complete_dim)
+    return SimplicialComplex(out)
 
 
 def _component_count(vertices: Iterable, edges: Iterable[tuple]) -> int:
@@ -294,16 +284,6 @@ class HomologyProfile:
             not t for t in self.torsion
         )
 
-    def suspended(self) -> "HomologyProfile":
-        """Profile of the suspension: reduced homology shifts up one degree."""
-        return HomologyProfile(
-            betti=(0,) + self.betti,
-            torsion=((),) + self.torsion,
-            max_degree=self.max_degree + 1,
-            empty=False,
-            complete=self.complete,
-        )
-
 
 def reduced_homology(
     K: SimplicialComplex,
@@ -311,12 +291,7 @@ def reduced_homology(
 ) -> HomologyProfile:
     """Reduced integer homology in degrees <= max_degree via boundary SNF;
     the zeroth Betti number is cross-checked against a union-find count."""
-    if K.complete_dim is not None and K.complete_dim < max_degree + 1:
-        raise SkeletonError(
-            f"skeleton stored to dimension {K.complete_dim}, degree "
-            f"{max_degree} homology needs dimension {max_degree + 1}"
-        )
-    complete = K.complete_dim is None and max_degree >= K.dimension
+    complete = max_degree >= K.dimension
     if K.n_simplices(0) == 0:
         return HomologyProfile(
             betti=(0,) * (max_degree + 1),

@@ -27,6 +27,7 @@ from stiefel_lab.quadmod import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    orthogonal_sum,
     polar,
     vec,
 )
@@ -209,8 +210,6 @@ def stabilizer_restrict(phi: Isometry, a_rank: int) -> Isometry:
 
 def block_sum(phi: Isometry, b_mod: QuadraticModule) -> Isometry:
     """phi + identity on the orthogonal sum (the stabilizer embedding)."""
-    from stiefel_lab.quadmod import orthogonal_sum
-
     total = orthogonal_sum(phi.module, b_mod)
     ring = total.ring
     n1, n2 = phi.module.rank, b_mod.rank
@@ -249,9 +248,9 @@ def _closure_mod_p(gens: Sequence[np.ndarray], n: int, p: int,
     return seen
 
 
-def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isometry]:
-    """Every element of O(q) over a prime field, as the closure of the
-    hyperplane reflections under composition; canonically sorted."""
+def _reflections_mod_p(q: QuadraticModule) -> dict[tuple, np.ndarray]:
+    """The distinct hyperplane reflections of q over a prime field, keyed by
+    their int matrices, as residue matrices."""
     ring = q.ring
     if ring.kind != FINITE_FIELD:
         raise RingError("group enumeration is a finite-field operation")
@@ -269,7 +268,14 @@ def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isom
             continue
         tau = reflection(q, v.tolist()).int_matrix()
         gens.setdefault(tau, np.array(tau, dtype=np.int64))
-    seen = _closure_mod_p(list(gens.values()), n, p, cap)
+    return gens
+
+
+def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isometry]:
+    """Every element of O(q) over a prime field, as the closure of the
+    hyperplane reflections under composition; canonically sorted."""
+    ring = q.ring
+    seen = _closure_mod_p(list(_reflections_mod_p(q).values()), q.rank, ring.p, cap)
     out = []
     for key in sorted(seen):
         m = seen[key]
@@ -279,24 +285,32 @@ def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isom
 
 
 def derived_subgroup(elements: list[Isometry]) -> set:
-    """The subgroup generated by all commutators, as a set of int matrices."""
+    """The commutator subgroup of O(q), as a set of flattened int matrices,
+    for `elements` the whole group (it must hold every reflection of q).
+
+    Reflections generate O(q) and are involutions, so [G, G] is the normal
+    closure of the commutators s t s t of reflections s, t.  A subgroup
+    <X> is normal once s x s lies in it for every reflection s and every
+    x in X; conjugates that fall outside join X until none do."""
     if not elements:
         return set()
     q = elements[0].module
-    p = q.ring.p
-    mats = np.stack([np.array(e.int_matrix(), dtype=np.int64) for e in elements])
-    g_gram = np.array(q.int_gram(), dtype=np.int64)
-    ginv = np.array([[x.value for x in row] for row in _invert(q.gram, q.ring)],
-                    dtype=np.int64)
-    inverses = np.stack([(ginv @ m.T @ g_gram) % p for m in mats])
-    commutators: dict[tuple, np.ndarray] = {}
-    for i in range(len(mats)):
-        lhs = (inverses[i] @ inverses) % p
-        rhs = (mats[i] @ mats) % p
-        for j in range(len(mats)):
-            c = (lhs[j] @ rhs[j]) % p
-            commutators[tuple(c.ravel().tolist())] = c
-    return set(_closure_mod_p(list(commutators.values()), mats.shape[1], p))
+    p, n = q.ring.p, q.rank
+    gens = _reflections_mod_p(q)
+    if not gens.keys() <= {e.int_matrix() for e in elements}:
+        raise ValueError("elements lack a reflection of the form")
+    S = np.stack(list(gens.values()))
+    st = (S[:, None] @ S[None, :]) % p
+    pending = np.unique(((st @ st) % p).reshape(-1, n, n), axis=0)
+    X: list[np.ndarray] = []
+    while len(pending):
+        X += list(pending)
+        closure = _closure_mod_p(X, n, p)
+        conjugates = ((S[:, None] @ pending[None, :] @ S[:, None]) % p).reshape(-1, n, n)
+        outside = [tuple(c) not in closure
+                   for c in conjugates.reshape(len(conjugates), -1).tolist()]
+        pending = np.unique(conjugates[outside], axis=0)
+    return set(closure)
 
 
 def abelianization_exponent(elements: list[Isometry]) -> int:
@@ -340,8 +354,6 @@ def frame_transport_exhaustive(q: QuadraticModule, k: int,
     the single-pair frame_transport API."""
     import random
 
-    from stiefel_lab.quadmod import Frame as _Frame
-
     ring = q.ring
     if ring.kind != FINITE_FIELD:
         raise RingError("the exhaustive sweep enumerates over a prime field")
@@ -349,7 +361,7 @@ def frame_transport_exhaustive(q: QuadraticModule, k: int,
     frames = ordered_frames(q, k)
     exts = []
     for fr in frames:
-        iso = orthonormal_extension(q, _Frame(q, fr))
+        iso = orthonormal_extension(q, Frame(q, fr))
         exts.append(np.array([[e.value for e in row] for row in iso.matrix],
                              dtype=np.int64))
     mats = np.stack(exts) if exts else np.zeros((0, q.rank, q.rank), dtype=np.int64)
@@ -374,7 +386,7 @@ def frame_transport_exhaustive(q: QuadraticModule, k: int,
     for _ in range(min(spot_check, len(frames) ** 2)):
         f1 = frames[rng.randrange(len(frames))]
         f2 = frames[rng.randrange(len(frames))]
-        phi = frame_transport(q, _Frame(q, f1), _Frame(q, f2))
+        phi = frame_transport(q, Frame(q, f1), Frame(q, f2))
         for v1, v2 in zip(f1, f2):
             if phi.apply(v1) != v2:
                 raise AssertionError("spot-checked transport failed to match the frames")

@@ -30,6 +30,7 @@ from stiefel_lab.rings import (
     RingDescriptor,
     RingError,
     Scalar,
+    is_square,
     padic_unit_part,
     residue,
     valuation,
@@ -554,8 +555,6 @@ def reduce_mod_p(q: QuadraticModule) -> QuadraticModule:
 def is_isometric_ff(q1: QuadraticModule, q2: QuadraticModule) -> bool:
     """Isometry test over a prime field: equal rank and square discriminant
     ratio classify non-singular forms completely."""
-    from stiefel_lab.rings import is_square
-
     if q1.ring.kind != FINITE_FIELD or q1.ring != q2.ring:
         raise RingError("finite-field isometry test needs one common prime field")
     d1, d2 = q1.det(), q2.det()

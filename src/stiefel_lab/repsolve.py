@@ -31,6 +31,8 @@ from stiefel_lab.rings import (
     RingError,
     Scalar,
     hensel_root,
+    localized_at,
+    padic,
     residue,
     valuation,
 )
@@ -46,6 +48,8 @@ from stiefel_lab.quadmod import (
     intersect_complements,
     orthogonal_sum,
     polar,
+    quadratic_module,
+    reduce_mod_p,
     vec,
 )
 
@@ -158,8 +162,6 @@ def find_isotropic(
 
 def _padic_isotropic(q: QuadraticModule) -> IsotropyWitness:
     """Hyperbolic pair mod p, then one Hensel root closes the value to zero."""
-    from stiefel_lab.quadmod import reduce_mod_p
-
     ring = q.ring
     red = reduce_mod_p(q)
     hit = _ff_first_zero(red)
@@ -202,8 +204,6 @@ def scale_to_primitive(x: Sequence[Scalar], p: int) -> Vector:
         raise RingError("rescaling needs scalars over Q or Z_(p)")
     best = min(range(len(xs)), key=lambda i: (vals[i], i))
     pivot = xs[best]
-    from stiefel_lab.rings import localized_at
-
     target = localized_at(p)
     out = tuple(Scalar(target, Fraction(c.value) / Fraction(pivot.value)) for c in xs)
     return out
@@ -248,8 +248,6 @@ def _ff_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
 
 
 def _padic_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
-    from stiefel_lab.quadmod import reduce_mod_p
-
     ring = blocks[0].ring
     reduced = [reduce_mod_p(b) for b in blocks]
     base = _ff_transversal(reduced)
@@ -352,9 +350,6 @@ def hensel_isotropy_replay(p: int = 5, precision: int = 4, count: int = 50,
     all_precisions is set).  Returns counts for reporting."""
     import random as _random
 
-    from stiefel_lab.rings import padic as _padic
-    from stiefel_lab.quadmod import quadratic_module, reduce_mod_p
-
     rng = _random.Random(seed)
     done = 0
     generated = 0
@@ -368,14 +363,14 @@ def hensel_isotropy_replay(p: int = 5, precision: int = 4, count: int = 50,
         for i in range(rank):
             for j in range(i):
                 rows[i][j] = rows[j][i]
-        ring = _padic(p, precision)
+        ring = padic(p, precision)
         q = quadratic_module(ring, rows)
         if not q.is_nonsingular():
             continue
         if not find_isotropic(reduce_mod_p(q)).found:
             continue
         for n_prec in precisions:
-            ring_n = _padic(p, n_prec)
+            ring_n = padic(p, n_prec)
             qn = quadratic_module(ring_n, rows)
             w = find_isotropic(qn)
             if not (w.found and w.regime == REGIME_HENSEL):

@@ -23,10 +23,6 @@ CONSTANT_CASES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
 ABELIAN_CASES = ("i", "ii", "iii", "iv", "v", "vi")
 
 
-def _floor(x: Fraction) -> int:
-    return math.floor(x)
-
-
 @dataclass(frozen=True)
 class RangeInputs:
     """Parameters feeding a range formula: the rank n, one invariant value
@@ -62,27 +58,15 @@ class RangeResult:
         return self.surjective_up_to < 0
 
 
-_CONSTANT_SURJ = {
-    "i": lambda n, v: Fraction(n - v - 1, 3),
-    "ii": lambda n, v: Fraction(n - v, 2),
-    "iii": lambda n, v: Fraction(n - 3 - 2 * v, 2 * v + 1),
-    "iv": lambda n, v: Fraction(n - 2 - v, v + 1),
-    "v": lambda n, v: Fraction(n - v - 1, 3),
-    "vi": lambda n, v: Fraction(n - v, 2),
-    "vii": lambda n, v: Fraction(n - 3 - 2 * v, 2 * v + 1),
-    "viii": lambda n, v: Fraction(n - 2 - v, v + 1),
-}
-
-_CONSTANT_ISO = {
-    "i": lambda n, v: Fraction(n - v - 2, 3),
-    "ii": lambda n, v: Fraction(n - v - 1, 2),
-    "iii": lambda n, v: Fraction(n - 4 - 2 * v, 2 * v + 1),
-    "iv": lambda n, v: Fraction(n - 3 - v, v + 1),
-    "v": lambda n, v: Fraction(n - v - 2, 3),
-    "vi": lambda n, v: Fraction(n - v - 1, 2),
-    "vii": lambda n, v: Fraction(n - 4 - 2 * v, 2 * v + 1),
-    "viii": lambda n, v: Fraction(n - 3 - v, v + 1),
-}
+# Surjectivity fraction (numerator, denominator) of cases (i)-(iv); cases
+# (v)-(viii) repeat them with the quotient-field invariant.  Isomorphism
+# holds for the numerator less 1.
+_CONSTANT_RANGE = (
+    lambda n, v: (n - v - 1, 3),
+    lambda n, v: (n - v, 2),
+    lambda n, v: (n - 3 - 2 * v, 2 * v + 1),
+    lambda n, v: (n - 2 - v, v + 1),
+)
 
 # Which hypotheses each constant-coefficient case carries. "fr" names the
 # literal flag: case (ii) literally says the *ring* is formally real (the
@@ -98,42 +82,13 @@ _CONSTANT_HYP = {
     "viii": {"invariant": "P_K", "fr": "K"},
 }
 
-
-def range_constant(case: str, inputs: RangeInputs) -> RangeResult:
-    """Constant-coefficient stability range for one of the eight cases."""
-    if case not in CONSTANT_CASES:
-        raise ValueError(f"unknown case {case!r}")
-    hyp = _CONSTANT_HYP[case]
-    if hyp.get("henselian") and not inputs.henselian:
-        raise ValueError(f"case ({case}) requires a henselian ring")
-    if "fr" in hyp and not inputs.formally_real:
-        raise ValueError(f"case ({case}) requires the formally-real flag")
-    n, v = inputs.n, inputs.invariant
-    return RangeResult(
-        _floor(_CONSTANT_SURJ[case](n, v)),
-        _floor(_CONSTANT_ISO[case](n, v)),
-        case,
-        "constant",
-    )
-
-
-_ABELIAN_SURJ = {
-    "i": lambda n, v: Fraction(n - v - 2, 3),
-    "ii": lambda n, v: Fraction(n - 4 * v - 2, 2 * v + 1),
-    "iii": lambda n, v: Fraction(n - v - max(3, v + 1), max(3, v + 1)),
-    "iv": lambda n, v: Fraction(n - v - 2, 3),
-    "v": lambda n, v: Fraction(n - 4 * v - 2, 2 * v + 1),
-    "vi": lambda n, v: Fraction(n - v - max(3, v + 1), max(3, v + 1)),
-}
-
-_ABELIAN_ISO = {
-    "i": lambda n, v: Fraction(n - v - 4, 3),
-    "ii": lambda n, v: Fraction(n - 4 * v - 4, 2 * v + 1),
-    "iii": lambda n, v: Fraction(n - v - 2 - max(3, v + 1), max(3, v + 1)),
-    "iv": lambda n, v: Fraction(n - v - 4, 3),
-    "v": lambda n, v: Fraction(n - 4 * v - 4, 2 * v + 1),
-    "vi": lambda n, v: Fraction(n - v - 2 - max(3, v + 1), max(3, v + 1)),
-}
+# As above for the abelian cases (i)-(iii), repeated by (iv)-(vi);
+# isomorphism holds for the numerator less 2.
+_ABELIAN_RANGE = (
+    lambda n, v: (n - v - 2, 3),
+    lambda n, v: (n - 4 * v - 2, 2 * v + 1),
+    lambda n, v: (n - v - max(3, v + 1), max(3, v + 1)),
+)
 
 _ABELIAN_HYP = {
     "i": {"invariant": "m_A"},
@@ -145,20 +100,39 @@ _ABELIAN_HYP = {
 }
 
 
-def range_abelian(case: str, inputs: RangeInputs) -> RangeResult:
-    """Ranges for coefficients on which the commutator subgroup acts
-    trivially; six cases, with the max{3, P + 1} denominators."""
-    if case not in ABELIAN_CASES:
+def _range_fraction(case: str, inputs: RangeInputs, cases: tuple, hyps: dict,
+                    formulas: tuple) -> tuple[int, int]:
+    """Check the case and its hypotheses; the case's surjectivity fraction
+    as (numerator, denominator)."""
+    if case not in cases:
         raise ValueError(f"unknown case {case!r}")
-    hyp = _ABELIAN_HYP[case]
+    hyp = hyps[case]
     if hyp.get("henselian") and not inputs.henselian:
         raise ValueError(f"case ({case}) requires a henselian ring")
     if "fr" in hyp and not inputs.formally_real:
         raise ValueError(f"case ({case}) requires the formally-real flag")
-    n, v = inputs.n, inputs.invariant
+    formula = formulas[cases.index(case) % len(formulas)]
+    return formula(inputs.n, inputs.invariant)
+
+
+def range_constant(case: str, inputs: RangeInputs) -> RangeResult:
+    """Constant-coefficient stability range for one of the eight cases."""
+    num, den = _range_fraction(case, inputs, CONSTANT_CASES, _CONSTANT_HYP, _CONSTANT_RANGE)
     return RangeResult(
-        _floor(_ABELIAN_SURJ[case](n, v)),
-        _floor(_ABELIAN_ISO[case](n, v)),
+        math.floor(Fraction(num, den)),
+        math.floor(Fraction(num - 1, den)),
+        case,
+        "constant",
+    )
+
+
+def range_abelian(case: str, inputs: RangeInputs) -> RangeResult:
+    """Ranges for coefficients on which the commutator subgroup acts
+    trivially; six cases, with the max{3, P + 1} denominators."""
+    num, den = _range_fraction(case, inputs, ABELIAN_CASES, _ABELIAN_HYP, _ABELIAN_RANGE)
+    return RangeResult(
+        math.floor(Fraction(num, den)),
+        math.floor(Fraction(num - 2, den)),
         case,
         "abelian",
     )
@@ -168,20 +142,14 @@ def range_polynomial(case: str, inputs: RangeInputs) -> RangeResult:
     """Ranges for a coefficient system of finite degree r: the constant-
     coefficient surjectivity fraction shifted down by r (surjection) and
     r + 1 (isomorphism)."""
-    if case not in CONSTANT_CASES:
-        raise ValueError(f"unknown case {case!r}")
-    if inputs.degree is None:
+    if case in CONSTANT_CASES and inputs.degree is None:
         raise ValueError("polynomial ranges need a coefficient degree")
-    hyp = _CONSTANT_HYP[case]
-    if hyp.get("henselian") and not inputs.henselian:
-        raise ValueError(f"case ({case}) requires a henselian ring")
-    if "fr" in hyp and not inputs.formally_real:
-        raise ValueError(f"case ({case}) requires the formally-real flag")
-    n, v, r = inputs.n, inputs.invariant, inputs.degree
-    base = _CONSTANT_SURJ[case](n, v)
+    base = Fraction(*_range_fraction(case, inputs, CONSTANT_CASES, _CONSTANT_HYP,
+                                     _CONSTANT_RANGE))
+    r = inputs.degree
     return RangeResult(
-        _floor(base - r),
-        _floor(base - r - 1),
+        math.floor(base - r),
+        math.floor(base - r - 1),
         case,
         "polynomial",
     )
@@ -201,7 +169,7 @@ def intro_corollary_ranges(which: int, case: str, n: int, invariant: int,
             "c": Fraction(n - 3 - 2 * v - (d + 1) * (2 * v + 1), 2 * v + 1),
             "d": Fraction(n - 2 - v - (d + 1) * (v + 1), v + 1),
         }[case]
-        return _floor(fr)
+        return math.floor(fr)
     if which == 2:
         v = invariant
         fr = {
@@ -210,9 +178,9 @@ def intro_corollary_ranges(which: int, case: str, n: int, invariant: int,
             "c": Fraction(n - 3 - 2 * v, 2 * v + 1) - 3,
             "d": Fraction(n - 2 - v, v + 1) - 3,
         }[case]
-        return _floor(fr)
+        return math.floor(fr)
     if which == 3:
-        return _floor(Fraction(n - 8, 2))
+        return math.floor(Fraction(n - 8, 2))
     raise ValueError(f"unknown corollary {which}")
 
 
@@ -251,14 +219,14 @@ def connectivity_degree(case: str, n: int, arith: dict) -> dict:
         raise ValueError(f"unknown connectivity case {case!r}")
     label, fn = _CNT_LITERAL[case]
     try:
-        literal = _floor(fn(n, arith))
+        literal = math.floor(fn(n, arith))
     except TypeError:
         literal = None  # an invariant needed by the formula is uncertified
     out = {"case": case, "formula": label, "literal": literal}
     if case in _CNT_CORRECTED:
         clabel, cfn = _CNT_CORRECTED[case]
         try:
-            out["corrected"] = _floor(cfn(n, arith))
+            out["corrected"] = math.floor(cfn(n, arith))
         except TypeError:
             out["corrected"] = None
         out["corrected_formula"] = clabel

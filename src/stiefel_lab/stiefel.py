@@ -22,14 +22,24 @@ from typing import Collection, Optional, Sequence
 import numpy as np
 
 from stiefel_lab import gfnum
-from stiefel_lab.rings import FINITE_FIELD, INTEGERS, BudgetError, RingDescriptor, RingError
+from stiefel_lab.rings import (
+    FINITE_FIELD,
+    INTEGERS,
+    BudgetError,
+    RingDescriptor,
+    RingError,
+    integers,
+)
 from stiefel_lab.quadmod import (
     Frame,
     QuadraticModule,
     Vector,
+    diagonal_module,
     euclidean,
+    frame,
     identity_matrix,
     intersect_complements,
+    orthogonal_sum,
     polar,
     vec,
 )
@@ -442,8 +452,6 @@ def wn_identification_check(ring: RingDescriptor, v_diag: Sequence[int], n: int,
     tuple of its basis images is a bijection compatible with the face maps.
     Exhaustive at these sizes (maps are enumerated independently as
     matrices, frames by clique extension)."""
-    from stiefel_lab.quadmod import diagonal_module, orthogonal_sum
-
     v_mod = diagonal_module(ring, list(v_diag))
     amb = orthogonal_sum(v_mod, euclidean(ring, n)) if v_diag else euclidean(ring, n)
     sphere = UnitSphere(amb)
@@ -487,8 +495,6 @@ def local_standardness_check(ring: RingDescriptor, v_diag: Sequence[int], n: int
     """LS1: the two stabilization embeddings of E^1 into V + E^2 are distinct
     maps; LS2: appending a zero coordinate is injective on Hom-sets.  Both
     checked on the exhaustive Hom-set enumeration."""
-    from stiefel_lab.quadmod import diagonal_module, orthogonal_sum
-
     v_mod = diagonal_module(ring, list(v_diag))
     failures = []
     m_v = len(v_diag)
@@ -912,8 +918,6 @@ def integer_aut_check(n: int) -> CheckResult:
     are exactly the signed permutations, 2^n n! of them, and each lifts to an
     integer orthogonal matrix.  The antipode of a vertex is its unique
     non-neighbor, which pins the automorphism down from the basis images."""
-    from stiefel_lab.rings import integers
-
     ring = integers()
     q = euclidean(ring, n)
     verts, graph = _integer_graph(q)
@@ -963,7 +967,6 @@ def equivariance_spotcheck(ring: RingDescriptor, n: int, count: int = 10) -> boo
     orthogonality, hence induces simplicial automorphisms; checked on a few
     transports."""
     from stiefel_lab.isometry import frame_transport
-    from stiefel_lab.quadmod import frame as make_frame
 
     rng = random.Random(0)
     q = euclidean(ring, n)
@@ -972,8 +975,8 @@ def equivariance_spotcheck(ring: RingDescriptor, n: int, count: int = 10) -> boo
     for _ in range(count):
         a = units[rng.randrange(len(units))]
         b = units[rng.randrange(len(units))]
-        phi = frame_transport(q, make_frame(q, [[c.value for c in a]]),
-                              make_frame(q, [[c.value for c in b]]))
+        phi = frame_transport(q, frame(q, [[c.value for c in a]]),
+                              frame(q, [[c.value for c in b]]))
         image = [phi.apply(u) for u in units]
         if sorted(keys[u] for u in image) != list(range(len(units))):
             return False

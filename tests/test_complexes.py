@@ -9,7 +9,6 @@ from stiefel_lab.complexes import (
     HomologyProfile,
     Poset,
     SimplicialComplex,
-    SkeletonError,
     closure_deformation_check,
     complex_from_simplices,
     invariant_factors_by_minors,
@@ -167,13 +166,6 @@ def test_h0_cross_check_raises_on_mismatch(monkeypatch):
     monkeypatch.setattr(cx, "_component_count", lambda vertices, edges: 2)
     with pytest.raises(AssertionError, match="component count mismatch"):
         reduced_homology(octahedron(), 2)
-
-
-def test_homology_skeleton_guard():
-    k = complex_from_simplices([(0, 1), (1, 2), (0, 2)], complete_dim=1)
-    reduced_homology(k, 0)
-    with pytest.raises(SkeletonError):
-        reduced_homology(k, 1)
 
 
 def test_order_complex_examples():
@@ -398,8 +390,3 @@ def test_profile_wedge_detector():
     assert not torsion.is_wedge_of_spheres(1)
     partial = HomologyProfile((0,), ((),), 0, complete=False)
     assert not partial.is_wedge_of_spheres(0)
-
-
-def test_suspension_profile():
-    s1 = HomologyProfile((0, 1), ((), ()), 1)
-    assert s1.suspended().betti == (0, 0, 1)

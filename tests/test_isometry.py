@@ -31,6 +31,7 @@ from stiefel_lab.quadmod import (
 )
 from stiefel_lab.isometry import (
     Isometry,
+    _closure_mod_p,
     _invert,
     _witt_reflections,
     abelianization_exponent,
@@ -325,10 +326,68 @@ def test_reflections_generate_everything(p, n):
     assert closure == brute_orthogonal(p, n)
 
 
+def all_pairs_derived(group):
+    """Reference: the closure of every commutator a^-1 b^-1 a b, one row of
+    pairs at a time over the whole group."""
+    import numpy as np
+
+    q = group[0].module
+    mats = np.stack([np.array(g.int_matrix(), dtype=np.int64) for g in group])
+    invs = np.stack([np.array(g.inverse().int_matrix(), dtype=np.int64) for g in group])
+    commutators = {}
+    for i in range(len(group)):
+        for c in (invs[i] @ invs @ mats[i] @ mats) % q.ring.p:
+            commutators[tuple(c.ravel().tolist())] = c
+    return set(_closure_mod_p(list(commutators.values()), q.rank, q.ring.p))
+
+
+@pytest.mark.parametrize("q", [
+    euclidean(F3, 2), euclidean(F3, 3), euclidean(F5, 2), euclidean(F5, 3),
+    diagonal_module(F5, [1, 2]),
+], ids=["O2(F3)", "O3(F3)", "O2(F5)", "O3(F5)", "O<1,2>(F5)"])
+def test_derived_subgroup_matches_all_pairs_closure(q):
+    group = enumerate_group(q)
+    assert derived_subgroup(group) == all_pairs_derived(group)
+
+
+def test_derived_subgroup_adds_conjugates(monkeypatch):
+    # The set of all reflections is closed under conjugation, so the
+    # commutators of all of them already generate a normal subgroup.  Three
+    # reflections also generate O_3(F_5), but their commutators generate
+    # only 12 of the 60 elements of [G, G]; conjugation must add the rest.
+    import numpy as np
+
+    q = euclidean(F5, 3)
+    group = enumerate_group(q)
+    few = {}
+    for v in ([1, 0, 0], [0, 1, 0], [1, 1, 1]):
+        tau = reflection(q, v).int_matrix()
+        few[tau] = np.array(tau, dtype=np.int64)
+    gens = list(few.values())
+    assert len(_closure_mod_p(gens, 3, 5)) == 240
+    assert len(_closure_mod_p([(s @ t @ s @ t) % 5 for s in gens for t in gens], 3, 5)) == 12
+    monkeypatch.setattr("stiefel_lab.isometry._reflections_mod_p", lambda q: few)
+    assert derived_subgroup(group) == all_pairs_derived(group)
+
+
+def test_derived_subgroup_needs_every_reflection():
+    group = enumerate_group(euclidean(F3, 3))
+    fixing = [g for g in group if g.apply([0, 0, 1]) == vec(F3, [0, 0, 1])]
+    with pytest.raises(ValueError, match="lack a reflection"):
+        derived_subgroup(fixing)
+
+
 def test_o4_f3_order_and_abelianization():
     group = enumerate_group(euclidean(F3, 4))
     assert len(group) == 1152
+    assert len(derived_subgroup(group)) == 288
     assert abelianization_exponent(group) == 2
+
+
+def test_o3_f7_derived_subgroup():
+    group = enumerate_group(euclidean(finite_field(7), 3))
+    assert len(group) == 672
+    assert len(derived_subgroup(group)) == 168
 
 
 def test_o3_f5_order():

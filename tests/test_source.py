@@ -123,3 +123,28 @@ def test_library_defaults_are_set_by_some_caller():
                        for starred, npos, keywords in calls.get(name, [])):
                 found.append(f"{path.name} {name}({param})")
     assert found == []
+
+
+
+def _imported_modules(node):
+    """The modules an import statement imports from; none for other nodes."""
+    if isinstance(node, ast.ImportFrom):
+        return {"." * node.level + (node.module or "")}
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_library_has_no_local_reimports():
+    """No function imports from a module that its own module already imports
+    from at top level: those names belong in the top-level import.  Local
+    imports of other modules (cycle breakers, rarely used ones) stay."""
+    found = set()
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = set().union(*(_imported_modules(node) for node in tree.body))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                          if top & _imported_modules(node)}
+    assert sorted(found) == []
