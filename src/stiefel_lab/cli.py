@@ -126,7 +126,7 @@ def cmd_stiefel(args) -> int:
     assertions = []
     if args.check_poset:
         direct, subdivided = skeleton_vs_poset_profiles(q, args.max_dim + 1, args.budget)
-        ok = direct.betti == subdivided.betti and direct.torsion == subdivided.torsion
+        ok = direct == subdivided
         results["profile"] = {"betti": list(direct.betti),
                               "torsion": [list(t) for t in direct.torsion]}
         assertions.append(_assertion(

@@ -252,13 +252,15 @@ def _component_count(vertices: Iterable, edges: Iterable[tuple]) -> int:
     return len({find(v) for v in parent})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomologyProfile:
     """Reduced Betti numbers and torsion coefficients per degree.
 
     `complete` records whether the profile covers every degree in which the
     complex could possibly have homology; wedge detection refuses to certify
-    anything from a partial profile.
+    anything from a partial profile.  Two complete profiles are equal when
+    they agree in every degree, a degree beyond `max_degree` counting as
+    zero; a partial profile equals only an identical one.
     """
 
     betti: tuple[int, ...]
@@ -266,6 +268,22 @@ class HomologyProfile:
     max_degree: int
     empty: bool = False
     complete: bool = True
+
+    def _content(self) -> tuple:
+        if not self.complete:
+            return self.betti, self.torsion, self.max_degree, self.empty, False
+        degrees = list(zip(self.betti, self.torsion))
+        while degrees and degrees[-1] == (0, ()):
+            degrees.pop()
+        return tuple(degrees), self.empty, True
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HomologyProfile):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
 
     def is_wedge_of_spheres(self, d: int) -> bool:
         """Free homology concentrated in degree d.  The empty wedge (a point)
@@ -413,18 +431,15 @@ class Poset:
         """Indices comparable with element i (the open star boundary)."""
         return sorted(self.above[i] | self.below[i])
 
-    def homology(self, indices: Optional[Iterable[int]] = None,
-                 max_degree: Optional[int] = None) -> HomologyProfile:
+    def homology(self, indices: Optional[Iterable[int]] = None) -> HomologyProfile:
         """Reduced homology of the subposet on `indices` (all of it by
-        default), up to `max_degree` (the top chain dimension by default).
-        Each (index set, degree) profile is computed once and kept."""
+        default), in every degree up to its top chain dimension.  Each index
+        set's profile is computed once and kept."""
         chosen = frozenset(range(len(self)) if indices is None else indices)
-        key = (chosen, max_degree)
-        if key not in self._profiles:
+        if chosen not in self._profiles:
             K = self._chains(chosen)
-            deg = max(K.dimension, 0) if max_degree is None else max_degree
-            self._profiles[key] = reduced_homology(K, deg)
-        return self._profiles[key]
+            self._profiles[chosen] = reduced_homology(K, max(K.dimension, 0))
+        return self._profiles[chosen]
 
 
 def poset_from_less(elements: Sequence, less: Callable) -> Poset:
@@ -493,7 +508,7 @@ def closure_deformation_check(P: Poset, f: Mapping[int, int] | Sequence[int]) ->
     if failures:
         return CheckResult("closure-deformation", False, failures[:10])
     prof_full = P.homology(domain)
-    prof_image = P.homology(f.values(), prof_full.max_degree)
+    prof_image = P.homology(f.values())
     ok = prof_full == prof_image
     return CheckResult(
         "closure-deformation",
@@ -611,7 +626,7 @@ def morse_lemma_check(
         prev |= members
     passed = not failures
     if passed:
-        full = X.homology(max_degree=d)
+        full = X.homology()
         details["direct_cross_check"] = full
         passed = full.is_wedge_of_spheres(d)
         if not passed:

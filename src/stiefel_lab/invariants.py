@@ -175,7 +175,7 @@ def padic_invariants(ring: RingDescriptor) -> InvariantReport:
     tag = f"hensel-certified at precision {ring.precision}"
     s_val = None
     for k in range(1, 5):
-        if sum_of_squares(ring.scalar(-1), k) is not None:
+        if represents(euclidean(ring, k), ring.scalar(-1)) is not None:
             s_val = k
             break
     if s_val != kappa_report.stufe.value():

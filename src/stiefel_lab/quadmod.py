@@ -379,11 +379,11 @@ def frame(q: QuadraticModule, raw_vectors: Sequence[Sequence]) -> Frame:
 
 
 def _unit_value_probe(q: QuadraticModule) -> Optional[Vector]:
-    """A vector of unit q-value: probe e_i, then e_i + e_j, then e_i + e_j + e_k.
+    """A vector of unit q-value: probe e_i, then e_i + e_j.
 
-    Over a local ring with 2 a unit, non-singularity guarantees success within
-    the two-vector probes already (the polar identity makes q(e_i + e_j) a
-    unit whenever B(e_i, e_j) is and both diagonal values are not).
+    Over a local ring with 2 a unit, a non-singular form has a unit G_ii or
+    a unit G_ij; when no G_ii is a unit, q(e_i + e_j) = G_ii + 2 G_ij + G_jj
+    is then a unit, so the two probes always succeed for `diagonalize`.
     """
     ring, n = q.ring, q.rank
     for i in range(n):
@@ -396,14 +396,6 @@ def _unit_value_probe(q: QuadraticModule) -> Optional[Vector]:
             )
             if evaluate(q, v).is_unit():
                 return v
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                v = tuple(
-                    ring.one if t in (i, j, k) else ring.zero for t in range(n)
-                )
-                if evaluate(q, v).is_unit():
-                    return v
     return None
 
 

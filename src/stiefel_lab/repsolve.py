@@ -3,9 +3,9 @@
 The organizing fact: a non-singular form represents a unit a exactly when the
 orthogonal sum with <-a> is isotropic, and a transversal zero of that sum
 turns the isotropic vector into an explicit representation.  Isotropic
-vectors are found exhaustively over prime fields, by Hensel lifting a
-hyperbolic pair over truncated p-adics, and by bounded-height search over Q
-rescaled into Z_(p).
+vectors are found exhaustively over prime fields, by closing a residue
+zero with one Hensel step over truncated p-adics, and by one bounded-height
+search over Q rescaled into Z_(p).
 
 Bounded search cannot prove negatives over infinite rings, so "not found
 within bound" is a first-class outcome carrying its bound and is never
@@ -95,15 +95,20 @@ def _ff_first_zero(q: QuadraticModule) -> Optional[tuple[int, ...]]:
     return tuple(int(c) for c in X[hits[0]])
 
 
-def _integer_shells(n: int, bound: int):
-    """Nonzero integer vectors by increasing max-norm, lexicographic within."""
+def _bounded_zeros(q: QuadraticModule, bound: int):
+    """Nonzero integer vectors of max-norm <= bound on which the integer lift
+    of q vanishes, by max-norm and then lexicographically."""
+    lifted, _ = integer_lift(q.gram, q.ring)
     for h in range(1, bound + 1):
-        shell = []
-        for v in itertools.product(range(-h, h + 1), repeat=n):
-            if max(abs(c) for c in v) == h:
-                shell.append(v)
-        shell.sort()
-        yield from shell
+        for cand in itertools.product(range(-h, h + 1), repeat=q.rank):
+            if h not in cand and -h not in cand:
+                continue
+            total = 0
+            for ci, row in zip(cand, lifted):
+                if ci:
+                    total += ci * sum(r * c for r, c in zip(row, cand) if c)
+            if total == 0:
+                yield cand
 
 
 def _rational_definite(q: QuadraticModule) -> bool:
@@ -137,60 +142,47 @@ def find_isotropic(
         if _rational_definite(q):
             # Definite over Q: only the zero vector vanishes, exactly.
             return IsotropyWitness(None, REGIME_EXHAUSTIVE)
-        lifted, _ = integer_lift(q.gram, ring)
-        n = q.rank
-        for cand in _integer_shells(n, height_bound):
-            total = 0
-            for i in range(n):
-                ci = cand[i]
-                if not ci:
-                    continue
-                row = lifted[i]
-                for j in range(n):
-                    if cand[j]:
-                        total += ci * row[j] * cand[j]
-            if total == 0:
-                v = vec(ring, cand)
-                if ring.kind == LOCALIZED:
-                    v = scale_to_primitive(v, ring.p)
-                if not evaluate(q, v).is_zero():
-                    raise AssertionError("rescaled witness is not isotropic")
-                return IsotropyWitness(v, REGIME_RESCALED, height_bound=height_bound)
+        for cand in _bounded_zeros(q, height_bound):
+            v = vec(ring, cand)
+            if ring.kind == LOCALIZED:
+                v = scale_to_primitive(v, ring.p)
+            if not evaluate(q, v).is_zero():
+                raise AssertionError("rescaled witness is not isotropic")
+            return IsotropyWitness(v, REGIME_RESCALED, height_bound=height_bound)
         return IsotropyWitness(None, REGIME_NOT_FOUND, height_bound=height_bound)
     raise RingError(f"isotropy search not supported over {ring.label()}")
 
 
 def _padic_isotropic(q: QuadraticModule) -> IsotropyWitness:
-    """Hyperbolic pair mod p, then one Hensel root closes the value to zero."""
-    ring = q.ring
-    red = reduce_mod_p(q)
-    hit = _ff_first_zero(red)
+    """First zero mod p, closed to an exact zero by one Hensel step."""
+    hit = _ff_first_zero(reduce_mod_p(q))
     if hit is None:
-        return IsotropyWitness(None, REGIME_EXHAUSTIVE, precision=ring.precision)
-    kappa = red.ring
-    xbar = vec(kappa, hit)
-    # Partner with B(x, y) = 1, then push q(y) to zero along x.
-    ybar = None
-    for j in range(red.rank):
-        e = tuple(kappa.one if t == j else kappa.zero for t in range(red.rank))
-        b = polar(red, xbar, e)
-        if not b.is_zero():
-            ybar = tuple(c / b for c in e)
-            break
-    if ybar is None:
-        raise AssertionError("non-singular form with degenerate vector")
-    t = evaluate(red, ybar)
-    ybar = tuple(y - t * x for y, x in zip(ybar, xbar))
-    u = vec(ring, [c.value for c in xbar])
-    v = vec(ring, [c.value for c in ybar])
-    a, b, c = evaluate(q, u), polar(q, u, v), evaluate(q, v)
-    lam = hensel_root(ring, (a, b, c), 0)
-    w = tuple(lam * ui + vi for ui, vi in zip(u, v))
-    if not evaluate(q, w).is_zero():
-        raise AssertionError("Hensel witness is not isotropic")
+        return IsotropyWitness(None, REGIME_EXHAUSTIVE, precision=q.ring.precision)
+    w = _hensel_close(q, hit)
     if all(residue(c).is_zero() for c in w):
         raise AssertionError("witness not primitive")
-    return IsotropyWitness(w, REGIME_HENSEL, precision=ring.precision)
+    return IsotropyWitness(w, REGIME_HENSEL, precision=q.ring.precision)
+
+
+def _hensel_close(q: QuadraticModule, x0: Sequence[int]) -> Vector:
+    """Exact zero of a non-singular q over truncated Z_p from a primitive x0
+    with q(x0) = 0 mod p (Hensel's lemma for a simple root).
+
+    G is invertible mod p and x0 is nonzero mod p, so some (G x0)_j is a
+    unit.  At the first such j, q(x0 + t e_j) = G_jj t^2 + 2 (G x0)_j t + q(x0)
+    has the simple root t = 0 mod p, and its lift closes q to zero."""
+    ring = q.ring
+    lifted, _ = integer_lift(q.gram, ring)
+    gx = [sum(g * c for g, c in zip(row, x0)) for row in lifted]
+    j = next((i for i, c in enumerate(gx) if c % ring.p), None)
+    if j is None:
+        raise AssertionError("primitive vector with no unit pairing in a non-singular form")
+    value = sum(c * g for c, g in zip(x0, gx))
+    lam = hensel_root(ring, (lifted[j][j], 2 * gx[j], value), 0)
+    x = vec(ring, x0[:j]) + (lam + x0[j],) + vec(ring, x0[j + 1:])
+    if not evaluate(q, x).is_zero():
+        raise AssertionError("Hensel witness is not isotropic")
+    return x
 
 
 def scale_to_primitive(x: Sequence[Scalar], p: int) -> Vector:
@@ -248,60 +240,33 @@ def _ff_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
 
 
 def _padic_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
-    ring = blocks[0].ring
-    reduced = [reduce_mod_p(b) for b in blocks]
-    base = _ff_transversal(reduced)
+    """Residue transversal closed by one Hensel step on the orthogonal sum;
+    the step moves each block value by a multiple of p, so units stay units."""
+    base = _ff_transversal([reduce_mod_p(b) for b in blocks])
     if base is None:
         return None
-    total = orthogonal_sum_all(blocks)
-    x0 = vec(ring, [c.value for c in base])
-    # Direction with unit pairing keeps every block value in its residue
-    # class while Newton closes the total value to zero.
-    w = None
-    for j in range(total.rank):
-        e = tuple(ring.one if t == j else ring.zero for t in range(total.rank))
-        if polar(total, x0, e).is_unit():
-            w = e
-            break
-    if w is None:
-        raise AssertionError("primitive vector with no unit pairing in a non-singular form")
-    lam = hensel_root(ring, (evaluate(total, w), polar(total, x0, w), evaluate(total, x0)), 0)
-    x = tuple(xi + lam * wi for xi, wi in zip(x0, w))
-    if not evaluate(total, x).is_zero():
-        raise AssertionError("lifted transversal vector is not isotropic")
-    offset = 0
-    for b in blocks:
-        if not evaluate(b, x[offset: offset + b.rank]).is_unit():
-            raise AssertionError("block value left the unit class")
-        offset += b.rank
+    x = _hensel_close(orthogonal_sum_all(blocks), tuple(c.value for c in base))
+    if not _block_values_are_units(blocks, x):
+        raise AssertionError("block value left the unit class")
     return x
 
 
 def _bounded_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
     ring = blocks[0].ring
-    total = orthogonal_sum_all(blocks)
-    n = total.rank
-    lifted, _ = integer_lift(total.gram, ring)
-    spans = [b.rank for b in blocks]
-    for cand in _integer_shells(n, DEFAULT_HEIGHT_BOUND):
-        total_val = 0
-        for i in range(n):
-            if cand[i]:
-                for j in range(n):
-                    if cand[j]:
-                        total_val += cand[i] * lifted[i][j] * cand[j]
-        if total_val != 0:
-            continue
+    for cand in _bounded_zeros(orthogonal_sum_all(blocks), DEFAULT_HEIGHT_BOUND):
         x = vec(ring, cand)
-        offset, ok = 0, True
-        for b, span in zip(blocks, spans):
-            if not evaluate(b, x[offset: offset + span]).is_unit():
-                ok = False
-                break
-            offset += span
-        if ok:
+        if _block_values_are_units(blocks, x):
             return x
     return None
+
+
+def _block_values_are_units(blocks: Sequence[QuadraticModule], x: Vector) -> bool:
+    offset = 0
+    for b in blocks:
+        if not evaluate(b, x[offset: offset + b.rank]).is_unit():
+            return False
+        offset += b.rank
+    return True
 
 
 def orthogonal_sum_all(blocks: Sequence[QuadraticModule]) -> QuadraticModule:
@@ -448,13 +413,10 @@ def unit_vector_in_complement(
     if found_vec is None and ring.kind == FINITE_FIELD:
         inter = intersect_complements(q, u_frame.as_submodule(), v_frame.as_submodule())
         if inter.rank:
-            sub = inter.restricted_module()
-            G = np.array(sub.int_gram(), dtype=np.int64)
-            X = gfnum.all_vectors(ring.p, sub.rank)
-            vals = gfnum.gram_values(G, X, ring.p)
-            hits = np.flatnonzero(vals == 1)
-            if hits.size:
-                found_vec = inter.to_ambient(vec(ring, tuple(map(int, X[hits[0]]))))
+            sphere = gfnum.unit_sphere(np.array(inter.restricted_module().int_gram(),
+                                                dtype=np.int64), ring.p)
+            if len(sphere):
+                found_vec = inter.to_ambient(vec(ring, sphere[0].tolist()))
     if found_vec is not None:
         if evaluate(q, found_vec) != ring.one:
             raise AssertionError("complement vector does not have value 1")

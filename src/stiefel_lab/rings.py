@@ -389,9 +389,11 @@ def sum_of_squares(a: Scalar, k: int, height_bound: Optional[int] = None):
     """Decompose a as x_1^2 + ... + x_k^2, or report failure.
 
     Over a prime field the search is exhaustive, so None means the
-    decomposition does not exist.  Over Q, Z_(p), truncated Z_p, and Z the
-    search runs over candidates of height <= height_bound (|x| <= bound over
-    Z) and None only means "not found within the bound".
+    decomposition does not exist.  Over Q, Z_(p) and Z the search runs over
+    candidates of height <= height_bound (|x| <= bound over Z) and None only
+    means "not found within the bound".  Truncated Z_p is refused: for a unit
+    a, `repsolve.represents` on the Euclidean form of rank k decomposes a by
+    lifting a residue witness with one Hensel step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -405,7 +407,8 @@ def sum_of_squares(a: Scalar, k: int, height_bound: Optional[int] = None):
             return None
         return tuple(Scalar(ring, x) for x in found)
     if kind == PADIC:
-        return _padic_sum_of_squares(a, k)
+        raise RingError("sums of squares over truncated Z_p: use repsolve.represents "
+                        "on the Euclidean form of rank k")
     if height_bound is None:
         raise ValueError(f"height bound required over {ring.label()}")
     if kind == INTEGERS:
@@ -454,37 +457,6 @@ def _bounded_sum_of_squares(target: Fraction, k: int, candidates):
         return None
 
     return rec(target, 0, [])
-
-
-def _padic_sum_of_squares(a: Scalar, k: int):
-    """Residue-field decomposition lifted through one unit coordinate."""
-    ring = a.ring
-    p = ring.p
-    kappa = finite_field(p)
-    abar = a.value % p
-    # Need a residue witness with some unit coordinate to drive the lift.
-    found = _ff_sum_of_squares(abar, k, p)
-    if found is None:
-        return None
-    if all(x % p == 0 for x in found):
-        # a = 0 mod p^2 at least; retry demanding a unit slot.
-        found = None
-        for first in range(1, p):
-            rest = _ff_sum_of_squares((abar - first * first) % p, k - 1, p) if k > 1 else (
-                [] if (abar - first * first) % p == 0 else None)
-            if rest is not None:
-                found = [first] + list(rest)
-                break
-        if found is None:
-            return None
-    idx = next(i for i, x in enumerate(found) if x % p != 0)
-    others = [Scalar(ring, x) for i, x in enumerate(found) if i != idx]
-    rem = a
-    for s in others:
-        rem = rem - s * s
-    root = hensel_root(ring, (ring.one, ring.zero, -rem), found[idx])
-    out = others[:idx] + [root] + others[idx:]
-    return tuple(out)
 
 
 def hensel_root(ring: RingDescriptor, coeffs, r0: int) -> Scalar:

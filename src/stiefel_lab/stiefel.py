@@ -289,7 +289,7 @@ def skeleton_vs_poset_profiles(q: QuadraticModule, k: int,
     the same space up to barycentric subdivision, so the profiles agree."""
     komplex = build_stiefel(q, k - 1, budget)
     direct = reduced_homology(komplex, k - 1)
-    subdivided = build_skeleton_poset(q, k, budget).homology(max_degree=k - 1)
+    subdivided = build_skeleton_poset(q, k, budget).homology()
     return direct, subdivided
 
 
@@ -493,8 +493,9 @@ def wn_identification_check(ring: RingDescriptor, v_diag: Sequence[int], n: int,
 
 def local_standardness_check(ring: RingDescriptor, v_diag: Sequence[int], n: int) -> CheckResult:
     """LS1: the two stabilization embeddings of E^1 into V + E^2 are distinct
-    maps; LS2: appending a zero coordinate is injective on Hom-sets.  Both
-    checked on the exhaustive Hom-set enumeration."""
+    maps; LS2: appending a zero coordinate sends Hom(E^1, V + E^(n-1))
+    injectively into Hom(E^1, V + E^n).  Both checked on the exhaustive
+    Hom-set enumeration."""
     v_mod = diagonal_module(ring, list(v_diag))
     failures = []
     m_v = len(v_diag)
@@ -510,12 +511,17 @@ def local_standardness_check(ring: RingDescriptor, v_diag: Sequence[int], n: int
     if (first == second).all():
         failures.append("LS1: the embeddings coincide")
     ambn1 = orthogonal_sum(v_mod, euclidean(ring, n - 1)) if v_diag else euclidean(ring, n - 1)
+    ambn = orthogonal_sum(v_mod, euclidean(ring, n)) if v_diag else euclidean(ring, n)
     maps_small = _form_preserving_maps(ambn1, 1)
+    maps_large = {tuple(M.ravel().tolist()) for M in _form_preserving_maps(ambn, 1)}
     stabilized = set()
     for M in maps_small:
         key = tuple(M.ravel().tolist()) + (0,)
         if key in stabilized:
             failures.append("LS2: stabilization is not injective")
+            break
+        if key not in maps_large:
+            failures.append(f"LS2: stabilized map {list(key)} is not in Hom(E^1, V + E^{n})")
             break
         stabilized.add(key)
     return CheckResult("local-standardness", not failures, failures,
@@ -752,7 +758,7 @@ def _deformation_items(cert, poset, filt, l):
     structural = {elements[j] for j in image} == expected
     cert.add("x0-suspension-structure", structural,
              f"image {len(image)} elements vs expected {len(expected)}")
-    prof_prime = poset.homology(image, l - 1)
+    prof_prime = poset.homology(image)
     ok = (
         prof_prime.is_wedge_of_spheres(l - 1)
         and w_prof.is_wedge_of_spheres(l - 2)

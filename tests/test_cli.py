@@ -1,8 +1,10 @@
 """CLI: schema, determinism, exit codes, formats."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +193,19 @@ def test_console_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["results"]["bound"] == 6
+
+
+def test_stdout_matches_bench_digests(capsys):
+    """Every unseeded invocation the benchmark digests, and seed 0 of each
+    seeded one, exits 0 with the recorded stdout SHA-256 (read-only)."""
+    table = json.loads((Path(__file__).parent.parent / "bench" / "digests.json").read_text())
+    runs = [(argv, digest) for argv, digest in table.items() if isinstance(digest, str)]
+    runs += [(pattern.replace("{seed}", "0"), by_seed["0"])
+             for pattern, by_seed in table.items() if isinstance(by_seed, dict)]
+    assert len(runs) == len(table)
+    mismatched = []
+    for argv, digest in runs:
+        code, out = run_cli(argv.split(), capsys)
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            mismatched.append((argv, code))
+    assert mismatched == []

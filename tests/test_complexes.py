@@ -196,8 +196,8 @@ def face_poset(K: SimplicialComplex) -> Poset:
 def test_barycentric_invariance(build):
     K = build()
     direct = reduced_homology(K, K.dimension)
-    sub = face_poset(K).homology(max_degree=K.dimension)
-    assert direct.betti == sub.betti and direct.torsion == sub.torsion
+    sub = face_poset(K).homology()
+    assert direct == sub
 
 
 def test_closure_deformation_examples():
@@ -367,7 +367,7 @@ def test_index_set_homology_matches_built_subposet(order):
         assert prof == alone.homology()
         assert P.homology(reversed(S)) is prof
         top = max(prof.max_degree + 1, 2)
-        assert P.homology(S, max_degree=top) == alone.homology(max_degree=top)
+        assert prof == reduced_homology(alone.order_complex(), top)
     assert P.homology() == P.homology(range(n))
 
 
@@ -378,6 +378,21 @@ def test_morse_lemma_on_octahedron_poset():
     res = morse_lemma_check(P, list(range(len(P))), [], 2)
     assert res.passed
     assert res.details["direct_cross_check"] is not None
+
+
+def test_profiles_compare_by_content():
+    """A complete profile equals the same space's profile to any higher
+    degree; a partial profile equals only an identical one."""
+    K = triangle_boundary()
+    own = reduced_homology(K, K.dimension)
+    deeper = reduced_homology(K, 3)
+    assert own.max_degree != deeper.max_degree
+    assert own == deeper and hash(own) == hash(deeper)
+    partial = HomologyProfile(own.betti, own.torsion, own.max_degree, complete=False)
+    assert partial != own and partial != deeper
+    assert partial == HomologyProfile(own.betti, own.torsion, own.max_degree, complete=False)
+    assert own != reduced_homology(octahedron(), 3)
+    assert HomologyProfile((0,), ((),), 0, empty=True) != HomologyProfile((0,), ((),), 0)
 
 
 def test_profile_wedge_detector():

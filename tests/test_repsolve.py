@@ -20,6 +20,8 @@ from stiefel_lab.repsolve import (
     REGIME_EXHAUSTIVE,
     REGIME_HENSEL,
     REGIME_NOT_FOUND,
+    _bounded_zeros,
+    _hensel_close,
     find_isotropic,
     represents,
     scale_to_primitive,
@@ -135,6 +137,58 @@ def representation_equivalence_sweep(p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_representation_theorem_equivalence(p):
     assert representation_equivalence_sweep(p) > 0
+
+
+def residue_zeros(rows, p):
+    """Oracle: every primitive zero mod p of the form with these Gram rows."""
+    n = len(rows)
+    return [v for v in itertools.product(range(p), repeat=n) if any(v)
+            and sum(v[i] * rows[i][j] * v[j] for i in range(n) for j in range(n)) % p == 0]
+
+
+def hensel_close_forms(p):
+    """Gram rows of every diagonal form of rank 2 or 3 with entries in
+    1 .. p - 1, and of one non-diagonal form (det -7, a unit at 3 and 5)."""
+    diagonals = [[[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
+                 for rank in (2, 3) for diag in itertools.product(range(1, p), repeat=rank)]
+    return diagonals + [[[1, 2, 0], [2, 2, 1], [0, 1, 3]]]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hensel_close_lifts_every_residue_zero(p):
+    """Every primitive residue zero of these non-singular forms closes to an
+    exact zero over Z_p^N (N = 1 .. 4) that reduces back to it."""
+    closed = 0
+    for rows in hensel_close_forms(p):
+        zeros = residue_zeros(rows, p)
+        for N in (1, 2, 3, 4):
+            q = quadratic_module(padic(p, N), rows)
+            assert q.is_nonsingular()
+            for x0 in zeros:
+                x = _hensel_close(q, x0)
+                assert evaluate(q, x).is_zero()
+                assert tuple(c.value % p for c in x) == x0
+                closed += 1
+    assert closed > 0
+
+
+def bounded_zeros_oracle(q, bound):
+    vectors = [v for v in itertools.product(range(-bound, bound + 1), repeat=q.rank) if any(v)]
+    vectors.sort(key=lambda v: (max(map(abs, v)), v))
+    return [v for v in vectors if evaluate(q, vec(q.ring, v)).is_zero()]
+
+
+@pytest.mark.parametrize("ring", [Q, Z5], ids=["Q", "Z5"])
+def test_bounded_zeros_match_brute_force(ring):
+    forms = [
+        diagonal_module(ring, [1, -1]),
+        diagonal_module(ring, [1, 1, -2]),
+        diagonal_module(ring, [2, -3, 1]),
+        quadratic_module(ring, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), -2]]),
+        quadratic_module(ring, [[0, 1, 0], [1, 0, 0], [0, 0, Fraction(-1, 4)]]),
+    ]
+    for q in forms:
+        assert list(_bounded_zeros(q, 3)) == bounded_zeros_oracle(q, 3)
 
 
 def test_transversal_zero_examples():

@@ -21,6 +21,8 @@ from stiefel_lab.rings import (
     sum_of_squares,
     valuation,
 )
+from stiefel_lab.quadmod import euclidean
+from stiefel_lab.repsolve import represents
 
 F3 = finite_field(3)
 F5 = finite_field(5)
@@ -156,12 +158,18 @@ def test_sum_of_squares_found_values_check_out():
 
 
 def test_sum_of_squares_padic_lifts():
+    """Over truncated Z_p the decomposition is a representation by the
+    Euclidean form, lifted from the residue field by one Hensel step."""
     ring = padic(5, 3)
-    got = sum_of_squares(ring.scalar(-1), 1)
-    assert got is not None and got[0] * got[0] == ring.scalar(-1)
-    got = sum_of_squares(ring.scalar(7), 2)
-    assert got is not None
-    assert sum((x * x for x in got), ring.zero) == ring.scalar(7)
+    for a, k in ((-1, 1), (7, 2)):
+        got = represents(euclidean(ring, k), ring.scalar(a))
+        assert got is not None
+        assert sum((x * x for x in got), ring.zero) == ring.scalar(a)
+
+
+def test_sum_of_squares_padic_is_refused():
+    with pytest.raises(RingError, match="repsolve.represents"):
+        sum_of_squares(padic(5, 3).scalar(-1), 1)
 
 
 def hensel_oracle(a, b, c, r0, p, N):

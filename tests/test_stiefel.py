@@ -155,6 +155,23 @@ def test_local_standardness():
     assert local_standardness_check(F3, [2], 2).passed
 
 
+def test_local_standardness_ls2_fails_on_a_missing_map(monkeypatch):
+    """LS2 checks the stabilized maps against the larger Hom-set itself: with
+    (1, 0, 0) planted out of Hom(E^1, E^3), the check fails and names it."""
+    enumerate_maps = stiefel._form_preserving_maps
+
+    def losing(target, k):
+        maps = enumerate_maps(target, k)
+        if target.rank == 3:
+            maps = [M for M in maps if M.ravel().tolist() != [1, 0, 0]]
+        return maps
+
+    monkeypatch.setattr(stiefel, "_form_preserving_maps", losing)
+    res = local_standardness_check(F3, [], 3)
+    assert not res.passed
+    assert res.failures == ["LS2: stabilized map [1, 0, 0] is not in Hom(E^1, V + E^3)"]
+
+
 def test_morse_replay_exhaustive_small():
     q5 = euclidean(F3, 5)
     cert = morse_replay(F3, 5, 2, frame(q5, []), frame(q5, []))
