@@ -104,14 +104,19 @@ def _ff_sum_chain(p: int):
         chain.append(nxt)
 
 
-def _ff_all_unit_diagonals(p: int, rank: int):
-    return itertools.product(range(1, p), repeat=rank)
+def _ff_all_unit_diagonals(p: int, rank: int) -> np.ndarray:
+    """Every diagonal of units of a rank, rows in lexicographic order."""
+    return gfnum.all_vectors(p - 1, rank) + 1
 
 
-def _ff_diag_values(diag, p: int) -> np.ndarray:
-    """Values of the diagonal form on every non-zero vector."""
-    X = gfnum.all_vectors(p, len(diag))[1:]
-    return (X * X % p) @ np.array(diag, dtype=np.int64) % p
+def _ff_diag_values(p: int, rank: int):
+    """Values on every non-zero vector of the unit diagonal forms of a rank,
+    as blocks of columns S D^T: S the squared coordinates mod p of those
+    vectors, D the diagonals of `_ff_all_unit_diagonals`."""
+    S = gfnum.all_vectors(p, rank)[1:] ** 2 % p
+    D = _ff_all_unit_diagonals(p, rank)
+    for block in gfnum.blocks(len(D), len(S)):
+        yield S @ D[block].T % p
 
 
 def compute_invariants(ring: RingDescriptor) -> InvariantReport:
@@ -140,13 +145,13 @@ def compute_invariants(ring: RingDescriptor) -> InvariantReport:
         stufe = INF if minus_one not in stable else len(chain)
     u = 0
     for rank in range(1, FIELD_SEARCH_RANK + 1):
-        if any((_ff_diag_values(d, p) != 0).all() for d in _ff_all_unit_diagonals(p, rank)):
+        if any((V != 0).all(axis=0).any() for V in _ff_diag_values(p, rank)):
             u = rank
         else:
             break
     m = None
     for rank in range(1, FIELD_SEARCH_RANK + 1):
-        if all((_ff_diag_values(d, p) == 1).any() for d in _ff_all_unit_diagonals(p, rank)):
+        if all((V == 1).any(axis=0).all() for V in _ff_diag_values(p, rank)):
             m = rank
             break
     if m is None:
@@ -183,8 +188,8 @@ def padic_invariants(ring: RingDescriptor) -> InvariantReport:
     u_val = 0
     for rank in range(1, PADIC_SEARCH_RANK + 1):
         found_aniso = False
-        for d in _ff_all_unit_diagonals(ring.p, rank):
-            q = diagonal_module(ring, list(d))
+        for d in _ff_all_unit_diagonals(ring.p, rank).tolist():
+            q = diagonal_module(ring, d)
             if not find_isotropic(q).found:
                 found_aniso = True
                 break
@@ -197,8 +202,8 @@ def padic_invariants(ring: RingDescriptor) -> InvariantReport:
     m_val = None
     for rank in range(1, PADIC_SEARCH_RANK + 1):
         if all(
-            represents(diagonal_module(ring, list(d)), ring.one) is not None
-            for d in _ff_all_unit_diagonals(ring.p, rank)
+            represents(diagonal_module(ring, d), ring.one) is not None
+            for d in _ff_all_unit_diagonals(ring.p, rank).tolist()
         ):
             m_val = rank
             break

@@ -3,11 +3,15 @@ frame transitivity, stabilizer restriction, and small-group enumeration.
 
 Matrices act on column vectors; an isometry of (V, q) is M with
 M^T G M = G exactly, which every constructor verifies before returning.
+The check runs on integer lifts: with d and e clearing the denominators of
+M and G, it is (dM)^T (eG) (dM) = d^2 (eG) in Z, taken modulo p^N over a
+residue ring, so it builds no Scalar or Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,10 +24,12 @@ from stiefel_lab.quadmod import (
     QuadraticModule,
     Vector,
     _gauss_jordan,
+    _values,
     det,
     diagonalize,
     evaluate,
     identity_matrix,
+    integer_lift,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -42,9 +48,14 @@ class Isometry:
     matrix: Matrix
 
     def __post_init__(self) -> None:
-        g = self.module.gram
-        check = mat_mul(mat_mul(mat_transpose(self.matrix), g), self.matrix)
-        if check != g:
+        ring, n, mod = self.module.ring, self.module.rank, self.module.ring.modulus
+        _values(ring, self.matrix, n)
+        g, _ = integer_lift(self.module.gram, ring)
+        m, d = integer_lift(self.matrix, ring)
+        gm = [[sum(map(mul, row, col)) for col in zip(*m)] for row in g]
+        lhs = [[sum(map(mul, col, gm_col)) for gm_col in zip(*gm)] for col in zip(*m)]
+        diffs = (a - d * d * b for lrow, grow in zip(lhs, g) for a, b in zip(lrow, grow))
+        if len(m) != n or any(x % mod if mod else x for x in diffs):
             raise ValueError("matrix does not preserve the form")
 
     def apply(self, x: Sequence) -> Vector:
@@ -233,16 +244,17 @@ def _closure_mod_p(gens: Sequence[np.ndarray], n: int, p: int,
     identity = np.eye(n, dtype=np.int64)
     seen = {tuple(identity.ravel().tolist()): identity}
     frontier = [identity]
+    S = np.array(gens, dtype=np.int64).reshape(-1, n, n)
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = (g @ m) % p
-                key = tuple(prod.ravel().tolist())
+        for block in gfnum.blocks(len(frontier), S.size):
+            # row b * len(S) + j is S[j] times frontier element b: breadth-first order
+            prods = (S[None] @ np.stack(frontier[block])[:, None] % p).reshape(-1, n, n)
+            for key, prod in zip(map(tuple, prods.reshape(len(prods), -1).tolist()), prods):
                 if key not in seen:
                     if cap is not None and len(seen) >= cap:
                         raise BudgetError(f"group exceeds the enumeration cap {cap}")
-                    seen[key] = prod
+                    seen[key] = prod = prod.copy()  # frees the block's buffer
                     nxt.append(prod)
         frontier = nxt
     return seen

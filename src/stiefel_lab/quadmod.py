@@ -98,7 +98,8 @@ def integer_lift(rows: Matrix, ring: RingDescriptor) -> tuple[list[list[int]], i
     if ring.kind not in (RATIONALS, LOCALIZED):
         return [[e.value for e in row] for row in rows], 1
     scale = math.lcm(*(e.value.denominator for row in rows for e in row))
-    return [[int(e.value * scale) for e in row] for row in rows], scale
+    return [[e.value.numerator * (scale // e.value.denominator) for e in row]
+            for row in rows], scale
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:

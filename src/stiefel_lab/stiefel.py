@@ -435,13 +435,12 @@ def _form_preserving_maps(target: QuadraticModule, k: int) -> list[np.ndarray]:
     G = np.array(target.int_gram(), dtype=np.int64)
     inputs = gfnum.all_vectors(p, k)
     want = (inputs * inputs).sum(axis=1) % p
+    candidates = gfnum.all_vectors(p, m * k).reshape(-1, m, k)
     out = []
-    for flat in itertools.product(range(p), repeat=m * k):
-        M = np.array(flat, dtype=np.int64).reshape(m, k)
-        images = inputs @ M.T % p
-        got = gfnum.gram_values(G, images, p)
-        if (got == want).all():
-            out.append(M)
+    for block in gfnum.blocks(len(candidates), len(inputs) * m):
+        images = np.einsum("bmk,ik->bim", candidates[block], inputs) % p
+        got = gfnum.gram_values(G, images.reshape(-1, m), p).reshape(len(images), -1)
+        out += list(candidates[block][(got == want).all(axis=1)])
     return out
 
 
@@ -582,6 +581,9 @@ def _count_cliques(sphere: UnitSphere, upto: int) -> dict[int, int]:
     rows = sphere.packed_rows()
     counts = {1: sphere.m, 2: int(np.bitwise_count(rows).sum()) // 2}
     if upto >= 3:
+        if counts[2] * sphere._words > SIMPLEX_BUDGET:
+            raise BudgetError(f"triangle count over {counts[2]} edges of {sphere._words} "
+                              f"packed words each refused above {SIMPLEX_BUDGET}")
         walks = 0
         for i in range(sphere.m):
             neighbours = rows[sphere.orthogonal_mask(i)]

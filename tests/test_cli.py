@@ -117,6 +117,18 @@ def test_budget_error_exit_2(capsys):
     assert code == 2
 
 
+def test_triangle_count_budget_exit_2(monkeypatch, capsys):
+    # X(F_3^8) has 758,160 edges of 34 packed words: 25,777,440 word reads.
+    from stiefel_lab import stiefel
+
+    monkeypatch.setattr(stiefel, "SIMPLEX_BUDGET", 25_777_439)
+    code = main(["morse-replay", "--field", "3", "--n", "8", "--l", "3", "--samples", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: triangle count over 758160 edges of 34 packed words")
+    assert "Traceback" not in err
+
+
 def test_hensel_stall_exit_2(monkeypatch, capsys):
     from stiefel_lab import repsolve
 

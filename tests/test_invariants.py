@@ -47,6 +47,26 @@ def test_invariant_table():
     assert table[7]["s"] == 2
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_compute_invariants_matches_a_per_diagonal_scan(p):
+    """Reference: every unit diagonal of ranks 1-3 evaluated on its own, on
+    the non-zero vectors in itertools.product order."""
+    from stiefel_lab.invariants import _ff_diag_values
+
+    u, m = 0, None
+    for rank in (1, 2, 3):
+        X = np.array(list(itertools.product(range(p), repeat=rank))[1:])
+        diagonals = itertools.product(range(1, p), repeat=rank)
+        columns = [(X * X % p) @ np.array(d) % p for d in diagonals]
+        assert (np.hstack(list(_ff_diag_values(p, rank))) == np.stack(columns, axis=1)).all()
+        if u == rank - 1 and any((c != 0).all() for c in columns):
+            u = rank
+        if m is None and all((c == 1).any() for c in columns):
+            m = rank
+    rep = compute_invariants(finite_field(p))
+    assert (rep.u_invariant.value(), rep.m_invariant.value()) == (u, m) == (2, 2)
+
+
 def test_check_inequalities_field_alone():
     rep = compute_invariants(finite_field(5))
     ledger = dict(check_inequalities(rep))

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stiefel_lab.rings import (
@@ -33,6 +34,7 @@ from stiefel_lab.isometry import (
     Isometry,
     _closure_mod_p,
     _invert,
+    _reflections_mod_p,
     _witt_reflections,
     abelianization_exponent,
     block_sum,
@@ -273,6 +275,127 @@ def test_enumerate_group_cap_is_a_budget_error():
         enumerate_group(euclidean(F3, 2), cap=4)
 
 
+def closure_one_by_one(gens, n, p):
+    """Reference: the breadth-first closure, one product at a time."""
+    identity = np.eye(n, dtype=np.int64)
+    seen = {tuple(identity.ravel().tolist()): identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = (g @ m) % p
+                key = tuple(prod.ravel().tolist())
+                if key not in seen:
+                    seen[key] = prod
+                    nxt.append(prod)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("q", [
+    euclidean(F3, 3), euclidean(F3, 4), euclidean(F5, 3), diagonal_module(F5, [1, 2]),
+], ids=["O3(F3)", "O4(F3)", "O3(F5)", "O<1,2>(F5)"])
+def test_closure_matches_one_product_at_a_time(q):
+    gens = list(_reflections_mod_p(q).values())
+    got = _closure_mod_p(gens, q.rank, q.ring.p)
+    want = closure_one_by_one(gens, q.rank, q.ring.p)
+    assert list(got) == list(want)  # the same insertion order
+    assert all(got[key].tolist() == want[key].tolist() for key in want)
+
+
+def test_closure_cap_refuses_at_the_same_count():
+    gens = list(_reflections_mod_p(euclidean(F3, 3)).values())
+    with pytest.raises(BudgetError, match="enumeration cap 10"):
+        _closure_mod_p(gens, 3, 3, cap=10)
+    with pytest.raises(BudgetError, match="enumeration cap 47"):
+        _closure_mod_p(gens, 3, 3, cap=47)
+    assert len(_closure_mod_p(gens, 3, 3, cap=48)) == 48
+
+
+def preserves_by_scalar_products(q, M):
+    """Reference: M^T G M = G in the ring's own Scalar arithmetic."""
+    return mat_mul(mat_mul(mat_transpose(M), q.gram), M) == q.gram
+
+
+def accepted(q, M):
+    try:
+        Isometry(q, M)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q", [
+    diagonal_module(F5, [1, 2, 3]),
+    diagonal_module(padic(3, 2), [1, 2, 1]),
+    diagonal_module(localized_at(3), [Fraction(1, 2), 1, 5]),
+    diagonal_module(Q, [Fraction(1, 2), 3, 1]),
+    euclidean(integers(), 3),
+], ids=["F5", "Z3^2", "Z_(3)", "Q", "Z"])
+def test_isometry_check_matches_scalar_products(q):
+    """Reflection products, the same matrices with one entry moved by p
+    (3 over Q and Z), so that they agree with an isometry mod p, and random
+    matrices are accepted exactly when the Scalar products say so."""
+    ring, n = q.ring, q.rank
+    p = ring.p or 3
+    rng = random.Random(13)
+    checked = {True: 0, False: 0}
+    for _ in range(40):
+        phi = identity_isometry(q)
+        for _ in range(rng.randint(1, 3)):
+            v = [rng.randint(-2, 2) for _ in range(n)]
+            if evaluate(q, v).is_unit():
+                phi = phi.compose(reflection(q, v))
+        i, j = rng.randrange(n), rng.randrange(n)
+        moved = tuple(tuple(e + p if (r, c) == (i, j) else e for c, e in enumerate(row))
+                      for r, row in enumerate(phi.matrix))
+        noise = mat(ring, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        for M in (phi.matrix, moved, noise):
+            want = preserves_by_scalar_products(q, M)
+            assert accepted(q, M) == want
+            checked[want] += 1
+    assert checked[True] >= 40 and checked[False] >= 40
+
+
+def test_isometry_check_rejects_what_holds_only_mod_p():
+    # 1/2 squared is 1/4 = 1 mod 3, but not 1: rejected over Z_(3) and Q,
+    # where the lifted check (2 * 1/2)^2 = 1 against 2^2 * 1 is not reduced.
+    for ring in (localized_at(3), Q):
+        q = euclidean(ring, 1)
+        assert not accepted(q, mat(ring, [[Fraction(1, 2)]]))
+        assert accepted(q, mat(ring, [[-1]]))
+    # A rotation by the (3, 4, 5) triangle needs its denominators.
+    for ring in (localized_at(3), Q):
+        q = euclidean(ring, 2)
+        rot = [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]]
+        assert accepted(q, mat(ring, rot))
+        rot[0][1] = Fraction(4, 5)
+        assert not accepted(q, mat(ring, rot))
+    # Over Z/9: 4^2 = 16 = 1 mod 3 but 7 mod 9; 8^2 = 64 = 1 mod 9.
+    z9 = padic(3, 2)
+    assert not accepted(euclidean(z9, 1), mat(z9, [[4]]))
+    assert accepted(euclidean(z9, 1), mat(z9, [[8]]))
+    assert not accepted(euclidean(z9, 2), mat(z9, [[1, 3], [0, 1]]))
+    assert accepted(euclidean(F3, 2), mat(F3, [[1, 3], [0, 1]]))
+    # Over Z: [[1, 3], [0, 1]] preserves x^2 + y^2 mod 3 only.
+    zz = integers()
+    assert not accepted(euclidean(zz, 2), mat(zz, [[1, 3], [0, 1]]))
+    assert accepted(euclidean(zz, 2), mat(zz, [[0, -1], [1, 0]]))
+
+
+def test_isometry_validates_ring_and_shape():
+    q = euclidean(F3, 2)
+    with pytest.raises(RingError):
+        Isometry(q, mat(F5, [[1, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        Isometry(q, mat(F3, [[1, 0]]))
+    with pytest.raises(ValueError):
+        Isometry(q, mat(F3, [[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(ValueError):
+        Isometry(q, mat(F3, [[1, 0], [0, 1], [0, 0]]))
+
+
 @pytest.mark.parametrize("p,n,k", [(3, 4, 2), (5, 3, 1)])
 def test_ordered_frames_are_sorted_clique_permutations(p, n, k):
     """Reference: k-cliques of the orthogonality graph by brute force over
@@ -306,8 +429,6 @@ def test_group_closure_is_a_group():
 
 def brute_orthogonal(p, n):
     """Independent oracle: every matrix with M^T M = I, by brute force."""
-    import numpy as np
-
     out = set()
     eye = np.eye(n, dtype=np.int64)
     for flat in itertools.product(range(p), repeat=n * n):
@@ -329,8 +450,6 @@ def test_reflections_generate_everything(p, n):
 def all_pairs_derived(group):
     """Reference: the closure of every commutator a^-1 b^-1 a b, one row of
     pairs at a time over the whole group."""
-    import numpy as np
-
     q = group[0].module
     mats = np.stack([np.array(g.int_matrix(), dtype=np.int64) for g in group])
     invs = np.stack([np.array(g.inverse().int_matrix(), dtype=np.int64) for g in group])
@@ -355,8 +474,6 @@ def test_derived_subgroup_adds_conjugates(monkeypatch):
     # commutators of all of them already generate a normal subgroup.  Three
     # reflections also generate O_3(F_5), but their commutators generate
     # only 12 of the 60 elements of [G, G]; conjugation must add the rest.
-    import numpy as np
-
     q = euclidean(F5, 3)
     group = enumerate_group(q)
     few = {}

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from stiefel_lab.rings import finite_field, integers
-from stiefel_lab.quadmod import diagonal_module, euclidean, frame, polar, vec
+from stiefel_lab.quadmod import (
+    diagonal_module,
+    euclidean,
+    frame,
+    orthogonal_sum,
+    polar,
+    vec,
+)
 from stiefel_lab import complexes, stiefel
 from stiefel_lab.complexes import poset_from_frames, reduced_homology
 from stiefel_lab.stiefel import (
@@ -148,6 +155,51 @@ def test_wn_identification():
     assert res.passed
     res5 = wn_identification_check(F5, [], 3, 1)
     assert res5.passed
+
+
+def form_preserving_maps_one_by_one(target, k):
+    """Reference: each candidate matrix, in itertools.product order, tried
+    on every input vector on its own."""
+    p, m = target.ring.p, target.rank
+    G = np.array(target.int_gram())
+    inputs = list(itertools.product(range(p), repeat=k))
+    out = []
+    for flat in itertools.product(range(p), repeat=m * k):
+        M = np.array(flat).reshape(m, k)
+        if all((M @ x) @ G @ (M @ x) % p == sum(c * c for c in x) % p for x in inputs):
+            out.append(M)
+    return out
+
+
+@pytest.mark.parametrize("ring", [F3, F5], ids=["F3", "F5"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("v_diag,n", [([], 2), ([2], 2)])
+def test_form_preserving_maps_match_a_one_by_one_scan(ring, k, v_diag, n):
+    target = (orthogonal_sum(diagonal_module(ring, v_diag), euclidean(ring, n))
+              if v_diag else euclidean(ring, n))
+    got = stiefel._form_preserving_maps(target, k)
+    want = form_preserving_maps_one_by_one(target, k)
+    assert [M.tolist() for M in got] == [M.tolist() for M in want]
+    assert want  # the inclusion of the first k coordinates, at least
+    assert all(M.shape == (target.rank, k) for M in got)
+
+
+def test_triangle_count_is_refused_above_the_simplex_budget(monkeypatch):
+    """The triangle pass reads the packed row of each edge's endpoints:
+    edges x words is refused above SIMPLEX_BUDGET before any of it runs."""
+    sphere = UnitSphere(euclidean(F3, 5))
+    adj = sphere.adjacency()
+    edges = _count_cliques(sphere, 2)[2]
+    assert (sphere.m, edges) == (90, int(adj.sum()) // 2)
+    work = edges * 2  # 90 vertices fill two 64-bit words a row
+    monkeypatch.setattr(stiefel, "SIMPLEX_BUDGET", work)
+    triangles = _count_cliques(sphere, 3)[3]
+    assert triangles == sum(1 for i, j, k in itertools.combinations(range(sphere.m), 3)
+                            if adj[i, j] and adj[i, k] and adj[j, k])
+    monkeypatch.setattr(stiefel, "SIMPLEX_BUDGET", work - 1)
+    with pytest.raises(BudgetError, match=f"{edges} edges of 2 packed words"):
+        _count_cliques(sphere, 3)
+    assert _count_cliques(sphere, 2)[2] == edges  # edges alone are not refused
 
 
 def test_local_standardness():
