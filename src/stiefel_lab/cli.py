@@ -115,11 +115,18 @@ def cmd_invariants(args) -> int:
     return _finish("invariants", config, results, assertions, args.seed, args.format)
 
 
+def _frame_rank(n: int) -> int:
+    """The rank of a frame complex's form: a rank-0 form has no unit vector."""
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    return n
+
+
 def cmd_stiefel(args) -> int:
     from stiefel_lab.stiefel import build_stiefel, skeleton_vs_poset_profiles
 
     ring = finite_field(args.field)
-    q = euclidean(ring, args.n)
+    q = euclidean(ring, _frame_rank(args.n))
     komplex = build_stiefel(q, args.max_dim, args.budget)
     counts = {str(d): komplex.n_simplices(d) for d in sorted(komplex.simplices)}
     results = {"simplices": counts}
@@ -140,7 +147,7 @@ def cmd_connectivity(args) -> int:
     from stiefel_lab.stiefel import connectivity_report
 
     ring = finite_field(args.field)
-    rep = connectivity_report(ring, args.n, args.max_degree, args.budget)
+    rep = connectivity_report(ring, _frame_rank(args.n), args.max_degree, args.budget)
     assertions = [_assertion("connectivity-bound", rep.bound_satisfied,
                              {"betti": list(rep.betti)})]
     config = {"field": args.field, "n": args.n, "max_degree": args.max_degree}

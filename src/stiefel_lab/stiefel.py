@@ -75,8 +75,7 @@ def unit_vectors(q: QuadraticModule) -> list[Vector]:
     """
     ring = q.ring
     if ring.kind == FINITE_FIELD:
-        sphere = gfnum.unit_sphere(np.array(q.int_gram(), dtype=np.int64), ring.p)
-        return [vec(ring, tuple(int(c) for c in row)) for row in sphere]
+        return [vec(ring, tuple(int(c) for c in row)) for row in UnitSphere(q).vectors]
     if ring.kind == INTEGERS:
         n = q.rank
         if q.gram != identity_matrix(ring, n):
@@ -93,25 +92,40 @@ class UnitSphere:
     """Vectors of value 1 of a finite-field form and their orthogonality
     graph, the workhorse for frame enumeration.
 
-    The graph is built once, on first use, as bit-packed rows: bit j of
-    row i (word j // 64, bit j % 64) is set when vectors i and j are
-    orthogonal.  The diagonal is clear, since B(v, v) = 2 q(v) = 2 is
-    non-zero over an odd prime field, and bits past m stay zero.  Every
-    orthogonality question about the sphere reads these rows.  Before the
-    graph is built, a single mask and the BFS of `components` pack the rows
-    they need on their own, so drawing a frame or counting components never
-    holds the whole graph."""
+    `_orthogonal` is the one pairing kernel: with left = v_i 2G mod p, it
+    sums left[:, k] V^T[k] over k in the narrowest unsigned dtype that holds
+    n (p - 1)^2, so the sum is exact, and tests it for 0 mod p.  The graph
+    is built from it once, on first use, as bit-packed rows: bit j of row i
+    (word j // 64, bit j % 64) is set when vectors i and j are orthogonal.
+    The diagonal is clear, since B(v, v) = 2 q(v) = 2 is non-zero over an
+    odd prime field, and bits past m stay zero.  Before the graph is built a
+    single mask is one kernel row, and `components` never packs rows, so
+    drawing a frame or counting components never holds the whole graph."""
 
     def __init__(self, form: QuadraticModule):
         if form.ring.kind != FINITE_FIELD:
             raise RingError("UnitSphere is a finite-field construction")
         self.form = form
         self.p = form.ring.p
-        self.gram = np.array(form.int_gram(), dtype=np.int64)
+        n = form.rank
+        self.gram = np.array(form.int_gram(), dtype=np.int64).reshape(n, n)
         self.vectors = gfnum.unit_sphere(self.gram, self.p)
         self.m = len(self.vectors)
         self._words = -(-self.m // 64)
         self._rows: Optional[np.ndarray] = None
+        # V^T with contiguous rows: the kernel reads it one coordinate at a time.
+        self._right = self.vectors.T.astype(np.min_scalar_type(n * (self.p - 1) ** 2),
+                                            order="C")
+
+    def _orthogonal(self, rows, cols) -> np.ndarray:
+        """The bool block B(v_i, v_j) == 0 for i in `rows` (at most
+        GRAPH_CHUNK of them) and j in `cols`."""
+        right = self._right[:, cols]
+        left = (self.vectors[rows] @ (2 * self.gram) % self.p).astype(right.dtype)
+        total = np.zeros((len(left), right.shape[1]), dtype=right.dtype)
+        for k in range(len(right)):
+            total += left[:, k, None] * right[k]
+        return total % self.p == 0
 
     def packed_rows(self) -> np.ndarray:
         """The orthogonality graph as an (m, ceil(m / 64)) little-endian
@@ -121,27 +135,13 @@ class UnitSphere:
             if nbytes > PACKED_GRAPH_BYTES:
                 raise BudgetError(f"packed orthogonality graph for {self.m} vertices "
                                   f"({nbytes} bytes) refused above {PACKED_GRAPH_BYTES}")
-            rows = np.empty((self.m, self._words), dtype="<u8")
+            rows = np.zeros((self.m, self._words), dtype="<u8")
             for lo in range(0, self.m, GRAPH_CHUNK):
-                rows[lo:lo + GRAPH_CHUNK] = self._pack(slice(lo, lo + GRAPH_CHUNK))
+                block = self._orthogonal(slice(lo, lo + GRAPH_CHUNK), slice(None))
+                packed = np.packbits(block, axis=1, bitorder="little")
+                rows[lo:lo + GRAPH_CHUNK].view(np.uint8)[:, :packed.shape[1]] = packed
             self._rows = rows
         return self._rows
-
-    def _pack(self, chunk) -> np.ndarray:
-        """Packed rows of a chunk of at most GRAPH_CHUNK vertices: the one
-        pairing product, so it stays at GRAPH_CHUNK x m."""
-        left = self.vectors[chunk] @ (2 * self.gram) % self.p
-        block = left @ self.vectors.T
-        block %= self.p
-        packed = np.packbits(block == 0, axis=1, bitorder="little")
-        rows = np.zeros((len(block), self._words), dtype="<u8")
-        rows.view(np.uint8)[:, :packed.shape[1]] = packed
-        return rows
-
-    def _rows_of(self, chunk) -> np.ndarray:
-        """Packed rows of a chunk of vertices: read from the graph once it
-        is built, packed on their own before."""
-        return self._pack(chunk) if self._rows is None else self._rows[chunk]
 
     def _unpack(self, rows: np.ndarray) -> np.ndarray:
         return np.unpackbits(rows.view(np.uint8), axis=-1, count=self.m,
@@ -157,7 +157,9 @@ class UnitSphere:
         return self._unpack(self.packed_rows()[indices])[:, indices]
 
     def orthogonal_mask(self, index: int) -> np.ndarray:
-        return self._unpack(self._rows_of([index])[0])
+        if self._rows is None:
+            return self._orthogonal([index], slice(None))[0]
+        return self._unpack(self._rows[index])
 
     def orthogonal_mask_all(self, indices: Sequence[int]) -> np.ndarray:
         """Vertices orthogonal to every one of `indices` (all, when empty)."""
@@ -165,9 +167,10 @@ class UnitSphere:
         return self._unpack(np.bitwise_and.reduce(rows, axis=0, initial=~np.uint64(0)))
 
     def components(self) -> int:
-        """Connected components of the orthogonality graph: a BFS that ORs
-        the packed rows of each frontier, GRAPH_CHUNK rows at a time, so a
-        sphere too large to hold as packed rows is still handled."""
+        """Connected components of the orthogonality graph: a BFS that pairs
+        each frontier, GRAPH_CHUNK rows at a time, with the vertices still
+        unvisited only, so it packs no rows and never pairs a vertex it has
+        already reached."""
         unvisited = np.ones(self.m, dtype=bool)
         components = 0
         while unvisited.any():
@@ -175,13 +178,12 @@ class UnitSphere:
             unvisited[frontier] = False
             components += 1
             while frontier.size:
-                reach = np.zeros(self._words, dtype="<u8")
+                was_unvisited = unvisited.copy()
                 for lo in range(0, frontier.size, GRAPH_CHUNK):
-                    rows = self._rows_of(frontier[lo:lo + GRAPH_CHUNK])
-                    reach |= np.bitwise_or.reduce(rows, axis=0)
-                reach = self._unpack(reach) & unvisited
-                unvisited &= ~reach
-                frontier = np.flatnonzero(reach)
+                    rest = np.flatnonzero(unvisited)
+                    hit = self._orthogonal(frontier[lo:lo + GRAPH_CHUNK], rest).any(axis=0)
+                    unvisited[rest[hit]] = False
+                frontier = np.flatnonzero(was_unvisited & ~unvisited)
         return components
 
     def random_clique(self, rng: random.Random, size: int,

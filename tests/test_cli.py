@@ -53,6 +53,26 @@ def test_connectivity_degree_one_homology(capsys, field, n, betti, torsion):
     assert results["bound_satisfied"]
 
 
+def test_connectivity_f3_n10_components(capsys):
+    # 19,764 unit vectors, as many as the packed graph admits: H~_0 comes
+    # from the components BFS, which packs no rows.
+    code, out = run_cli(["connectivity", "--field", "3", "--n", "10",
+                         "--max-degree", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["counts"] == {"vertices": 19764, "components": 1}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "07254f90248a88460038c1fa69d5d990314be14f0551794da139cbc99d2f8333"
+
+
+@pytest.mark.parametrize("command", ["connectivity", "stiefel"])
+def test_rank_zero_exit_2(command, capsys):
+    code = main([command, "--field", "3", "--n", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n ")
+    assert "Traceback" not in err
+
+
 def test_ranges_command(capsys):
     code, out = run_cli(["ranges", "--theorem", "A", "--case", "i",
                          "--n", "20", "--m", "4"], capsys)

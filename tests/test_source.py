@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
+
 import stiefel_lab
 
 
@@ -59,6 +61,59 @@ def test_library_has_no_unreferenced_private_names():
             if not any(word.search(line) for where, number, line in lines
                        if (where, number) != (path.name, node.lineno)):
                 found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+# numpy's float and complex scalar types, by attribute name.
+_NUMPY_FLOATS = re.compile(r"float\w*|complex\w*|c?double|c?longdouble|half|c?single")
+
+
+def _is_float_dtype(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in ("float", "complex")
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return np.dtype(node.value).kind in "fc"
+    return False
+
+
+def _floating_point(tree) -> list[int]:
+    """Lines with a float(...) call, a numpy float or complex type, or a
+    float or complex dtype given as `dtype=` or to `.astype`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+            if isinstance(func, ast.Attribute) and func.attr == "astype":
+                dtypes += node.args[:1]
+            bad = (isinstance(func, ast.Name) and func.id == "float") \
+                or any(_is_float_dtype(d) for d in dtypes)
+        elif isinstance(node, ast.Attribute):
+            bad = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy") \
+                and bool(_NUMPY_FLOATS.fullmatch(node.attr))
+        else:
+            continue
+        if bad:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_library_has_no_floating_point():
+    """Exact arithmetic only: a float-BLAS shortcut would show up as one of
+    these.  `math.inf` sentinels and `float` in annotations stay allowed."""
+    sample = ast.parse("a = float(x)\n"
+                       "b = np.float64\n"
+                       "c = x.astype('f8')\n"
+                       "d = np.zeros(3, dtype=complex)\n"
+                       "e = numpy.longdouble(1)\n"
+                       "f = x.astype(np.uint8) @ y.astype(bool)\n"
+                       "g: float = math.inf\n"
+                       "h = np.zeros(3, dtype='<u8')\n")
+    assert _floating_point(sample) == [1, 2, 3, 4, 5]
+    found = []
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _floating_point(tree)]
     assert found == []
 
 

@@ -436,21 +436,93 @@ def test_count_cliques_matches_brute_force(name):
     assert triangles > 0
 
 
-@pytest.mark.parametrize("p,n", [(5, 1), (3, 1), (3, 3), (5, 2), (3, 4), (7, 3), (3, 5)])
-def test_sphere_components_match_union_find(p, n, monkeypatch):
-    # F_5 and F_3 with n = 1: the unit vectors +-1 are not orthogonal, so the
-    # graph is two isolated vertices.
+@pytest.mark.parametrize("p, dtype", [(131, np.uint16), (191, np.uint32)])
+def test_packed_rows_match_scalar_polar_wide_sums(p, dtype):
+    # n (p - 1)^2 is 33,800 and 72,200, so the kernel sums in a dtype wider
+    # than uint8.  At n = 2 there are no triangles, so these forms stay out
+    # of KERNEL_FORMS.
+    sphere = UnitSphere(euclidean(finite_field(p), 2))
+    assert sphere._right.dtype == dtype
+    expected = _polar_graph(sphere)
+    for i in range(sphere.m):  # each row from the kernel on its own
+        assert (sphere.orthogonal_mask(i) == expected[i]).all()
+    bits = np.unpackbits(sphere.packed_rows().view(np.uint8), axis=1, bitorder="little")
+    assert (bits[:, :sphere.m].astype(bool) == expected).all()
+    assert not bits[:, sphere.m:].any()
+
+
+# Forms for the components BFS, with their component counts.  At n = 1 the
+# unit vectors +-1 are not orthogonal, so the graph is two isolated vertices.
+# F_3 with n = 4, F_7 and F_11 with n = 2 and the last form, which is not
+# Euclidean, need several BFS rounds.
+COMPONENT_FORMS = {
+    "5-1": (euclidean(F5, 1), 2),
+    "3-1": (euclidean(F3, 1), 2),
+    "3-3": (euclidean(F3, 3), 1),
+    "5-2": (euclidean(F5, 2), 1),
+    "3-4": (euclidean(F3, 4), 3),
+    "7-3": (euclidean(finite_field(7), 3), 1),
+    "3-5": (euclidean(F3, 5), 1),
+    "7-2": (euclidean(finite_field(7), 2), 2),
+    "11-2": (euclidean(finite_field(11), 2), 3),
+    "F3-diag1122": (diagonal_module(F3, [1, 1, 2, 2]), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPONENT_FORMS))
+def test_sphere_components_match_union_find(name, monkeypatch):
     from stiefel_lab.complexes import _component_count
 
-    q = euclidean(finite_field(p), n)
+    q, count = COMPONENT_FORMS[name]
     sphere = UnitSphere(q)
     ii, jj = np.nonzero(np.triu(sphere.adjacency()))
     expected = _component_count(range(sphere.m), zip(ii.tolist(), jj.tolist()))
-    assert sphere.components() == expected  # on the built graph
+    assert expected == count
+    assert sphere.components() == expected  # the BFS ignores the built graph
     monkeypatch.setattr(stiefel, "GRAPH_CHUNK", 1)
-    assert UnitSphere(q).components() == expected  # rows packed one at a time
-    if n == 1:
-        assert expected == 2
+    assert UnitSphere(q).components() == expected  # one frontier row per kernel call
+
+
+@pytest.mark.parametrize("name", ["3-4", "3-5", "11-2", "F3-diag1122"])
+def test_components_pair_only_unvisited_vertices(name, monkeypatch):
+    q, count = COMPONENT_FORMS[name]
+    sphere = UnitSphere(q)
+    kernel = sphere._orthogonal
+    visited: set[int] = set()
+    pairs = 0
+
+    def pairing(rows, cols):
+        nonlocal pairs
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        visited.update(rows.tolist())  # a frontier row was reached before
+        assert not visited & set(cols.tolist())
+        block = kernel(rows, cols)
+        visited.update(cols[block.any(axis=0)].tolist())
+        pairs += block.size
+        return block
+
+    monkeypatch.setattr(sphere, "_orthogonal", pairing)
+    monkeypatch.setattr(stiefel, "GRAPH_CHUNK", 2)
+    assert sphere.components() == count
+    assert visited == set(range(sphere.m))
+    assert pairs <= sphere.m * (sphere.m - 1) // 2  # no pair twice, no diagonal
+    assert sphere._rows is None  # no row was packed
+
+
+def test_rank_zero_sphere_is_empty(monkeypatch):
+    def never(self, rows, cols):
+        raise AssertionError("the pairing kernel ran on an empty sphere")
+
+    monkeypatch.setattr(UnitSphere, "_orthogonal", never)
+    sphere = UnitSphere(euclidean(F3, 0))
+    assert sphere.gram.shape == (0, 0)
+    assert sphere.m == 0 and sphere.components() == 0
+    q = euclidean(F3, 3)
+    # The complement of e1, e2 meets the complement of e3 in 0.
+    res = intersection_connectivity(F3, 3, frame(q, [[1, 0, 0], [0, 1, 0]]),
+                                    frame(q, [[0, 0, 1]]))
+    assert res == {"n": 3, "rank": 0, "unit_vectors": 0, "components": 0,
+                   "connected": False}
 
 
 def test_intersection_connectivity():
