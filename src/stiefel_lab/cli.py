@@ -197,23 +197,28 @@ def cmd_orbit_check(args) -> int:
     )
 
     ring = finite_field(args.field)
-    q = euclidean(ring, args.n)
-    stats = frame_transport_exhaustive(q, args.k, seed=args.seed)
-    assertions = [_assertion("transitive-on-frames", True)]
+    q = euclidean(ring, _frame_rank(args.n))
+    if not 0 <= args.k <= args.n:
+        raise ValueError(f"--k must be between 0 and --n = {args.n}, got {args.k}")
+    config = {"field": args.field, "n": args.n, "k": args.k}
+    try:
+        stats = frame_transport_exhaustive(q, args.k, seed=args.seed)
+    except AssertionError as exc:
+        failed = _assertion("transitive-on-frames", False, str(exc))
+        return _finish("orbit-check", config, {}, [failed], args.seed, args.format)
+    swept = stats["frames"] >= 1 and stats["pairs"] == stats["frames"] ** 2
+    assertions = [_assertion("transitive-on-frames", swept,
+                             {"frames": stats["frames"], "pairs": stats["pairs"]})]
     results = dict(stats)
     if args.stabilizer:
         group = enumerate_group(q)
         last = [0] * (args.n - 1) + [1]
         fixing = [g for g in group if g.apply(last) == vec(ring, last)]
-        ok = True
-        for g in fixing:
-            small = stabilizer_restrict(g, args.n - 1)
-            if block_sum(small, euclidean(ring, 1)).matrix != g.matrix:
-                ok = False
+        ok = all(block_sum(stabilizer_restrict(g, args.n - 1), euclidean(ring, 1)) == g
+                 for g in fixing)
         results["group_order"] = len(group)
         results["stabilizer_order"] = len(fixing)
         assertions.append(_assertion("stabilizer-round-trip", ok))
-    config = {"field": args.field, "n": args.n, "k": args.k}
     return _finish("orbit-check", config, results, assertions, args.seed, args.format)
 
 
@@ -222,7 +227,7 @@ def cmd_wn_check(args) -> int:
 
     ring = finite_field(args.field)
     v_diag = [int(c) for c in args.v_diag.split(",")] if args.v_diag else []
-    res = wn_identification_check(ring, v_diag, args.n, args.max_p)
+    res = wn_identification_check(ring, v_diag, _frame_rank(args.n), args.max_p)
     ls = local_standardness_check(ring, v_diag, args.n)
     assertions = [
         _assertion("wn-identification", res.passed, res.failures[:3]),

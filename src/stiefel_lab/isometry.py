@@ -5,80 +5,118 @@ Matrices act on column vectors; an isometry of (V, q) is M with
 M^T G M = G exactly, which every constructor verifies before returning.
 The check runs on integer lifts: with d and e clearing the denominators of
 M and G, it is (dM)^T (eG) (dM) = d^2 (eG) in Z, taken modulo p^N over a
-residue ring, so it builds no Scalar or Fraction.
+residue ring, so it builds no Scalar or Fraction.  Matrices are kept as raw
+ring values (what Scalar.value holds): ring-checked Scalars, ring sums and
+products, and quotients by units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
 
 from stiefel_lab import gfnum
-from stiefel_lab.rings import FINITE_FIELD, BudgetError, RingError, Scalar
+from stiefel_lab.rings import FINITE_FIELD, BudgetError, RingError, Scalar, _wrap
 from stiefel_lab.quadmod import (
     Frame,
     Matrix,
     QuadraticModule,
     Vector,
     _gauss_jordan,
+    _ints,
+    _product,
+    _scalars,
+    _unlift,
     _values,
     det,
     diagonalize,
-    evaluate,
     identity_matrix,
     integer_lift,
-    mat_mul,
-    mat_transpose,
-    mat_vec,
     orthogonal_sum,
-    polar,
     vec,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Isometry:
-    """Form-preserving automorphism, stored as its matrix (columns are the
-    images of the standard basis vectors)."""
+    """Form-preserving automorphism of `module`.  `values` holds its matrix
+    (columns are the images of the standard basis vectors) as raw ring
+    values in normal form, which equality and hashing compare."""
 
     module: QuadraticModule
-    matrix: Matrix
+    values: tuple[tuple, ...]
+    _matrix: Optional[Matrix] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        ring, n, mod = self.module.ring, self.module.rank, self.module.ring.modulus
-        _values(ring, self.matrix, n)
-        g, _ = integer_lift(self.module.gram, ring)
-        m, d = integer_lift(self.matrix, ring)
-        gm = [[sum(map(mul, row, col)) for col in zip(*m)] for row in g]
-        lhs = [[sum(map(mul, col, gm_col)) for gm_col in zip(*gm)] for col in zip(*m)]
-        diffs = (a - d * d * b for lrow, grow in zip(lhs, g) for a, b in zip(lrow, grow))
-        if len(m) != n or any(x % mod if mod else x for x in diffs):
-            raise ValueError("matrix does not preserve the form")
+    def __init__(self, module: QuadraticModule, matrix: Matrix) -> None:
+        _isometry(module, _values(module.ring, matrix, module.rank), self)
+
+    @property
+    def matrix(self) -> Matrix:
+        """The matrix as Scalars, built on first use."""
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", _scalars(self.module.ring, self.values))
+        return self._matrix
 
     def apply(self, x: Sequence) -> Vector:
-        return mat_vec(self.matrix, vec(self.module.ring, x))
+        ring = self.module.ring
+        xs = _values(ring, [vec(ring, x)], self.module.rank)
+        return tuple(_wrap(ring, r[0]) for r in _product(ring, self.values, xs))
 
     def compose(self, other: "Isometry") -> "Isometry":
         if self.module != other.module:
             raise ValueError("isometries of different modules")
-        return Isometry(self.module, mat_mul(self.matrix, other.matrix))
+        return _isometry(self.module, _product(self.module.ring, self.values,
+                                               list(zip(*other.values))))
 
     def inverse(self) -> "Isometry":
-        # M^T G M = G gives M^(-1) = G^(-1) M^T G without elimination.
-        g = self.module.gram
-        ginv = _invert(g, self.module.ring)
-        return Isometry(self.module, mat_mul(mat_mul(ginv, mat_transpose(self.matrix)), g))
+        # M^T G M = G gives M^(-1) = G^(-1) M^T G = G^(-1) (G M)^T.
+        q = self.module
+        gm = _product(q.ring, q.gram_values, list(zip(*self.values)))
+        return _isometry(q, _product(q.ring, _gram_inverse(q), gm))
 
     def is_identity(self) -> bool:
-        return self.matrix == identity_matrix(self.module.ring, self.module.rank)
+        return self.values == _eye(self.module.ring, self.module.rank)
 
     def int_matrix(self) -> tuple[tuple[int, ...], ...]:
         if self.module.ring.kind != FINITE_FIELD:
             raise RingError("int_matrix is a finite-field accessor")
-        return tuple(tuple(e.value for e in row) for row in self.matrix)
+        return self.values
+
+
+def _isometry(q: QuadraticModule, values: Sequence[Sequence],
+              iso: Optional[Isometry] = None) -> Isometry:
+    """Isometry of q from raw values of its ring (filling in `iso` if
+    given), once M^T G M = G holds on integer lifts."""
+    values = tuple(map(tuple, values))
+    ring, n, mod = q.ring, q.rank, q.ring.modulus
+    g, _ = integer_lift(q.gram_values, ring)
+    m, d = integer_lift(values, ring)
+    mt = list(zip(*m))
+    gm = list(zip(*_ints(g, mt)))  # the columns of G M
+    # M^T G M is symmetric, so its upper triangle decides the check.
+    diffs = (sum(map(mul, mt[i], gm[j])) - d * d * g[i][j] for i in range(n) for j in range(i, n))
+    if len(m) != n or any(x % mod if mod else x for x in diffs):
+        raise ValueError("matrix does not preserve the form")
+    iso = object.__new__(Isometry) if iso is None else iso
+    for name, value in (("module", q), ("values", values), ("_matrix", None)):
+        object.__setattr__(iso, name, value)
+    return iso
+
+
+def _eye(ring, n: int) -> tuple[tuple, ...]:
+    """Raw values of the n x n identity matrix."""
+    one, zero = ring.one.value, ring.zero.value
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+@lru_cache(maxsize=32)
+def _gram_inverse(q: QuadraticModule) -> tuple[tuple, ...]:
+    """Raw values of G^(-1), computed once per module."""
+    return tuple(map(tuple, _values(q.ring, _invert(q.gram, q.ring), q.rank)))
 
 
 def _invert(rows: Matrix, ring) -> Matrix:
@@ -94,33 +132,39 @@ def _invert(rows: Matrix, ring) -> Matrix:
 
 
 def identity_isometry(q: QuadraticModule) -> Isometry:
-    return Isometry(q, identity_matrix(q.ring, q.rank))
+    return _isometry(q, _eye(q.ring, q.rank))
 
 
-def _reflect(q: QuadraticModule, w: Vector, xs: Sequence[Vector]) -> list[Vector]:
-    """x - (B(x, w) / q(w)) w for each x in xs; requires q(w) to be a unit."""
-    qw = evaluate(q, w)
-    if not qw.is_unit():
+def _reflect(q: QuadraticModule, w: Sequence, xs: Sequence[Sequence]) -> list[list]:
+    """Raw images of the raw vectors xs under the reflection in the raw
+    vector w, x - (B(x, w) / q(w)) w; requires q(w) to be a unit.  With
+    W = d w, X = d' x and H = e G integral, q(w) = N / (e d^2) for
+    N = W^T H W, and the image is (N X - 2 (X^T H W) W) / (d' N)."""
+    (lw,), _ = integer_lift([w], q.ring)
+    h, _ = integer_lift(q.gram_values, q.ring)
+    hw = [sum(map(mul, row, lw)) for row in h]
+    norm = sum(map(mul, lw, hw))
+    if not Scalar(q.ring, norm).is_unit():  # d and e are units
         raise ValueError("reflection needs a vector of unit length value")
-    out = []
-    for x in xs:
-        coef = polar(q, x, w) / qw
-        out.append(tuple(xi - coef * wi for xi, wi in zip(x, w)))
-    return out
+    lx, dx = integer_lift(xs, q.ring)
+    twice = [2 * sum(map(mul, x, hw)) for x in lx]
+    return _unlift(q.ring, [[norm * xi - t * wi for xi, wi in zip(x, lw)]
+                            for x, t in zip(lx, twice)], dx * norm)
 
 
 def reflection(q: QuadraticModule, v: Sequence) -> Isometry:
     """Hyperplane reflection x -> x - (B(x, v) / q(v)) v; requires q(v) to be
     a unit.  Involutive, sends v to -v, fixes the orthogonal hyperplane."""
-    cols = _reflect(q, vec(q.ring, v), identity_matrix(q.ring, q.rank))
-    return Isometry(q, mat_transpose(tuple(cols)))
+    (w,) = _values(q.ring, [vec(q.ring, v)], q.rank)
+    return _isometry(q, list(zip(*_reflect(q, w, _eye(q.ring, q.rank)))))
 
 
-def _witt_reflections(q: QuadraticModule, images: Sequence[Vector],
-                      targets: Sequence[Vector]) -> tuple[list[Vector], list[Vector]]:
-    """Witt's extension by reflections: the reflection vectors, in the order
-    they are applied, that carry images[i] onto targets[i] for each target,
-    and every image after them (images past len(targets) ride along).
+def _witt_reflections(q: QuadraticModule, images: Sequence[Sequence],
+                      targets: Sequence[Sequence]) -> tuple[list[list], list[list]]:
+    """Witt's extension by reflections on raw vectors: the reflection
+    vectors (unreduced sums and differences), in the order they are applied,
+    that carry images[i] onto targets[i] for each target, and every image
+    after them (images past len(targets) ride along).
 
     Step i reflects in b - c (b the target, c the current image) when
     q(b - c) is a unit, else in b + c and then b: over a local ring with 2
@@ -129,16 +173,18 @@ def _witt_reflections(q: QuadraticModule, images: Sequence[Vector],
     ring = q.ring
     if not (ring.is_local and ring.two_is_unit):
         raise RingError("reflection steps need a local ring with 2 a unit")
-    images, targets = list(images), list(targets)
-    refs: list[Vector] = []
+    images, targets = [list(x) for x in images], [list(b) for b in targets]
+    refs: list[list] = []
     for i, b in enumerate(targets):
         c = images[i]
         if c == b:
             continue
-        w = tuple(bi - ci for bi, ci in zip(b, c))
-        step = [w] if evaluate(q, w).is_unit() else [tuple(bi + ci for bi, ci in zip(b, c)), b]
-        for v in step:
-            images = _reflect(q, v, images)
+        w = [bi - ci for bi, ci in zip(b, c)]
+        try:
+            images, step = _reflect(q, w, images), [w]
+        except ValueError:  # q(b - c) is not a unit, so q(b + c) is
+            step = [[bi + ci for bi, ci in zip(b, c)], b]
+            images = _reflect(q, b, _reflect(q, step[0], images))
         refs += step
     if images[:len(targets)] != targets:
         raise AssertionError("reflections did not carry the images onto the targets")
@@ -154,31 +200,33 @@ def cartan_dieudonne(q: QuadraticModule, phi: Isometry) -> list[Vector]:
     so phi = r_1 ... r_m since each r_i is an involution."""
     if phi.module != q:
         raise ValueError("isometry belongs to a different module")
-    if all(q.gram[i][j].is_zero() for i in range(q.rank) for j in range(q.rank) if i != j) \
-            and all(q.gram[i][i].is_unit() for i in range(q.rank)):
-        basis = identity_matrix(q.ring, q.rank)
+    ring, n = q.ring, q.rank
+    if all(q.gram[i][j].is_zero() for i in range(n) for j in range(n) if i != j) \
+            and all(q.gram[i][i].is_unit() for i in range(n)):
+        basis = _eye(ring, n)
     else:
-        basis = mat_transpose(diagonalize(q)[0])
-    refs, _ = _witt_reflections(q, [phi.apply(b) for b in basis], basis)
-    if len(refs) > 2 * q.rank:
+        basis = list(zip(*_values(ring, diagonalize(q)[0], n)))
+    images = _product(ring, basis, phi.values)
+    refs, _ = _witt_reflections(q, images, basis)
+    if len(refs) > 2 * n:
         raise AssertionError("factorization exceeded 2n reflections")
     check = identity_isometry(q)
     for v in refs:
         check = check.compose(reflection(q, v))
-    if check.matrix != phi.matrix:
+    if check != phi:
         raise AssertionError("reflection product does not reproduce the isometry")
-    return refs
+    return [vec(ring, v) for v in refs]
 
 
 def orthonormal_extension(q: QuadraticModule, f: Frame) -> Isometry:
     """Isometry sending the first len(f) standard basis vectors to the frame,
     a Witt product of at most 2 len(f) reflections; needs the Gram matrix of
     q to be the identity (Euclidean space)."""
-    eye = identity_matrix(q.ring, q.rank)
-    if q.gram != eye:
+    eye = _eye(q.ring, q.rank)
+    if q.gram_values != eye:
         raise RingError("extension implemented for Euclidean Gram matrices")
-    _, cols = _witt_reflections(q, eye, f.vectors)
-    return Isometry(q, mat_transpose(tuple(cols)))
+    _, cols = _witt_reflections(q, eye, _values(q.ring, f.vectors, q.rank))
+    return _isometry(q, list(zip(*cols)))
 
 
 def frame_transport(q: QuadraticModule, f1: Frame, f2: Frame) -> Isometry:
@@ -201,36 +249,24 @@ def stabilizer_restrict(phi: Isometry, a_rank: int) -> Isometry:
     """Restrict an isometry of A + B that fixes the B-block pointwise to its
     A-block; the matrix is necessarily block-diagonal and the restriction
     round-trips with the block embedding."""
-    q = phi.module
-    ring = q.ring
+    q, m = phi.module, phi.values
     n = q.rank
-    for j in range(a_rank, n):
-        col = tuple(phi.matrix[i][j] for i in range(n))
-        want = tuple(ring.one if i == j else ring.zero for i in range(n))
-        if col != want:
-            raise ValueError("isometry moves the second block")
-    for j in range(a_rank):
-        for i in range(a_rank, n):
-            if not phi.matrix[i][j].is_zero():
-                raise AssertionError("isometry fixing the B-block is not block-diagonal")
-    a_gram = tuple(tuple(q.gram[i][j] for j in range(a_rank)) for i in range(a_rank))
-    a_mod = QuadraticModule(ring, a_gram)
-    a_mat = tuple(tuple(phi.matrix[i][j] for j in range(a_rank)) for i in range(a_rank))
-    return Isometry(a_mod, a_mat)
+    if any(m[i][j] != int(i == j) for j in range(a_rank, n) for i in range(n)):
+        raise ValueError("isometry moves the second block")
+    if any(m[i][j] for j in range(a_rank) for i in range(a_rank, n)):
+        raise AssertionError("isometry fixing the B-block is not block-diagonal")
+    a_mod = QuadraticModule(q.ring, tuple(row[:a_rank] for row in q.gram[:a_rank]))
+    return _isometry(a_mod, [row[:a_rank] for row in m[:a_rank]])
 
 
 def block_sum(phi: Isometry, b_mod: QuadraticModule) -> Isometry:
     """phi + identity on the orthogonal sum (the stabilizer embedding)."""
     total = orthogonal_sum(phi.module, b_mod)
-    ring = total.ring
     n1, n2 = phi.module.rank, b_mod.rank
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(phi.matrix[i]) + (ring.zero,) * n2)
-    for i in range(n2):
-        rows.append((ring.zero,) * n1 + tuple(
-            ring.one if j == i else ring.zero for j in range(n2)))
-    return Isometry(total, tuple(rows))
+    zero = total.ring.zero.value
+    rows = [row + (zero,) * n2 for row in phi.values]
+    rows += [(zero,) * n1 + row for row in _eye(total.ring, n2)]
+    return _isometry(total, rows)
 
 
 ENUMERATION_CAP = 1_000_000
@@ -286,14 +322,9 @@ def _reflections_mod_p(q: QuadraticModule) -> dict[tuple, np.ndarray]:
 def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isometry]:
     """Every element of O(q) over a prime field, as the closure of the
     hyperplane reflections under composition; canonically sorted."""
-    ring = q.ring
-    seen = _closure_mod_p(list(_reflections_mod_p(q).values()), q.rank, ring.p, cap)
-    out = []
-    for key in sorted(seen):
-        m = seen[key]
-        rows = tuple(tuple(Scalar(ring, int(x)) for x in row) for row in m)
-        out.append(Isometry(q, rows))
-    return out
+    n = q.rank
+    seen = _closure_mod_p(list(_reflections_mod_p(q).values()), n, q.ring.p, cap)
+    return [_isometry(q, [key[i:i + n] for i in range(0, n * n, n)]) for key in sorted(seen)]
 
 
 def derived_subgroup(elements: list[Isometry]) -> set:
@@ -331,19 +362,11 @@ def abelianization_exponent(elements: list[Isometry]) -> int:
     computation verifies that every square lands in the derived subgroup."""
     derived = derived_subgroup(elements)
     p = elements[0].module.ring.p
-    all_in = True
-    nontrivial = False
     for e in elements:
         m = np.array(e.int_matrix(), dtype=np.int64)
-        sq = (m @ m) % p
-        if tuple(sq.ravel().tolist()) not in derived:
-            all_in = False
-            break
-        if tuple(m.ravel().tolist()) not in derived:
-            nontrivial = True
-    if not all_in:
-        raise AssertionError("abelianization exponent does not divide 2")
-    return 2 if nontrivial else 1
+        if tuple(((m @ m) % p).ravel().tolist()) not in derived:
+            raise AssertionError("abelianization exponent does not divide 2")
+    return 2 if any(sum(e.int_matrix(), ()) not in derived for e in elements) else 1
 
 
 def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
@@ -352,9 +375,8 @@ def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
 
     sphere = UnitSphere(q)
     out = _ordered_cliques(_cliques(sphere.adjacency(), k, SIMPLEX_BUDGET), k) if k else [()]
-    ring = q.ring
-    return [tuple(vec(ring, tuple(int(c) for c in sphere.vectors[i])) for i in t)
-            for t in out]
+    units = [vec(q.ring, v) for v in sphere.vectors.tolist()]
+    return [tuple(units[i] for i in t) for t in out]
 
 
 def frame_transport_exhaustive(q: QuadraticModule, k: int,
@@ -371,13 +393,9 @@ def frame_transport_exhaustive(q: QuadraticModule, k: int,
         raise RingError("the exhaustive sweep enumerates over a prime field")
     p = ring.p
     frames = ordered_frames(q, k)
-    exts = []
-    for fr in frames:
-        iso = orthonormal_extension(q, Frame(q, fr))
-        exts.append(np.array([[e.value for e in row] for row in iso.matrix],
-                             dtype=np.int64))
-    mats = np.stack(exts) if exts else np.zeros((0, q.rank, q.rank), dtype=np.int64)
     n = q.rank
+    mats = np.array([orthonormal_extension(q, Frame(q, fr)).values for fr in frames],
+                    dtype=np.int64).reshape(-1, n, n)
     f_cols = mats[:, :, :k]  # the frame vectors are the leading columns
     inv = np.transpose(mats, (0, 2, 1))  # Euclidean Gram: inverse = transpose
     total = 0

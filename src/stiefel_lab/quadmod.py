@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -30,6 +31,7 @@ from stiefel_lab.rings import (
     RingDescriptor,
     RingError,
     Scalar,
+    _wrap,
     is_square,
     padic_unit_part,
     residue,
@@ -68,19 +70,53 @@ def _values(ring: RingDescriptor, rows: Sequence[Sequence[Scalar]], width: int) 
     return [[e.value for e in row] for row in rows]
 
 
+def integer_lift(rows: Sequence[Sequence], ring: RingDescriptor) -> tuple[list[list[int]], int]:
+    """Integer rows D*rows and the scale D > 0 clearing the denominators of
+    raw values; residue rings and Z store ints, so rows come back as is."""
+    if ring.kind not in (RATIONALS, LOCALIZED):
+        return rows, 1
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
+def _unlift(ring: RingDescriptor, sums: list[list[int]], scale: int) -> list[list]:
+    """Raw values of integer rows over a unit scale: one Fraction or one
+    reduction mod p^N per entry (over Z the unit scale is +1 or -1)."""
+    if ring.kind in (RATIONALS, LOCALIZED):
+        return [[Fraction(s, scale) for s in row] for row in sums]
+    m = ring.modulus
+    if scale != 1:
+        k = pow(scale, -1, m) if m else scale
+        sums = [[s * k for s in row] for row in sums]
+    return sums if m is None else [[s % m for s in row] for row in sums]
+
+
+def _ints(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[sum(map(mul, r, c)) for c in b] for r in a]
+
+
+def _product(ring: RingDescriptor, a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """Raw values of A B^T for raw rows a and b, summed on integer lifts: the
+    one product kernel, behind mat_mul, mat_vec and isometries."""
+    (la, da), (lb, db) = integer_lift(a, ring), integer_lift(b, ring)
+    return _unlift(ring, _ints(la, lb), da * db)
+
+
+def _scalars(ring: RingDescriptor, rows: Sequence[Sequence]) -> Matrix:
+    """Scalars of raw values that are already in normal form."""
+    return tuple(tuple([_wrap(ring, x) for x in row]) for row in rows)
+
+
 def mat_vec(rows: Matrix, x: Vector) -> Vector:
-    ring, n = x[0].ring, len(x)
-    (xs,) = _values(ring, [x], n)
-    return tuple(Scalar(ring, sum(map(mul, r, xs))) for r in _values(ring, rows, n))
+    return tuple(r[0] for r in mat_mul(rows, tuple((c,) for c in x)))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not (a and b and b[0]):
         return tuple(() for _ in a)
     ring = b[0][0].ring
-    bt = tuple(zip(*_values(ring, b, len(b[0]))))
-    return tuple(tuple(Scalar(ring, sum(map(mul, ra, cb))) for cb in bt)
-                 for ra in _values(ring, a, len(b)))
+    bt = list(zip(*_values(ring, b, len(b[0]))))
+    return _scalars(ring, _product(ring, _values(ring, a, len(b)), bt))
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -89,17 +125,6 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 def identity_matrix(ring: RingDescriptor, n: int) -> Matrix:
     return tuple(std_basis_vector(ring, n, i) for i in range(n))
-
-
-def integer_lift(rows: Matrix, ring: RingDescriptor) -> tuple[list[list[int]], int]:
-    """Integer matrix D*rows and the positive scale D clearing denominators.
-
-    Residue rings and Z store ints, so D = 1 and no Fraction is built."""
-    if ring.kind not in (RATIONALS, LOCALIZED):
-        return [[e.value for e in row] for row in rows], 1
-    scale = math.lcm(*(e.value.denominator for row in rows for e in row))
-    return [[e.value.numerator * (scale // e.value.denominator) for e in row]
-            for row in rows], scale
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -126,7 +151,7 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 
 def det(rows: Matrix, ring: RingDescriptor) -> Scalar:
     """Exact determinant: Bareiss on the integer lift, divided by scale^n."""
-    lifted, scale = integer_lift(rows, ring)
+    lifted, scale = integer_lift(_values(ring, rows, len(rows)), ring)
     d = _bareiss_det(lifted)
     return Scalar(ring, d if scale == 1 else Fraction(d, scale ** len(rows)))
 
@@ -231,6 +256,11 @@ class QuadraticModule:
     def rank(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def gram_values(self) -> tuple[tuple, ...]:
+        """Raw values of the Gram matrix, checked once to lie in the ring."""
+        return tuple(map(tuple, _values(self.ring, self.gram, self.rank)))
+
     def evaluate(self, x: Sequence) -> Scalar:
         return evaluate(self, x)
 
@@ -247,7 +277,7 @@ class QuadraticModule:
         """Residue Gram matrix as plain ints (finite fields only)."""
         if self.ring.kind != FINITE_FIELD:
             raise RingError("int_gram is a finite-field accessor")
-        return [[e.value for e in row] for row in self.gram]
+        return [list(row) for row in self.gram_values]
 
 
 def quadratic_module(ring: RingDescriptor, rows: Sequence[Sequence]) -> QuadraticModule:
@@ -271,10 +301,12 @@ def _as_vector(q: QuadraticModule, x: Sequence) -> Vector:
 
 
 def _form_sum(q: QuadraticModule, x: Vector, y: Vector) -> Scalar:
-    """x^T G y, skipping zero coordinates of x."""
-    xs, ys = _values(q.ring, [x, y], q.rank)
-    return Scalar(q.ring, sum(xi * sum(map(mul, row, ys))
-                              for xi, row in zip(xs, _values(q.ring, q.gram, q.rank)) if xi))
+    """x^T G y on integer lifts, skipping zero coordinates of x."""
+    ring = q.ring
+    (xs, ys), d = integer_lift(_values(ring, [x, y], q.rank), ring)
+    g, e = integer_lift(q.gram_values, ring)
+    total = sum(xi * sum(map(mul, row, ys)) for xi, row in zip(xs, g) if xi)
+    return _wrap(ring, _unlift(ring, [[total]], d * d * e)[0][0])
 
 
 def evaluate(q: QuadraticModule, x: Sequence) -> Scalar:
@@ -343,13 +375,8 @@ class Submodule:
         return QuadraticModule(self.ambient.ring, g)
 
     def to_ambient(self, coords: Sequence) -> Vector:
-        coords = vec(self.ambient.ring, coords)
-        n = self.ambient.rank
-        out = [self.ambient.ring.zero] * n
-        for c, b in zip(coords, self.basis):
-            for j in range(n):
-                out[j] = out[j] + c * b[j]
-        return tuple(out)
+        ring, n = self.ambient.ring, self.ambient.rank
+        return mat_mul((vec(ring, coords),), self.basis)[0] if self.basis else (ring.zero,) * n
 
 
 @dataclass(frozen=True)

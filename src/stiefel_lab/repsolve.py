@@ -98,7 +98,7 @@ def _ff_first_zero(q: QuadraticModule) -> Optional[tuple[int, ...]]:
 def _bounded_zeros(q: QuadraticModule, bound: int):
     """Nonzero integer vectors of max-norm <= bound on which the integer lift
     of q vanishes, by max-norm and then lexicographically."""
-    lifted, _ = integer_lift(q.gram, q.ring)
+    lifted, _ = integer_lift(q.gram_values, q.ring)
     for h in range(1, bound + 1):
         for cand in itertools.product(range(-h, h + 1), repeat=q.rank):
             if h not in cand and -h not in cand:
@@ -172,7 +172,7 @@ def _hensel_close(q: QuadraticModule, x0: Sequence[int]) -> Vector:
     unit.  At the first such j, q(x0 + t e_j) = G_jj t^2 + 2 (G x0)_j t + q(x0)
     has the simple root t = 0 mod p, and its lift closes q to zero."""
     ring = q.ring
-    lifted, _ = integer_lift(q.gram, ring)
+    lifted, _ = integer_lift(q.gram_values, ring)
     gx = [sum(g * c for g, c in zip(row, x0)) for row in lifted]
     j = next((i for i, c in enumerate(gx) if c % ring.p), None)
     if j is None:
@@ -328,19 +328,20 @@ def hensel_isotropy_replay(p: int = 5, precision: int = 4, count: int = 50,
         for i in range(rank):
             for j in range(i):
                 rows[i][j] = rows[j][i]
-        ring = padic(p, precision)
-        q = quadratic_module(ring, rows)
+        q = quadratic_module(padic(p, precision), rows)
         if not q.is_nonsingular():
             continue
-        if not find_isotropic(reduce_mod_p(q)).found:
+        # One mod-p search per form is the filter (an exhaustive not-found
+        # means the reduction is anisotropic) and the target-precision lift.
+        w = find_isotropic(q)
+        if not w.found and w.regime == REGIME_EXHAUSTIVE:
             continue
         for n_prec in precisions:
-            ring_n = padic(p, n_prec)
-            qn = quadratic_module(ring_n, rows)
-            w = find_isotropic(qn)
-            if not (w.found and w.regime == REGIME_HENSEL):
+            qn = q if n_prec == precision else quadratic_module(padic(p, n_prec), rows)
+            wn = w if qn is q else find_isotropic(qn)
+            if not (wn.found and wn.regime == REGIME_HENSEL):
                 raise AssertionError(f"lift failed at precision {n_prec}: {rows}")
-            if not evaluate(qn, w.vector).is_zero():
+            if not evaluate(qn, wn.vector).is_zero():
                 raise AssertionError("witness does not vanish")
         done += 1
     return {"p": p, "precision": precision, "count": done, "seed": seed,

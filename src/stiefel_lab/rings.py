@@ -220,10 +220,7 @@ class Scalar:
         """Scalar of this ring from a sum, difference or product of its
         values, which every ring is closed under: only residues need reducing."""
         m = self.ring.modulus
-        out = _new_object(Scalar)
-        _set_ring(out, self.ring)
-        _set_value(out, value if m is None else value % m)
-        return out
+        return _wrap(self.ring, value if m is None else value % m)
 
     def __add__(self, other: Raw) -> "Scalar":
         return self._closed(self.value + self._coerce(other).value)
@@ -317,7 +314,15 @@ class Scalar:
         return self.value
 
 
-_new_object, _set_ring, _set_value = object.__new__, Scalar.ring.__set__, Scalar.value.__set__
+_set_ring, _set_value = Scalar.ring.__set__, Scalar.value.__set__
+
+
+def _wrap(ring: RingDescriptor, value: Union[int, Fraction]) -> Scalar:
+    """Scalar holding a value already in the ring's normal form, unchecked."""
+    out = object.__new__(Scalar)
+    _set_ring(out, ring)
+    _set_value(out, value)
+    return out
 
 
 def valuation(x: Scalar, p: Optional[int] = None) -> Union[int, float]:

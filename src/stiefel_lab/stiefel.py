@@ -15,6 +15,7 @@ vanishing); the fundamental group is never computed.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence
@@ -43,6 +44,7 @@ from stiefel_lab.quadmod import (
     polar,
     vec,
 )
+from stiefel_lab.isometry import Isometry, frame_transport
 from stiefel_lab.complexes import (
     CheckResult,
     Poset,
@@ -922,6 +924,18 @@ def _sampled_x0_items(cert, sphere, filt, rng, l, sample):
 # ---------------------------------------------------------------------------
 
 
+def _graph_automorphisms(adj: list[list[bool]], perm: tuple = ()) -> list[tuple[int, ...]]:
+    """Every adjacency-preserving vertex permutation extending `perm`, in
+    lexicographic order: images are tried in ascending order, and a partial
+    map grows only while it preserves adjacency with the vertices it maps."""
+    k = len(perm)
+    if k == len(adj):
+        return [perm]
+    return [auto for c in range(len(adj))
+            if c not in perm and all(adj[perm[i]][c] == adj[i][k] for i in range(k))
+            for auto in _graph_automorphisms(adj, perm + (c,))]
+
+
 def integer_aut_check(n: int) -> CheckResult:
     """Over Z the Stiefel complex has vertex set the signed standard basis
     and is the boundary of the cross-polytope; its simplicial automorphisms
@@ -940,13 +954,8 @@ def integer_aut_check(n: int) -> CheckResult:
         anti = [j for j in range(m) if verts[j] == tuple(-c for c in verts[i])]
         if non != anti:
             failures.append(f"antipode characterization fails at vertex {i}")
-    autos = []
-    for perm in itertools.permutations(range(m)):
-        if all(adj[perm[i]][perm[j]] == adj[i][j] for i in range(m) for j in range(i + 1, m)):
-            autos.append(perm)
-    expected = 2 ** n * 1
-    for t in range(2, n + 1):
-        expected *= t
+    autos = _graph_automorphisms(adj)
+    expected = 2 ** n * math.factorial(n)
     if len(autos) != expected:
         failures.append(f"automorphism count {len(autos)} != 2^n n! = {expected}")
     basis_index = [verts.index(vec(ring, [1 if j == i else 0 for j in range(n)]))
@@ -954,11 +963,8 @@ def integer_aut_check(n: int) -> CheckResult:
     for perm in autos:
         cols = [verts[perm[basis_index[i]]] for i in range(n)]
         mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        mod = euclidean(ring, n)
-        from stiefel_lab.isometry import Isometry
-
         try:
-            iso = Isometry(mod, mat)
+            iso = Isometry(q, mat)
         except ValueError:
             failures.append("an automorphism does not lift to an integer isometry")
             break
@@ -976,8 +982,6 @@ def equivariance_spotcheck(ring: RingDescriptor, n: int, count: int = 10) -> boo
     """Transporting frames by isometries permutes unit vectors and preserves
     orthogonality, hence induces simplicial automorphisms; checked on a few
     transports."""
-    from stiefel_lab.isometry import frame_transport
-
     rng = random.Random(0)
     q = euclidean(ring, n)
     units = unit_vectors(q)

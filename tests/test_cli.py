@@ -207,6 +207,37 @@ def test_orbit_check_command(capsys):
     assert all(a["pass"] for a in payload["assertions"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["orbit-check", "--field", "3", "--n", "0"], "--n must be at least 1, got 0"),
+    (["orbit-check", "--field", "3", "--n", "2", "--k", "3"],
+     "--k must be between 0 and --n = 2, got 3"),
+    (["wn-check", "--field", "3", "--n", "0"], "--n must be at least 1, got 0"),
+], ids=["orbit-n0", "orbit-k-above-n", "wn-n0"])
+def test_frame_commands_refuse_vacuous_sizes(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_orbit_check_reports_a_failed_or_empty_sweep(monkeypatch, capsys):
+    from stiefel_lab import isometry
+
+    def broken(q, k, **kwargs):
+        raise AssertionError("a transport is not an isometry")
+
+    monkeypatch.setattr(isometry, "frame_transport_exhaustive", broken)
+    code, out = run_cli(["orbit-check", "--field", "3", "--n", "2"], capsys)
+    assert code == 1
+    assert json.loads(out)["assertions"] == [
+        {"name": "transitive-on-frames", "pass": False,
+         "witness": "a transport is not an isometry"}]
+    monkeypatch.setattr(isometry, "frame_transport_exhaustive",
+                        lambda q, k, **kwargs: {"frames": 0, "pairs": 0, "spot_checks": 0})
+    code, out = run_cli(["orbit-check", "--field", "3", "--n", "2"], capsys)
+    assert code == 1
+    assert json.loads(out)["assertions"][0]["witness"] == {"frames": 0, "pairs": 0}
+
+
 def test_cnt_ranges_command(capsys):
     code, out = run_cli(["ranges", "--cnt", "--case", "vii", "--n", "20",
                          "--value", "4"], capsys)

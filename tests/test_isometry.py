@@ -33,6 +33,7 @@ from stiefel_lab.quadmod import (
 from stiefel_lab.isometry import (
     Isometry,
     _closure_mod_p,
+    _isometry,
     _invert,
     _reflections_mod_p,
     _witt_reflections,
@@ -212,8 +213,8 @@ def test_orthonormal_extension_two_reflection_detour():
     e3 = euclidean(F5, 3)
     f = frame(e3, [[1, 1, 2]])
     assert evaluate(e3, [0, -1, -2]).is_zero()
-    refs, _ = _witt_reflections(e3, identity_matrix(F5, 3), f.vectors)
-    assert refs == [vec(F5, [2, 1, 2]), vec(F5, [1, 1, 2])]
+    refs, _ = _witt_reflections(e3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 2]])
+    assert refs == [[2, 1, 2], [1, 1, 2]]
     ext = orthonormal_extension(e3, f)
     assert mat_transpose(ext.matrix)[0] == vec(F5, [1, 1, 2])
 
@@ -326,13 +327,16 @@ def accepted(q, M):
     return True
 
 
-@pytest.mark.parametrize("q", [
+MODULES_BY_RING = pytest.mark.parametrize("q", [
     diagonal_module(F5, [1, 2, 3]),
     diagonal_module(padic(3, 2), [1, 2, 1]),
     diagonal_module(localized_at(3), [Fraction(1, 2), 1, 5]),
     diagonal_module(Q, [Fraction(1, 2), 3, 1]),
     euclidean(integers(), 3),
 ], ids=["F5", "Z3^2", "Z_(3)", "Q", "Z"])
+
+
+@MODULES_BY_RING
 def test_isometry_check_matches_scalar_products(q):
     """Reflection products, the same matrices with one entry moved by p
     (3 over Q and Z), so that they agree with an isometry mod p, and random
@@ -382,6 +386,80 @@ def test_isometry_check_rejects_what_holds_only_mod_p():
     zz = integers()
     assert not accepted(euclidean(zz, 2), mat(zz, [[1, 3], [0, 1]]))
     assert accepted(euclidean(zz, 2), mat(zz, [[0, -1], [1, 0]]))
+
+
+def scalar_mat_mul(a, b):
+    """Reference: the matrix product folded in Scalar arithmetic."""
+    ring = a[0][0].ring
+    out = []
+    for row in a:
+        entries = []
+        for j in range(len(b[0])):
+            total = ring.zero
+            for t, x in enumerate(row):
+                total = total + x * b[t][j]
+            entries.append(total)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def seeded_products(q, rng, count):
+    """Products of one to three reflections in vectors with small entries."""
+    out = []
+    while len(out) < count:
+        phi = identity_isometry(q)
+        for _ in range(rng.randint(1, 3)):
+            v = [rng.randint(-2, 2) for _ in range(q.rank)]
+            if evaluate(q, v).is_unit():
+                phi = phi.compose(reflection(q, v))
+        out.append(phi)
+    return out
+
+
+@MODULES_BY_RING
+def test_raw_isometries_agree_with_the_scalar_path(q):
+    """compose, inverse, apply, the Scalar view, == and hash of isometries
+    held as raw values agree with Scalar arithmetic on their matrices, and
+    every raw value is in normal form."""
+    ring, n = q.ring, q.rank
+    rng = random.Random(41)
+    elements = seeded_products(q, rng, 12)
+    eye = identity_matrix(ring, n)
+    for a, b in zip(elements, elements[1:]):
+        ab, inv = a.compose(b), a.inverse()
+        assert ab.matrix == scalar_mat_mul(a.matrix, b.matrix)
+        assert scalar_mat_mul(a.matrix, inv.matrix) == eye == scalar_mat_mul(inv.matrix, a.matrix)
+        x = vec(ring, [rng.randint(-3, 3) for _ in range(n)])
+        assert a.apply(x) == tuple(r[0] for r in scalar_mat_mul(a.matrix, tuple((c,) for c in x)))
+        for iso in (ab, inv):
+            assert all(e.ring is ring and e == ring.scalar(e.value) for row in iso.matrix for e in row)
+            assert iso.values == tuple(tuple(e.value for e in row) for row in iso.matrix)
+            same = Isometry(q, iso.matrix)
+            assert same == iso and hash(same) == hash(iso)
+        assert (ab == b) == (a.is_identity()) and (ab == b) == (a.matrix == eye)
+
+
+@MODULES_BY_RING
+def test_raw_constructor_verifies_the_form(q):
+    """The raw-value constructor accepts exactly what the Scalar products
+    accept: a reflection product, and not the same values with one entry
+    moved by 1."""
+    rng = random.Random(43)
+    for phi in seeded_products(q, rng, 6):
+        moved = [list(row) for row in phi.values]
+        moved[0][0] += 1
+        assert _isometry(q, phi.values) == phi
+        assert not preserves_by_scalar_products(q, mat(q.ring, moved))
+        with pytest.raises(ValueError):
+            _isometry(q, moved)
+
+
+def test_enumerated_elements_carry_their_scalar_rows():
+    group = enumerate_group(euclidean(F3, 4))
+    keys = [g.int_matrix() for g in group]
+    assert len(group) == 1152 and keys == sorted(set(keys))
+    for g in group:
+        assert g.matrix == tuple(tuple(Scalar(F3, x) for x in row) for row in g.int_matrix())
 
 
 def test_isometry_validates_ring_and_shape():

@@ -23,6 +23,7 @@ from stiefel_lab.repsolve import (
     _bounded_zeros,
     _hensel_close,
     find_isotropic,
+    hensel_isotropy_replay,
     represents,
     scale_to_primitive,
     transversal_zero,
@@ -278,6 +279,20 @@ def hensel_isotropy_sweep(p=5, precision=4, count=50, max_precision=None, seed=0
 
 def test_hensel_isotropy_lemma_sweep():
     assert hensel_isotropy_sweep(count=50, max_precision=True) == 50
+
+
+# forms_generated of the two benchmark replays at seeds 0-7, as recorded
+# when each form was searched mod p once as a filter and again to be lifted.
+HENSEL_FORMS_P13_N6 = [703, 689, 688, 714, 703, 678, 728, 714]
+HENSEL_FORMS_P5_N4_ALL = [74, 80, 72, 74, 81, 90, 70, 80]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hensel_replay_counters_are_unchanged(seed):
+    stats = hensel_isotropy_replay(13, 6, 500, seed)
+    assert (stats["count"], stats["forms_generated"]) == (500, HENSEL_FORMS_P13_N6[seed])
+    stats = hensel_isotropy_replay(5, 4, 50, seed, all_precisions=True)
+    assert (stats["count"], stats["forms_generated"]) == (50, HENSEL_FORMS_P5_N4_ALL[seed])
 
 
 def test_unit_vector_in_complement_examples():

@@ -537,6 +537,24 @@ def test_integer_aut_counts():
         assert res.passed and res.details["automorphisms"] == expected
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_graph_automorphisms_match_every_permutation(n):
+    """The backtracking search lists exactly the adjacency-preserving
+    permutations, in the order a scan of all m! permutations meets them."""
+    _, graph = stiefel._integer_graph(euclidean(integers(), n))
+    adj = graph.tolist()
+    m = len(adj)
+    brute = [perm for perm in itertools.permutations(range(m))
+             if all(adj[perm[i]][perm[j]] == adj[i][j] for i in range(m) for j in range(m))]
+    assert stiefel._graph_automorphisms(adj) == brute
+
+
+def test_integer_aut_count_n5():
+    res = integer_aut_check(5)
+    assert res.passed
+    assert res.details["automorphisms"] == res.details["expected"] == 2 ** 5 * 120
+
+
 def test_equivariance():
     assert equivariance_spotcheck(F3, 3, count=10)
     assert equivariance_spotcheck(F5, 3, count=10)
