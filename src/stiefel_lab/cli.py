@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from typing import Optional
 
 from stiefel_lab.rings import BudgetError, RingError, finite_field, localized_at, padic
 from stiefel_lab.quadmod import euclidean, frame, vec
@@ -402,9 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # One parser per process: parse_args fills a fresh namespace per call.
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (BudgetError, RingError, ValueError) as exc:

@@ -15,11 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import lt
 from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+from stiefel_lab.rings import BudgetError
 
 # Routes nothing here.  The benchmark's traced runs name their SNF spans
 # "dense" or "sparse" by this column count, and need both names to occur.
 DENSE_COLUMN_CUTOFF = 2000
+# Live entries the sparse elimination may hold.  Its row dicts and column
+# sets took 216 and 301 bytes of peak RSS per live entry on the d = 2
+# boundaries of X(F_3^6) and X(F_7^4), so the budget stands for about 2.4 GB.
+SNF_ENTRY_BUDGET = 8_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +108,12 @@ def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
     entry with the fewest column entries.  Only rows a pivot changes are
     pushed again, and only while they hold a unit; stale heap entries are
     skipped.  Returns the count of unit pivots and the leftover entries (to
-    finish densely)."""
+    finish densely).
+
+    The live entries are counted: each fill adds one, each cancellation and
+    each entry of a removed pivot row takes one away.  After every pivot the
+    count is held against SNF_ENTRY_BUDGET, and crossing it raises
+    BudgetError with the pivots done and the entries live."""
     import heapq  # its C part is an extension library; load it only to reduce
 
     rows: dict[int, dict[int, int]] = {}
@@ -110,6 +122,7 @@ def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
         if val:
             rows.setdefault(i, {})[j] = val
             cols.setdefault(j, set()).add(i)
+    live = sum(map(len, rows.values()))
 
     def has_unit(row):
         return any(v == 1 or v == -1 for v in row.values())
@@ -124,6 +137,7 @@ def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
             continue
         _, pj = min((len(cols[j]), j) for j, v in prow.items() if v == 1 or v == -1)
         del rows[pi]
+        live -= size
         pval = prow.pop(pj)
         for j in prow:
             cols[j].discard(pi)
@@ -131,6 +145,7 @@ def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
             if i == pi:
                 continue
             row = rows[i]
+            before = len(row)  # fills and cancellations, counted per row
             factor = row.pop(pj) * pval  # pval in {1,-1}: division is multiplication
             for j, val in prow.items():
                 val *= factor
@@ -143,11 +158,15 @@ def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
                 else:
                     del row[j]
                     cols[j].discard(i)
+            live += len(row) - before
             if not row:
                 del rows[i]
             elif has_unit(row):
                 heapq.heappush(heap, (len(row), i))
         unit_pivots += 1
+        if live > SNF_ENTRY_BUDGET:
+            raise BudgetError(f"sparse elimination refused after {unit_pivots} unit pivots: "
+                              f"{live} live entries exceed {SNF_ENTRY_BUDGET}")
     leftover = {(i, j): v for i, row in rows.items() for j, v in row.items()}
     return unit_pivots, leftover
 
@@ -191,9 +210,9 @@ class SimplicialComplex:
     def __post_init__(self) -> None:
         for d, simps in self.simplices.items():
             for s in simps:
-                if len(s) != d + 1 or list(s) != sorted(set(s)):
+                if len(s) != d + 1 or not all(map(lt, s, s[1:])):
                     raise ValueError(f"bad {d}-simplex {s}")
-            if sorted(set(simps)) != sorted(simps):
+            if len(set(simps)) != len(simps):
                 raise ValueError(f"duplicate {d}-simplices")
 
     @property
@@ -375,14 +394,22 @@ class Poset:
     `above[i]` is the set of indices strictly greater than element i, and
     `below[i]`, derived from `above` once, the set strictly smaller.  The
     relation must already be transitive; `validate` checks irreflexivity,
-    antisymmetry, and transitivity on demand.  Homology is answered for any
-    index set and kept, so each subposet's order complex is built once.
+    antisymmetry, and transitivity on demand.
+
+    Homology is answered for any index set and kept twice: per index set,
+    and per shape.  A subposet's shape is its size and its relation with
+    each index renumbered by its rank in the set; two index sets of one shape
+    span isomorphic subposets (renumbering by rank is the isomorphism), whose
+    order complexes are isomorphic and have one profile.  So an order
+    complex is built and homologized once per shape, however many index sets
+    share it.
     """
 
     elements: list
     above: list[frozenset[int]]
     below: list[frozenset[int]] = field(init=False, repr=False)
     _profiles: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _shapes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.above = [frozenset(a) for a in self.above]
@@ -431,15 +458,28 @@ class Poset:
         """Indices comparable with element i (the open star boundary)."""
         return sorted(self.above[i] | self.below[i])
 
+    def _shape(self, indices: frozenset[int]) -> tuple:
+        """The subposet's size and its relation as sorted pairs of ranks in
+        the index set: equal shapes mean isomorphic subposets."""
+        rank = {i: r for r, i in enumerate(sorted(indices))}
+        above = self.above
+        return len(rank), tuple(sorted((rank[i], rank[j]) for i in rank
+                                       for j in above[i] & indices))
+
     def homology(self, indices: Optional[Iterable[int]] = None) -> HomologyProfile:
         """Reduced homology of the subposet on `indices` (all of it by
-        default), in every degree up to its top chain dimension.  Each index
-        set's profile is computed once and kept."""
+        default), in every degree up to its top chain dimension.  Each shape's
+        profile is computed once and kept, and so is each index set's."""
         chosen = frozenset(range(len(self)) if indices is None else indices)
-        if chosen not in self._profiles:
-            K = self._chains(chosen)
-            self._profiles[chosen] = reduced_homology(K, max(K.dimension, 0))
-        return self._profiles[chosen]
+        profile = self._profiles.get(chosen)
+        if profile is None:
+            shape = self._shape(chosen)
+            profile = self._shapes.get(shape)
+            if profile is None:
+                K = self._chains(chosen)
+                profile = self._shapes[shape] = reduced_homology(K, max(K.dimension, 0))
+            self._profiles[chosen] = profile
+        return profile
 
 
 def poset_from_less(elements: Sequence, less: Callable) -> Poset:

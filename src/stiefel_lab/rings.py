@@ -70,6 +70,10 @@ class RingDescriptor:
         # What stored residues are reduced by; None where values are unreduced.
         object.__setattr__(self, "modulus", self.p ** (self.precision or 1)
                            if self.kind in (FINITE_FIELD, PADIC) else None)
+        # The residue field, built once; like `modulus`, not a dataclass field,
+        # so equality and hashing see only kind, p and precision.
+        object.__setattr__(self, "_residue", RingDescriptor(FINITE_FIELD, self.p)
+                           if self.kind in (LOCALIZED, PADIC) else None)
 
     @property
     def henselian(self) -> bool:
@@ -94,9 +98,9 @@ class RingDescriptor:
         return self.kind != INTEGERS
 
     def residue_ring(self) -> "RingDescriptor":
-        if self.kind not in (LOCALIZED, PADIC):
+        if self._residue is None:
             raise RingError(f"{self.kind} has no residue field here")
-        return RingDescriptor(FINITE_FIELD, self.p)
+        return self._residue
 
     def label(self) -> str:
         return {

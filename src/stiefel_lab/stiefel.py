@@ -548,14 +548,20 @@ class MorseFiltration:
     pivot_index: int
     pivot_negative_index: int
     orthogonal_to_pivot: np.ndarray  # bool mask over the sphere
+    # the indices the mask marks: the unit vectors in the pivot hyperplane
+    hyperplane: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.hyperplane = frozenset(np.flatnonzero(self.orthogonal_to_pivot).tolist())
 
     def layer(self, frame: Collection[int]) -> int:
         """The i of the layer L_i holding the frame, 0 for X_0."""
-        orth = [bool(self.orthogonal_to_pivot[i]) for i in frame]
-        if len(orth) == self.l and all(orth):
+        size = len(frame)
+        inside = len(self.hyperplane.intersection(frame))
+        if size == self.l and inside == size:
             return 1
-        if len(orth) >= 2 and not any(orth):
-            return len(orth)
+        if size >= 2 and not inside:
+            return size
         return 0
 
     def in_prev(self, frame: Collection[int], i: int) -> bool:
@@ -739,12 +745,13 @@ def _deformation_items(cert, poset, filt, l):
     non-trivially with the pivot (keeping the pivot itself), then compare
     against the suspension of the one-lower skeleton poset of the hyperplane."""
     keep = {filt.pivot_index, filt.pivot_negative_index}
+    hyperplane = filt.hyperplane
     elements = poset.elements
     f_map = {}
     for i, fset in enumerate(elements):
         if filt.layer(fset):
             continue
-        core = frozenset(v for v in fset if filt.orthogonal_to_pivot[v]) | (fset & keep)
+        core = (fset & hyperplane) | (fset & keep)
         if core == fset:
             f_map[i] = i
         elif core:
@@ -753,8 +760,7 @@ def _deformation_items(cert, poset, filt, l):
     cert.add("x0-deformation", res.passed, "; ".join(res.failures[:3]))
     # The image is the suspension-shaped family; its profile must equal the
     # suspended profile of X_(l-1) of the pivot hyperplane.
-    w_idx = [i for i, f in enumerate(elements)
-             if len(f) <= l - 1 and all(filt.orthogonal_to_pivot[v] for v in f)]
+    w_idx = [i for i, f in enumerate(elements) if len(f) <= l - 1 and f <= hyperplane]
     w_prof = poset.homology(w_idx)
     image = set(f_map.values())
     expected = {frozenset({v}) for v in keep}
@@ -783,12 +789,13 @@ def _join_items(cert, poset, filt, layers, l):
     checked = 0
     failures = []
     elements = poset.elements
+    layer_of = [filt.layer(f) for f in elements]
     for layer_i in range(2, l + 1):
         for xi in layers[layer_i - 1]:
             x = elements[xi]
-            subs = {j for j in poset.below[xi] if filt.in_prev(elements[j], layer_i)}
-            exts = {j for j in poset.above[xi] if filt.in_prev(elements[j], layer_i)}
-            if any(not all(filt.orthogonal_to_pivot[v] for v in elements[j] - x) for j in exts):
+            subs = {j for j in poset.below[xi] if layer_of[j] < layer_i}
+            exts = {j for j in poset.above[xi] if layer_of[j] < layer_i}
+            if any(not elements[j] - x <= filt.hyperplane for j in exts):
                 # only possible for l >= 4; the join claim then concerns the
                 # pure extensions and is not asserted here
                 continue

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from stiefel_lab import cli, complexes
 from stiefel_lab.cli import main
 
 
@@ -147,6 +148,35 @@ def test_triangle_count_budget_exit_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: triangle count over 758160 edges of 34 packed words")
     assert "Traceback" not in err
+
+
+def test_snf_entry_budget_exit_2(monkeypatch, capsys):
+    # The d = 2 boundary of X(F_3^5) fills up to 6,486 live entries.
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 6485)
+    code = main(["connectivity", "--field", "3", "--n", "5", "--max-degree", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sparse elimination refused after 3 unit pivots: "
+                          "6486 live entries exceed 6485")
+    assert "Traceback" not in err
+
+
+def test_parser_is_built_once_and_keeps_no_values(monkeypatch, capsys):
+    """Calls in one process share one parser, and each prints what it prints
+    alone: a seeded call leaves no seed behind for the next."""
+    calls = [["--seed", "5", "morse-replay", "--field", "3", "--n", "5", "--l", "2"],
+             ["ranges", "--theorem", "B", "--n", "12"]]
+    alone = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        alone.append(run_cli(argv, capsys))
+    assert json.loads(alone[0][1])["seed"] == 5 and json.loads(alone[1][1])["seed"] == 0
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run_cli(argv, capsys) for argv in calls] == alone
+    assert len(built) == 1
 
 
 def test_hensel_stall_exit_2(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from stiefel_lab import complexes
 from stiefel_lab.complexes import (
     CheckResult,
     HomologyProfile,
@@ -22,7 +23,7 @@ from stiefel_lab.complexes import (
 )
 from stiefel_lab.complexes import _dense_snf, _sparse_unit_reduce
 from stiefel_lab.quadmod import euclidean
-from stiefel_lab.rings import finite_field
+from stiefel_lab.rings import BudgetError, finite_field
 from stiefel_lab.stiefel import build_stiefel
 
 
@@ -78,6 +79,17 @@ def test_unit_reduce_plus_dense_leftover_matches_minor_oracle():
 def test_unit_reduce_pivot_count_on_f3_n5_boundary():
     K = build_stiefel(euclidean(finite_field(3), 5), 2)
     assert _sparse_unit_reduce(K.boundary_entries(2)) == (837, {})
+
+
+def test_unit_reduce_refuses_past_its_entry_budget(monkeypatch):
+    """The F_3, n = 5, d = 2 boundary has 6,480 entries and fills up to 6,486
+    live ones; one entry less of budget is refused, with the counts."""
+    entries = build_stiefel(euclidean(finite_field(3), 5), 2).boundary_entries(2)
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 6486)
+    assert _sparse_unit_reduce(entries) == (837, {})
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 6485)
+    with pytest.raises(BudgetError, match="after 3 unit pivots: 6486 live entries exceed 6485"):
+        _sparse_unit_reduce(entries)
 
 
 def test_snf_sparse_path_matches_dense():
@@ -166,6 +178,52 @@ def test_h0_cross_check_raises_on_mismatch(monkeypatch):
     monkeypatch.setattr(cx, "_component_count", lambda vertices, edges: 2)
     with pytest.raises(AssertionError, match="component count mismatch"):
         reduced_homology(octahedron(), 2)
+
+
+@pytest.mark.parametrize("simplices, message", [
+    ({0: [(0,), (1,)], 1: [(1, 0)]}, "bad 1-simplex"),  # unsorted
+    ({0: [(0,)], 1: [(0, 0)]}, "bad 1-simplex"),  # repeated vertex
+    ({0: [(0,)], 1: [(0,)]}, "bad 1-simplex"),  # wrong length
+    ({0: [(0,), (1,), (0,)]}, "duplicate 0-simplices"),
+])
+def test_simplicial_complex_refuses_malformed_simplices(simplices, message):
+    with pytest.raises(ValueError, match=message):
+        SimplicialComplex(simplices)
+
+
+def crowns_and_chain() -> Poset:
+    """Two 4-crowns (0, 1 < 2, 3 and 4, 5 < 6, 7) beside a 4-chain
+    8 < 9 < 10 < 11."""
+    above = [{2, 3}, {2, 3}, set(), set(), {6, 7}, {6, 7}, set(), set(),
+             {9, 10, 11}, {10, 11}, {11}, set()]
+    P = Poset(list(range(12)), above)
+    P.validate()
+    return P
+
+
+def test_homology_is_computed_once_per_shape(monkeypatch):
+    """Index sets whose relations agree once renumbered by rank share one
+    computed profile; same-size subposets of other shapes get their own."""
+    computed = []
+
+    def counted(K, max_degree):
+        computed.append(K)
+        return reduced_homology(K, max_degree)
+
+    monkeypatch.setattr(complexes, "reduced_homology", counted)
+    P = crowns_and_chain()
+    crown = P.homology([0, 1, 2, 3])
+    assert P.homology([4, 5, 6, 7]) == crown and len(computed) == 1
+    assert crown.betti == (0, 1)  # the crown's order complex is a 4-cycle
+    chain = P.homology([8, 9, 10, 11])
+    assert len(computed) == 2 and chain != crown and chain.is_trivial()
+    two_chain = P.homology([8, 11])
+    assert P.homology([0, 2]) == two_chain and len(computed) == 3
+    two_antichain = P.homology([2, 3])
+    assert P.homology([4, 5]) == two_antichain and len(computed) == 4
+    assert two_chain != two_antichain and two_antichain.betti == (1,)
+    assert [set(K.simplices[0]) for K in computed] == [
+        {(0,), (1,), (2,), (3,)}, {(8,), (9,), (10,), (11,)}, {(8,), (11,)}, {(2,), (3,)}]
 
 
 def test_order_complex_examples():

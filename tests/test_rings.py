@@ -99,6 +99,20 @@ def test_residue_examples():
     assert residue(padic(5, 2).scalar(16)) == F5.scalar(1)
 
 
+def test_residue_field_is_built_once_per_descriptor():
+    """The kept residue field is not a field of the descriptor: equality,
+    hashing and repr still see kind, p and precision only."""
+    for ring in (Z5, padic(5, 3)):
+        assert ring.residue_ring() is ring.residue_ring() == F5
+        assert residue(ring.scalar(6)).ring is ring.residue_ring()
+    assert padic(5, 3) == padic(5, 3) and hash(padic(5, 3)) == hash(padic(5, 3))
+    assert padic(5, 3) != padic(5, 2) and padic(5, 2).residue_ring() == Z5.residue_ring()
+    assert repr(Z5) == "RingDescriptor(kind='localized-at-p', p=5, precision=None)"
+    for ring in (F5, Q, integers()):
+        with pytest.raises(RingError, match="no residue field"):
+            ring.residue_ring()
+
+
 def test_residue_negative_valuation_rejected():
     with pytest.raises(RingError):
         Z5.scalar(Fraction(1, 5))
