@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 from operator import lt
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from stiefel_lab.rings import BudgetError
 
@@ -102,13 +102,15 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
     return [a[i][i] for i in range(min(m, n)) if a[i][i]]
 
 
-def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
+def _sparse_unit_reduce(entries: dict[tuple[int, int], int],
+                        pivot_columns: Optional[list[int]] = None):
     """Eliminate with +-1 pivots in Markowitz order (Dumas, Saunders and
     Villard 2001): pop the shortest live row off a heap and pivot on its unit
     entry with the fewest column entries.  Only rows a pivot changes are
     pushed again, and only while they hold a unit; stale heap entries are
     skipped.  Returns the count of unit pivots and the leftover entries (to
-    finish densely).
+    finish densely), and appends each pivot's column to `pivot_columns` when
+    given.
 
     The live entries are counted: each fill adds one, each cancellation and
     each entry of a removed pivot row takes one away.  After every pivot the
@@ -164,6 +166,8 @@ def _sparse_unit_reduce(entries: dict[tuple[int, int], int]):
             elif has_unit(row):
                 heapq.heappush(heap, (len(row), i))
         unit_pivots += 1
+        if pivot_columns is not None:
+            pivot_columns.append(pj)
         if live > SNF_ENTRY_BUDGET:
             raise BudgetError(f"sparse elimination refused after {unit_pivots} unit pivots: "
                               f"{live} live entries exceed {SNF_ENTRY_BUDGET}")
@@ -181,10 +185,12 @@ def _densify(entries: dict[tuple[int, int], int], row_ids, col_ids) -> list[list
     return dense
 
 
-def _invariant_factors(entries: dict[tuple[int, int], int]) -> list[int]:
+def _invariant_factors(entries: dict[tuple[int, int], int],
+                       pivot_columns: Optional[list[int]] = None) -> list[int]:
     """Nonzero invariant factors of the matrix with the given sparse entries:
-    unit-pivot elimination, with the leftover finished densely."""
-    units, leftover = _sparse_unit_reduce(entries)
+    unit-pivot elimination (its pivot columns appended to `pivot_columns`
+    when given), with the leftover finished densely."""
+    units, leftover = _sparse_unit_reduce(entries, pivot_columns)
     rest = _dense_snf(_densify(
         leftover, sorted({i for i, _ in leftover}), sorted({j for _, j in leftover})))
     return [1] * units + rest
@@ -223,15 +229,17 @@ class SimplicialComplex:
     def n_simplices(self, d: int) -> int:
         return len(self.simplices.get(d, []))
 
-    def boundary_entries(self, d: int):
-        """Sparse entries of the boundary map C_d -> C_(d-1)."""
+    def boundary_entries(self, d: int, cleared: Collection[int] = ()):
+        """Sparse entries of the boundary map C_d -> C_(d-1), without the
+        rows in `cleared`."""
         lower_index = {s: i for i, s in enumerate(self.simplices.get(d - 1, []))}
         entries = {}
         for col, s in enumerate(self.simplices.get(d, [])):
             sign = 1
             for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                entries[(lower_index[face], col)] = sign
+                row = lower_index[s[:i] + s[i + 1:]]
+                if row not in cleared:
+                    entries[(row, col)] = sign
                 sign = -sign
         return entries
 
@@ -327,7 +335,15 @@ def reduced_homology(
     max_degree: int,
 ) -> HomologyProfile:
     """Reduced integer homology in degrees <= max_degree via boundary SNF;
-    the zeroth Betti number is cross-checked against a union-find count."""
+    the zeroth Betti number is cross-checked against a union-find count.
+
+    Boundaries are reduced bottom-up, each cleared by the one below (Chen and
+    Kerber's twist): the rows of d_(k+1) at the unit-pivot columns J of d_k
+    are dropped before it is reduced.  Those pivots make d_k[I, J]
+    triangular with +-1 on the diagonal after row operations, so it is
+    unimodular; as d_k d_(k+1) = 0, rows J of d_(k+1) are then integer
+    combinations of its other rows, and dropping them keeps the row lattice,
+    hence the rank and the invariant factors."""
     complete = max_degree >= K.dimension
     if K.n_simplices(0) == 0:
         return HomologyProfile(
@@ -341,6 +357,7 @@ def reduced_homology(
                                   K.simplices.get(1, []))
     ranks: dict[int, int] = {}
     torsion_by_source: dict[int, list[int]] = {}
+    pivot_columns: dict[int, list[int]] = {}
 
     def boundary_data(d: int):
         if d in ranks:
@@ -354,7 +371,8 @@ def reduced_homology(
             ranks[d] = K.n_simplices(0) - components
             torsion_by_source[d] = []
             return
-        factors = _invariant_factors(K.boundary_entries(d))
+        entries = K.boundary_entries(d, set(pivot_columns.get(d - 1, ())))
+        factors = _invariant_factors(entries, pivot_columns.setdefault(d, []))
         ranks[d] = len(factors)
         torsion_by_source[d] = [f for f in factors if f != 1]
 

@@ -473,28 +473,26 @@ def hensel_root(ring: RingDescriptor, coeffs, r0: int) -> Scalar:
 
     `coeffs` is (a, b, c); r0 must be a simple root of the reduction mod p.
     The result r satisfies f(r) = 0 mod p^N and r = r0 mod p, and is the
-    unique such root, so the procedure is deterministic.
+    unique such root, so the procedure is deterministic.  The Newton steps
+    run on residues mod p^N, one inverse of f'(r) per step; only the result
+    is built as a Scalar.
     """
     if ring.kind != PADIC:
         raise RingError("hensel_root needs a truncated p-adic ring")
-    a, b, c = (Scalar(ring, x) for x in coeffs)
     p, m = ring.p, ring.modulus
-    r = Scalar(ring, r0)
-    f = a * r * r + b * r + c
-    df = ring.scalar(2) * a * r + b
-    if f.value % p != 0:
+    a, b, c = (x % m if isinstance(x, int) else Scalar(ring, x).value for x in coeffs)
+    r = r0 % m
+    if (a * r * r + b * r + c) % p != 0:
         raise RingError(f"{r0} is not a root mod {p}")
-    if df.value % p == 0:
+    if (2 * a * r + b) % p == 0:
         raise RingError(f"{r0} is not a simple root mod {p} (derivative vanishes)")
     for _ in range(ring.precision.bit_length() + 2):
-        f = a * r * r + b * r + c
-        if f.value == 0:
+        f = (a * r * r + b * r + c) % m
+        if f == 0:
             break
-        df = ring.scalar(2) * a * r + b
-        r = r - f / df
-    f = a * r * r + b * r + c
-    if f.value != 0:
+        r = (r - f * pow(2 * a * r + b, -1, m)) % m
+    if (a * r * r + b * r + c) % m != 0:
         raise RingError("Newton iteration failed to converge")
-    if (r.value - r0) % p != 0:
+    if (r - r0) % p != 0:
         raise RingError("lifted root left its residue class")
-    return r
+    return Scalar(ring, r)

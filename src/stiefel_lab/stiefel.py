@@ -61,6 +61,7 @@ SIMPLEX_BUDGET = 50_000_000
 EXPLICIT_POSET_CAP = 200_000
 PACKED_GRAPH_BYTES = 64 << 20  # F_3, n = 10: 19,764 vertices, 48.9 MB packed
 GRAPH_CHUNK = 128
+CLIQUE_CHUNK = 1 << 22  # mask bits unpacked at once by _cliques
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +222,48 @@ class UnitSphere:
 
 
 def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tuple[int, ...]]]:
-    """All cliques of size 1..max_size, each as a sorted index tuple."""
+    """All cliques of size 1..max_size, each as a sorted index tuple, in
+    lexicographic order.
+
+    A level is an int array of cliques plus, for each clique, the packed
+    mask of its common neighbours above its last vertex (built only when the
+    level is extended).  The next level is the nonzero bits of those masks,
+    unpacked CLIQUE_CHUNK bits at a time: clique-major, then vertex-ascending,
+    which keeps the order lexicographic.  Its size is the masks' popcount,
+    held against the budget before the level is built."""
     m = adj.shape[0]
     out: dict[int, list[tuple[int, ...]]] = {1: [(i,) for i in range(m)]}
+    if max_size < 2:
+        return out
     total = m
-    level = [( (i,), np.flatnonzero(adj[i]) ) for i in range(m)]
+    upper = np.packbits(np.triu(adj, 1), axis=1, bitorder="little")
+    cliques = np.arange(m).reshape(m, 1)
+    masks = upper
+    rows_per_chunk = max(1, CLIQUE_CHUNK // max(m, 1))
     for size in range(2, max_size + 1):
-        nxt = []
-        simplices = []
-        for clique, ext in level:
-            last = clique[-1]
-            ext = ext[ext > last]
-            for j in ext:
-                new_ext = ext[adj[j][ext]]
-                simplices.append(clique + (int(j),))
-                nxt.append((clique + (int(j),), new_ext))
-        total += len(simplices)
+        count = int(np.bitwise_count(masks).sum())
+        total += count
         if total > budget:
             raise BudgetError(
                 f"clique enumeration exceeded budget {budget} at size {size} "
                 f"(running total {total})"
             )
-        if not simplices:
+        if not count:
             break
-        out[size] = simplices
-        level = nxt
+        extend = size < max_size
+        parts, next_masks = [], []
+        for lo in range(0, len(cliques), rows_per_chunk):
+            bits = np.unpackbits(masks[lo:lo + rows_per_chunk], axis=1, count=m,
+                                 bitorder="little")
+            rows, cols = np.nonzero(bits)
+            rows += lo
+            parts.append(np.column_stack((cliques[rows], cols)))
+            if extend:
+                next_masks.append(masks[rows] & upper[cols])
+        cliques = np.concatenate(parts)
+        out[size] = list(zip(*cliques.T.tolist()))
+        if extend:
+            masks = np.concatenate(next_masks)
     return out
 
 
@@ -568,6 +586,12 @@ class MorseFiltration:
         """Membership in X_0 ∪ L_1 ∪ ... ∪ L_(i-1)."""
         return self.layer(frame) < i
 
+    def deform(self, frame: frozenset[int]) -> frozenset[int]:
+        """The X_0 deformation onto the suspension: the frame's members in
+        the pivot hyperplane, plus the pivot and its negative if present."""
+        return (frame & self.hyperplane) | (frame & {self.pivot_index,
+                                                     self.pivot_negative_index})
+
 
 @dataclass
 class MorseCertificate:
@@ -745,13 +769,12 @@ def _deformation_items(cert, poset, filt, l):
     non-trivially with the pivot (keeping the pivot itself), then compare
     against the suspension of the one-lower skeleton poset of the hyperplane."""
     keep = {filt.pivot_index, filt.pivot_negative_index}
-    hyperplane = filt.hyperplane
     elements = poset.elements
     f_map = {}
     for i, fset in enumerate(elements):
         if filt.layer(fset):
             continue
-        core = (fset & hyperplane) | (fset & keep)
+        core = filt.deform(fset)
         if core == fset:
             f_map[i] = i
         elif core:
@@ -760,7 +783,7 @@ def _deformation_items(cert, poset, filt, l):
     cert.add("x0-deformation", res.passed, "; ".join(res.failures[:3]))
     # The image is the suspension-shaped family; its profile must equal the
     # suspended profile of X_(l-1) of the pivot hyperplane.
-    w_idx = [i for i, f in enumerate(elements) if len(f) <= l - 1 and f <= hyperplane]
+    w_idx = [i for i, f in enumerate(elements) if len(f) <= l - 1 and f <= filt.hyperplane]
     w_prof = poset.homology(w_idx)
     image = set(f_map.values())
     expected = {frozenset({v}) for v in keep}
@@ -860,11 +883,6 @@ def _sampled_partition_items(cert, sphere, filt, rng, l, sample):
 
 
 def _sampled_x0_items(cert, sphere, filt, rng, l, sample):
-    keep = {filt.pivot_index, filt.pivot_negative_index}
-
-    def deform(fset):
-        return frozenset(v for v in fset if filt.orthogonal_to_pivot[v]) | (fset & keep)
-
     mono_bad = 0
     defl_bad = 0
     idem_bad = 0
@@ -885,14 +903,14 @@ def _sampled_x0_items(cert, sphere, filt, rng, l, sample):
         if filt.layer(fset):
             continue
         tried += 1
-        img = deform(fset)
+        img = filt.deform(fset)
         if not img <= fset:
             defl_bad += 1
-        if deform(img) != img:
+        if filt.deform(img) != img:
             idem_bad += 1
         sub_size = rng.randint(1, len(fset))
         sub = frozenset(rng.sample(sorted(fset), sub_size))
-        if deform(sub) and not (deform(sub) <= img):
+        if filt.deform(sub) and not (filt.deform(sub) <= img):
             mono_bad += 1
     cert.add("x0-deformation-sampled",
              mono_bad == 0 and defl_bad == 0 and idem_bad == 0 and tried > 0,

@@ -151,13 +151,14 @@ def test_triangle_count_budget_exit_2(monkeypatch, capsys):
 
 
 def test_snf_entry_budget_exit_2(monkeypatch, capsys):
-    # The d = 2 boundary of X(F_3^5) fills up to 6,486 live entries.
-    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 6485)
+    # The d = 2 boundary of X(F_3^5), cleared of its 89 rows at the unit-pivot
+    # columns of d = 1, holds 5,946 entries and fills up to 5,948 live ones.
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 5947)
     code = main(["connectivity", "--field", "3", "--n", "5", "--max-degree", "1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sparse elimination refused after 3 unit pivots: "
-                          "6486 live entries exceed 6485")
+    assert err.startswith("error: sparse elimination refused after 1 unit pivots: "
+                          "5948 live entries exceed 5947")
     assert "Traceback" not in err
 
 

@@ -184,6 +184,51 @@ def test_form_preserving_maps_match_a_one_by_one_scan(ring, k, v_diag, n):
     assert all(M.shape == (target.rank, k) for M in got)
 
 
+def random_graph(m, density, seed):
+    """Symmetric bool adjacency of a seeded random graph, diagonal clear."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((m, m)) < density, 1)
+    return upper | upper.T
+
+
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 130])
+def test_cliques_match_combinations(m):
+    """Levels are built from packed masks; the vertex counts cross the byte
+    and 64-bit word boundaries of a packed row."""
+    max_size = 4 if m <= 65 else 3
+    for seed in range(2):
+        adj = random_graph(m, 0.3, seed)
+        got = stiefel._cliques(adj, max_size, budget=10**7)
+        assert got[1] == [(i,) for i in range(m)]
+        for size in range(2, max_size + 1):
+            subsets = np.fromiter(
+                itertools.chain.from_iterable(itertools.combinations(range(m), size)),
+                dtype=np.int64).reshape(-1, size)
+            keep = np.logical_and.reduce([adj[subsets[:, i], subsets[:, j]] for i, j
+                                          in itertools.combinations(range(size), 2)])
+            want = list(map(tuple, subsets[keep].tolist()))
+            assert got.get(size, []) == want
+            assert (size in got) == bool(want)
+
+
+def test_cliques_refuse_a_level_before_building_it(monkeypatch):
+    """X(F_3^4) has 24 / 72 / 96 / 48 frames of sizes 1..4.  A budget one
+    short of the first three levels refuses size 3 from the popcount of the
+    edge masks: only the vertex masks were ever unpacked."""
+    adj = UnitSphere(euclidean(F3, 4)).adjacency()
+    assert {k: len(v) for k, v in stiefel._cliques(adj, 4, budget=240).items()} == \
+        {1: 24, 2: 72, 3: 96, 4: 48}
+    assert len(stiefel._cliques(adj, 2, budget=24 + 72)[2]) == 72
+    unpacked = []
+    unpack = np.unpackbits
+    monkeypatch.setattr(np, "unpackbits",
+                        lambda a, *args, **kw: unpacked.append(len(a)) or unpack(a, *args, **kw))
+    with pytest.raises(BudgetError, match=r"^clique enumeration exceeded budget 191 at size 3 "
+                                          r"\(running total 192\)$"):
+        stiefel._cliques(adj, 4, budget=24 + 72 + 96 - 1)
+    assert unpacked == [24]
+
+
 def test_triangle_count_is_refused_above_the_simplex_budget(monkeypatch):
     """The triangle pass reads the packed row of each edge's endpoints:
     edges x words is refused above SIMPLEX_BUDGET before any of it runs."""
