@@ -225,8 +225,8 @@ def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tupl
     """All cliques of size 1..max_size, each as a sorted index tuple, in
     lexicographic order.
 
-    A level is an int array of cliques plus, for each clique, the packed
-    mask of its common neighbours above its last vertex (built only when the
+    Each level is held as its cliques plus, for each clique, the packed mask
+    of its common neighbours above its last vertex (built only when the
     level is extended).  The next level is the nonzero bits of those masks,
     unpacked CLIQUE_CHUNK bits at a time: clique-major, then vertex-ascending,
     which keeps the order lexicographic.  Its size is the masks' popcount,
@@ -237,7 +237,6 @@ def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tupl
         return out
     total = m
     upper = np.packbits(np.triu(adj, 1), axis=1, bitorder="little")
-    cliques = np.arange(m).reshape(m, 1)
     masks = upper
     rows_per_chunk = max(1, CLIQUE_CHUNK // max(m, 1))
     for size in range(2, max_size + 1):
@@ -251,17 +250,16 @@ def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tupl
         if not count:
             break
         extend = size < max_size
-        parts, next_masks = [], []
-        for lo in range(0, len(cliques), rows_per_chunk):
+        prev, level, next_masks = out[size - 1], [], []
+        for lo in range(0, len(prev), rows_per_chunk):
             bits = np.unpackbits(masks[lo:lo + rows_per_chunk], axis=1, count=m,
                                  bitorder="little")
             rows, cols = np.nonzero(bits)
             rows += lo
-            parts.append(np.column_stack((cliques[rows], cols)))
+            level += [prev[r] + (c,) for r, c in zip(rows.tolist(), cols.tolist())]
             if extend:
                 next_masks.append(masks[rows] & upper[cols])
-        cliques = np.concatenate(parts)
-        out[size] = list(zip(*cliques.T.tolist()))
+        out[size] = level
         if extend:
             masks = np.concatenate(next_masks)
     return out
