@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 from operator import lt
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from stiefel_lab.rings import BudgetError
 
@@ -24,9 +24,13 @@ from stiefel_lab.rings import BudgetError
 # "dense" or "sparse" by this column count, and need both names to occur.
 DENSE_COLUMN_CUTOFF = 2000
 # Live entries the sparse elimination may hold.  Its row dicts and column
-# sets took 216 and 301 bytes of peak RSS per live entry on the d = 2
-# boundaries of X(F_3^6) and X(F_7^4), so the budget stands for about 2.4 GB.
+# sets took 190 and 302 bytes of peak RSS per live entry on the cleared d = 2
+# boundaries of X(F_3^6) and X(F_7^4), so the budget stands for at most about
+# 2.4 GB.
 SNF_ENTRY_BUDGET = 8_000_000
+# Sparse integer matrix entries: a dict {(row, col): value}, or its items
+# read once.
+Entries = Union[dict[tuple[int, int], int], Iterable[tuple[tuple[int, int], int]]]
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +106,16 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
     return [a[i][i] for i in range(min(m, n)) if a[i][i]]
 
 
-def _sparse_unit_reduce(entries: dict[tuple[int, int], int],
-                        pivot_columns: Optional[list[int]] = None):
+def _sparse_unit_reduce(entries: Entries, pivot_columns: Optional[list[int]] = None):
     """Eliminate with +-1 pivots in Markowitz order (Dumas, Saunders and
     Villard 2001): pop the shortest live row off a heap and pivot on its unit
     entry with the fewest column entries.  Only rows a pivot changes are
     pushed again, and only while they hold a unit; stale heap entries are
     skipped.  Returns the count of unit pivots and the leftover entries (to
     finish densely), and appends each pivot's column to `pivot_columns` when
-    given.
+    given.  The entries are read once into rows and columns, so a caller
+    that streams them (as reduced_homology does) holds no copy while the
+    elimination runs.
 
     The live entries are counted: each fill adds one, each cancellation and
     each entry of a removed pivot row takes one away.  After every pivot the
@@ -120,7 +125,7 @@ def _sparse_unit_reduce(entries: dict[tuple[int, int], int],
 
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (i, j), val in entries.items():
+    for (i, j), val in entries.items() if isinstance(entries, dict) else entries:
         if val:
             rows.setdefault(i, {})[j] = val
             cols.setdefault(j, set()).add(i)
@@ -185,7 +190,7 @@ def _densify(entries: dict[tuple[int, int], int], row_ids, col_ids) -> list[list
     return dense
 
 
-def _invariant_factors(entries: dict[tuple[int, int], int],
+def _invariant_factors(entries: Entries,
                        pivot_columns: Optional[list[int]] = None) -> list[int]:
     """Nonzero invariant factors of the matrix with the given sparse entries:
     unit-pivot elimination (its pivot columns appended to `pivot_columns`
@@ -229,19 +234,21 @@ class SimplicialComplex:
     def n_simplices(self, d: int) -> int:
         return len(self.simplices.get(d, []))
 
-    def boundary_entries(self, d: int, cleared: Collection[int] = ()):
-        """Sparse entries of the boundary map C_d -> C_(d-1), without the
-        rows in `cleared`."""
+    def boundary_entries(self, d: int) -> dict[tuple[int, int], int]:
+        """Sparse entries of the boundary map C_d -> C_(d-1)."""
+        return dict(self.boundary_items(d))
+
+    def boundary_items(self, d: int, cleared: Collection[int] = ()):
+        """The entries of the boundary map C_d -> C_(d-1) as ((row, col),
+        sign) pairs, column by column, without the rows in `cleared`."""
         lower_index = {s: i for i, s in enumerate(self.simplices.get(d - 1, []))}
-        entries = {}
         for col, s in enumerate(self.simplices.get(d, [])):
             sign = 1
             for i in range(len(s)):
                 row = lower_index[s[:i] + s[i + 1:]]
                 if row not in cleared:
-                    entries[(row, col)] = sign
+                    yield (row, col), sign
                 sign = -sign
-        return entries
 
 
 def complex_from_simplices(simps: Iterable[Sequence[int]]) -> SimplicialComplex:
@@ -371,7 +378,7 @@ def reduced_homology(
             ranks[d] = K.n_simplices(0) - components
             torsion_by_source[d] = []
             return
-        entries = K.boundary_entries(d, set(pivot_columns.get(d - 1, ())))
+        entries = K.boundary_items(d, set(pivot_columns.get(d - 1, ())))
         factors = _invariant_factors(entries, pivot_columns.setdefault(d, []))
         ranks[d] = len(factors)
         torsion_by_source[d] = [f for f in factors if f != 1]
