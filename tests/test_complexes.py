@@ -180,11 +180,12 @@ def test_homology_torsion_rp2():
     assert prof.torsion[1] == (2,)
 
 
-def random_flag_complex(seed, vertices=10, density=0.55):
-    """Clique complex of a seeded random graph, up to tetrahedra."""
+def random_flag_complex(seed):
+    """Clique complex, up to tetrahedra, of a seeded random graph on ten
+    vertices."""
     rng = random.Random(seed)
-    edges = {e for e in itertools.combinations(range(vertices), 2) if rng.random() < density}
-    cliques = [c for size in (1, 2, 3, 4) for c in itertools.combinations(range(vertices), size)
+    edges = {e for e in itertools.combinations(range(10), 2) if rng.random() < 0.55}
+    cliques = [c for size in (1, 2, 3, 4) for c in itertools.combinations(range(10), size)
                if all(e in edges for e in itertools.combinations(c, 2))]
     return complex_from_simplices(cliques)
 
