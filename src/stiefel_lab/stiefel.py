@@ -236,7 +236,10 @@ def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tupl
     if max_size < 2:
         return out
     total = m
-    upper = np.packbits(np.triu(adj, 1), axis=1, bitorder="little")
+    upper = np.packbits(adj, axis=1, bitorder="little")
+    for i in range(m):  # keep only the neighbours above i: clear bits 0..i of row i
+        upper[i, :i // 8] = 0
+        upper[i, i // 8] &= 0xFF << (i % 8 + 1) & 0xFF
     masks = upper
     rows_per_chunk = max(1, CLIQUE_CHUNK // max(m, 1))
     for size in range(2, max_size + 1):
