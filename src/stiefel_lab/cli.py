@@ -213,8 +213,9 @@ def cmd_orbit_check(args) -> int:
     results = dict(stats)
     if args.stabilizer:
         group = enumerate_group(q)
+        # g e_n is the last column of g's matrix
         last = [0] * (args.n - 1) + [1]
-        fixing = [g for g in group if g.apply(last) == vec(ring, last)]
+        fixing = [g for g in group if [row[-1] for row in g.values] == last]
         ok = all(block_sum(stabilizer_restrict(g, args.n - 1), euclidean(ring, 1)) == g
                  for g in fixing)
         results["group_order"] = len(group)

@@ -110,10 +110,13 @@ def _ff_all_unit_diagonals(p: int, rank: int) -> np.ndarray:
 
 
 def _ff_diag_values(p: int, rank: int):
-    """Values on every non-zero vector of the unit diagonal forms of a rank,
-    as blocks of columns S D^T: S the squared coordinates mod p of those
-    vectors, D the diagonals of `_ff_all_unit_diagonals`."""
-    S = gfnum.all_vectors(p, rank)[1:] ** 2 % p
+    """The values of the unit diagonal forms of a rank on the non-zero
+    vectors, as blocks of columns S D^T: D the diagonals of
+    `_ff_all_unit_diagonals`, S every non-zero tuple of squares mod p.
+    A diagonal form sees x only through (x_1^2, ..., x_r^2), which is zero
+    exactly when x is, so each column holds the form's values on x != 0."""
+    squares = np.array(sorted(_ff_sum_chain(p)[0]), dtype=np.int64)
+    S = squares[gfnum.all_vectors(len(squares), rank)[1:]]
     D = _ff_all_unit_diagonals(p, rank)
     for block in gfnum.blocks(len(D), len(S)):
         yield S @ D[block].T % p
@@ -127,7 +130,10 @@ def compute_invariants(ring: RingDescriptor) -> InvariantReport:
     diagonal unit form (a diagonal form of higher rank contains one of lower
     rank, so scanning ranks until every form is isotropic is complete); m as
     the least rank forcing every diagonal unit form to represent 1 (again
-    inherited by higher ranks through subforms).
+    inherited by higher ranks through subforms).  The u and m scans stay
+    exhaustive over every diagonal and every non-zero vector: they read
+    each form's values through the tuples of squared coordinates, and
+    those tuples take every value the form takes on x != 0 and no other.
     """
     if ring.kind != FINITE_FIELD:
         raise RingError("compute_invariants is exhaustive over prime fields only")

@@ -12,6 +12,7 @@ products, and quotients by units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
@@ -101,6 +102,13 @@ def _isometry(q: QuadraticModule, values: Sequence[Sequence],
     diffs = (sum(map(mul, mt[i], gm[j])) - d * d * g[i][j] for i in range(n) for j in range(i, n))
     if len(m) != n or any(x % mod if mod else x for x in diffs):
         raise ValueError("matrix does not preserve the form")
+    return _bind(q, values, iso)
+
+
+def _bind(q: QuadraticModule, values: tuple[tuple, ...],
+          iso: Optional[Isometry] = None) -> Isometry:
+    """The Isometry of q with these raw values (filling in `iso` if given);
+    the caller has checked M^T G M = G."""
     iso = object.__new__(Isometry) if iso is None else iso
     for name, value in (("module", q), ("values", values), ("_matrix", None)):
         object.__setattr__(iso, name, value)
@@ -272,28 +280,83 @@ def block_sum(phi: Isometry, b_mod: QuadraticModule) -> Isometry:
 ENUMERATION_CAP = 1_000_000
 
 
+def _weights(n: int, p: int) -> np.ndarray:
+    """Place values of the n x n matrix codes; refuses when p^(n^2) codes
+    do not fit in int64."""
+    if p ** (n * n) >= 2 ** 63:
+        raise BudgetError(f"{n} x {n} matrices mod {p} have {p}^{n * n} codes, "
+                          f"more than an int64 code holds")
+    return p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+
+
+def _codes(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One int64 code per residue matrix: its entries read as base-p digits,
+    first entry most significant, so codes sort like the flattened tuples."""
+    return mats.reshape(-1, len(w)) @ w
+
+
+def _decode(codes: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
+    """The residue matrices of the given codes."""
+    n = math.isqrt(len(w))
+    return (codes[:, None] // w % p).reshape(-1, n, n)
+
+
+def _member(known: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Which codes lie in the sorted, non-empty code array `known`."""
+    return known.take(np.searchsorted(known, codes), mode="clip") == codes
+
+
+def _earliest(level: list) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct code of the (codes, positions) pairs once, sorted, with
+    its first position; positions rise from one pair to the next."""
+    codes, at = (np.concatenate(x) for x in zip(*level))
+    codes, first = np.unique(codes, return_index=True)
+    return codes, at[first]
+
+
+def _grow(known: np.ndarray, frontier: np.ndarray, S: np.ndarray, p: int,
+          w: np.ndarray, cap: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Close the sorted codes `known` under left multiplication by the
+    matrices S, breadth-first from the frontier codes (which `known` holds).
+    Returns the grown sorted codes and the added ones in breadth-first
+    order; refuses to grow past `cap` elements.  Each level's new codes are
+    merged into `known` once, at its end.  Until then the blocks' new codes
+    are deduplicated whenever they pass twice the last deduplicated count,
+    so a level holds a few times its own size, not its product count."""
+    added = [known[:0]]
+    while len(frontier):
+        mats, level, held, bound = _decode(frontier, w, p), [], 0, gfnum._BLOCK_ENTRIES
+        for block in gfnum.blocks(len(mats), S.size):
+            # row b * len(S) + j is S[j] times frontier element b: breadth-first order
+            codes, first = np.unique(_codes(S[None] @ mats[block, None] % p, w),
+                                     return_index=True)
+            fresh = ~_member(known, codes)
+            level.append((codes[fresh], first[fresh] + block.start * len(S)))
+            held += len(level[-1][0])
+            if held > 2 * bound:
+                level = [_earliest(level)]
+                held = len(level[0][0])
+                bound = max(held, bound)
+        codes, at = _earliest(level)
+        if cap is not None and len(known) + len(codes) > cap:
+            raise BudgetError(f"group exceeds the enumeration cap {cap}")
+        known = np.insert(known, np.searchsorted(known, codes), codes)
+        frontier = codes[np.argsort(at)]
+        added.append(frontier)
+    return known, np.concatenate(added)
+
+
 def _closure_mod_p(gens: Sequence[np.ndarray], n: int, p: int,
                    cap: Optional[int] = None) -> dict[tuple, np.ndarray]:
     """The group generated by invertible n x n matrices mod p: breadth-first
     from the identity, multiplying on the left by each generator.  Keyed by
-    the flattened matrix; refuses to grow past `cap` elements."""
-    identity = np.eye(n, dtype=np.int64)
-    seen = {tuple(identity.ravel().tolist()): identity}
-    frontier = [identity]
+    the flattened matrix, in breadth-first order; refuses to grow past `cap`
+    elements, and refuses before any product when codes overflow int64."""
+    w = _weights(n, p)
+    one = _codes(np.eye(n, dtype=np.int64), w)
     S = np.array(gens, dtype=np.int64).reshape(-1, n, n)
-    while frontier:
-        nxt = []
-        for block in gfnum.blocks(len(frontier), S.size):
-            # row b * len(S) + j is S[j] times frontier element b: breadth-first order
-            prods = (S[None] @ np.stack(frontier[block])[:, None] % p).reshape(-1, n, n)
-            for key, prod in zip(map(tuple, prods.reshape(len(prods), -1).tolist()), prods):
-                if key not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        raise BudgetError(f"group exceeds the enumeration cap {cap}")
-                    seen[key] = prod = prod.copy()  # frees the block's buffer
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
+    mats = _decode(np.concatenate([one, _grow(one, one, S, p, w, cap)[1]]), w, p)
+    return dict(zip(map(tuple, mats.reshape(len(mats), -1).tolist()), mats))
 
 
 def _reflections_mod_p(q: QuadraticModule) -> dict[tuple, np.ndarray]:
@@ -321,52 +384,69 @@ def _reflections_mod_p(q: QuadraticModule) -> dict[tuple, np.ndarray]:
 
 def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isometry]:
     """Every element of O(q) over a prime field, as the closure of the
-    hyperplane reflections under composition; canonically sorted."""
-    n = q.rank
-    seen = _closure_mod_p(list(_reflections_mod_p(q).values()), n, q.ring.p, cap)
-    return [_isometry(q, [key[i:i + n] for i in range(0, n * n, n)]) for key in sorted(seen)]
+    hyperplane reflections under composition; canonically sorted.  One
+    batched product checks M^T G M = G for every element before any is
+    bound."""
+    n, p = q.rank, q.ring.p
+    keys = sorted(_closure_mod_p(list(_reflections_mod_p(q).values()), n, p, cap))
+    M = np.array(keys, dtype=np.int64).reshape(-1, n, n)
+    G = np.array(q.int_gram(), dtype=np.int64)
+    if ((M.transpose(0, 2, 1) @ (G @ M % p) - G) % p).any():
+        raise ValueError("matrix does not preserve the form")
+    return [_bind(q, tuple(key[i:i + n] for i in range(0, n * n, n))) for key in keys]
 
 
-def derived_subgroup(elements: list[Isometry]) -> set:
-    """The commutator subgroup of O(q), as a set of flattened int matrices,
-    for `elements` the whole group (it must hold every reflection of q).
+def _derived_codes(elements: list[Isometry]) -> np.ndarray:
+    """Sorted codes of the commutator subgroup of O(q), for `elements` the
+    whole group (it must hold every reflection of q).
 
     Reflections generate O(q) and are involutions, so [G, G] is the normal
-    closure of the commutators s t s t of reflections s, t.  A subgroup
-    <X> is normal once s x s lies in it for every reflection s and every
-    x in X; conjugates that fall outside join X until none do."""
-    if not elements:
-        return set()
+    closure of the commutators s t s t of reflections s, t.  One closure
+    grows by each of those not yet in it; a subgroup <X> is normal once
+    s x s lies in it for every reflection s and every x in X, so the
+    conjugates of each added generator are tried in turn until none adds."""
     q = elements[0].module
     p, n = q.ring.p, q.rank
     gens = _reflections_mod_p(q)
     if not gens.keys() <= {e.int_matrix() for e in elements}:
         raise ValueError("elements lack a reflection of the form")
+    w = _weights(n, p)
     S = np.stack(list(gens.values()))
     st = (S[:, None] @ S[None, :]) % p
-    pending = np.unique(((st @ st) % p).reshape(-1, n, n), axis=0)
-    X: list[np.ndarray] = []
+    known, X = _codes(np.eye(n, dtype=np.int64), w), S[:0]
+    pending = (st @ st % p).reshape(-1, n, n)
     while len(pending):
-        X += list(pending)
-        closure = _closure_mod_p(X, n, p)
-        conjugates = ((S[:, None] @ pending[None, :] @ S[:, None]) % p).reshape(-1, n, n)
-        outside = [tuple(c) not in closure
-                   for c in conjugates.reshape(len(conjugates), -1).tolist()]
-        pending = np.unique(conjugates[outside], axis=0)
-    return set(closure)
+        start, codes = len(X), _codes(pending, w)
+        outside = ~_member(known, codes)
+        while outside.any():
+            X = np.concatenate([X, pending[outside.argmax()][None]])
+            known = _grow(known, known, X, p, w)[0]
+            outside &= ~_member(known, codes)
+        pending = (S[:, None] @ X[None, start:] % p @ S[:, None] % p).reshape(-1, n, n)
+    return known
+
+
+def derived_subgroup(elements: list[Isometry]) -> set:
+    """The commutator subgroup of O(q), as a set of flattened int matrices,
+    for `elements` the whole group (it must hold every reflection of q)."""
+    if not elements:
+        return set()
+    q = elements[0].module
+    derived = _decode(_derived_codes(elements), _weights(q.rank, q.ring.p), q.ring.p)
+    return set(map(tuple, derived.reshape(len(derived), -1).tolist()))
 
 
 def abelianization_exponent(elements: list[Isometry]) -> int:
     """Exponent of G modulo its commutator subgroup.  The groups here are
     generated by reflections (order 2), so the exponent must divide 2; the
     computation verifies that every square lands in the derived subgroup."""
-    derived = derived_subgroup(elements)
-    p = elements[0].module.ring.p
-    for e in elements:
-        m = np.array(e.int_matrix(), dtype=np.int64)
-        if tuple(((m @ m) % p).ravel().tolist()) not in derived:
-            raise AssertionError("abelianization exponent does not divide 2")
-    return 2 if any(sum(e.int_matrix(), ()) not in derived for e in elements) else 1
+    derived = _derived_codes(elements)
+    q = elements[0].module
+    p, w = q.ring.p, _weights(q.rank, q.ring.p)
+    M = np.array([e.values for e in elements], dtype=np.int64)
+    if not _member(derived, _codes(M @ M % p, w)).all():
+        raise AssertionError("abelianization exponent does not divide 2")
+    return 1 if _member(derived, _codes(M, w)).all() else 2
 
 
 def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:

@@ -293,9 +293,8 @@ def build_stiefel(q: QuadraticModule, max_dim: int,
     the space |sk X(q)| whose homology agrees with the full complex in every
     degree strictly below max_dim."""
     adj = _integer_graph(q)[1] if q.ring.kind == INTEGERS else UnitSphere(q).adjacency()
-    by_size = _cliques(adj, max_dim + 1, budget)
-    simplices = {size - 1: sorted(v) for size, v in by_size.items()}
-    return SimplicialComplex(simplices)
+    by_size = _cliques(adj, max_dim + 1, budget)  # each level in lexicographic order
+    return SimplicialComplex({size - 1: v for size, v in by_size.items()})
 
 
 def build_skeleton_poset(q: QuadraticModule, k: int,

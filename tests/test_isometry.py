@@ -33,9 +33,12 @@ from stiefel_lab.quadmod import (
 from stiefel_lab.isometry import (
     Isometry,
     _closure_mod_p,
+    _codes,
+    _decode,
     _isometry,
     _invert,
     _reflections_mod_p,
+    _weights,
     _witt_reflections,
     abelianization_exponent,
     block_sum,
@@ -305,6 +308,14 @@ def test_closure_matches_one_product_at_a_time(q):
     assert all(got[key].tolist() == want[key].tolist() for key in want)
 
 
+def test_closure_order_holds_with_small_blocks(monkeypatch):
+    # one frontier element per block, and each level's held codes
+    # deduplicated every few blocks: still the same breadth-first order
+    monkeypatch.setattr("stiefel_lab.gfnum._BLOCK_ENTRIES", 8)
+    gens = list(_reflections_mod_p(euclidean(F3, 4)).values())
+    assert list(_closure_mod_p(gens, 4, 3)) == list(closure_one_by_one(gens, 4, 3))
+
+
 def test_closure_cap_refuses_at_the_same_count():
     gens = list(_reflections_mod_p(euclidean(F3, 3)).values())
     with pytest.raises(BudgetError, match="enumeration cap 10"):
@@ -312,6 +323,38 @@ def test_closure_cap_refuses_at_the_same_count():
     with pytest.raises(BudgetError, match="enumeration cap 47"):
         _closure_mod_p(gens, 3, 3, cap=47)
     assert len(_closure_mod_p(gens, 3, 3, cap=48)) == 48
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 2), (5, 3), (3, 4), (13, 4)])
+def test_codes_sort_like_flattened_tuples(p, n):
+    rng = np.random.default_rng(17)
+    mats = rng.integers(0, p, size=(300, n, n), dtype=np.int64)
+    mats[:3] = p - 1  # the largest code p^(n^2) - 1, held three times
+    w = _weights(n, p)
+    codes = _codes(mats, w)
+    flat = [tuple(m.ravel().tolist()) for m in mats]
+    assert [flat[i] for i in np.argsort(codes, kind="stable")] == sorted(flat)
+    assert len(set(codes.tolist())) == len(set(flat))
+    assert (_decode(codes, w, p) == mats).all()
+
+
+def test_closure_refuses_codes_past_int64_before_any_product(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr("stiefel_lab.gfnum.blocks", no_blocks)
+    with pytest.raises(BudgetError, match="7\\^25"):  # 7^25 > 2^63
+        _closure_mod_p([np.eye(5, dtype=np.int64)], 5, 7)
+
+
+def test_enumerate_group_checks_every_element(monkeypatch):
+    # diag(2, 1) scales q(e_1) by 4, so its closure is no group of isometries
+    q = euclidean(F5, 2)
+    gens = dict(_reflections_mod_p(q))
+    gens[(2, 0, 0, 1)] = np.array([[2, 0], [0, 1]], dtype=np.int64)
+    monkeypatch.setattr("stiefel_lab.isometry._reflections_mod_p", lambda q: gens)
+    with pytest.raises(ValueError, match="does not preserve the form"):
+        enumerate_group(q)
 
 
 def preserves_by_scalar_products(q, M):
@@ -577,6 +620,12 @@ def test_o4_f3_order_and_abelianization():
     assert len(group) == 1152
     assert len(derived_subgroup(group)) == 288
     assert abelianization_exponent(group) == 2
+
+
+def test_o4_f5_derived_subgroup():
+    group = enumerate_group(euclidean(F5, 4))
+    assert len(group) == 28800
+    assert len(derived_subgroup(group)) == 7200
 
 
 def test_o3_f7_derived_subgroup():
