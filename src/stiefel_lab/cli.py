@@ -97,16 +97,10 @@ def cmd_invariants(args) -> int:
         }
         for name, status in check_inequalities(rep):
             assertions.append(_assertion(name, status == "pass", status))
-    elif args.ring == "zp":
-        ring = padic(args.p, args.precision)
-        rep = padic_invariants(ring)
-        kappa = compute_invariants(ring.residue_ring())
-        results = rep.as_dict()
-        for name, status in check_inequalities(rep, kappa):
-            assertions.append(_assertion(name, status != "fail", status))
     else:
-        ring = localized_at(args.p)
-        rep = localized_invariants(ring, args.height)
+        zp = args.ring == "zp"
+        ring = padic(args.p, args.precision) if zp else localized_at(args.p)
+        rep = padic_invariants(ring) if zp else localized_invariants(ring, args.height)
         kappa = compute_invariants(ring.residue_ring())
         results = rep.as_dict()
         for name, status in check_inequalities(rep, kappa):

@@ -5,11 +5,17 @@ is the one vector table and `blocks` the one block bound for every F_p scan
 (unit spheres, diagonal values, form-preserving maps, group closure); the
 Scalar layer in `rings` stays the source of truth for exactness and all
 results feed back through exact checks there.
+
+`codes` is the one key of an F_p row (a matrix, a vector, a map, a frame of
+sphere indices): one int64, so sorted rows have sorted codes and a lookup is
+one `np.searchsorted` (`member`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from stiefel_lab.rings import BudgetError
 
 # Most int64 entries one numpy block of a scan may hold (256 KiB).
 _BLOCK_ENTRIES = 1 << 15
@@ -38,3 +44,30 @@ def unit_sphere(gram: np.ndarray, p: int) -> np.ndarray:
     """All vectors of q-value 1, in lexicographic order."""
     X = all_vectors(p, gram.shape[0])
     return X[gram_values(gram, X, p) == 1]
+
+
+def code_weights(base: int, width: int) -> np.ndarray:
+    """Place values of the codes of rows of `width` digits in [0, base);
+    refuses when base^width codes do not fit in int64."""
+    if base ** width >= 2 ** 63:
+        raise BudgetError(f"rows of {width} digits mod {base} have {base}^{width} codes, "
+                          f"more than an int64 code holds")
+    return base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def codes(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One int64 code per row of len(w) digits: the digits read in the base
+    of `w`, first digit most significant, so codes sort like the rows."""
+    return rows.reshape(-1, len(w)) @ w
+
+
+def decode(codes: np.ndarray, w: np.ndarray, base: int) -> np.ndarray:
+    """The rows of digits of the given codes, one row per code."""
+    return codes[:, None] // w % base
+
+
+def member(known: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Which codes lie in the sorted code array `known`."""
+    if not len(known):
+        return np.zeros(codes.shape, dtype=bool)
+    return known.take(np.searchsorted(known, codes), mode="clip") == codes

@@ -12,7 +12,6 @@ products, and quotients by units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
@@ -280,88 +279,48 @@ def block_sum(phi: Isometry, b_mod: QuadraticModule) -> Isometry:
 ENUMERATION_CAP = 1_000_000
 
 
-def _weights(n: int, p: int) -> np.ndarray:
-    """Place values of the n x n matrix codes; refuses when p^(n^2) codes
-    do not fit in int64."""
-    if p ** (n * n) >= 2 ** 63:
-        raise BudgetError(f"{n} x {n} matrices mod {p} have {p}^{n * n} codes, "
-                          f"more than an int64 code holds")
-    return p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-
-
-def _codes(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One int64 code per residue matrix: its entries read as base-p digits,
-    first entry most significant, so codes sort like the flattened tuples."""
-    return mats.reshape(-1, len(w)) @ w
-
-
-def _decode(codes: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
-    """The residue matrices of the given codes."""
-    n = math.isqrt(len(w))
-    return (codes[:, None] // w % p).reshape(-1, n, n)
-
-
-def _member(known: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Which codes lie in the sorted, non-empty code array `known`."""
-    return known.take(np.searchsorted(known, codes), mode="clip") == codes
-
-
-def _earliest(level: list) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct code of the (codes, positions) pairs once, sorted, with
-    its first position; positions rise from one pair to the next."""
-    codes, at = (np.concatenate(x) for x in zip(*level))
-    codes, first = np.unique(codes, return_index=True)
-    return codes, at[first]
-
-
 def _grow(known: np.ndarray, frontier: np.ndarray, S: np.ndarray, p: int,
-          w: np.ndarray, cap: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+          w: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
     """Close the sorted codes `known` under left multiplication by the
     matrices S, breadth-first from the frontier codes (which `known` holds).
-    Returns the grown sorted codes and the added ones in breadth-first
-    order; refuses to grow past `cap` elements.  Each level's new codes are
-    merged into `known` once, at its end.  Until then the blocks' new codes
-    are deduplicated whenever they pass twice the last deduplicated count,
-    so a level holds a few times its own size, not its product count."""
-    added = [known[:0]]
+    Returns the grown sorted codes; refuses to grow past `cap` elements.
+    Each level's new codes are merged into `known` once, at its end.  Until
+    then the blocks' new codes are deduplicated whenever they pass twice the
+    last deduplicated count, so a level holds a few times its own size, not
+    its product count."""
+    n = S.shape[1]
     while len(frontier):
-        mats, level, held, bound = _decode(frontier, w, p), [], 0, gfnum._BLOCK_ENTRIES
+        mats = gfnum.decode(frontier, w, p).reshape(-1, n, n)
+        level, held, bound = [], 0, gfnum._BLOCK_ENTRIES
         for block in gfnum.blocks(len(mats), S.size):
-            # row b * len(S) + j is S[j] times frontier element b: breadth-first order
-            codes, first = np.unique(_codes(S[None] @ mats[block, None] % p, w),
-                                     return_index=True)
-            fresh = ~_member(known, codes)
-            level.append((codes[fresh], first[fresh] + block.start * len(S)))
-            held += len(level[-1][0])
+            codes = np.unique(gfnum.codes(S[None] @ mats[block, None] % p, w))
+            level.append(codes[~gfnum.member(known, codes)])
+            held += len(level[-1])
             if held > 2 * bound:
-                level = [_earliest(level)]
-                held = len(level[0][0])
+                level = [np.unique(np.concatenate(level))]
+                held = len(level[0])
                 bound = max(held, bound)
-        codes, at = _earliest(level)
-        if cap is not None and len(known) + len(codes) > cap:
+        frontier = np.unique(np.concatenate(level))
+        if cap is not None and len(known) + len(frontier) > cap:
             raise BudgetError(f"group exceeds the enumeration cap {cap}")
-        known = np.insert(known, np.searchsorted(known, codes), codes)
-        frontier = codes[np.argsort(at)]
-        added.append(frontier)
-    return known, np.concatenate(added)
+        known = np.insert(known, np.searchsorted(known, frontier), frontier)
+    return known
 
 
 def _closure_mod_p(gens: Sequence[np.ndarray], n: int, p: int,
-                   cap: Optional[int] = None) -> dict[tuple, np.ndarray]:
-    """The group generated by invertible n x n matrices mod p: breadth-first
-    from the identity, multiplying on the left by each generator.  Keyed by
-    the flattened matrix, in breadth-first order; refuses to grow past `cap`
-    elements, and refuses before any product when codes overflow int64."""
-    w = _weights(n, p)
-    one = _codes(np.eye(n, dtype=np.int64), w)
-    S = np.array(gens, dtype=np.int64).reshape(-1, n, n)
-    mats = _decode(np.concatenate([one, _grow(one, one, S, p, w, cap)[1]]), w, p)
-    return dict(zip(map(tuple, mats.reshape(len(mats), -1).tolist()), mats))
+                   cap: Optional[int] = None) -> np.ndarray:
+    """The sorted codes of the group generated by invertible n x n matrices
+    mod p: breadth-first from the identity, multiplying on the left by each
+    generator; refuses to grow past `cap` elements, and refuses before any
+    product when codes overflow int64."""
+    w = gfnum.code_weights(p, n * n)
+    one = gfnum.codes(np.eye(n, dtype=np.int64), w)
+    return _grow(one, one, np.array(gens, dtype=np.int64).reshape(-1, n, n), p, w, cap)
 
 
-def _reflections_mod_p(q: QuadraticModule) -> dict[tuple, np.ndarray]:
-    """The distinct hyperplane reflections of q over a prime field, keyed by
-    their int matrices, as residue matrices."""
+def _reflections_mod_p(q: QuadraticModule) -> np.ndarray:
+    """The distinct hyperplane reflections of q over a prime field, as an
+    (r, n, n) array of residue matrices: one per anisotropic line."""
     ring = q.ring
     if ring.kind != FINITE_FIELD:
         raise RingError("group enumeration is a finite-field operation")
@@ -372,28 +331,23 @@ def _reflections_mod_p(q: QuadraticModule) -> dict[tuple, np.ndarray]:
     # the one whose leading non-zero coordinate is 1
     leading = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
     vectors = vectors[leading == 1]
-    values = gfnum.gram_values(G, vectors, p)
-    gens: dict[tuple, np.ndarray] = {}
-    for v, val in zip(vectors, values):
-        if val % p == 0:
-            continue
-        tau = reflection(q, v.tolist()).int_matrix()
-        gens.setdefault(tau, np.array(tau, dtype=np.int64))
-    return gens
+    anisotropic = vectors[gfnum.gram_values(G, vectors, p) != 0]
+    return np.array([reflection(q, v).int_matrix() for v in anisotropic.tolist()],
+                    dtype=np.int64).reshape(-1, n, n)
 
 
 def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isometry]:
     """Every element of O(q) over a prime field, as the closure of the
-    hyperplane reflections under composition; canonically sorted.  One
-    batched product checks M^T G M = G for every element before any is
-    bound."""
+    hyperplane reflections under composition; canonically sorted (codes
+    sort like the flattened matrices).  One batched product checks
+    M^T G M = G for every element before any is bound."""
     n, p = q.rank, q.ring.p
-    keys = sorted(_closure_mod_p(list(_reflections_mod_p(q).values()), n, p, cap))
-    M = np.array(keys, dtype=np.int64).reshape(-1, n, n)
+    codes = _closure_mod_p(_reflections_mod_p(q), n, p, cap)
+    M = gfnum.decode(codes, gfnum.code_weights(p, n * n), p).reshape(-1, n, n)
     G = np.array(q.int_gram(), dtype=np.int64)
     if ((M.transpose(0, 2, 1) @ (G @ M % p) - G) % p).any():
         raise ValueError("matrix does not preserve the form")
-    return [_bind(q, tuple(key[i:i + n] for i in range(0, n * n, n))) for key in keys]
+    return [_bind(q, tuple(map(tuple, m))) for m in M.tolist()]
 
 
 def _derived_codes(elements: list[Isometry]) -> np.ndarray:
@@ -407,21 +361,20 @@ def _derived_codes(elements: list[Isometry]) -> np.ndarray:
     conjugates of each added generator are tried in turn until none adds."""
     q = elements[0].module
     p, n = q.ring.p, q.rank
-    gens = _reflections_mod_p(q)
-    if not gens.keys() <= {e.int_matrix() for e in elements}:
+    S = _reflections_mod_p(q)
+    if not {tuple(map(tuple, s)) for s in S.tolist()} <= {e.int_matrix() for e in elements}:
         raise ValueError("elements lack a reflection of the form")
-    w = _weights(n, p)
-    S = np.stack(list(gens.values()))
+    w = gfnum.code_weights(p, n * n)
     st = (S[:, None] @ S[None, :]) % p
-    known, X = _codes(np.eye(n, dtype=np.int64), w), S[:0]
+    known, X = gfnum.codes(np.eye(n, dtype=np.int64), w), S[:0]
     pending = (st @ st % p).reshape(-1, n, n)
     while len(pending):
-        start, codes = len(X), _codes(pending, w)
-        outside = ~_member(known, codes)
+        start, codes = len(X), gfnum.codes(pending, w)
+        outside = ~gfnum.member(known, codes)
         while outside.any():
             X = np.concatenate([X, pending[outside.argmax()][None]])
-            known = _grow(known, known, X, p, w)[0]
-            outside &= ~_member(known, codes)
+            known = _grow(known, known, X, p, w)
+            outside &= ~gfnum.member(known, codes)
         pending = (S[:, None] @ X[None, start:] % p @ S[:, None] % p).reshape(-1, n, n)
     return known
 
@@ -432,8 +385,8 @@ def derived_subgroup(elements: list[Isometry]) -> set:
     if not elements:
         return set()
     q = elements[0].module
-    derived = _decode(_derived_codes(elements), _weights(q.rank, q.ring.p), q.ring.p)
-    return set(map(tuple, derived.reshape(len(derived), -1).tolist()))
+    w = gfnum.code_weights(q.ring.p, q.rank * q.rank)
+    return set(map(tuple, gfnum.decode(_derived_codes(elements), w, q.ring.p).tolist()))
 
 
 def abelianization_exponent(elements: list[Isometry]) -> int:
@@ -442,11 +395,11 @@ def abelianization_exponent(elements: list[Isometry]) -> int:
     computation verifies that every square lands in the derived subgroup."""
     derived = _derived_codes(elements)
     q = elements[0].module
-    p, w = q.ring.p, _weights(q.rank, q.ring.p)
+    p, w = q.ring.p, gfnum.code_weights(q.ring.p, q.rank * q.rank)
     M = np.array([e.values for e in elements], dtype=np.int64)
-    if not _member(derived, _codes(M @ M % p, w)).all():
+    if not gfnum.member(derived, gfnum.codes(M @ M % p, w)).all():
         raise AssertionError("abelianization exponent does not divide 2")
-    return 1 if _member(derived, _codes(M, w)).all() else 2
+    return 1 if gfnum.member(derived, gfnum.codes(M, w)).all() else 2
 
 
 def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
@@ -454,7 +407,8 @@ def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
     from stiefel_lab.stiefel import SIMPLEX_BUDGET, UnitSphere, _cliques, _ordered_cliques
 
     sphere = UnitSphere(q)
-    out = _ordered_cliques(_cliques(sphere.adjacency(), k, SIMPLEX_BUDGET), k) if k else [()]
+    out = _ordered_cliques(_cliques(sphere.adjacency(), k, SIMPLEX_BUDGET), k).tolist() \
+        if k else [()]
     units = [vec(q.ring, v) for v in sphere.vectors.tolist()]
     return [tuple(units[i] for i in t) for t in out]
 
@@ -496,8 +450,5 @@ def frame_transport_exhaustive(q: QuadraticModule, k: int,
     for _ in range(min(spot_check, len(frames) ** 2)):
         f1 = frames[rng.randrange(len(frames))]
         f2 = frames[rng.randrange(len(frames))]
-        phi = frame_transport(q, Frame(q, f1), Frame(q, f2))
-        for v1, v2 in zip(f1, f2):
-            if phi.apply(v1) != v2:
-                raise AssertionError("spot-checked transport failed to match the frames")
+        frame_transport(q, Frame(q, f1), Frame(q, f2))  # raises unless phi(f1) = f2
     return {"frames": len(frames), "pairs": total, "spot_checks": min(spot_check, len(frames) ** 2)}

@@ -213,13 +213,6 @@ class UnitSphere:
                 return None  # nothing allowed: every further try fails alike
         return None
 
-    def index_of(self, coords: Sequence[int]) -> int:
-        arr = np.array(coords, dtype=np.int64) % self.p
-        hits = np.flatnonzero((self.vectors == arr).all(axis=1))
-        if hits.size != 1:
-            raise ValueError("vector is not on the unit sphere")
-        return int(hits[0])
-
 
 def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tuple[int, ...]]]:
     """All cliques of size 1..max_size, each as a sorted index tuple, in
@@ -279,9 +272,12 @@ def _integer_graph(q: QuadraticModule) -> tuple[list[Vector], np.ndarray]:
 
 
 def _ordered_cliques(by_size: dict[int, list[tuple[int, ...]]],
-                     size: int) -> list[tuple[int, ...]]:
-    """Every ordering of every clique of the given size, sorted."""
-    return sorted(t for c in by_size.get(size, []) for t in itertools.permutations(c))
+                     size: int) -> np.ndarray:
+    """Every ordering of every clique of the given size, as rows of vertex
+    indices sorted by their codes (base the vertex count): lexicographic."""
+    cliques = np.array(by_size.get(size, []), dtype=np.int64).reshape(-1, size)
+    rows = cliques[:, list(itertools.permutations(range(size)))].reshape(-1, size)
+    return rows[np.argsort(gfnum.codes(rows, gfnum.code_weights(len(by_size[1]), size)))]
 
 
 def build_stiefel(q: QuadraticModule, max_dim: int,
@@ -349,17 +345,13 @@ def connectivity_report(ring: RingDescriptor, n: int, max_degree: int,
     """Reduced homology of the Euclidean Stiefel complex in degrees up to
     max_degree, compared against the m-invariant connectivity bound
     (n - m - 3)/3: homology must vanish in degrees up to the bound."""
-    from stiefel_lab.invariants import compute_invariants
+    from stiefel_lab.invariants import known_arithmetic
     from stiefel_lab.stability import connectivity_degree
 
     if ring.kind != FINITE_FIELD:
         raise RingError("connectivity reports are finite-field computations")
     q = euclidean(ring, n)
-    invariants = compute_invariants(ring)
-    m_val = invariants.m_invariant.value()
-    arith = {"m_A": m_val, "P_kappa": invariants.pythagoras.value(),
-             "m_K": m_val, "P_K": None}
-    predicted = connectivity_degree("i", n, arith)["literal"]
+    predicted = connectivity_degree("i", n, known_arithmetic(ring))["literal"]
     sphere = UnitSphere(q)
     counts = {"vertices": sphere.m}
     if max_degree == 0:
@@ -409,61 +401,59 @@ def intersection_connectivity(ring: RingDescriptor, n: int,
 @dataclass
 class SemiSimplicialSet:
     """Levels of ordered frames with face maps d_i (delete slot i), stored as
-    index tables into the previous level."""
+    index tables into the previous level.  levels[p] is an (N_p, p + 1)
+    array of sphere indices, its rows in lexicographic order."""
 
-    levels: list[list[tuple[int, ...]]]
-    face_maps: list[list[list[int]]]  # face_maps[p][i][j]: d_i of simplex j at level p
+    levels: list[np.ndarray]
+    face_maps: list[list[np.ndarray]]  # face_maps[p][i][j]: d_i of simplex j at level p
 
     def verify_identities(self) -> None:
         """d_i d_j = d_(j-1) d_i for i < j, checked on every simplex."""
         for p in range(2, len(self.levels)):
-            for j_simplex in range(len(self.levels[p])):
-                for j in range(1, p + 1):
-                    for i in range(j):
-                        left = self.face_maps[p - 1][i][self.face_maps[p][j][j_simplex]]
-                        right = self.face_maps[p - 1][j - 1][self.face_maps[p][i][j_simplex]]
-                        if left != right:
-                            raise AssertionError(
-                                f"face identity fails at level {p}, simplex {j_simplex}"
-                            )
+            for j in range(1, p + 1):
+                for i in range(j):
+                    left = self.face_maps[p - 1][i][self.face_maps[p][j]]
+                    right = self.face_maps[p - 1][j - 1][self.face_maps[p][i]]
+                    if (left != right).any():
+                        raise AssertionError(f"face identity fails at level {p}, simplex "
+                                             f"{np.flatnonzero(left != right)[0]}")
 
 
 def build_ordered_stiefel(q: QuadraticModule, max_p: int) -> SemiSimplicialSet:
-    """Ordered frames (tuples, all orderings) up to level max_p."""
+    """Ordered frames (tuples, all orderings) up to level max_p.  Each face
+    table is one binary search of the level's rows with slot i deleted among
+    the codes of the level below (base the sphere size)."""
     sphere = UnitSphere(q)
-    adj = sphere.adjacency()
-    by_size = _cliques(adj, max_p + 1, SIMPLEX_BUDGET)
+    by_size = _cliques(sphere.adjacency(), max_p + 1, SIMPLEX_BUDGET)
     levels = [_ordered_cliques(by_size, size) for size in range(1, max_p + 2)]
-    index = [{t: i for i, t in enumerate(level)} for level in levels]
-    face_maps: list[list[list[int]]] = [[]]
+    face_maps: list[list[np.ndarray]] = [[]]
     for p in range(1, max_p + 1):
-        maps_p = []
-        for i in range(p + 1):
-            table = []
-            for t in levels[p]:
-                face = t[:i] + t[i + 1:]
-                table.append(index[p - 1][face])
-            maps_p.append(table)
-        face_maps.append(maps_p)
+        w = gfnum.code_weights(sphere.m, p)
+        known = gfnum.codes(levels[p - 1], w)
+        faces = [gfnum.codes(np.delete(levels[p], i, axis=1), w) for i in range(p + 1)]
+        if not all(gfnum.member(known, face).all() for face in faces):
+            raise AssertionError(f"a face of a level-{p} frame is not a frame")
+        face_maps.append([np.searchsorted(known, face) for face in faces])
     return SemiSimplicialSet(levels, face_maps)
 
 
-def _form_preserving_maps(target: QuadraticModule, k: int) -> list[np.ndarray]:
+def _form_preserving_maps(target: QuadraticModule, k: int) -> np.ndarray:
     """Every linear map from Euclidean k-space into the target that preserves
     the form, found by checking all matrices on all inputs (the independent
-    Hom-set description)."""
+    Hom-set description).  An (N, rank, k) array, in lexicographic order of
+    the flattened matrices, so their codes are sorted."""
     ring = target.ring
     p, m = ring.p, target.rank
     G = np.array(target.int_gram(), dtype=np.int64)
     inputs = gfnum.all_vectors(p, k)
     want = (inputs * inputs).sum(axis=1) % p
     candidates = gfnum.all_vectors(p, m * k).reshape(-1, m, k)
-    out = []
+    keep = []
     for block in gfnum.blocks(len(candidates), len(inputs) * m):
         images = np.einsum("bmk,ik->bim", candidates[block], inputs) % p
         got = gfnum.gram_values(G, images.reshape(-1, m), p).reshape(len(images), -1)
-        out += list(candidates[block][(got == want).all(axis=1)])
-    return out
+        keep.append((got == want).all(axis=1))
+    return candidates[np.concatenate(keep)]
 
 
 def wn_identification_check(ring: RingDescriptor, v_diag: Sequence[int], n: int,
@@ -472,43 +462,41 @@ def wn_identification_check(ring: RingDescriptor, v_diag: Sequence[int], n: int,
     levels of V + E^n: the map sending a form-preserving f to the ordered
     tuple of its basis images is a bijection compatible with the face maps.
     Exhaustive at these sizes (maps are enumerated independently as
-    matrices, frames by clique extension)."""
-    v_mod = diagonal_module(ring, list(v_diag))
-    amb = orthogonal_sum(v_mod, euclidean(ring, n)) if v_diag else euclidean(ring, n)
-    sphere = UnitSphere(amb)
+    matrices, frames by clique extension).  Basis images are found by one
+    binary search among the sphere's codes, which are sorted since its rows
+    are; every mismatch is a failure, never an exception."""
+    amb = orthogonal_sum(diagonal_module(ring, list(v_diag)), euclidean(ring, n))
     sss = build_ordered_stiefel(amb, max_p)
-    failures = []
-    details = {"levels": {}}
-    maps_by_level: dict[int, list[np.ndarray]] = {}
+    w_vec = gfnum.code_weights(ring.p, amb.rank)
+    units = gfnum.codes(UnitSphere(amb).vectors, w_vec)
+    failures, details = [], {"levels": {}}
     for p_level in range(max_p + 1):
         k = p_level + 1
-        homs = _form_preserving_maps(amb, k)
-        maps_by_level[p_level] = homs
-        frames = sss.levels[p_level]
-        images = set()
-        for M in homs:
-            cols = tuple(sphere.index_of(M[:, j]) for j in range(k))
-            images.add(cols)
-        if len(images) != len(homs):
-            failures.append(f"level {p_level}: the identification is not injective")
-        if images != set(frames):
-            failures.append(f"level {p_level}: image does not match the ordered frames")
+        homs, frames = _form_preserving_maps(amb, k), sss.levels[p_level]
         details["levels"][p_level] = {"maps": len(homs), "frames": len(frames)}
-    sss.verify_identities()
-    # Face compatibility: deleting column i corresponds to the face map d_i.
-    for p_level in range(1, max_p + 1):
-        frame_index = {t: i for i, t in enumerate(sss.levels[p_level])}
-        for M in maps_by_level[p_level]:
-            cols = tuple(sphere.index_of(M[:, j]) for j in range(p_level + 1))
-            for i in range(p_level + 1):
-                sub = np.delete(M, i, axis=1)
-                sub_cols = tuple(sphere.index_of(sub[:, j]) for j in range(p_level))
-                via_face = sss.face_maps[p_level][i][frame_index[cols]]
-                if sss.levels[p_level - 1][via_face] != sub_cols:
-                    failures.append(
-                        f"face map d_{i} disagrees at level {p_level}"
-                    )
-                    break
+        cols = gfnum.codes(homs.transpose(0, 2, 1), w_vec).reshape(len(homs), k)
+        on_sphere = gfnum.member(units, cols).all(axis=1)
+        if not on_sphere.all():
+            failures.append(f"level {p_level}: map {homs[~on_sphere][0].tolist()} is off the sphere")
+        images = np.searchsorted(units, cols[on_sphere])  # rows: the tuples of basis images
+        w = gfnum.code_weights(len(units), k)
+        got, want = gfnum.codes(images, w), gfnum.codes(frames, w)
+        if len(np.unique(got)) != len(got):
+            failures.append(f"level {p_level}: the identification is not injective")
+        if not np.array_equal(np.unique(got), want):
+            failures.append(f"level {p_level}: image does not match the ordered frames")
+        # Face compatibility: deleting column i corresponds to the face map d_i.
+        is_frame = gfnum.member(want, got)
+        images, at = images[is_frame], np.searchsorted(want, got[is_frame])
+        for i, face in enumerate(sss.face_maps[p_level]):
+            bad = (sss.levels[p_level - 1][face[at]] != np.delete(images, i, axis=1)).any(axis=1)
+            if bad.any():
+                failures.append(f"face map d_{i} disagrees at level {p_level} on frame "
+                                f"{images[bad][0].tolist()}")
+    try:
+        sss.verify_identities()
+    except AssertionError as exc:
+        failures.append(str(exc))
     return CheckResult("wn-identification", not failures, failures, details)
 
 
@@ -516,35 +504,27 @@ def local_standardness_check(ring: RingDescriptor, v_diag: Sequence[int], n: int
     """LS1: the two stabilization embeddings of E^1 into V + E^2 are distinct
     maps; LS2: appending a zero coordinate sends Hom(E^1, V + E^(n-1))
     injectively into Hom(E^1, V + E^n).  Both checked on the exhaustive
-    Hom-set enumeration."""
+    Hom-set enumeration, by codes: a map's code has its coordinates as
+    base-p digits, so appending a zero coordinate multiplies it by p."""
     v_mod = diagonal_module(ring, list(v_diag))
-    failures = []
-    m_v = len(v_diag)
-    amb2 = orthogonal_sum(v_mod, euclidean(ring, 2)) if v_diag else euclidean(ring, 2)
-    maps2 = _form_preserving_maps(amb2, 1)
-    first = np.zeros((m_v + 2, 1), dtype=np.int64)
-    first[m_v, 0] = 1
-    second = np.zeros((m_v + 2, 1), dtype=np.int64)
-    second[m_v + 1, 0] = 1
-    keys = {tuple(M.ravel().tolist()) for M in maps2}
-    if tuple(first.ravel().tolist()) not in keys or tuple(second.ravel().tolist()) not in keys:
+    amb2, ambn1, ambn = (orthogonal_sum(v_mod, euclidean(ring, k)) for k in (2, n - 1, n))
+    p, m_v, failures = ring.p, len(v_diag), []
+    first, second = np.eye(m_v + 2, dtype=np.int64)[m_v:]  # the maps 1 -> e_(m_v+1), e_(m_v+2)
+    w = gfnum.code_weights(p, m_v + 2)
+    if not gfnum.member(gfnum.codes(_form_preserving_maps(amb2, 1), w),
+                        gfnum.codes(np.stack([first, second]), w)).all():
         failures.append("LS1: the two stabilization embeddings are not in the Hom-set")
     if (first == second).all():
         failures.append("LS1: the embeddings coincide")
-    ambn1 = orthogonal_sum(v_mod, euclidean(ring, n - 1)) if v_diag else euclidean(ring, n - 1)
-    ambn = orthogonal_sum(v_mod, euclidean(ring, n)) if v_diag else euclidean(ring, n)
     maps_small = _form_preserving_maps(ambn1, 1)
-    maps_large = {tuple(M.ravel().tolist()) for M in _form_preserving_maps(ambn, 1)}
-    stabilized = set()
-    for M in maps_small:
-        key = tuple(M.ravel().tolist()) + (0,)
-        if key in stabilized:
-            failures.append("LS2: stabilization is not injective")
-            break
-        if key not in maps_large:
-            failures.append(f"LS2: stabilized map {list(key)} is not in Hom(E^1, V + E^{n})")
-            break
-        stabilized.add(key)
+    stabilized = gfnum.codes(maps_small, gfnum.code_weights(p, ambn1.rank)) * p
+    if len(np.unique(stabilized)) != len(stabilized):
+        failures.append("LS2: stabilization is not injective")
+    missing = ~gfnum.member(gfnum.codes(_form_preserving_maps(ambn, 1),
+                                        gfnum.code_weights(p, ambn.rank)), stabilized)
+    if missing.any():
+        key = maps_small[missing][0].ravel().tolist() + [0]
+        failures.append(f"LS2: stabilized map {key} is not in Hom(E^1, V + E^{n})")
     return CheckResult("local-standardness", not failures, failures,
                        {"hom_small": len(maps_small)})
 
@@ -702,7 +682,9 @@ def morse_replay(
         cert.add("pivot", False, "no unit vector in the intersection")
         return cert
     pivot = 0  # first unit vector in canonical (lexicographic) order
-    neg = sphere.index_of((-sphere.vectors[pivot]) % sphere.p)
+    w = gfnum.code_weights(sphere.p, sub.rank)  # -u is a unit: look up its code
+    neg = int(np.searchsorted(gfnum.codes(sphere.vectors, w),
+                              gfnum.codes(-sphere.vectors[pivot] % sphere.p, w)[0]))
     orth = sphere.orthogonal_mask(pivot)
     orth[neg] = False  # B(-u, u) = -2 is nonzero anyway; keep the mask exact
     filt = MorseFiltration(l, pivot, neg, orth)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stiefel_lab import cli, complexes
@@ -114,6 +115,27 @@ def test_wn_and_int_aut(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["automorphisms"] == 8
+
+
+@pytest.mark.parametrize("column", [[1, 0, 0], [0, 0, 0]], ids=["repeated", "zero"])
+def test_wn_check_exits_1_on_a_planted_map(monkeypatch, capsys, column):
+    """A form-preserving map whose second basis image is e_1 again, or 0,
+    matches no ordered frame: exit 1 with the witness, not a traceback or
+    a usage error."""
+    from stiefel_lab import stiefel
+
+    enumerate_maps = stiefel._form_preserving_maps
+
+    def planted(target, k):
+        maps = enumerate_maps(target, k)
+        return np.concatenate([maps, [np.array([[1, 0, 0], column]).T]]) if k == 2 else maps
+
+    monkeypatch.setattr(stiefel, "_form_preserving_maps", planted)
+    code, out = run_cli(["wn-check", "--field", "3", "--n", "3", "--max-p", "1"], capsys)
+    assert code == 1
+    wn, ls = json.loads(out)["assertions"]
+    assert not wn["pass"] and wn["witness"]
+    assert ls["pass"]
 
 
 def test_hensel_command(capsys):

@@ -1,5 +1,5 @@
-"""Residue kernels: the one vector table, the one block bound, and the
-memory that the blocked F_p scans may hold."""
+"""Residue kernels: the one vector table, the one block bound, the one row
+code, and the memory that the blocked F_p scans may hold."""
 
 import itertools
 import tracemalloc
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stiefel_lab import gfnum
-from stiefel_lab.rings import finite_field
+from stiefel_lab.rings import BudgetError, finite_field
 from stiefel_lab.quadmod import euclidean
 from stiefel_lab.invariants import compute_invariants
 from stiefel_lab.isometry import abelianization_exponent, enumerate_group
@@ -37,6 +37,41 @@ def test_blocks_cover_the_range_within_the_bound(count, width):
     for s in parts:
         rows = len(range(count)[s])
         assert rows == 1 or rows * width <= gfnum._BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("base,width", [
+    (3, 1), (7, 4), (5, 9), (3, 16), (13, 16),  # n x n matrices mod p, width n^2
+    (3, 5), (5, 4),  # unit-sphere rows mod p
+    (90, 3), (19764, 4),  # frames of sphere indices, base the sphere size
+])
+def test_codes_sort_like_flattened_tuples(base, width):
+    rng = np.random.default_rng(17)
+    rows = rng.integers(0, base, size=(300, width), dtype=np.int64)
+    rows[:3] = base - 1  # the largest code base^width - 1, held three times
+    w = gfnum.code_weights(base, width)
+    codes = gfnum.codes(rows, w)
+    flat = [tuple(r) for r in rows.tolist()]
+    assert [flat[i] for i in np.argsort(codes, kind="stable")] == sorted(flat)
+    assert len(set(codes.tolist())) == len(set(flat))
+    assert codes.max() == base ** width - 1
+    assert (gfnum.decode(codes, w, base) == rows).all()
+
+
+def test_code_weights_refuse_codes_past_int64():
+    assert gfnum.code_weights(7, 22)[0] == 7 ** 21  # 7^22 < 2^63
+    assert gfnum.code_weights(2, 62)[0] == 2 ** 61
+    for base, width in ((7, 25), (7, 23), (2, 63)):
+        with pytest.raises(BudgetError, match=rf"{base}\^{width}"):
+            gfnum.code_weights(base, width)
+
+
+def test_member_on_absent_and_largest_codes():
+    top = 3 ** 39 - 1  # the largest code of 39 digits mod 3
+    known = np.array([5, 9, 12, top - 1], dtype=np.int64)
+    codes = np.array([0, 5, 6, 12, 13, top - 1, top], dtype=np.int64)
+    assert gfnum.member(known, codes).tolist() == [False, True, False, True, False, True, False]
+    assert gfnum.member(np.append(known, top), codes)[-1]
+    assert not gfnum.member(known[:0], codes).any()
 
 
 def peak_mib(call) -> float:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stiefel_lab import gfnum
 from stiefel_lab.rings import (
     BudgetError,
     RingError,
@@ -33,12 +34,9 @@ from stiefel_lab.quadmod import (
 from stiefel_lab.isometry import (
     Isometry,
     _closure_mod_p,
-    _codes,
-    _decode,
     _isometry,
     _invert,
     _reflections_mod_p,
-    _weights,
     _witt_reflections,
     abelianization_exponent,
     block_sum,
@@ -297,45 +295,38 @@ def closure_one_by_one(gens, n, p):
     return seen
 
 
+def closure_rows(codes, n, p):
+    """The flattened matrices of sorted closure codes, as tuples."""
+    return list(map(tuple, gfnum.decode(codes, gfnum.code_weights(p, n * n), p).tolist()))
+
+
 @pytest.mark.parametrize("q", [
     euclidean(F3, 3), euclidean(F3, 4), euclidean(F5, 3), diagonal_module(F5, [1, 2]),
 ], ids=["O3(F3)", "O4(F3)", "O3(F5)", "O<1,2>(F5)"])
 def test_closure_matches_one_product_at_a_time(q):
-    gens = list(_reflections_mod_p(q).values())
+    gens = _reflections_mod_p(q)
     got = _closure_mod_p(gens, q.rank, q.ring.p)
-    want = closure_one_by_one(gens, q.rank, q.ring.p)
-    assert list(got) == list(want)  # the same insertion order
-    assert all(got[key].tolist() == want[key].tolist() for key in want)
+    assert (np.diff(got) > 0).all()
+    assert closure_rows(got, q.rank, q.ring.p) == sorted(
+        closure_one_by_one(gens, q.rank, q.ring.p))
 
 
 def test_closure_order_holds_with_small_blocks(monkeypatch):
     # one frontier element per block, and each level's held codes
-    # deduplicated every few blocks: still the same breadth-first order
+    # deduplicated every few blocks: still the same group, in sorted order
     monkeypatch.setattr("stiefel_lab.gfnum._BLOCK_ENTRIES", 8)
-    gens = list(_reflections_mod_p(euclidean(F3, 4)).values())
-    assert list(_closure_mod_p(gens, 4, 3)) == list(closure_one_by_one(gens, 4, 3))
+    gens = _reflections_mod_p(euclidean(F3, 4))
+    assert closure_rows(_closure_mod_p(gens, 4, 3), 4, 3) == sorted(
+        closure_one_by_one(gens, 4, 3))
 
 
 def test_closure_cap_refuses_at_the_same_count():
-    gens = list(_reflections_mod_p(euclidean(F3, 3)).values())
+    gens = _reflections_mod_p(euclidean(F3, 3))
     with pytest.raises(BudgetError, match="enumeration cap 10"):
         _closure_mod_p(gens, 3, 3, cap=10)
     with pytest.raises(BudgetError, match="enumeration cap 47"):
         _closure_mod_p(gens, 3, 3, cap=47)
     assert len(_closure_mod_p(gens, 3, 3, cap=48)) == 48
-
-
-@pytest.mark.parametrize("p,n", [(3, 1), (7, 2), (5, 3), (3, 4), (13, 4)])
-def test_codes_sort_like_flattened_tuples(p, n):
-    rng = np.random.default_rng(17)
-    mats = rng.integers(0, p, size=(300, n, n), dtype=np.int64)
-    mats[:3] = p - 1  # the largest code p^(n^2) - 1, held three times
-    w = _weights(n, p)
-    codes = _codes(mats, w)
-    flat = [tuple(m.ravel().tolist()) for m in mats]
-    assert [flat[i] for i in np.argsort(codes, kind="stable")] == sorted(flat)
-    assert len(set(codes.tolist())) == len(set(flat))
-    assert (_decode(codes, w, p) == mats).all()
 
 
 def test_closure_refuses_codes_past_int64_before_any_product(monkeypatch):
@@ -350,8 +341,7 @@ def test_closure_refuses_codes_past_int64_before_any_product(monkeypatch):
 def test_enumerate_group_checks_every_element(monkeypatch):
     # diag(2, 1) scales q(e_1) by 4, so its closure is no group of isometries
     q = euclidean(F5, 2)
-    gens = dict(_reflections_mod_p(q))
-    gens[(2, 0, 0, 1)] = np.array([[2, 0], [0, 1]], dtype=np.int64)
+    gens = np.concatenate([_reflections_mod_p(q), [[[2, 0], [0, 1]]]])
     monkeypatch.setattr("stiefel_lab.isometry._reflections_mod_p", lambda q: gens)
     with pytest.raises(ValueError, match="does not preserve the form"):
         enumerate_group(q)
@@ -578,7 +568,8 @@ def all_pairs_derived(group):
     for i in range(len(group)):
         for c in (invs[i] @ invs @ mats[i] @ mats) % q.ring.p:
             commutators[tuple(c.ravel().tolist())] = c
-    return set(_closure_mod_p(list(commutators.values()), q.rank, q.ring.p))
+    return set(closure_rows(_closure_mod_p(list(commutators.values()), q.rank, q.ring.p),
+                            q.rank, q.ring.p))
 
 
 @pytest.mark.parametrize("q", [
@@ -597,13 +588,9 @@ def test_derived_subgroup_adds_conjugates(monkeypatch):
     # only 12 of the 60 elements of [G, G]; conjugation must add the rest.
     q = euclidean(F5, 3)
     group = enumerate_group(q)
-    few = {}
-    for v in ([1, 0, 0], [0, 1, 0], [1, 1, 1]):
-        tau = reflection(q, v).int_matrix()
-        few[tau] = np.array(tau, dtype=np.int64)
-    gens = list(few.values())
-    assert len(_closure_mod_p(gens, 3, 5)) == 240
-    assert len(_closure_mod_p([(s @ t @ s @ t) % 5 for s in gens for t in gens], 3, 5)) == 12
+    few = np.array([reflection(q, v).int_matrix() for v in ([1, 0, 0], [0, 1, 0], [1, 1, 1])])
+    assert len(_closure_mod_p(few, 3, 5)) == 240
+    assert len(_closure_mod_p([(s @ t @ s @ t) % 5 for s in few for t in few], 3, 5)) == 12
     monkeypatch.setattr("stiefel_lab.isometry._reflections_mod_p", lambda q: few)
     assert derived_subgroup(group) == all_pairs_derived(group)
 

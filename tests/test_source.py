@@ -203,3 +203,28 @@ def test_library_has_no_local_reimports():
                 found |= {f"{path.name}:{node.lineno}" for node in ast.walk(func)
                           if top & _imported_modules(node)}
     assert sorted(found) == []
+
+
+def _place_values(tree) -> list[int]:
+    """Lines that raise something to the power of an `np.arange(...)`."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                   and isinstance(node.right, ast.Call)
+                   and getattr(node.right.func, "attr", None) == "arange"})
+
+
+def test_row_codes_have_one_home():
+    """Place values of an int64 row code are built only by `gfnum.code_weights`,
+    so every F_p row lookup shares one code and one int64 refusal."""
+    sample = ast.parse("w = p ** np.arange(k - 1, -1, -1)\n"
+                       "x = 3 ** numpy.arange(4)\n"
+                       "y = np.arange(4) ** 2\n")
+    assert _place_values(sample) == [1, 2]
+    found = []
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        if path.name != "gfnum.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _place_values(tree)]
+    assert found == []
+    assert _place_values(ast.parse((Path(stiefel_lab.__file__).parent / "gfnum.py")
+                                   .read_text()))

@@ -132,6 +132,75 @@ def test_ordered_stiefel_and_identities():
     assert len(sss.levels[1]) == expected
 
 
+def face_tables_by_dict(q, max_p):
+    """Reference: the ordered levels as sorted tuples, and each face table
+    looked up in a dict from the frames of the level below to their index."""
+    by_size = stiefel._cliques(UnitSphere(q).adjacency(), max_p + 1, budget=10**7)
+    levels = [sorted(t for c in by_size.get(size, []) for t in itertools.permutations(c))
+              for size in range(1, max_p + 2)]
+    index = [{t: i for i, t in enumerate(level)} for level in levels]
+    face_maps = [[]] + [[[index[p - 1][t[:i] + t[i + 1:]] for t in levels[p]]
+                         for i in range(p + 1)] for p in range(1, max_p + 1)]
+    return levels, face_maps
+
+
+@pytest.mark.parametrize("ring,n,max_p", [(F3, 3, 2), (F3, 4, 3), (F5, 3, 2)],
+                         ids=["F3-n3", "F3-n4", "F5-n3"])
+def test_ordered_face_maps_match_dict_tables(ring, n, max_p):
+    sss = build_ordered_stiefel(euclidean(ring, n), max_p)
+    levels, face_maps = face_tables_by_dict(euclidean(ring, n), max_p)
+    assert [level.tolist() for level in sss.levels] == [list(map(list, lv)) for lv in levels]
+    assert [level.shape[1] for level in sss.levels] == list(range(1, max_p + 2))
+    assert [[f.tolist() for f in fm] for fm in sss.face_maps] == face_maps
+    sss.verify_identities()
+
+
+def planting(monkeypatch, extra):
+    """Make the Hom-set enumeration of 2-frame maps also return `extra`."""
+    enumerate_maps = stiefel._form_preserving_maps
+
+    def planted(target, k):
+        maps = enumerate_maps(target, k)
+        return np.concatenate([maps, [extra]]) if k == 2 else maps
+
+    monkeypatch.setattr(stiefel, "_form_preserving_maps", planted)
+
+
+def test_wn_check_reports_a_planted_map_that_is_no_frame(monkeypatch):
+    """Columns (e_1, e_1): both on the sphere, but no frame, so it has no
+    face to compare; the mismatch is a failure, not a lookup error."""
+    planting(monkeypatch, [[1, 1], [0, 0], [0, 0]])
+    res = wn_identification_check(F3, [], 3, 1)
+    assert not res.passed
+    assert res.failures == ["level 1: image does not match the ordered frames"]
+    assert res.details["levels"][1] == {"maps": 25, "frames": 24}
+
+
+def test_wn_check_reports_a_basis_image_off_the_sphere(monkeypatch):
+    planting(monkeypatch, [[1, 0], [0, 0], [0, 0]])
+    res = wn_identification_check(F3, [], 3, 1)
+    assert res.failures == ["level 1: map [[1, 0], [0, 0], [0, 0]] is off the sphere"]
+
+
+def test_wn_check_reports_a_corrupted_face_map(monkeypatch):
+    """Swapping two entries of d_0 at level 2 breaks d_0 d_1 = d_0 d_0 and
+    the face compatibility; both are failures of the check."""
+    build = stiefel.build_ordered_stiefel
+
+    def corrupted(q, max_p):
+        sss = build(q, max_p)
+        d0 = sss.face_maps[2][0]
+        assert d0[0] != d0[1]
+        d0[0], d0[1] = d0[1], d0[0]
+        return sss
+
+    monkeypatch.setattr(stiefel, "build_ordered_stiefel", corrupted)
+    res = wn_identification_check(F3, [], 3, 2)
+    assert not res.passed
+    assert "face map d_0 disagrees at level 2 on frame [0, 2, 4]" in res.failures
+    assert res.failures[-1].startswith("face identity fails at level 2, simplex ")
+
+
 def wn_sweep(max_n=3, max_p=1):
     """Criterion sweep: identification and face compatibility over F_3."""
     results = {}
@@ -179,9 +248,9 @@ def test_form_preserving_maps_match_a_one_by_one_scan(ring, k, v_diag, n):
               if v_diag else euclidean(ring, n))
     got = stiefel._form_preserving_maps(target, k)
     want = form_preserving_maps_one_by_one(target, k)
-    assert [M.tolist() for M in got] == [M.tolist() for M in want]
+    assert got.tolist() == [M.tolist() for M in want]
     assert want  # the inclusion of the first k coordinates, at least
-    assert all(M.shape == (target.rank, k) for M in got)
+    assert got.shape == (len(want), target.rank, k)
 
 
 def random_graph(m, density, seed):
@@ -260,7 +329,7 @@ def test_local_standardness_ls2_fails_on_a_missing_map(monkeypatch):
     def losing(target, k):
         maps = enumerate_maps(target, k)
         if target.rank == 3:
-            maps = [M for M in maps if M.ravel().tolist() != [1, 0, 0]]
+            maps = maps[(maps.reshape(len(maps), -1) != [1, 0, 0]).any(axis=1)]
         return maps
 
     monkeypatch.setattr(stiefel, "_form_preserving_maps", losing)
@@ -295,7 +364,7 @@ def frame_poset_and_filtration(n, l):
     """The frame poset of X_l(F_3^n), built as the exhaustive replay builds
     it, and the Morse filtration about the first unit vector."""
     sphere = UnitSphere(euclidean(F3, n))
-    neg = sphere.index_of((-sphere.vectors[0]) % sphere.p)
+    neg = int(np.flatnonzero(((-sphere.vectors[0]) % sphere.p == sphere.vectors).all(axis=1))[0])
     orth = sphere.orthogonal_mask(0)
     orth[neg] = False
     filt = stiefel.MorseFiltration(l, 0, neg, orth)
