@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from stiefel_lab.rings import BudgetError, RingError, finite_field, localized_at, padic
@@ -146,7 +147,7 @@ def cmd_connectivity(args) -> int:
     assertions = [_assertion("connectivity-bound", rep.bound_satisfied,
                              {"betti": list(rep.betti)})]
     config = {"field": args.field, "n": args.n, "max_degree": args.max_degree}
-    return _finish("connectivity", config, rep.as_dict(), assertions,
+    return _finish("connectivity", config, asdict(rep), assertions,
                    args.seed, args.format)
 
 

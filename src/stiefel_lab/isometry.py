@@ -12,7 +12,7 @@ products, and quotients by units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
@@ -49,17 +49,14 @@ class Isometry:
 
     module: QuadraticModule
     values: tuple[tuple, ...]
-    _matrix: Optional[Matrix] = field(default=None, compare=False, repr=False)
 
     def __init__(self, module: QuadraticModule, matrix: Matrix) -> None:
         _isometry(module, _values(module.ring, matrix, module.rank), self)
 
     @property
     def matrix(self) -> Matrix:
-        """The matrix as Scalars, built on first use."""
-        if self._matrix is None:
-            object.__setattr__(self, "_matrix", _scalars(self.module.ring, self.values))
-        return self._matrix
+        """The matrix as Scalars, built on each access."""
+        return _scalars(self.module.ring, self.values)
 
     def apply(self, x: Sequence) -> Vector:
         ring = self.module.ring
@@ -80,11 +77,6 @@ class Isometry:
 
     def is_identity(self) -> bool:
         return self.values == _eye(self.module.ring, self.module.rank)
-
-    def int_matrix(self) -> tuple[tuple[int, ...], ...]:
-        if self.module.ring.kind != FINITE_FIELD:
-            raise RingError("int_matrix is a finite-field accessor")
-        return self.values
 
 
 def _isometry(q: QuadraticModule, values: Sequence[Sequence],
@@ -109,8 +101,8 @@ def _bind(q: QuadraticModule, values: tuple[tuple, ...],
     """The Isometry of q with these raw values (filling in `iso` if given);
     the caller has checked M^T G M = G."""
     iso = object.__new__(Isometry) if iso is None else iso
-    for name, value in (("module", q), ("values", values), ("_matrix", None)):
-        object.__setattr__(iso, name, value)
+    object.__setattr__(iso, "module", q)
+    object.__setattr__(iso, "values", values)
     return iso
 
 
@@ -325,14 +317,14 @@ def _reflections_mod_p(q: QuadraticModule) -> np.ndarray:
     if ring.kind != FINITE_FIELD:
         raise RingError("group enumeration is a finite-field operation")
     p, n = ring.p, q.rank
-    G = np.array(q.int_gram(), dtype=np.int64)
+    G = np.array(q.gram_values, dtype=np.int64)
     vectors = gfnum.all_vectors(p, n)[1:]
     # v and c*v give one reflection: keep the first vector of each line,
     # the one whose leading non-zero coordinate is 1
     leading = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
     vectors = vectors[leading == 1]
     anisotropic = vectors[gfnum.gram_values(G, vectors, p) != 0]
-    return np.array([reflection(q, v).int_matrix() for v in anisotropic.tolist()],
+    return np.array([reflection(q, v).values for v in anisotropic.tolist()],
                     dtype=np.int64).reshape(-1, n, n)
 
 
@@ -344,7 +336,7 @@ def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isom
     n, p = q.rank, q.ring.p
     codes = _closure_mod_p(_reflections_mod_p(q), n, p, cap)
     M = gfnum.decode(codes, gfnum.code_weights(p, n * n), p).reshape(-1, n, n)
-    G = np.array(q.int_gram(), dtype=np.int64)
+    G = np.array(q.gram_values, dtype=np.int64)
     if ((M.transpose(0, 2, 1) @ (G @ M % p) - G) % p).any():
         raise ValueError("matrix does not preserve the form")
     return [_bind(q, tuple(map(tuple, m))) for m in M.tolist()]
@@ -362,7 +354,7 @@ def _derived_codes(elements: list[Isometry]) -> np.ndarray:
     q = elements[0].module
     p, n = q.ring.p, q.rank
     S = _reflections_mod_p(q)
-    if not {tuple(map(tuple, s)) for s in S.tolist()} <= {e.int_matrix() for e in elements}:
+    if not {tuple(map(tuple, s)) for s in S.tolist()} <= {e.values for e in elements}:
         raise ValueError("elements lack a reflection of the form")
     w = gfnum.code_weights(p, n * n)
     st = (S[:, None] @ S[None, :]) % p

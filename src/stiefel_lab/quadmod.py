@@ -261,23 +261,11 @@ class QuadraticModule:
         """Raw values of the Gram matrix, checked once to lie in the ring."""
         return tuple(map(tuple, _values(self.ring, self.gram, self.rank)))
 
-    def evaluate(self, x: Sequence) -> Scalar:
-        return evaluate(self, x)
-
-    def polar(self, x: Sequence, y: Sequence) -> Scalar:
-        return polar(self, x, y)
-
     def det(self) -> Scalar:
         return det(self.gram, self.ring)
 
     def is_nonsingular(self) -> bool:
         return self.det().is_unit()
-
-    def int_gram(self) -> list[list[int]]:
-        """Residue Gram matrix as plain ints (finite fields only)."""
-        if self.ring.kind != FINITE_FIELD:
-            raise RingError("int_gram is a finite-field accessor")
-        return [list(row) for row in self.gram_values]
 
 
 def quadratic_module(ring: RingDescriptor, rows: Sequence[Sequence]) -> QuadraticModule:

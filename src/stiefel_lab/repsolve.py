@@ -86,7 +86,7 @@ class IsotropyWitness:
 
 def _ff_first_zero(q: QuadraticModule) -> Optional[tuple[int, ...]]:
     p, n = q.ring.p, q.rank
-    G = np.array(q.int_gram(), dtype=np.int64)
+    G = np.array(q.gram_values, dtype=np.int64)
     X = gfnum.all_vectors(p, n)[1:]  # skip zero
     vals = gfnum.gram_values(G, X, p)
     hits = np.flatnonzero(vals == 0)
@@ -227,7 +227,7 @@ def _ff_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
     p = ring.p
     per_block = []
     for b in blocks:
-        G = np.array(b.int_gram(), dtype=np.int64)
+        G = np.array(b.gram_values, dtype=np.int64)
         X = gfnum.all_vectors(p, b.rank)
         vals = gfnum.gram_values(G, X, p)
         keep = vals % p != 0
@@ -414,7 +414,7 @@ def unit_vector_in_complement(
     if found_vec is None and ring.kind == FINITE_FIELD:
         inter = intersect_complements(q, u_frame.as_submodule(), v_frame.as_submodule())
         if inter.rank:
-            sphere = gfnum.unit_sphere(np.array(inter.restricted_module().int_gram(),
+            sphere = gfnum.unit_sphere(np.array(inter.restricted_module().gram_values,
                                                 dtype=np.int64), ring.p)
             if len(sphere):
                 found_vec = inter.to_ambient(vec(ring, sphere[0].tolist()))

@@ -269,21 +269,6 @@ class Scalar:
             raise RingError(f"{other.value} does not divide {self.value} in Z")
         return Scalar(self.ring, q)
 
-    def __rtruediv__(self, other: Raw) -> "Scalar":
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return (self.ring.one / self) ** (-n)
-        out = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             try:
@@ -312,10 +297,6 @@ class Scalar:
         if kind == PADIC:
             return self.value % self.ring.p != 0
         return self.value in (1, -1)
-
-    def lift(self) -> Union[int, Fraction]:
-        """Exact integer/fraction representative (residues lift to [0, mod))."""
-        return self.value
 
 
 _set_ring, _set_value = Scalar.ring.__set__, Scalar.value.__set__
@@ -400,9 +381,10 @@ def sum_of_squares(a: Scalar, k: int, height_bound: Optional[int] = None):
     Over a prime field the search is exhaustive, so None means the
     decomposition does not exist.  Over Q, Z_(p) and Z the search runs over
     candidates of height <= height_bound (|x| <= bound over Z) and None only
-    means "not found within the bound".  Truncated Z_p is refused: for a unit
-    a, `repsolve.represents` on the Euclidean form of rank k decomposes a by
-    lifting a residue witness with one Hensel step.
+    means "not found within the bound", except for a negative a, which no
+    sum of squares there equals, so None is then a proof.  Truncated Z_p is
+    refused: for a unit a, `repsolve.represents` on the Euclidean form of
+    rank k decomposes a by lifting a residue witness with one Hensel step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -420,6 +402,8 @@ def sum_of_squares(a: Scalar, k: int, height_bound: Optional[int] = None):
                         "on the Euclidean form of rank k")
     if height_bound is None:
         raise ValueError(f"height bound required over {ring.label()}")
+    if a.value < 0:
+        return None
     if kind == INTEGERS:
         candidates = [Fraction(n) for n in range(-height_bound, height_bound + 1)]
         candidates.sort(key=lambda f: (abs(f), f < 0))

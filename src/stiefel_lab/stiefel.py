@@ -49,7 +49,6 @@ from stiefel_lab.complexes import (
     CheckResult,
     Poset,
     SimplicialComplex,
-    _component_count,
     closure_deformation_check,
     morse_lemma_check,
     poset_from_frames,
@@ -111,7 +110,7 @@ class UnitSphere:
         self.form = form
         self.p = form.ring.p
         n = form.rank
-        self.gram = np.array(form.int_gram(), dtype=np.int64).reshape(n, n)
+        self.gram = np.array(form.gram_values, dtype=np.int64).reshape(n, n)
         self.vectors = gfnum.unit_sphere(self.gram, self.p)
         self.m = len(self.vectors)
         self._words = -(-self.m // 64)
@@ -327,18 +326,6 @@ class ConnectivityReport:
     bound_satisfied: bool
     counts: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "field": self.field,
-            "max_degree": self.max_degree,
-            "betti": list(self.betti),
-            "torsion": [list(t) for t in self.torsion],
-            "predicted_connectivity": self.predicted_connectivity,
-            "bound_satisfied": self.bound_satisfied,
-            "counts": self.counts,
-        }
-
 
 def connectivity_report(ring: RingDescriptor, n: int, max_degree: int,
                         budget: int = SIMPLEX_BUDGET) -> ConnectivityReport:
@@ -444,7 +431,7 @@ def _form_preserving_maps(target: QuadraticModule, k: int) -> np.ndarray:
     the flattened matrices, so their codes are sorted."""
     ring = target.ring
     p, m = ring.p, target.rank
-    G = np.array(target.int_gram(), dtype=np.int64)
+    G = np.array(target.gram_values, dtype=np.int64)
     inputs = gfnum.all_vectors(p, k)
     want = (inputs * inputs).sum(axis=1) % p
     candidates = gfnum.all_vectors(p, m * k).reshape(-1, m, k)
@@ -505,7 +492,13 @@ def local_standardness_check(ring: RingDescriptor, v_diag: Sequence[int], n: int
     maps; LS2: appending a zero coordinate sends Hom(E^1, V + E^(n-1))
     injectively into Hom(E^1, V + E^n).  Both checked on the exhaustive
     Hom-set enumeration, by codes: a map's code has its coordinates as
-    base-p digits, so appending a zero coordinate multiplies it by p."""
+    base-p digits, so appending a zero coordinate multiplies it by p.  A
+    rank-0 V + E^(n-1) is refused: its Hom-set is empty, so LS2 would pass
+    vacuously."""
+    if len(v_diag) + n - 1 < 1:
+        raise ValueError(f"LS2 needs V + E^(n-1) of rank at least 1, got rank "
+                         f"{len(v_diag) + n - 1} from --n {n} and {len(v_diag)} "
+                         f"--v-diag entries")
     v_mod = diagonal_module(ring, list(v_diag))
     amb2, ambn1, ambn = (orthogonal_sum(v_mod, euclidean(ring, k)) for k in (2, n - 1, n))
     p, m_v, failures = ring.p, len(v_diag), []
@@ -842,9 +835,7 @@ def _sampled_partition_items(cert, sphere, filt, rng, l, sample):
         is_l1 = len(x) == l and all(orth)
         is_li = len(x) >= 2 and not any(orth)
         want = 1 if is_l1 else (len(x) if is_li else 0)
-        if is_l1 and is_li:
-            bad += 1
-        elif filt.layer(x) != want:
+        if filt.layer(x) != want:
             bad += 1
     cert.add("layer-partition", bad == 0, f"{tried} frames classified, {bad} bad")
     # incomparability within a layer is structural: same-size distinct sets
@@ -898,30 +889,23 @@ def _sampled_x0_items(cert, sphere, filt, rng, l, sample):
              mono_bad == 0 and defl_bad == 0 and idem_bad == 0 and tried > 0,
              f"{tried} mixed frames: deflation {defl_bad}, monotone {mono_bad}, "
              f"idempotent {idem_bad} failures")
-    # Exact base of the suspension: the hyperplane skeleton poset at l - 1.
-    w_indices = np.flatnonzero(filt.orthogonal_to_pivot)
-    w_adj = sphere.adjacency(w_indices)
-    if l - 1 == 2:
-        verts = len(w_indices)
-        ii, jj = np.nonzero(np.triu(w_adj))
-        edges = len(ii)
-        comps = _component_count(range(verts), zip(ii.tolist(), jj.tolist()))
-        poset_elems = verts + edges
-        oc_edges = 2 * edges
-        b0 = comps - 1
-        b1 = oc_edges - poset_elems + comps
-        ok = b0 == 0
+    # Exact base of the suspension: X_(l-1) of the pivot hyperplane.  Its
+    # frame poset is the face poset of the hyperplane's clique complex cut at
+    # dimension l - 2, so that skeleton has the same homology.
+    w_adj = sphere.adjacency(np.flatnonzero(filt.orthogonal_to_pivot))
+    levels = _cliques(w_adj, l - 1, SIMPLEX_BUDGET)
+    prof = reduced_homology(SimplicialComplex({k - 1: level for k, level in levels.items()}),
+                            l - 2)
+    ok = prof.is_wedge_of_spheres(l - 2)
+    if l == 3:
         cert.add("x0-suspension-base", ok,
-                 f"X_2 of the hyperplane: {verts} vertices, {edges} pairs, "
-                 f"reduced betti ({b0}, {b1}); wedge of S^1: {ok}")
+                 f"X_2 of the hyperplane: {len(levels[1])} vertices, "
+                 f"{len(levels.get(2, []))} pairs, reduced betti "
+                 f"({prof.betti[0]}, {prof.betti[1]}); wedge of S^1: {ok}")
         cert.add("x0-clause-derived", ok,
                  "clause (i) derived: sampled deformation hypotheses + exact "
                  "suspension base (direct homology of X0 skipped for budget)")
     else:
-        by_size = _cliques(w_adj, l - 1, budget=EXPLICIT_POSET_CAP)
-        frames = [frozenset(t) for size in sorted(by_size) for t in by_size[size]]
-        prof = poset_from_frames(frames).homology()
-        ok = prof.is_wedge_of_spheres(l - 2)
         cert.add("x0-suspension-base", ok, f"betti {prof.betti}")
         cert.add("x0-clause-derived", ok, "clause (i) derived from the suspension base")
 

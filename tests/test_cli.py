@@ -265,11 +265,24 @@ def test_orbit_check_command(capsys):
     (["orbit-check", "--field", "3", "--n", "2", "--k", "3"],
      "--k must be between 0 and --n = 2, got 3"),
     (["wn-check", "--field", "3", "--n", "0"], "--n must be at least 1, got 0"),
-], ids=["orbit-n0", "orbit-k-above-n", "wn-n0"])
+    (["wn-check", "--field", "3", "--n", "1", "--max-p", "0"],
+     "LS2 needs V + E^(n-1) of rank at least 1, got rank 0 from --n 1 and 0 --v-diag entries"),
+], ids=["orbit-n0", "orbit-k-above-n", "wn-n0", "wn-n1-rank0"])
 def test_frame_commands_refuse_vacuous_sizes(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_wn_check_n1_with_a_v_diag_entry_is_not_vacuous(capsys):
+    """With V = <1>, LS2 compares the 2 maps E^1 -> V + E^0 with their images."""
+    from stiefel_lab.rings import finite_field
+    from stiefel_lab.stiefel import local_standardness_check
+
+    assert local_standardness_check(finite_field(3), [1], 1).details == {"hom_small": 2}
+    code, out = run_cli(["wn-check", "--field", "3", "--n", "1", "--v-diag", "1",
+                         "--max-p", "0"], capsys)
+    assert code == 0 and all(a["pass"] for a in json.loads(out)["assertions"])
 
 
 def test_orbit_check_reports_a_failed_or_empty_sweep(monkeypatch, capsys):

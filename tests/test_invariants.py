@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from stiefel_lab import gfnum
+from stiefel_lab import gfnum, invariants
 from stiefel_lab.rings import RingError, finite_field, localized_at, padic
 from stiefel_lab.quadmod import det, mat
 from stiefel_lab.invariants import (
@@ -114,6 +114,20 @@ def test_m_zp_witness_examples():
     assert wit3.establishes_lower_bound
     with pytest.raises(RingError):
         m_zp_witness(7, 10)
+
+
+def test_localized_invariants_search_three_squares_once(monkeypatch):
+    """The P bound reuses the rank-3 witness's search for a three-square 7."""
+    calls = []
+
+    def counted(target, height):
+        calls.append((target, height))
+        return no_rational_three_square(target, height)
+
+    monkeypatch.setattr(invariants, "no_rational_three_square", counted)
+    rep = localized_invariants(localized_at(3), height=10)
+    assert calls == [(7, 10)]
+    assert str(rep.pythagoras) == "[4, inf] (7 needs four squares; searched height 10)"
 
 
 def test_no_rational_three_square_oracle():

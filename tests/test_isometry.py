@@ -489,10 +489,10 @@ def test_raw_constructor_verifies_the_form(q):
 
 def test_enumerated_elements_carry_their_scalar_rows():
     group = enumerate_group(euclidean(F3, 4))
-    keys = [g.int_matrix() for g in group]
+    keys = [g.values for g in group]
     assert len(group) == 1152 and keys == sorted(set(keys))
     for g in group:
-        assert g.matrix == tuple(tuple(Scalar(F3, x) for x in row) for row in g.int_matrix())
+        assert g.matrix == tuple(tuple(Scalar(F3, x) for x in row) for row in g.values)
 
 
 def test_isometry_validates_ring_and_shape():
@@ -531,11 +531,11 @@ def test_abelianization_exponent_divides_two():
 
 def test_group_closure_is_a_group():
     group = enumerate_group(euclidean(F3, 2))
-    keys = {g.int_matrix() for g in group}
+    keys = {g.values for g in group}
     for a in group:
-        assert a.inverse().int_matrix() in keys
+        assert a.inverse().values in keys
         for b in group:
-            assert a.compose(b).int_matrix() in keys
+            assert a.compose(b).values in keys
 
 
 def brute_orthogonal(p, n):
@@ -554,7 +554,7 @@ def test_reflections_generate_everything(p, n):
     """The reflection closure equals the full isometry group, so hyperplane
     reflections generate; cross-checked against brute-force enumeration."""
     ring = finite_field(p)
-    closure = {g.int_matrix() for g in enumerate_group(euclidean(ring, n))}
+    closure = {g.values for g in enumerate_group(euclidean(ring, n))}
     assert closure == brute_orthogonal(p, n)
 
 
@@ -562,8 +562,8 @@ def all_pairs_derived(group):
     """Reference: the closure of every commutator a^-1 b^-1 a b, one row of
     pairs at a time over the whole group."""
     q = group[0].module
-    mats = np.stack([np.array(g.int_matrix(), dtype=np.int64) for g in group])
-    invs = np.stack([np.array(g.inverse().int_matrix(), dtype=np.int64) for g in group])
+    mats = np.stack([np.array(g.values, dtype=np.int64) for g in group])
+    invs = np.stack([np.array(g.inverse().values, dtype=np.int64) for g in group])
     commutators = {}
     for i in range(len(group)):
         for c in (invs[i] @ invs @ mats[i] @ mats) % q.ring.p:
@@ -588,7 +588,7 @@ def test_derived_subgroup_adds_conjugates(monkeypatch):
     # only 12 of the 60 elements of [G, G]; conjugation must add the rest.
     q = euclidean(F5, 3)
     group = enumerate_group(q)
-    few = np.array([reflection(q, v).int_matrix() for v in ([1, 0, 0], [0, 1, 0], [1, 1, 1])])
+    few = np.array([reflection(q, v).values for v in ([1, 0, 0], [0, 1, 0], [1, 1, 1])])
     assert len(_closure_mod_p(few, 3, 5)) == 240
     assert len(_closure_mod_p([(s @ t @ s @ t) % 5 for s in few for t in few], 3, 5)) == 12
     monkeypatch.setattr("stiefel_lab.isometry._reflections_mod_p", lambda q: few)

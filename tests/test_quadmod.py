@@ -291,8 +291,8 @@ def test_is_isometric_ff_cross_validated_rank2(p):
     for a, b, c, d in itertools.product(units, repeat=4):
         q1 = diagonal_module(ring, [a, b])
         q2 = diagonal_module(ring, [c, d])
-        g1 = np.array(q1.int_gram())
-        g2 = np.array(q2.int_gram())
+        g1 = np.array(q1.gram_values)
+        g2 = np.array(q2.gram_values)
         exhaustive = any((m.T @ g2 @ m % p == g1).all() for m in changes)
         assert exhaustive == is_isometric_ff(q1, q2)
 

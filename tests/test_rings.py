@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from stiefel_lab import rings
 from stiefel_lab.rings import (
     RingError,
     Scalar,
@@ -169,6 +170,19 @@ def test_sum_of_squares_found_values_check_out():
     got = sum_of_squares(Z5.scalar(2), 2, height_bound=3)
     assert got is not None
     assert sum((x * x for x in got), Z5.zero) == Z5.scalar(2)
+
+
+def test_sum_of_squares_of_a_negative_builds_no_candidates(monkeypatch):
+    """Squares over Q, Z_(p) and Z are non-negative, so a negative target is
+    refused before any candidate of bounded height is built."""
+    def no_heights(bound):
+        raise AssertionError("candidates built for a negative target")
+
+    monkeypatch.setattr(rings, "_heights", no_heights)
+    for ring in (Q, Z5):
+        for k in (1, 4):
+            assert sum_of_squares(ring.scalar(-1), k, height_bound=50) is None
+    assert sum_of_squares(integers().scalar(-3), 4, height_bound=50) is None
 
 
 def test_sum_of_squares_padic_lifts():

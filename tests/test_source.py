@@ -64,6 +64,28 @@ def test_library_has_no_unreferenced_private_names():
     assert found == []
 
 
+def test_library_methods_are_read_somewhere():
+    """Every non-dunder method of a package class is read as an attribute
+    (`x.name`) in the package, the tests or the benchmark; one never read is
+    dead code."""
+    paths = sorted(Path(stiefel_lab.__file__).parent.glob("*.py"))
+    here = Path(__file__).parent
+    readers = paths + sorted(here.glob("*.py")) + sorted((here.parent / "bench").glob("*.py"))
+    read = {node.attr for path in readers
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path in paths:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef):
+                found += [f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+                          for node in cls.body
+                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not (node.name.startswith("__") and node.name.endswith("__"))
+                          and node.name not in read]
+    assert found == []
+
+
 # numpy's float and complex scalar types, by attribute name.
 _NUMPY_FLOATS = re.compile(r"float\w*|complex\w*|c?double|c?longdouble|half|c?single")
 

@@ -230,7 +230,7 @@ def form_preserving_maps_one_by_one(target, k):
     """Reference: each candidate matrix, in itertools.product order, tried
     on every input vector on its own."""
     p, m = target.ring.p, target.rank
-    G = np.array(target.int_gram())
+    G = np.array(target.gram_values)
     inputs = list(itertools.product(range(p), repeat=k))
     out = []
     for flat in itertools.product(range(p), repeat=m * k):
@@ -489,6 +489,69 @@ def test_morse_replay_sampled_l3():
                         sample_budget=12, seed=0)
     assert cert.passed and cert.mode == "sampled"
     assert cert.config["frame_counts"][3] == 63685440
+
+
+def suspension_base_by_union_find(sphere, filt):
+    """Reference for the l = 3 suspension-base items: X_2 of the pivot
+    hyperplane is a graph, so its reduced Betti numbers are b0 = C - 1 and
+    b1 = E - V + C, with C counted by union-find (the Euler count of the
+    barycentric graph: V + E vertices, 2E edges)."""
+    w_indices = np.flatnonzero(filt.orthogonal_to_pivot)
+    ii, jj = np.nonzero(np.triu(sphere.adjacency(w_indices)))
+    verts, edges = len(w_indices), len(ii)
+    comps = complexes._component_count(range(verts), zip(ii.tolist(), jj.tolist()))
+    b0, b1 = comps - 1, 2 * edges - (verts + edges) + comps
+    ok = b0 == 0
+    return [("x0-suspension-base", ok,
+             f"X_2 of the hyperplane: {verts} vertices, {edges} pairs, "
+             f"reduced betti ({b0}, {b1}); wedge of S^1: {ok}"),
+            ("x0-clause-derived", ok,
+             "clause (i) derived: sampled deformation hypotheses + exact "
+             "suspension base (direct homology of X0 skipped for budget)")]
+
+
+def suspension_base_by_poset(sphere, filt):
+    """Reference for the l = 2 suspension-base items: the frame poset of the
+    hyperplane's singletons."""
+    singletons = [frozenset({i}) for i in range(int(filt.orthogonal_to_pivot.sum()))]
+    prof = poset_from_frames(singletons).homology()
+    ok = prof.is_wedge_of_spheres(0)
+    return [("x0-suspension-base", ok, f"betti {prof.betti}"),
+            ("x0-clause-derived", ok, "clause (i) derived from the suspension base")]
+
+
+@pytest.mark.parametrize("ring, n, l, reference", [
+    (F3, 8, 3, suspension_base_by_union_find),
+    (F3, 7, 2, suspension_base_by_poset),
+    (F5, 6, 2, suspension_base_by_poset),
+], ids=["F3-n8-l3", "F3-n7-l2", "F5-n6-l2"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_suspension_base_matches_reference(ring, n, l, reference, seed, monkeypatch):
+    seen = []
+    replayed = stiefel._sampled_x0_items
+
+    def spy(cert, sphere, filt, *args):
+        seen.append((sphere, filt))
+        replayed(cert, sphere, filt, *args)
+
+    monkeypatch.setattr(stiefel, "_sampled_x0_items", spy)
+    q = euclidean(ring, n)
+    cert = morse_replay(ring, n, l, frame(q, []), frame(q, []), sample_budget=4, seed=seed)
+    names = ("x0-suspension-base", "x0-clause-derived")
+    assert cert.mode == "sampled" and len(seen) == 1
+    assert [a for a in cert.assertions if a[0] in names] == reference(*seen[0])
+
+
+def test_suspension_base_without_hyperplane_units_fails():
+    """A pivot whose hyperplane holds no unit vector leaves an empty base,
+    which is no wedge of circles."""
+    sphere = UnitSphere(euclidean(F3, 1))
+    filt = stiefel.MorseFiltration(3, 0, 1, np.zeros(sphere.m, dtype=bool))
+    cert = stiefel.MorseCertificate(passed=True, mode="sampled")
+    stiefel._sampled_x0_items(cert, sphere, filt, random.Random(0), 3, 4)
+    assert ("x0-suspension-base", False, "X_2 of the hyperplane: 0 vertices, 0 pairs, "
+            "reduced betti (0, 0); wedge of S^1: False") in cert.assertions
+    assert not cert.passed
 
 
 # F_3 n = 5 has 90 vertices, so each packed row spans two words; the last
