@@ -1,10 +1,11 @@
-"""Vectorized linear algebra modulo an odd prime, for the bulk enumerations.
+"""Vectorized linear algebra modulo an odd prime or its power, for the bulk enumerations.
 
 These helpers work on plain numpy int64 arrays of residues.  `all_vectors`
-is the one vector table and `blocks` the one block bound for every F_p scan
-(unit spheres, diagonal values, form-preserving maps, group closure); the
-Scalar layer in `rings` stays the source of truth for exactness and all
-results feed back through exact checks there.
+is the one vector table, refused before it allocates, and `blocks` the one
+block bound for every residue scan (unit spheres, diagonal values, form-
+preserving maps, group closure over F_p and Z/p^N); the Scalar layer in
+`rings` stays the source of truth for exactness and all results feed back
+through exact checks there.
 
 `codes` is the one key of an F_p row (a matrix, a vector, a map, a frame of
 sphere indices): one int64, so sorted rows have sorted codes and a lookup is
@@ -20,12 +21,19 @@ from stiefel_lab.rings import BudgetError
 # Most int64 entries one numpy block of a scan may hold (256 KiB).
 _BLOCK_ENTRIES = 1 << 15
 
+# Most int64 entries the one vector table may hold (256 MiB).
+VECTOR_TABLE_ENTRIES = 1 << 25
 
-def all_vectors(p: int, n: int) -> np.ndarray:
-    """All p^n vectors over F_p, rows in lexicographic order."""
+
+def all_vectors(base: int, n: int) -> np.ndarray:
+    """All base^n vectors of n digits in [0, base), rows in lexicographic
+    order; refuses before it allocates past VECTOR_TABLE_ENTRIES entries."""
+    if base ** n * n > VECTOR_TABLE_ENTRIES:
+        raise BudgetError(f"the table of all {base}^{n} vectors of length {n} holds "
+                          f"{base ** n * n} entries, more than {VECTOR_TABLE_ENTRIES}")
     if n == 0:
         return np.zeros((1, 0), dtype=np.int64)
-    return np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
+    return np.indices((base,) * n, dtype=np.int64).reshape(n, -1).T
 
 
 def blocks(count: int, width: int):
@@ -35,9 +43,9 @@ def blocks(count: int, width: int):
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
-def gram_values(gram: np.ndarray, X: np.ndarray, p: int) -> np.ndarray:
-    """q(x) = x G x^T mod p for each row x of X."""
-    return np.einsum("ij,jk,ik->i", X, gram, X) % p
+def gram_values(gram: np.ndarray, X: np.ndarray, m: int) -> np.ndarray:
+    """q(x) = x G x^T mod m for each row x of X."""
+    return np.einsum("ij,jk,ik->i", X, gram, X) % m
 
 
 def unit_sphere(gram: np.ndarray, p: int) -> np.ndarray:

@@ -271,21 +271,20 @@ def block_sum(phi: Isometry, b_mod: QuadraticModule) -> Isometry:
 ENUMERATION_CAP = 1_000_000
 
 
-def _grow(known: np.ndarray, frontier: np.ndarray, S: np.ndarray, p: int,
+def _grow(known: np.ndarray, frontier: np.ndarray, S: np.ndarray, m: int,
           w: np.ndarray, cap: Optional[int] = None) -> np.ndarray:
-    """Close the sorted codes `known` under left multiplication by the
-    matrices S, breadth-first from the frontier codes (which `known` holds).
-    Returns the grown sorted codes; refuses to grow past `cap` elements.
-    Each level's new codes are merged into `known` once, at its end.  Until
-    then the blocks' new codes are deduplicated whenever they pass twice the
-    last deduplicated count, so a level holds a few times its own size, not
-    its product count."""
+    """Close the sorted codes `known` under left multiplication by S mod m,
+    breadth-first from the frontier codes (which `known` holds).  Returns
+    the grown sorted codes; refuses to grow past `cap` elements.  Each
+    level's new codes are merged into `known` once, at its end.  Until then
+    the blocks' new codes are deduplicated whenever they pass twice the last
+    deduplicated count, so a level holds a few times its own size."""
     n = S.shape[1]
     while len(frontier):
-        mats = gfnum.decode(frontier, w, p).reshape(-1, n, n)
+        mats = gfnum.decode(frontier, w, m).reshape(-1, n, n)
         level, held, bound = [], 0, gfnum._BLOCK_ENTRIES
         for block in gfnum.blocks(len(mats), S.size):
-            codes = np.unique(gfnum.codes(S[None] @ mats[block, None] % p, w))
+            codes = np.unique(gfnum.codes(S[None] @ mats[block, None] % m, w))
             level.append(codes[~gfnum.member(known, codes)])
             held += len(level[-1])
             if held > 2 * bound:
@@ -299,52 +298,54 @@ def _grow(known: np.ndarray, frontier: np.ndarray, S: np.ndarray, p: int,
     return known
 
 
-def _closure_mod_p(gens: Sequence[np.ndarray], n: int, p: int,
-                   cap: Optional[int] = None) -> np.ndarray:
+def _closure(gens: Sequence[np.ndarray], n: int, m: int,
+             cap: Optional[int] = None) -> np.ndarray:
     """The sorted codes of the group generated by invertible n x n matrices
-    mod p: breadth-first from the identity, multiplying on the left by each
+    mod m: breadth-first from the identity, multiplying on the left by each
     generator; refuses to grow past `cap` elements, and refuses before any
     product when codes overflow int64."""
-    w = gfnum.code_weights(p, n * n)
+    w = gfnum.code_weights(m, n * n)
     one = gfnum.codes(np.eye(n, dtype=np.int64), w)
-    return _grow(one, one, np.array(gens, dtype=np.int64).reshape(-1, n, n), p, w, cap)
+    return _grow(one, one, np.array(gens, dtype=np.int64).reshape(-1, n, n), m, w, cap)
 
 
-def _reflections_mod_p(q: QuadraticModule) -> np.ndarray:
-    """The distinct hyperplane reflections of q over a prime field, as an
-    (r, n, n) array of residue matrices: one per anisotropic line."""
-    ring = q.ring
-    if ring.kind != FINITE_FIELD:
-        raise RingError("group enumeration is a finite-field operation")
-    p, n = ring.p, q.rank
-    G = np.array(q.gram_values, dtype=np.int64)
-    vectors = gfnum.all_vectors(p, n)[1:]
-    # v and c*v give one reflection: keep the first vector of each line,
-    # the one whose leading non-zero coordinate is 1
-    leading = vectors[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
+def _reflections(q: QuadraticModule) -> np.ndarray:
+    """The distinct hyperplane reflections of q over Z/M (M = p over F_p,
+    p^N over truncated Z_p; other rings are refused), as an (r, n, n) array
+    of residue matrices: one per line through a vector of unit length value,
+    represented by its vector whose first unit coordinate is 1.  tau_v = tau_w
+    forces w = c v for a unit c (apply both to v), so no two coincide."""
+    m, p, n = q.ring.modulus, q.ring.p, q.rank
+    if m is None:
+        raise RingError(f"group enumeration needs a residue ring, not {q.ring.label()}")
+    vectors = gfnum.all_vectors(m, n)
+    leading = vectors[np.arange(len(vectors)), (vectors % p != 0).argmax(axis=1)]
     vectors = vectors[leading == 1]
-    anisotropic = vectors[gfnum.gram_values(G, vectors, p) != 0]
-    return np.array([reflection(q, v).values for v in anisotropic.tolist()],
+    # The table budget keeps n^2 (M - 1)^3, the largest form value summed,
+    # below 2^63 for n >= 2; for n = 1 the one line left is (1).
+    G = np.array(q.gram_values, dtype=np.int64)
+    units = vectors[gfnum.gram_values(G, vectors, m) % p != 0]
+    return np.array([reflection(q, v).values for v in units.tolist()],
                     dtype=np.int64).reshape(-1, n, n)
 
 
-def enumerate_group(q: QuadraticModule, cap: int = ENUMERATION_CAP) -> list[Isometry]:
-    """Every element of O(q) over a prime field, as the closure of the
-    hyperplane reflections under composition; canonically sorted (codes
-    sort like the flattened matrices).  One batched product checks
-    M^T G M = G for every element before any is bound."""
-    n, p = q.rank, q.ring.p
-    codes = _closure_mod_p(_reflections_mod_p(q), n, p, cap)
-    M = gfnum.decode(codes, gfnum.code_weights(p, n * n), p).reshape(-1, n, n)
+def enumerate_group(q: QuadraticModule) -> list[Isometry]:
+    """Every element of O(q) over Z/M, the closure of the hyperplane
+    reflections under composition (refused past ENUMERATION_CAP elements);
+    canonically sorted (codes sort like the flattened matrices).  One batched
+    product checks M^T G M = G for every element before any is bound."""
+    n, m = q.rank, q.ring.modulus
+    codes = _closure(_reflections(q), n, m, ENUMERATION_CAP)
+    M = gfnum.decode(codes, gfnum.code_weights(m, n * n), m).reshape(-1, n, n)
     G = np.array(q.gram_values, dtype=np.int64)
-    if ((M.transpose(0, 2, 1) @ (G @ M % p) - G) % p).any():
+    if ((M.transpose(0, 2, 1) @ (G @ M % m) - G) % m).any():
         raise ValueError("matrix does not preserve the form")
-    return [_bind(q, tuple(map(tuple, m))) for m in M.tolist()]
+    return [_bind(q, tuple(map(tuple, g))) for g in M.tolist()]
 
 
-def _derived_codes(elements: list[Isometry]) -> np.ndarray:
-    """Sorted codes of the commutator subgroup of O(q), for `elements` the
-    whole group (it must hold every reflection of q).
+def _derived_codes(elements: list[Isometry]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted codes of the elements and of the commutator subgroup of O(q),
+    for `elements` the whole group (it must hold every reflection of q).
 
     Reflections generate O(q) and are involutions, so [G, G] is the normal
     closure of the commutators s t s t of reflections s, t.  One closure
@@ -352,46 +353,38 @@ def _derived_codes(elements: list[Isometry]) -> np.ndarray:
     s x s lies in it for every reflection s and every x in X, so the
     conjugates of each added generator are tried in turn until none adds."""
     q = elements[0].module
-    p, n = q.ring.p, q.rank
-    S = _reflections_mod_p(q)
-    if not {tuple(map(tuple, s)) for s in S.tolist()} <= {e.values for e in elements}:
+    S = _reflections(q)
+    m, n = q.ring.modulus, q.rank
+    w = gfnum.code_weights(m, n * n)
+    group = np.sort(gfnum.codes(np.array([e.values for e in elements], dtype=np.int64), w))
+    if not gfnum.member(group, gfnum.codes(S, w)).all():
         raise ValueError("elements lack a reflection of the form")
-    w = gfnum.code_weights(p, n * n)
-    st = (S[:, None] @ S[None, :]) % p
+    st = (S[:, None] @ S[None, :]) % m
     known, X = gfnum.codes(np.eye(n, dtype=np.int64), w), S[:0]
-    pending = (st @ st % p).reshape(-1, n, n)
+    pending = (st @ st % m).reshape(-1, n, n)
     while len(pending):
         start, codes = len(X), gfnum.codes(pending, w)
         outside = ~gfnum.member(known, codes)
         while outside.any():
             X = np.concatenate([X, pending[outside.argmax()][None]])
-            known = _grow(known, known, X, p, w)
+            known = _grow(known, known, X, m, w)
             outside &= ~gfnum.member(known, codes)
-        pending = (S[:, None] @ X[None, start:] % p @ S[:, None] % p).reshape(-1, n, n)
-    return known
-
-
-def derived_subgroup(elements: list[Isometry]) -> set:
-    """The commutator subgroup of O(q), as a set of flattened int matrices,
-    for `elements` the whole group (it must hold every reflection of q)."""
-    if not elements:
-        return set()
-    q = elements[0].module
-    w = gfnum.code_weights(q.ring.p, q.rank * q.rank)
-    return set(map(tuple, gfnum.decode(_derived_codes(elements), w, q.ring.p).tolist()))
+        pending = (S[:, None] @ X[None, start:] % m @ S[:, None] % m).reshape(-1, n, n)
+    return group, known
 
 
 def abelianization_exponent(elements: list[Isometry]) -> int:
     """Exponent of G modulo its commutator subgroup.  The groups here are
     generated by reflections (order 2), so the exponent must divide 2; the
     computation verifies that every square lands in the derived subgroup."""
-    derived = _derived_codes(elements)
+    group, derived = _derived_codes(elements)
     q = elements[0].module
-    p, w = q.ring.p, gfnum.code_weights(q.ring.p, q.rank * q.rank)
-    M = np.array([e.values for e in elements], dtype=np.int64)
-    if not gfnum.member(derived, gfnum.codes(M @ M % p, w)).all():
+    m, n = q.ring.modulus, q.rank
+    w = gfnum.code_weights(m, n * n)
+    M = gfnum.decode(group, w, m).reshape(-1, n, n)
+    if not gfnum.member(derived, gfnum.codes(M @ M % m, w)).all():
         raise AssertionError("abelianization exponent does not divide 2")
-    return 1 if gfnum.member(derived, gfnum.codes(M, w)).all() else 2
+    return 1 if gfnum.member(derived, group).all() else 2
 
 
 def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
@@ -405,13 +398,16 @@ def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
     return [tuple(units[i] for i in t) for t in out]
 
 
-def frame_transport_exhaustive(q: QuadraticModule, k: int,
-                               spot_check: int = 50, seed: int = 0) -> dict:
+# Most frame pairs one transport sweep checks (F_5, n = 4, k = 2 has 12,960,000).
+TRANSPORT_PAIR_BUDGET = 50_000_000
+
+
+def frame_transport_exhaustive(q: QuadraticModule, k: int, seed: int = 0) -> dict:
     """Transport between *every* ordered pair of k-frames: one verified
     orthonormal extension per frame, then a vectorized pass that builds each
     transport B A^(-1) and re-checks both the frame matching and form
-    preservation on residues.  A seeded subsample additionally goes through
-    the single-pair frame_transport API."""
+    preservation on residues (refused past TRANSPORT_PAIR_BUDGET pairs).
+    50 seeded pairs also go through the single-pair frame_transport API."""
     import random
 
     ring = q.ring
@@ -419,18 +415,18 @@ def frame_transport_exhaustive(q: QuadraticModule, k: int,
         raise RingError("the exhaustive sweep enumerates over a prime field")
     p = ring.p
     frames = ordered_frames(q, k)
+    if len(frames) ** 2 > TRANSPORT_PAIR_BUDGET:
+        raise BudgetError(f"transport sweep over {len(frames)} frames needs "
+                          f"{len(frames) ** 2} transports, more than {TRANSPORT_PAIR_BUDGET}")
     n = q.rank
     mats = np.array([orthonormal_extension(q, Frame(q, fr)).values for fr in frames],
                     dtype=np.int64).reshape(-1, n, n)
     f_cols = mats[:, :, :k]  # the frame vectors are the leading columns
     inv = np.transpose(mats, (0, 2, 1))  # Euclidean Gram: inverse = transpose
     total = 0
-    chunk = 200  # source frames per vectorized block
-    for lo in range(0, len(mats), chunk):
-        a_inv = inv[lo:lo + chunk]
-        a_cols = f_cols[lo:lo + chunk]
-        phi = (mats[None, :, :, :] @ a_inv[:, None, :, :]) % p
-        moved = (phi @ a_cols[:, None, :, :]) % p
+    for block in gfnum.blocks(len(mats), len(mats) * n * n):
+        phi = (mats[None, :, :, :] @ inv[block, None, :, :]) % p
+        moved = (phi @ f_cols[block, None, :, :]) % p
         if not (moved == f_cols[None, :, :, :]).all():
             raise AssertionError("a transport failed to match the target frame")
         gram_check = (np.transpose(phi, (0, 1, 3, 2)) @ phi) % p
@@ -439,8 +435,9 @@ def frame_transport_exhaustive(q: QuadraticModule, k: int,
             raise AssertionError("a transport is not an isometry")
         total += phi.shape[0] * phi.shape[1]
     rng = random.Random(seed)
-    for _ in range(min(spot_check, len(frames) ** 2)):
+    spot_checks = min(50, len(frames) ** 2)
+    for _ in range(spot_checks):
         f1 = frames[rng.randrange(len(frames))]
         f2 = frames[rng.randrange(len(frames))]
         frame_transport(q, Frame(q, f1), Frame(q, f2))  # raises unless phi(f1) = f2
-    return {"frames": len(frames), "pairs": total, "spot_checks": min(spot_check, len(frames) ** 2)}
+    return {"frames": len(frames), "pairs": total, "spot_checks": spot_checks}

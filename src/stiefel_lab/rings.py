@@ -165,9 +165,10 @@ Raw = Union[int, Fraction, "Scalar"]
 class Scalar:
     """One exact element of a supported ring, normalized on construction.
 
-    Representations: residue in [0, p) for F_p; reduced Fraction for Q and
-    Z_(p) (the latter with nonnegative p-valuation); residue in [0, p^N) for
-    truncated p-adics; arbitrary-precision int for Z.
+    Representations: residue in [0, p^N) for truncated p-adics and for F_p,
+    the case N = 1 (both rings carry this p^N as `modulus`); reduced Fraction
+    for Q and Z_(p) (the latter with nonnegative p-valuation);
+    arbitrary-precision int for Z.
     """
 
     __slots__ = ("ring", "value")
@@ -177,26 +178,19 @@ class Scalar:
             if value.ring is not ring and value.ring != ring:
                 raise RingError(f"cannot reinterpret {value.ring.label()} scalar as {ring.label()}")
             value = value.value
-        kind = ring.kind
-        if kind == FINITE_FIELD:
+        m = ring.modulus
+        if m is not None:  # F_p = Z/p and truncated Z_p = Z/p^N
             if isinstance(value, Fraction):
                 if value.denominator % ring.p == 0:
-                    raise RingError(f"denominator not invertible mod {ring.p}")
-                value = value.numerator * pow(value.denominator, -1, ring.p)
-            value = int(value) % ring.p
-        elif kind == RATIONALS:
+                    raise RingError(f"denominator of {value} is not invertible mod {m}")
+                value = value.numerator * pow(value.denominator, -1, m)
+            value = int(value) % m
+        elif ring.kind == RATIONALS:
             value = Fraction(value)
-        elif kind == LOCALIZED:
+        elif ring.kind == LOCALIZED:
             value = Fraction(value)
             if value.denominator % ring.p == 0:
                 raise RingError(f"{value} has negative {ring.p}-adic valuation")
-        elif kind == PADIC:
-            m = ring.modulus
-            if isinstance(value, Fraction):
-                if value.denominator % ring.p == 0:
-                    raise RingError(f"{value} has negative {ring.p}-adic valuation")
-                value = value.numerator * pow(value.denominator, -1, m)
-            value = int(value) % m
         else:  # INTEGERS
             if isinstance(value, Fraction):
                 if value.denominator != 1:
@@ -247,11 +241,15 @@ class Scalar:
 
     def __truediv__(self, other: Raw) -> "Scalar":
         other = self._coerce(other)
-        kind = self.ring.kind
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        if kind == FINITE_FIELD:
-            return Scalar(self.ring, self.value * pow(other.value, -1, self.ring.p))
+        m = self.ring.modulus
+        if m is not None:
+            try:
+                return self._closed(self.value * pow(other.value, -1, m))
+            except ValueError:  # pow finds no inverse
+                raise RingError(f"{other.value} is not a unit mod {m}") from None
+        kind = self.ring.kind
         if kind == RATIONALS:
             return Scalar(self.ring, Fraction(self.value, 1) / other.value)
         if kind == LOCALIZED:
@@ -259,10 +257,6 @@ class Scalar:
             if q.denominator % self.ring.p == 0:
                 raise RingError(f"{other.value} does not divide {self.value} in {self.ring.label()}")
             return Scalar(self.ring, q)
-        if kind == PADIC:
-            if not other.is_unit():
-                raise RingError("can only divide by units at finite p-adic precision")
-            return Scalar(self.ring, self.value * pow(other.value, -1, self.ring.modulus))
         # INTEGERS: exact division only
         q, r = divmod(self.value, other.value)
         if r != 0:
@@ -289,13 +283,14 @@ class Scalar:
         return self.value == 0
 
     def is_unit(self) -> bool:
-        kind = self.ring.kind
-        if kind == FINITE_FIELD or kind == RATIONALS:
+        ring = self.ring
+        if ring.modulus is not None:  # residues mod p^N: units are those prime to p
+            return self.value % ring.p != 0
+        kind = ring.kind
+        if kind == RATIONALS:
             return self.value != 0
         if kind == LOCALIZED:
-            return self.value != 0 and self.value.numerator % self.ring.p != 0
-        if kind == PADIC:
-            return self.value % self.ring.p != 0
+            return self.value != 0 and self.value.numerator % ring.p != 0
         return self.value in (1, -1)
 
 
@@ -341,16 +336,9 @@ def padic_unit_part(x: Scalar) -> tuple[Union[int, float], int]:
 
 
 def residue(x: Scalar) -> Scalar:
-    """Residue-field image of a scalar over Z_(p) or truncated Z_p."""
-    kind = x.ring.kind
-    if kind == LOCALIZED:
-        f = x.value
-        if f.denominator % x.ring.p == 0:
-            raise RingError(f"{f} has negative valuation, no residue")
-        return Scalar(x.ring.residue_ring(), f)
-    if kind == PADIC:
-        return Scalar(x.ring.residue_ring(), x.value)
-    raise RingError(f"residue undefined over {x.ring.label()}")
+    """Residue-field image of a scalar over Z_(p) or truncated Z_p: its
+    value, a Fraction prime to p or a residue mod p^N, read mod p."""
+    return Scalar(x.ring.residue_ring(), x.value)
 
 
 def is_square(a: Scalar) -> Optional[Scalar]:

@@ -317,53 +317,28 @@ def golden_grid() -> list[dict]:
     and corollary; used for the frozen range table."""
     rows = []
     ns = (8, 12, 20, 30, 50)
-    case_values = {
-        "i": ("m_A", 4), "ii": ("m_A", 4), "iii": ("P_kappa", 2), "iv": ("P_kappa", 2),
-        "v": ("m_K", 4), "vi": ("m_K", 4), "vii": ("P_K", 2), "viii": ("P_K", 2),
-    }
-    for case in CONSTANT_CASES:
-        name, val = case_values[case]
-        for n in ns:
-            inp = RangeInputs(n, val, henselian=True, formally_real=True)
-            res = range_constant(case, inp)
-            rows.append({"kind": "constant", "case": case, "n": n,
-                         "invariant": f"{name}={val}",
-                         "surjective": res.surjective_up_to,
-                         "isomorphism": res.isomorphism_up_to})
-    ab_values = {"i": ("m_A", 4), "ii": ("P_kappa", 2), "iii": ("P_kappa", 2),
-                 "iv": ("m_K", 4), "v": ("P_K", 2), "vi": ("P_K", 2)}
-    for case in ABELIAN_CASES:
-        name, val = ab_values[case]
-        for n in ns:
-            inp = RangeInputs(n, val, henselian=True, formally_real=True)
-            res = range_abelian(case, inp)
-            rows.append({"kind": "abelian", "case": case, "n": n,
-                         "invariant": f"{name}={val}",
-                         "surjective": res.surjective_up_to,
-                         "isomorphism": res.isomorphism_up_to})
-    for case in CONSTANT_CASES:
-        name, val = case_values[case]
-        for n in ns:
-            inp = RangeInputs(n, val, henselian=True, formally_real=True, degree=1)
-            res = range_polynomial(case, inp)
-            rows.append({"kind": "polynomial(r=1)", "case": case, "n": n,
-                         "invariant": f"{name}={val}",
-                         "surjective": res.surjective_up_to,
-                         "isomorphism": res.isomorphism_up_to})
-    for case in "abcd":
-        val = 4 if case in "ab" else 2
-        for n in ns:
-            bound = intro_corollary_ranges(1, case, n, val, d=1)
-            rows.append({"kind": "corollary-1(d=1)", "case": case, "n": n,
-                         "invariant": f"{'m_K' if case in 'ab' else 'P_K'}={val}",
-                         "surjective": bound, "isomorphism": bound})
-    for case in "abcd":
-        val = 4 if case in "ab" else 2
-        for n in ns:
-            bound = intro_corollary_ranges(2, case, n, val)
-            rows.append({"kind": "corollary-2", "case": case, "n": n,
-                         "invariant": f"{'m_K' if case in 'ab' else 'P_K'}={val}",
-                         "surjective": bound, "isomorphism": bound})
+    # Each case's invariant is read from its hypotheses: 4 for an m, 2 for a P.
+    theorems = (("constant", range_constant, CONSTANT_CASES, _CONSTANT_HYP, None),
+                ("abelian", range_abelian, ABELIAN_CASES, _ABELIAN_HYP, None),
+                ("polynomial(r=1)", range_polynomial, CONSTANT_CASES, _CONSTANT_HYP, 1))
+    for kind, formula, cases, hyps, degree in theorems:
+        for case in cases:
+            name = hyps[case]["invariant"]
+            val = 4 if name.startswith("m") else 2
+            for n in ns:
+                res = formula(case, RangeInputs(n, val, henselian=True, formally_real=True,
+                                                degree=degree))
+                rows.append({"kind": kind, "case": case, "n": n, "invariant": f"{name}={val}",
+                             "surjective": res.surjective_up_to,
+                             "isomorphism": res.isomorphism_up_to})
+    for kind, which, d in (("corollary-1(d=1)", 1, 1), ("corollary-2", 2, None)):
+        for case in "abcd":
+            val = 4 if case in "ab" else 2
+            for n in ns:
+                bound = intro_corollary_ranges(which, case, n, val, d=d)
+                rows.append({"kind": kind, "case": case, "n": n,
+                             "invariant": f"{'m_K' if case in 'ab' else 'P_K'}={val}",
+                             "surjective": bound, "isomorphism": bound})
     for n in ns:
         bound = intro_corollary_ranges(3, "", n, 0)
         rows.append({"kind": "corollary-3", "case": "-", "n": n,

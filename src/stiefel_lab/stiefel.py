@@ -456,10 +456,12 @@ def wn_identification_check(ring: RingDescriptor, v_diag: Sequence[int], n: int,
     sss = build_ordered_stiefel(amb, max_p)
     w_vec = gfnum.code_weights(ring.p, amb.rank)
     units = gfnum.codes(UnitSphere(amb).vectors, w_vec)
+    # Top level first: its Hom-set table is the largest, so a refusal precedes every scan.
+    hom_sets = [_form_preserving_maps(amb, k) for k in range(max_p + 1, 0, -1)][::-1]
     failures, details = [], {"levels": {}}
     for p_level in range(max_p + 1):
         k = p_level + 1
-        homs, frames = _form_preserving_maps(amb, k), sss.levels[p_level]
+        homs, frames = hom_sets[p_level], sss.levels[p_level]
         details["levels"][p_level] = {"maps": len(homs), "frames": len(frames)}
         cols = gfnum.codes(homs.transpose(0, 2, 1), w_vec).reshape(len(homs), k)
         on_sphere = gfnum.member(units, cols).all(axis=1)
@@ -969,15 +971,15 @@ def integer_aut_check(n: int) -> CheckResult:
     )
 
 
-def equivariance_spotcheck(ring: RingDescriptor, n: int, count: int = 10) -> bool:
+def equivariance_spotcheck(ring: RingDescriptor, n: int) -> bool:
     """Transporting frames by isometries permutes unit vectors and preserves
-    orthogonality, hence induces simplicial automorphisms; checked on a few
-    transports."""
+    orthogonality, hence induces simplicial automorphisms; checked on ten
+    seeded transports."""
     rng = random.Random(0)
     q = euclidean(ring, n)
     units = unit_vectors(q)
     keys = {u: i for i, u in enumerate(units)}
-    for _ in range(count):
+    for _ in range(10):
         a = units[rng.randrange(len(units))]
         b = units[rng.randrange(len(units))]
         phi = frame_transport(q, frame(q, [[c.value for c in a]]),

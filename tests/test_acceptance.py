@@ -164,8 +164,7 @@ def test_criterion_07_homogeneity():
             for k in (1, 2):
                 if k > n:
                     continue
-                stats = frame_transport_exhaustive(euclidean(ring, n), k,
-                                                   spot_check=20, seed=0)
+                stats = frame_transport_exhaustive(euclidean(ring, n), k, seed=0)
                 assert stats["pairs"] == stats["frames"] ** 2
     # Stabilizer round-trip, exhaustively over the elements fixing the last
     # basis vector of Euclidean 3-space over F_3.

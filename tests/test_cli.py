@@ -154,10 +154,29 @@ def test_usage_error_exit_2(capsys):
     assert "no sufficient condition" in err
 
 
-def test_budget_error_exit_2(capsys):
-    code = main(["stiefel", "--field", "5", "--n", "4", "--max-dim", "2",
-                 "--budget", "10"])
-    assert code == 2
+@pytest.mark.parametrize("argv,message", [
+    ("stiefel --field 5 --n 4 --max-dim 2 --budget 10",
+     "clique enumeration exceeded budget 10 at size 2"),
+    # One vector table each, of 16.4, 21.8 and 52.0 GiB, and the Hom-set
+    # table of wn-check's form-preserving maps (21.8 GiB).
+    ("connectivity --field 3 --n 17 --max-degree 0",
+     "the table of all 3^17 vectors of length 17 holds 2195382771 entries"),
+    ("stiefel --field 5 --n 12 --max-dim 1",
+     "the table of all 5^12 vectors of length 12 holds 2929687500 entries"),
+    ("--seed 0 morse-replay --field 3 --n 18 --l 2 --samples 5",
+     "the table of all 3^18 vectors of length 18 holds 6973568802 entries"),
+    ("wn-check --field 5 --n 3 --max-p 3",
+     "the table of all 5^12 vectors of length 12 holds 2929687500 entries"),
+    # 78,000 frames, whose pair sweep took a 2.91 GiB block.
+    ("orbit-check --field 5 --n 5 --k 2",
+     "transport sweep over 78000 frames needs 6084000000 transports, more than"),
+], ids=["stiefel-budget-10", "connectivity-F3-n17", "stiefel-F5-n12", "morse-F3-n18",
+        "wn-F5-n3", "orbit-F5-n5-k2"])
+def test_budget_error_exit_2(argv, message, capsys):
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
 
 
 def test_triangle_count_budget_exit_2(monkeypatch, capsys):

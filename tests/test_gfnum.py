@@ -22,6 +22,22 @@ def test_all_vectors_is_itertools_product_order(p, n):
     assert X.tolist() == [list(t) for t in itertools.product(range(p), repeat=n)]
 
 
+def test_all_vectors_refuses_past_the_table_budget(monkeypatch):
+    # 3^4 vectors of length 4 hold 324 entries: refused at a budget of 323,
+    # before numpy is asked for the table.
+    monkeypatch.setattr(gfnum, "VECTOR_TABLE_ENTRIES", 324)
+    assert gfnum.all_vectors(3, 4).shape == (81, 4)
+    monkeypatch.setattr(gfnum, "VECTOR_TABLE_ENTRIES", 323)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was allocated")
+
+    monkeypatch.setattr(gfnum.np, "indices", no_table)
+    with pytest.raises(BudgetError, match="3\\^4 vectors of length 4 holds 324 entries, "
+                                          "more than 323"):
+        gfnum.all_vectors(3, 4)
+
+
 def test_all_vectors_of_rank_zero_is_the_empty_vector():
     X = gfnum.all_vectors(5, 0)
     assert X.shape == (1, 0)

@@ -33,17 +33,18 @@ from stiefel_lab.quadmod import (
 )
 from stiefel_lab.isometry import (
     Isometry,
-    _closure_mod_p,
+    _closure,
+    _derived_codes,
     _isometry,
     _invert,
-    _reflections_mod_p,
+    _reflections,
     _witt_reflections,
     abelianization_exponent,
     block_sum,
     cartan_dieudonne,
-    derived_subgroup,
     enumerate_group,
     frame_transport,
+    frame_transport_exhaustive,
     identity_isometry,
     ordered_frames,
     orthonormal_extension,
@@ -268,13 +269,14 @@ def test_group_of_a_non_euclidean_form():
     # its Gram matrix is not its own inverse.
     group = enumerate_group(diagonal_module(F5, [1, 2]))
     assert len(group) == 12
-    assert len(derived_subgroup(group)) == 3
+    assert len(derived_rows(group)) == 3
     assert abelianization_exponent(group) == 2
 
 
-def test_enumerate_group_cap_is_a_budget_error():
+def test_enumerate_group_cap_is_a_budget_error(monkeypatch):
+    monkeypatch.setattr("stiefel_lab.isometry.ENUMERATION_CAP", 4)
     with pytest.raises(BudgetError, match="enumeration cap 4"):
-        enumerate_group(euclidean(F3, 2), cap=4)
+        enumerate_group(euclidean(F3, 2))
 
 
 def closure_one_by_one(gens, n, p):
@@ -295,17 +297,24 @@ def closure_one_by_one(gens, n, p):
     return seen
 
 
-def closure_rows(codes, n, p):
-    """The flattened matrices of sorted closure codes, as tuples."""
-    return list(map(tuple, gfnum.decode(codes, gfnum.code_weights(p, n * n), p).tolist()))
+def closure_rows(codes, n, m):
+    """The flattened matrices of sorted closure codes mod m, as tuples."""
+    return list(map(tuple, gfnum.decode(codes, gfnum.code_weights(m, n * n), m).tolist()))
+
+
+def derived_rows(group):
+    """The commutator subgroup that `_derived_codes` grows, as a set of
+    flattened int matrices."""
+    q = group[0].module
+    return set(closure_rows(_derived_codes(group)[1], q.rank, q.ring.modulus))
 
 
 @pytest.mark.parametrize("q", [
     euclidean(F3, 3), euclidean(F3, 4), euclidean(F5, 3), diagonal_module(F5, [1, 2]),
 ], ids=["O3(F3)", "O4(F3)", "O3(F5)", "O<1,2>(F5)"])
 def test_closure_matches_one_product_at_a_time(q):
-    gens = _reflections_mod_p(q)
-    got = _closure_mod_p(gens, q.rank, q.ring.p)
+    gens = _reflections(q)
+    got = _closure(gens, q.rank, q.ring.p)
     assert (np.diff(got) > 0).all()
     assert closure_rows(got, q.rank, q.ring.p) == sorted(
         closure_one_by_one(gens, q.rank, q.ring.p))
@@ -315,18 +324,18 @@ def test_closure_order_holds_with_small_blocks(monkeypatch):
     # one frontier element per block, and each level's held codes
     # deduplicated every few blocks: still the same group, in sorted order
     monkeypatch.setattr("stiefel_lab.gfnum._BLOCK_ENTRIES", 8)
-    gens = _reflections_mod_p(euclidean(F3, 4))
-    assert closure_rows(_closure_mod_p(gens, 4, 3), 4, 3) == sorted(
+    gens = _reflections(euclidean(F3, 4))
+    assert closure_rows(_closure(gens, 4, 3), 4, 3) == sorted(
         closure_one_by_one(gens, 4, 3))
 
 
 def test_closure_cap_refuses_at_the_same_count():
-    gens = _reflections_mod_p(euclidean(F3, 3))
+    gens = _reflections(euclidean(F3, 3))
     with pytest.raises(BudgetError, match="enumeration cap 10"):
-        _closure_mod_p(gens, 3, 3, cap=10)
+        _closure(gens, 3, 3, cap=10)
     with pytest.raises(BudgetError, match="enumeration cap 47"):
-        _closure_mod_p(gens, 3, 3, cap=47)
-    assert len(_closure_mod_p(gens, 3, 3, cap=48)) == 48
+        _closure(gens, 3, 3, cap=47)
+    assert len(_closure(gens, 3, 3, cap=48)) == 48
 
 
 def test_closure_refuses_codes_past_int64_before_any_product(monkeypatch):
@@ -335,14 +344,14 @@ def test_closure_refuses_codes_past_int64_before_any_product(monkeypatch):
 
     monkeypatch.setattr("stiefel_lab.gfnum.blocks", no_blocks)
     with pytest.raises(BudgetError, match="7\\^25"):  # 7^25 > 2^63
-        _closure_mod_p([np.eye(5, dtype=np.int64)], 5, 7)
+        _closure([np.eye(5, dtype=np.int64)], 5, 7)
 
 
 def test_enumerate_group_checks_every_element(monkeypatch):
     # diag(2, 1) scales q(e_1) by 4, so its closure is no group of isometries
     q = euclidean(F5, 2)
-    gens = np.concatenate([_reflections_mod_p(q), [[[2, 0], [0, 1]]]])
-    monkeypatch.setattr("stiefel_lab.isometry._reflections_mod_p", lambda q: gens)
+    gens = np.concatenate([_reflections(q), [[[2, 0], [0, 1]]]])
+    monkeypatch.setattr("stiefel_lab.isometry._reflections", lambda q: gens)
     with pytest.raises(ValueError, match="does not preserve the form"):
         enumerate_group(q)
 
@@ -561,24 +570,24 @@ def test_reflections_generate_everything(p, n):
 def all_pairs_derived(group):
     """Reference: the closure of every commutator a^-1 b^-1 a b, one row of
     pairs at a time over the whole group."""
-    q = group[0].module
+    q, m = group[0].module, group[0].module.ring.modulus
     mats = np.stack([np.array(g.values, dtype=np.int64) for g in group])
     invs = np.stack([np.array(g.inverse().values, dtype=np.int64) for g in group])
     commutators = {}
     for i in range(len(group)):
-        for c in (invs[i] @ invs @ mats[i] @ mats) % q.ring.p:
+        for c in (invs[i] @ invs @ mats[i] @ mats) % m:
             commutators[tuple(c.ravel().tolist())] = c
-    return set(closure_rows(_closure_mod_p(list(commutators.values()), q.rank, q.ring.p),
-                            q.rank, q.ring.p))
+    return set(closure_rows(_closure(list(commutators.values()), q.rank, m), q.rank, m))
 
 
 @pytest.mark.parametrize("q", [
     euclidean(F3, 2), euclidean(F3, 3), euclidean(F5, 2), euclidean(F5, 3),
-    diagonal_module(F5, [1, 2]),
-], ids=["O2(F3)", "O3(F3)", "O2(F5)", "O3(F5)", "O<1,2>(F5)"])
+    diagonal_module(F5, [1, 2]), euclidean(padic(3, 2), 2), euclidean(padic(5, 2), 2),
+    euclidean(padic(3, 3), 2),
+], ids=["O2(F3)", "O3(F3)", "O2(F5)", "O3(F5)", "O<1,2>(F5)", "O2(Z/9)", "O2(Z/25)", "O2(Z/27)"])
 def test_derived_subgroup_matches_all_pairs_closure(q):
     group = enumerate_group(q)
-    assert derived_subgroup(group) == all_pairs_derived(group)
+    assert derived_rows(group) == all_pairs_derived(group)
 
 
 def test_derived_subgroup_adds_conjugates(monkeypatch):
@@ -589,41 +598,123 @@ def test_derived_subgroup_adds_conjugates(monkeypatch):
     q = euclidean(F5, 3)
     group = enumerate_group(q)
     few = np.array([reflection(q, v).values for v in ([1, 0, 0], [0, 1, 0], [1, 1, 1])])
-    assert len(_closure_mod_p(few, 3, 5)) == 240
-    assert len(_closure_mod_p([(s @ t @ s @ t) % 5 for s in few for t in few], 3, 5)) == 12
-    monkeypatch.setattr("stiefel_lab.isometry._reflections_mod_p", lambda q: few)
-    assert derived_subgroup(group) == all_pairs_derived(group)
+    assert len(_closure(few, 3, 5)) == 240
+    assert len(_closure([(s @ t @ s @ t) % 5 for s in few for t in few], 3, 5)) == 12
+    monkeypatch.setattr("stiefel_lab.isometry._reflections", lambda q: few)
+    assert derived_rows(group) == all_pairs_derived(group)
 
 
 def test_derived_subgroup_needs_every_reflection():
     group = enumerate_group(euclidean(F3, 3))
     fixing = [g for g in group if g.apply([0, 0, 1]) == vec(F3, [0, 0, 1])]
     with pytest.raises(ValueError, match="lack a reflection"):
-        derived_subgroup(fixing)
+        derived_rows(fixing)
 
 
 def test_o4_f3_order_and_abelianization():
     group = enumerate_group(euclidean(F3, 4))
     assert len(group) == 1152
-    assert len(derived_subgroup(group)) == 288
+    assert len(derived_rows(group)) == 288
     assert abelianization_exponent(group) == 2
 
 
 def test_o4_f5_derived_subgroup():
     group = enumerate_group(euclidean(F5, 4))
     assert len(group) == 28800
-    assert len(derived_subgroup(group)) == 7200
+    assert len(derived_rows(group)) == 7200
 
 
 def test_o3_f7_derived_subgroup():
     group = enumerate_group(euclidean(finite_field(7), 3))
     assert len(group) == 672
-    assert len(derived_subgroup(group)) == 168
+    assert len(derived_rows(group)) == 168
 
 
 def test_o3_f5_order():
     # |O_3| over a field with q elements is 2 q (q^2 - 1); here 2*5*24.
     assert len(enumerate_group(euclidean(F5, 3))) == 240
+
+
+def orthonormal_bases(m, n):
+    """Independent count of O_n(Z/m): the ordered n-tuples of pairwise
+    orthogonal vectors with x . x = 1, by depth-first search over those
+    unit vectors (each such tuple is the column list of one isometry)."""
+    units = [v for v in itertools.product(range(m), repeat=n)
+             if sum(x * x for x in v) % m == 1]
+
+    def extend(chosen):
+        if len(chosen) == n:
+            return 1
+        return sum(extend(chosen + [u]) for u in units
+                   if all(sum(a * b for a, b in zip(u, c)) % m == 0 for c in chosen))
+
+    return extend([])
+
+
+@pytest.mark.parametrize("p,precision,n,reflections,order,derived", [
+    (3, 2, 2, 12, 24, 6), (5, 2, 2, 20, 40, 10), (3, 3, 2, 36, 72, 18),
+    (3, 2, 3, 81, 1296, 324),
+], ids=["O2(Z/9)", "O2(Z/25)", "O2(Z/27)", "O3(Z/9)"])
+def test_group_kernel_over_truncated_zp(p, precision, n, reflections, order, derived):
+    """The F_p kernel runs unchanged over Z/p^N: reflections generate all of
+    O_n(Z/p^N), [G, G] has index 4, and G/[G, G] has exponent 2."""
+    q = euclidean(padic(p, precision), n)
+    assert len(_reflections(q)) == reflections
+    group = enumerate_group(q)
+    assert len(group) == order == orthonormal_bases(p ** precision, n)
+    assert len(derived_rows(group)) == derived
+    assert abelianization_exponent(group) == 2
+
+
+@pytest.mark.parametrize("q", [euclidean(F3, 3), diagonal_module(F5, [1, 2])],
+                         ids=["E3(F3)", "<1,2>(F5)"])
+def test_field_reflections_are_one_per_anisotropic_line(q):
+    """Over F_p the first unit coordinate is the first non-zero one: the
+    generators are the reflections in the anisotropic vectors whose leading
+    non-zero coordinate is 1, in lexicographic order."""
+    lines = [v for v in itertools.product(range(q.ring.p), repeat=q.rank)
+             if any(v) and next(x for x in v if x) == 1]
+    want = [reflection(q, v).values for v in lines if not evaluate(q, v).is_zero()]
+    assert [tuple(map(tuple, s)) for s in _reflections(q).tolist()] == want
+
+
+@pytest.mark.parametrize("ring", [Q, Z5, integers()], ids=["Q", "Z_(5)", "Z"])
+def test_group_kernel_refuses_rings_without_a_modulus(ring, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a vector table was built")
+
+    monkeypatch.setattr("stiefel_lab.gfnum.all_vectors", no_table)
+    with pytest.raises(RingError, match="needs a residue ring"):
+        enumerate_group(euclidean(ring, 2))
+
+
+def test_rank_one_group_values_stay_exact():
+    """O_1 of <-1> over Z/3^14: a form value over the whole vector table
+    would reach (M - 1)^3 > 2^63, but the one line kept is (1), so the group
+    is exactly {1, -1}.  At 3^16 the table itself is refused."""
+    m = 3 ** 14
+    assert (m - 1) ** 3 > 2 ** 63
+    group = enumerate_group(diagonal_module(padic(3, 14), [-1]))
+    assert [g.values for g in group] == [((1,),), ((m - 1,),)]
+    assert abelianization_exponent(group) == 2
+    with pytest.raises(BudgetError, match="43046721\\^1 vectors of length 1 holds "
+                                          "43046721 entries"):
+        enumerate_group(diagonal_module(padic(3, 16), [-1]))
+
+
+def test_transport_sweep_refuses_past_the_pair_budget(monkeypatch):
+    q = euclidean(F3, 3)
+    frames = len(ordered_frames(q, 1))
+    monkeypatch.setattr("stiefel_lab.isometry.TRANSPORT_PAIR_BUDGET", frames ** 2)
+    assert frame_transport_exhaustive(q, 1)["pairs"] == frames ** 2
+
+    def no_extension(*args):
+        raise AssertionError("an extension was built")
+
+    monkeypatch.setattr("stiefel_lab.isometry.TRANSPORT_PAIR_BUDGET", frames ** 2 - 1)
+    monkeypatch.setattr("stiefel_lab.isometry.orthonormal_extension", no_extension)
+    with pytest.raises(BudgetError, match=f"over {frames} frames needs {frames ** 2} transports"):
+        frame_transport_exhaustive(q, 1)
 
 
 @pytest.mark.parametrize("ring", [F5, Q, Z5], ids=["F5", "Q", "Z_(5)"])

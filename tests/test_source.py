@@ -250,3 +250,28 @@ def test_row_codes_have_one_home():
     assert found == []
     assert _place_values(ast.parse((Path(stiefel_lab.__file__).parent / "gfnum.py")
                                    .read_text()))
+
+
+def _vector_tables(tree) -> list[int]:
+    """Lines that call `np.indices` (or `numpy.indices`)."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "indices"
+                   and getattr(node.func.value, "id", None) in ("np", "numpy")})
+
+
+def test_vector_table_has_one_home():
+    """Only `gfnum.all_vectors` builds a table of every vector with
+    `np.indices`, so its budget refusal covers every residue scan."""
+    sample = ast.parse("X = np.indices((p,) * n)\n"
+                       "Y = numpy.indices((3, 3))\n"
+                       "Z = frame.indices(4)\n")
+    assert _vector_tables(sample) == [1, 2]
+    found = []
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        if path.name != "gfnum.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _vector_tables(tree)]
+    assert found == []
+    assert _vector_tables(ast.parse((Path(stiefel_lab.__file__).parent / "gfnum.py")
+                                    .read_text()))

@@ -735,6 +735,6 @@ def test_integer_aut_count_n5():
 
 
 def test_equivariance():
-    assert equivariance_spotcheck(F3, 3, count=10)
-    assert equivariance_spotcheck(F5, 3, count=10)
-    assert equivariance_spotcheck(F3, 4, count=10)
+    assert equivariance_spotcheck(F3, 3)
+    assert equivariance_spotcheck(F5, 3)
+    assert equivariance_spotcheck(F3, 4)
