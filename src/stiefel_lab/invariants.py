@@ -24,6 +24,7 @@ from stiefel_lab.rings import (
     LOCALIZED,
     PADIC,
     RATIONALS,
+    BudgetError,
     RingDescriptor,
     RingError,
     Scalar,
@@ -38,6 +39,9 @@ INF = math.inf
 # the Hensel-certified scans over truncated Z_p.
 FIELD_SEARCH_RANK = 4
 PADIC_SEARCH_RANK = 3
+# Most products (diagonals times square tuples) one rank of the F_p u and m
+# scans may read, a few seconds' work: at rank 3 F_37 reads 3.2e8, F_41 5.9e8.
+FIELD_SCAN_BUDGET = 5 * 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,13 @@ def _ff_diag_values(p: int, rank: int):
     vectors, as blocks of columns S D^T: D the diagonals of
     `_ff_all_unit_diagonals`, S every non-zero tuple of squares mod p.
     A diagonal form sees x only through (x_1^2, ..., x_r^2), which is zero
-    exactly when x is, so each column holds the form's values on x != 0."""
+    exactly when x is, so each column holds the form's values on x != 0.
+    Refuses before the first product past FIELD_SCAN_BUDGET products."""
+    diagonals, tuples = (p - 1) ** rank, ((p + 1) // 2) ** rank - 1
+    if diagonals * tuples > FIELD_SCAN_BUDGET:
+        raise BudgetError(f"the rank-{rank} scans over F_{p} read {diagonals} diagonals against "
+                          f"{tuples} square tuples, {diagonals * tuples} products, "
+                          f"more than {FIELD_SCAN_BUDGET}")
     squares = np.array(sorted(_ff_sum_chain(p)[0]), dtype=np.int64)
     S = squares[gfnum.all_vectors(len(squares), rank)[1:]]
     D = _ff_all_unit_diagonals(p, rank)

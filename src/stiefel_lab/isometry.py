@@ -356,7 +356,8 @@ def _derived_codes(elements: list[Isometry]) -> tuple[np.ndarray, np.ndarray]:
     S = _reflections(q)
     m, n = q.ring.modulus, q.rank
     w = gfnum.code_weights(m, n * n)
-    group = np.sort(gfnum.codes(np.array([e.values for e in elements], dtype=np.int64), w))
+    group = np.sort(gfnum.codes(np.fromiter((c for e in elements for row in e.values for c in row),
+                                            dtype=np.int64, count=len(elements) * n * n), w))
     if not gfnum.member(group, gfnum.codes(S, w)).all():
         raise ValueError("elements lack a reflection of the form")
     st = (S[:, None] @ S[None, :]) % m

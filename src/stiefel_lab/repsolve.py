@@ -2,10 +2,11 @@
 
 The organizing fact: a non-singular form represents a unit a exactly when the
 orthogonal sum with <-a> is isotropic, and a transversal zero of that sum
-turns the isotropic vector into an explicit representation.  Isotropic
-vectors are found exhaustively over prime fields, by closing a residue
-zero with one Hensel step over truncated p-adics, and by one bounded-height
-search over Q rescaled into Z_(p).
+turns the isotropic vector into an explicit representation.  Over the
+residue rings Z/m, m = ring.modulus (p over F_p, which is Z/p^1, and p^N
+over truncated Z_p), one int kernel finds the first zero mod p exhaustively
+and, when m > p, closes it with one Hensel step; over Q and Z_(p) one
+bounded-height search over Q is rescaled into Z_(p).
 
 Bounded search cannot prove negatives over infinite rings, so "not found
 within bound" is a first-class outcome carrying its bound and is never
@@ -28,18 +29,19 @@ from stiefel_lab.rings import (
     PADIC,
     RATIONALS,
     BudgetError,
+    RingDescriptor,
     RingError,
     Scalar,
     hensel_root,
     localized_at,
     padic,
-    residue,
     valuation,
 )
 from stiefel_lab.quadmod import (
     Frame,
     QuadraticModule,
     Vector,
+    _bareiss_det,
     complement_core,
     det,
     diagonal_module,
@@ -48,7 +50,6 @@ from stiefel_lab.quadmod import (
     intersect_complements,
     orthogonal_sum,
     polar,
-    quadratic_module,
     reduce_mod_p,
     vec,
 )
@@ -84,15 +85,39 @@ class IsotropyWitness:
         return self.found
 
 
-def _ff_first_zero(q: QuadraticModule) -> Optional[tuple[int, ...]]:
-    p, n = q.ring.p, q.rank
-    G = np.array(q.gram_values, dtype=np.int64)
-    X = gfnum.all_vectors(p, n)[1:]  # skip zero
-    vals = gfnum.gram_values(G, X, p)
-    hits = np.flatnonzero(vals == 0)
-    if hits.size == 0:
-        return None
-    return tuple(int(c) for c in X[hits[0]])
+def _residue_zero(rows: Sequence[Sequence[int]], p: int) -> Optional[list[int]]:
+    """Lexicographically first nonzero x with q(x) = 0 mod p, for q the form
+    with these int Gram rows; None when the reduction mod p is anisotropic."""
+    X = gfnum.all_vectors(p, len(rows))[1:]  # skip zero
+    G = np.array([[g % p for g in row] for row in rows], dtype=np.int64)
+    hits = np.flatnonzero(gfnum.gram_values(G, X, p) == 0)
+    return X[hits[0]].tolist() if hits.size else None
+
+
+def _close_zero(rows: Sequence[Sequence[int]], x0: Sequence[int],
+                ring: RingDescriptor) -> list[int]:
+    """Zero mod m = ring.modulus of the non-singular form with int Gram rows,
+    from a primitive x0 with q(x0) = 0 mod p: x0 itself when m = p, else
+    closed by one Hensel step (Hensel's lemma for a simple root).
+
+    G is invertible mod p and x0 is nonzero mod p, so some (G x0)_j is a
+    unit.  At the first such j, q(x0 + t e_j) = G_jj t^2 + 2 (G x0)_j t + q(x0)
+    has the simple root t = 0 mod p, and its lift closes q to zero mod m.
+    The result is re-checked on ints: zero mod m and primitive mod p."""
+    p, m = ring.p, ring.modulus
+    x = list(x0)
+    if m > p:
+        gx = [sum(g * c for g, c in zip(row, x)) for row in rows]
+        j = next((i for i, c in enumerate(gx) if c % p), None)
+        if j is None:
+            raise AssertionError("primitive vector with no unit pairing in a non-singular form")
+        value = sum(c * g for c, g in zip(x, gx))
+        x[j] = (x[j] + hensel_root(ring, (rows[j][j], 2 * gx[j], value), 0).value) % m
+    if not any(c % p for c in x):
+        raise AssertionError("witness not primitive")
+    if sum(c * sum(g * d for g, d in zip(row, x)) for c, row in zip(x, rows)) % m:
+        raise AssertionError(f"isotropic witness does not vanish mod {m}")
+    return x
 
 
 def _bounded_zeros(q: QuadraticModule, bound: int):
@@ -131,13 +156,13 @@ def find_isotropic(
         raise ValueError("isotropy search expects a non-singular module")
     if q.rank == 0:
         return IsotropyWitness(None, REGIME_EXHAUSTIVE)
-    if ring.kind == FINITE_FIELD:
-        hit = _ff_first_zero(q)
-        if hit is None:
-            return IsotropyWitness(None, REGIME_EXHAUSTIVE)
-        return IsotropyWitness(vec(ring, hit), REGIME_EXHAUSTIVE)
-    if ring.kind == PADIC:
-        return _padic_isotropic(q)
+    if ring.modulus is not None:
+        x0 = _residue_zero(q.gram_values, ring.p)
+        if x0 is None:
+            return IsotropyWitness(None, REGIME_EXHAUSTIVE, precision=ring.precision)
+        regime = REGIME_HENSEL if ring.kind == PADIC else REGIME_EXHAUSTIVE
+        return IsotropyWitness(vec(ring, _close_zero(q.gram_values, x0, ring)), regime,
+                               precision=ring.precision)
     if ring.kind in (LOCALIZED, RATIONALS):
         if _rational_definite(q):
             # Definite over Q: only the zero vector vanishes, exactly.
@@ -151,38 +176,6 @@ def find_isotropic(
             return IsotropyWitness(v, REGIME_RESCALED, height_bound=height_bound)
         return IsotropyWitness(None, REGIME_NOT_FOUND, height_bound=height_bound)
     raise RingError(f"isotropy search not supported over {ring.label()}")
-
-
-def _padic_isotropic(q: QuadraticModule) -> IsotropyWitness:
-    """First zero mod p, closed to an exact zero by one Hensel step."""
-    hit = _ff_first_zero(reduce_mod_p(q))
-    if hit is None:
-        return IsotropyWitness(None, REGIME_EXHAUSTIVE, precision=q.ring.precision)
-    w = _hensel_close(q, hit)
-    if all(residue(c).is_zero() for c in w):
-        raise AssertionError("witness not primitive")
-    return IsotropyWitness(w, REGIME_HENSEL, precision=q.ring.precision)
-
-
-def _hensel_close(q: QuadraticModule, x0: Sequence[int]) -> Vector:
-    """Exact zero of a non-singular q over truncated Z_p from a primitive x0
-    with q(x0) = 0 mod p (Hensel's lemma for a simple root).
-
-    G is invertible mod p and x0 is nonzero mod p, so some (G x0)_j is a
-    unit.  At the first such j, q(x0 + t e_j) = G_jj t^2 + 2 (G x0)_j t + q(x0)
-    has the simple root t = 0 mod p, and its lift closes q to zero."""
-    ring = q.ring
-    lifted, _ = integer_lift(q.gram_values, ring)
-    gx = [sum(g * c for g, c in zip(row, x0)) for row in lifted]
-    j = next((i for i, c in enumerate(gx) if c % ring.p), None)
-    if j is None:
-        raise AssertionError("primitive vector with no unit pairing in a non-singular form")
-    value = sum(c * g for c, g in zip(x0, gx))
-    lam = hensel_root(ring, (lifted[j][j], 2 * gx[j], value), 0)
-    x = vec(ring, x0[:j]) + (lam + x0[j],) + vec(ring, x0[j + 1:])
-    if not evaluate(q, x).is_zero():
-        raise AssertionError("Hensel witness is not isotropic")
-    return x
 
 
 def scale_to_primitive(x: Sequence[Scalar], p: int) -> Vector:
@@ -242,10 +235,12 @@ def _ff_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
 def _padic_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
     """Residue transversal closed by one Hensel step on the orthogonal sum;
     the step moves each block value by a multiple of p, so units stay units."""
+    ring = blocks[0].ring
     base = _ff_transversal([reduce_mod_p(b) for b in blocks])
     if base is None:
         return None
-    x = _hensel_close(orthogonal_sum_all(blocks), tuple(c.value for c in base))
+    rows = orthogonal_sum_all(blocks).gram_values
+    x = vec(ring, _close_zero(rows, [c.value for c in base], ring))
     if not _block_values_are_units(blocks, x):
         raise AssertionError("block value left the unit class")
     return x
@@ -318,7 +313,7 @@ def hensel_isotropy_replay(p: int = 5, precision: int = 4, count: int = 50,
     rng = _random.Random(seed)
     done = 0
     generated = 0
-    precisions = range(1, precision + 1) if all_precisions else [precision]
+    targets = [padic(p, n) for n in (range(1, precision + 1) if all_precisions else [precision])]
     while done < count:
         generated += 1
         if generated > 100 * count:
@@ -328,21 +323,16 @@ def hensel_isotropy_replay(p: int = 5, precision: int = 4, count: int = 50,
         for i in range(rank):
             for j in range(i):
                 rows[i][j] = rows[j][i]
-        q = quadratic_module(padic(p, precision), rows)
-        if not q.is_nonsingular():
+        if _bareiss_det(rows) % p == 0:  # singular over Z/p^N
             continue
-        # One mod-p search per form is the filter (an exhaustive not-found
-        # means the reduction is anisotropic) and the target-precision lift.
-        w = find_isotropic(q)
-        if not w.found and w.regime == REGIME_EXHAUSTIVE:
+        # The residue form is the same at every precision, so one mod-p scan
+        # is the filter (none found: the reduction is anisotropic) and the
+        # zero that each precision closes (re-checked there to vanish mod p^n).
+        x0 = _residue_zero(rows, p)
+        if x0 is None:
             continue
-        for n_prec in precisions:
-            qn = q if n_prec == precision else quadratic_module(padic(p, n_prec), rows)
-            wn = w if qn is q else find_isotropic(qn)
-            if not (wn.found and wn.regime == REGIME_HENSEL):
-                raise AssertionError(f"lift failed at precision {n_prec}: {rows}")
-            if not evaluate(qn, wn.vector).is_zero():
-                raise AssertionError("witness does not vanish")
+        for ring in targets:
+            _close_zero(rows, x0, ring)
         done += 1
     return {"p": p, "precision": precision, "count": done, "seed": seed,
             "forms_generated": generated}

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -224,12 +225,24 @@ def test_parser_is_built_once_and_keeps_no_values(monkeypatch, capsys):
 def test_hensel_stall_exit_2(monkeypatch, capsys):
     from stiefel_lab import repsolve
 
-    monkeypatch.setattr(repsolve, "find_isotropic",
-                        lambda q, *a: repsolve.IsotropyWitness(None, repsolve.REGIME_EXHAUSTIVE))
+    # Every form's reduction reads as anisotropic, so no form ever lifts.
+    monkeypatch.setattr(repsolve, "_residue_zero", lambda rows, p: None)
     code = main(["hensel", "--count", "2"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_invariants_field_scan_budget_exit_2(capsys):
+    # F_61's rank-3 u scan would read 60^3 diagonals against 31^3 - 1 square
+    # tuples (6.4e9 products); it is priced and refused before it starts.
+    start = time.perf_counter()
+    code = main(["invariants", "--field", "61"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "6434640000 products" in err
     assert "Traceback" not in err
 
 

@@ -21,7 +21,8 @@ from stiefel_lab.repsolve import (
     REGIME_HENSEL,
     REGIME_NOT_FOUND,
     _bounded_zeros,
-    _hensel_close,
+    _close_zero,
+    _residue_zero,
     find_isotropic,
     hensel_isotropy_replay,
     represents,
@@ -148,29 +149,55 @@ def residue_zeros(rows, p):
 
 
 def hensel_close_forms(p):
-    """Gram rows of every diagonal form of rank 2 or 3 with entries in
+    """Gram rows of every diagonal form of rank 1, 2 or 3 with entries in
     1 .. p - 1, and of one non-diagonal form (det -7, a unit at 3 and 5)."""
     diagonals = [[[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)]
-                 for rank in (2, 3) for diag in itertools.product(range(1, p), repeat=rank)]
+                 for rank in (1, 2, 3) for diag in itertools.product(range(1, p), repeat=rank)]
     return diagonals + [[[1, 2, 0], [2, 2, 1], [0, 1, 3]]]
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_hensel_close_lifts_every_residue_zero(p):
-    """Every primitive residue zero of these non-singular forms closes to an
-    exact zero over Z_p^N (N = 1 .. 4) that reduces back to it."""
+    """The kernel's close step takes every primitive residue zero of these
+    non-singular forms to an exact zero over Z_p^N (N = 1 .. 4) that reduces
+    back to it."""
     closed = 0
     for rows in hensel_close_forms(p):
         zeros = residue_zeros(rows, p)
         for N in (1, 2, 3, 4):
-            q = quadratic_module(padic(p, N), rows)
+            ring = padic(p, N)
+            q = quadratic_module(ring, rows)
             assert q.is_nonsingular()
             for x0 in zeros:
-                x = _hensel_close(q, x0)
-                assert evaluate(q, x).is_zero()
-                assert tuple(c.value % p for c in x) == x0
+                x = _close_zero(rows, list(x0), ring)
+                assert evaluate(q, vec(ring, x)).is_zero()
+                assert tuple(c % p for c in x) == x0
                 closed += 1
     assert closed > 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_residue_kernel_matches_brute_force(p):
+    """Over Z/p^N (N = 1, 2, 3; F_p as Z/p^1 too), for the forms above: no
+    zero exactly when no nonzero vector vanishes mod p, else a primitive
+    zero mod p^N over the lexicographically first zero mod p."""
+    found = 0
+    for ring in (finite_field(p), padic(p, 1), padic(p, 2), padic(p, 3)):
+        m = ring.modulus
+        for rows in hensel_close_forms(p):
+            assert quadratic_module(ring, rows).is_nonsingular()
+            zeros = residue_zeros(rows, p)
+            x0 = _residue_zero(rows, p)
+            if not zeros:
+                assert x0 is None
+                continue
+            x = _close_zero(rows, x0, ring)
+            assert tuple(c % p for c in x) == zeros[0]
+            n = len(rows)
+            assert sum(x[i] * rows[i][j] * x[j] for i in range(n) for j in range(n)) % m == 0
+            assert any(c % p for c in x)
+            found += 1
+    assert found > 0
 
 
 def bounded_zeros_oracle(q, bound):

@@ -275,3 +275,39 @@ def test_vector_table_has_one_home():
     assert found == []
     assert _vector_tables(ast.parse((Path(stiefel_lab.__file__).parent / "gfnum.py")
                                     .read_text()))
+
+
+def _newton_steps(tree) -> list[int]:
+    """Lines of a `pow(_, -1, _)` call inside a `for` or `while` loop."""
+    lines = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow" \
+                    and len(node.args) == 3 and isinstance(node.args[1], ast.UnaryOp) \
+                    and isinstance(node.args[1].op, ast.USub) \
+                    and getattr(node.args[1].operand, "value", None) == 1:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_newton_lifting_has_one_home():
+    """Only `rings.hensel_root` lifts roots by repeated inverses mod p^N, so
+    every Hensel step in the package shares one Newton loop."""
+    sample = ast.parse("for _ in range(k):\n"
+                       "    r = (r - f * pow(d, -1, m)) % m\n"
+                       "while f:\n"
+                       "    if f: r -= pow(d, -1, m)\n"
+                       "k = pow(s, -1, m)\n"
+                       "for x in xs:\n"
+                       "    y = pow(x, 2, m)\n")
+    assert _newton_steps(sample) == [2, 4]
+    found = []
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        if path.name != "rings.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _newton_steps(tree)]
+    assert found == []
+    assert _newton_steps(ast.parse((Path(stiefel_lab.__file__).parent / "rings.py")
+                                   .read_text()))
