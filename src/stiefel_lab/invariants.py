@@ -23,7 +23,6 @@ from stiefel_lab.rings import (
     FINITE_FIELD,
     LOCALIZED,
     PADIC,
-    RATIONALS,
     BudgetError,
     RingDescriptor,
     RingError,
@@ -279,62 +278,41 @@ _ARITH_CACHE: dict = {}
 
 
 def known_arithmetic(ring: RingDescriptor) -> dict:
-    """m and P for the ring, its residue field, and its quotient field, with
-    flags, as used by the unit-vector and connectivity condition checkers.
+    """m and P for the ring, its residue field kappa, and its quotient field
+    K, with flags, as used by the unit-vector and connectivity condition
+    checkers.
 
-    Prime-field values are computed exhaustively (and cached); the constants
-    m_Q = P_Q = 4 rest on the four-square decomposition plus the integral
-    three-square obstruction, both replayed in this package's tests.  None
-    marks a value the package does not certify (treated as "condition not
-    applicable"), never a claim of infinity.
+    kappa is F_p for every ring with a prime (F_p is its own) and Q for Q,
+    under the trivial valuation; K is the field itself for a field and Q
+    for Z_(p).  Prime-field values are computed exhaustively (and cached);
+    the constants m_Q = P_Q = 4 rest on the four-square decomposition plus
+    the integral three-square obstruction, both replayed in this package's
+    tests.  A henselian ring shares m with kappa; Z_(p) takes m_Q, backed
+    by the rank-3 witness m >= 4.  None marks a value the package does not
+    certify (K = Q_p for Z_p; treated as "condition not applicable"), never
+    a claim of infinity.
     """
     if ring in _ARITH_CACHE:
         return _ARITH_CACHE[ring]
-    if ring.kind == FINITE_FIELD:
-        rep = compute_invariants(ring)
-        out = {
-            "m_A": rep.m_invariant.value(),
-            "P_kappa": rep.pythagoras.value(),
-            "m_K": rep.m_invariant.value(),
-            "P_K": rep.pythagoras.value(),
-            "henselian": True,  # trivial valuation: the field is its own residue field
-            "kappa_formally_real": False,
-            "K_formally_real": False,
-        }
-    elif ring.kind == PADIC:
-        rep = compute_invariants(ring.residue_ring())
-        out = {
-            "m_A": rep.m_invariant.value(),  # henselian: m agrees with the residue field
-            "P_kappa": rep.pythagoras.value(),
-            "m_K": None,
-            "P_K": None,
-            "henselian": True,
-            "kappa_formally_real": False,
-            "K_formally_real": False,
-        }
-    elif ring.kind == LOCALIZED:
-        rep = compute_invariants(ring.residue_ring())
-        out = {
-            "m_A": 4,
-            "P_kappa": rep.pythagoras.value(),
-            "m_K": 4,
-            "P_K": 4,
-            "henselian": False,
-            "kappa_formally_real": False,
-            "K_formally_real": True,
-        }
-    elif ring.kind == RATIONALS:
-        out = {
-            "m_A": 4,
-            "P_kappa": 4,
-            "m_K": 4,
-            "P_K": 4,
-            "henselian": True,
-            "kappa_formally_real": True,
-            "K_formally_real": True,
-        }
-    else:
+    if not ring.is_local:
         raise RingError(f"no arithmetic table for {ring.label()}")
+    m_q = p_q = 4
+    if ring.p:
+        rep = compute_invariants(ring.residue_ring())
+        m_kappa, p_kappa = rep.m_invariant.value(), rep.pythagoras.value()
+    else:
+        m_kappa, p_kappa = m_q, p_q
+    m_k, p_k = ((m_kappa, p_kappa) if ring.is_field
+                else (m_q, p_q) if ring.formally_real else (None, None))
+    out = {
+        "m_A": m_kappa if ring.henselian else m_k,
+        "P_kappa": p_kappa,
+        "m_K": m_k,
+        "P_K": p_k,
+        "henselian": ring.henselian,
+        "kappa_formally_real": ring.p is None,
+        "K_formally_real": ring.formally_real,
+    }
     _ARITH_CACHE[ring] = out
     return out
 

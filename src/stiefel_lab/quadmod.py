@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 from stiefel_lab.rings import (
     FINITE_FIELD,
-    INTEGERS,
     LOCALIZED,
     PADIC,
     RATIONALS,
@@ -32,9 +31,8 @@ from stiefel_lab.rings import (
     RingError,
     Scalar,
     _wrap,
-    is_square,
-    padic_unit_part,
     residue,
+    sum_of_squares,
     valuation,
 )
 
@@ -157,12 +155,13 @@ def det(rows: Matrix, ring: RingDescriptor) -> Scalar:
 
 
 def _pivot_valuation(x: Scalar):
-    kind = x.ring.kind
-    if kind == LOCALIZED:
-        return valuation(x)
-    if kind == PADIC:
-        return padic_unit_part(x)[0]
-    return 0 if not x.is_zero() else INFINITY
+    """0 at a unit, +infinity at zero, else the valuation over Z_(p) and Z_p
+    (Z carries no prime: its non-units count as 0)."""
+    if x.is_unit():
+        return 0
+    if x.is_zero():
+        return INFINITY
+    return 0 if x.ring.p is None else valuation(x)
 
 
 def _gauss_jordan(rows: Matrix, ring: RingDescriptor,
@@ -342,16 +341,13 @@ class Submodule:
                 raise ValueError("basis vector has wrong length")
         if k == 0:
             return
-        if ring.kind in (LOCALIZED, PADIC):
-            kappa = ring.residue_ring()
-            reduced = tuple(tuple(residue(e) for e in row) for row in self.basis)
-            if row_rank(reduced, kappa) != k:
-                raise ValueError("basis does not reduce to independent vectors mod p (not a direct summand)")
-        else:
-            check_ring = RingDescriptor(RATIONALS) if ring.kind == INTEGERS else ring
-            rows = tuple(tuple(Scalar(check_ring, e.value) for e in row) for row in self.basis)
-            if row_rank(rows, check_ring) != k:
-                raise ValueError("basis is not linearly independent")
+        # Independence over the residue field makes a direct summand; Q and
+        # Z check over Q.
+        field = ring.residue_ring() if ring.p else RingDescriptor(RATIONALS)
+        rows = tuple(tuple(Scalar(field, e.value) for e in row) for row in self.basis)
+        if row_rank(rows, field) != k:
+            raise ValueError(f"basis is not independent over {field.label()} "
+                             "(not a direct summand)")
 
     @property
     def rank(self) -> int:
@@ -480,12 +476,7 @@ def split_radical(q: QuadraticModule) -> tuple[Submodule, Submodule]:
     if not ring.is_local or not ring.two_is_unit:
         raise RingError("radical splitting needs a local ring with 2 a unit")
     n = q.rank
-    if ring.kind in (LOCALIZED, PADIC):
-        kappa = ring.residue_ring()
-        reduced = reduce_mod_p(q)
-    else:
-        kappa = ring
-        reduced = q
+    kappa, reduced = (ring.residue_ring(), reduce_mod_p(q)) if ring.p else (ring, q)
     rad_basis = kernel(reduced.gram, kappa, ncols=n)
     # Complete the radical to a basis of the reduction: the standard vectors
     # at the non-pivot columns of the radical basis do the job.
@@ -553,9 +544,8 @@ def hyperbolic_module(ring: RingDescriptor, n: int) -> tuple[QuadraticModule, Ma
 
 
 def reduce_mod_p(q: QuadraticModule) -> QuadraticModule:
-    """Entrywise residue of the Gram matrix over the residue field."""
-    if q.ring.kind not in (LOCALIZED, PADIC):
-        raise RingError("reduction needs a p-aware local ring")
+    """Entrywise residue of the Gram matrix over the residue field (the
+    identity over F_p); Q and Z have none and are refused."""
     rows = tuple(tuple(residue(e) for e in row) for row in q.gram)
     return QuadraticModule(q.ring.residue_ring(), rows)
 
@@ -570,4 +560,4 @@ def is_isometric_ff(q1: QuadraticModule, q2: QuadraticModule) -> bool:
         raise ValueError("both forms must be non-singular")
     if q1.rank != q2.rank:
         return False
-    return is_square(d1 / d2) is not None
+    return sum_of_squares(d1 / d2, 1) is not None

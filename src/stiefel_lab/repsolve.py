@@ -10,7 +10,8 @@ bounded-height search over Q is rescaled into Z_(p).
 
 Bounded search cannot prove negatives over infinite rings, so "not found
 within bound" is a first-class outcome carrying its bound and is never
-conflated with proven absence.
+conflated with proven absence; a search that would outgrow its candidate
+budget is refused with its counts instead.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ from stiefel_lab.quadmod import (
     intersect_complements,
     orthogonal_sum,
     polar,
-    reduce_mod_p,
     vec,
 )
 
 DEFAULT_HEIGHT_BOUND = 20
+# Most candidates one bounded zero search may evaluate, about half a second
+# of work; the searches in the test suite evaluate at most 1,330.
+ZERO_SEARCH_BUDGET = 10 ** 5
 
 REGIME_EXHAUSTIVE = "exhaustive"
 REGIME_HENSEL = "hensel-lifted"
@@ -122,12 +125,18 @@ def _close_zero(rows: Sequence[Sequence[int]], x0: Sequence[int],
 
 def _bounded_zeros(q: QuadraticModule, bound: int):
     """Nonzero integer vectors of max-norm <= bound on which the integer lift
-    of q vanishes, by max-norm and then lexicographically."""
+    of q vanishes, by max-norm and then lexicographically.  Counts the
+    candidates it evaluates and refuses past ZERO_SEARCH_BUDGET of them."""
     lifted, _ = integer_lift(q.gram_values, q.ring)
+    scanned = 0
     for h in range(1, bound + 1):
         for cand in itertools.product(range(-h, h + 1), repeat=q.rank):
             if h not in cand and -h not in cand:
                 continue
+            scanned += 1
+            if scanned > ZERO_SEARCH_BUDGET:
+                raise BudgetError(f"zero search of a rank-{q.rank} form at bound {bound} "
+                                  f"passed {ZERO_SEARCH_BUDGET} candidates at max-norm {h}")
             total = 0
             for ci, row in zip(cand, lifted):
                 if ci:
@@ -196,9 +205,9 @@ def scale_to_primitive(x: Sequence[Scalar], p: int) -> Vector:
 
 def transversal_zero(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
     """Zero vector of the orthogonal sum whose block components all have unit
-    values.  Even block count and a semi-local ring are required; exhaustive
-    over prime fields, residue transversal plus a Hensel adjustment over
-    truncated p-adics, bounded search over Q and Z_(p)."""
+    values.  Even block count and a semi-local ring are required; over the
+    residue rings Z/m the first residue transversal, exhaustive mod p and
+    closed mod m; bounded search over Q and Z_(p)."""
     if not blocks:
         raise ValueError("need at least one block")
     ring = blocks[0].ring
@@ -208,42 +217,35 @@ def transversal_zero(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
         raise ValueError("transversality needs an even number of blocks")
     if not ring.is_local:
         raise RingError("transversality implemented for semi-local rings here")
-    if ring.kind == FINITE_FIELD:
-        return _ff_transversal(blocks)
-    if ring.kind == PADIC:
-        return _padic_transversal(blocks)
+    if ring.modulus is not None:
+        return _residue_transversal(blocks)
     return _bounded_transversal(blocks)
 
 
-def _ff_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
+def _residue_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
+    """First residue transversal over Z/m, m = ring.modulus: each block's
+    vectors of unit value mod p in lexicographic order, the blocks' choices
+    in product order, the first whose values sum to 0 mod p; closed mod m by
+    `_close_zero`.  The Hensel step moves each block value by a multiple of
+    p, so units stay units (re-checked)."""
     ring = blocks[0].ring
     p = ring.p
     per_block = []
     for b in blocks:
-        G = np.array(b.gram_values, dtype=np.int64)
+        G = np.array([[g % p for g in row] for row in b.gram_values], dtype=np.int64)
         X = gfnum.all_vectors(p, b.rank)
         vals = gfnum.gram_values(G, X, p)
-        keep = vals % p != 0
-        per_block.append([(tuple(map(int, x)), int(v) % p) for x, v in zip(X[keep], vals[keep])])
+        keep = vals != 0
+        per_block.append(list(zip(X[keep].tolist(), vals[keep].tolist())))
     for combo in itertools.product(*per_block):
         if sum(v for _, v in combo) % p == 0:
-            flat = tuple(c for x, _ in combo for c in x)
-            return vec(ring, flat)
+            x0 = [c for x, _ in combo for c in x]
+            rows = orthogonal_sum_all(blocks).gram_values
+            x = vec(ring, _close_zero(rows, x0, ring))
+            if not _block_values_are_units(blocks, x):
+                raise AssertionError("block value left the unit class")
+            return x
     return None
-
-
-def _padic_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
-    """Residue transversal closed by one Hensel step on the orthogonal sum;
-    the step moves each block value by a multiple of p, so units stay units."""
-    ring = blocks[0].ring
-    base = _ff_transversal([reduce_mod_p(b) for b in blocks])
-    if base is None:
-        return None
-    rows = orthogonal_sum_all(blocks).gram_values
-    x = vec(ring, _close_zero(rows, [c.value for c in base], ring))
-    if not _block_values_are_units(blocks, x):
-        raise AssertionError("block value left the unit class")
-    return x
 
 
 def _bounded_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:

@@ -70,14 +70,17 @@ class RingDescriptor:
         # What stored residues are reduced by; None where values are unreduced.
         object.__setattr__(self, "modulus", self.p ** (self.precision or 1)
                            if self.kind in (FINITE_FIELD, PADIC) else None)
-        # The residue field, built once; like `modulus`, not a dataclass field,
-        # so equality and hashing see only kind, p and precision.
-        object.__setattr__(self, "_residue", RingDescriptor(FINITE_FIELD, self.p)
-                           if self.kind in (LOCALIZED, PADIC) else None)
+        # The residue field F_p of every ring with a prime, built once (F_p is
+        # its own, under the trivial valuation); like `modulus`, not a
+        # dataclass field, so equality and hashing see only kind, p and
+        # precision.
+        object.__setattr__(self, "_residue", self if self.kind == FINITE_FIELD else
+                           RingDescriptor(FINITE_FIELD, self.p) if self.p else None)
 
     @property
     def henselian(self) -> bool:
-        return self.kind == PADIC
+        # Z_p, and the fields under the trivial valuation.
+        return self.kind in (FINITE_FIELD, RATIONALS, PADIC)
 
     @property
     def formally_real(self) -> bool:
@@ -153,7 +156,7 @@ def _int_valuation(n: int, p: int) -> Union[int, float]:
     return v
 
 
-def _fraction_valuation(x: Fraction, p: int) -> Union[int, float]:
+def _fraction_valuation(x: Union[int, Fraction], p: int) -> Union[int, float]:
     if x == 0:
         return INFINITY
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
@@ -306,50 +309,31 @@ def _wrap(ring: RingDescriptor, value: Union[int, Fraction]) -> Scalar:
 
 
 def valuation(x: Scalar, p: Optional[int] = None) -> Union[int, float]:
-    """p-adic valuation of a scalar over Q or Z_(p); +infinity at zero.
+    """p-adic valuation of a scalar over Q, Z_(p) or truncated Z_p; +infinity
+    at zero.
 
-    Over Z_(p) the prime is attached to the ring and `p`, if supplied, must
-    agree with it.  Over Q the prime must be supplied.
+    Over Z_(p) and Z_p the prime is attached to the ring and `p`, if
+    supplied, must agree with it; over Z_p it is the valuation of the
+    residue mod p^N.  Over Q the prime must be supplied.
     """
-    kind = x.ring.kind
-    if kind == LOCALIZED:
-        if p is not None and p != x.ring.p:
-            raise RingError(f"prime {p} is not attached to {x.ring.label()}")
-        return _fraction_valuation(x.value, x.ring.p)
-    if kind == RATIONALS:
+    ring = x.ring
+    if ring.kind == RATIONALS:
         if p is None:
             raise RingError("valuation over Q needs an explicit prime")
         if not is_odd_prime(p):
             raise RingError(f"{p} is not an odd prime")
         return _fraction_valuation(x.value, p)
-    raise RingError(f"valuation undefined over {x.ring.label()}")
-
-
-def padic_unit_part(x: Scalar) -> tuple[Union[int, float], int]:
-    """(valuation, unit residue) of a truncated p-adic; valuation capped at N."""
-    if x.ring.kind != PADIC:
-        raise RingError("expects a truncated p-adic scalar")
-    if x.value == 0:
-        return INFINITY, 0
-    v = _int_valuation(x.value, x.ring.p)
-    return v, x.value // x.ring.p ** v
+    if ring.kind in (LOCALIZED, PADIC):
+        if p is not None and p != ring.p:
+            raise RingError(f"prime {p} is not attached to {ring.label()}")
+        return _fraction_valuation(x.value, ring.p)
+    raise RingError(f"valuation undefined over {ring.label()}")
 
 
 def residue(x: Scalar) -> Scalar:
-    """Residue-field image of a scalar over Z_(p) or truncated Z_p: its
-    value, a Fraction prime to p or a residue mod p^N, read mod p."""
+    """Residue-field image of a scalar over a ring with a prime: its value,
+    a residue mod p^N or a Fraction prime to p, read mod p."""
     return Scalar(x.ring.residue_ring(), x.value)
-
-
-def is_square(a: Scalar) -> Optional[Scalar]:
-    """Square-root witness in a prime field, or None; exhaustive search."""
-    if a.ring.kind != FINITE_FIELD:
-        raise RingError("is_square works over prime fields only")
-    p = a.ring.p
-    for r in range(p):
-        if r * r % p == a.value:
-            return Scalar(a.ring, r)
-    return None
 
 
 def _heights(bound: int):

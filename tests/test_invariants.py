@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stiefel_lab import gfnum, invariants
-from stiefel_lab.rings import RingError, finite_field, localized_at, padic
+from stiefel_lab.rings import RingError, finite_field, integers, localized_at, padic, rationals
 from stiefel_lab.quadmod import det, mat
 from stiefel_lab.invariants import (
     check_inequalities,
@@ -259,6 +259,24 @@ def test_known_arithmetic_table():
     assert z5["m_A"] == 2 and z5["henselian"]
     loc = known_arithmetic(localized_at(5))
     assert loc["m_A"] == 4 and not loc["henselian"] and loc["K_formally_real"]
+
+
+def test_known_arithmetic_pins_every_entry():
+    """All seven entries: kappa = F_p for every ring with a prime and Q for
+    Q; K the field itself, Q for Z_(p), and uncertified (None) for Z_p."""
+    keys = ("m_A", "P_kappa", "m_K", "P_K", "henselian", "kappa_formally_real",
+            "K_formally_real")
+    table = {
+        finite_field(3): (2, 2, 2, 2, True, False, False),
+        finite_field(5): (2, 2, 2, 2, True, False, False),
+        padic(5, 2): (2, 2, None, None, True, False, False),
+        localized_at(5): (4, 2, 4, 4, False, False, True),
+        rationals(): (4, 4, 4, 4, True, True, True),
+    }
+    for ring, row in table.items():
+        assert known_arithmetic(ring) == dict(zip(keys, row)), ring.label()
+    with pytest.raises(RingError):
+        known_arithmetic(integers())
 
 
 def test_padic_invariants_certified():

@@ -9,10 +9,10 @@ from stiefel_lab.rings import (
     RingError,
     finite_field,
     integers,
-    is_square,
     localized_at,
     padic,
     rationals,
+    sum_of_squares,
 )
 from stiefel_lab.quadmod import (
     Frame,
@@ -238,6 +238,23 @@ def test_reduce_mod_p_examples():
     red = reduce_mod_p(diagonal_module(Z5, [5]))
     assert red.gram == diagonal_module(F5, [0]).gram
     assert not red.is_nonsingular()
+    # F_p is its own residue field; Q and Z have none.
+    assert reduce_mod_p(euclidean(F5, 2)).gram == euclidean(F5, 2).gram
+    for ring in (Q, integers()):
+        with pytest.raises(RingError, match="no residue field"):
+            reduce_mod_p(euclidean(ring, 2))
+
+
+def test_direct_summand_check_names_its_field():
+    """Independence is checked over the residue field for rings with a prime
+    and over Q for Q and Z: (1, 5) is a summand over Q but not over Z_(5)."""
+    for ring, field in ((Z5, "F5"), (padic(5, 2), "F5"), (F5, "F5")):
+        with pytest.raises(ValueError, match=f"not independent over {field} "):
+            Submodule(euclidean(ring, 2), (vec(ring, [1, 0]), vec(ring, [1, 5])))
+    for ring in (Q, integers()):
+        assert Submodule(euclidean(ring, 2), (vec(ring, [1, 0]), vec(ring, [1, 5]))).rank == 2
+        with pytest.raises(ValueError, match="not independent over Q "):
+            Submodule(euclidean(ring, 2), (vec(ring, [1, 2]), vec(ring, [2, 4])))
 
 
 def test_nonsingular_iff_reduction_nonsingular():
@@ -302,7 +319,7 @@ def test_cancellation_exhaustive_small(p):
     ring = finite_field(p)
     # Square-class representatives suffice: scaling a diagonal entry by a
     # square is an isometry of the summand.
-    nonsq = next(a for a in range(2, p) if is_square(ring.scalar(a)) is None)
+    nonsq = next(a for a in range(2, p) if sum_of_squares(ring.scalar(a), 1) is None)
     reps = [1, nonsq]
     forms = []
     for rank in (1, 2):

@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from stiefel_lab.rings import finite_field, localized_at, padic, rationals
+from stiefel_lab.rings import BudgetError, finite_field, localized_at, padic, rationals
 from stiefel_lab.quadmod import (
     diagonal_module,
     euclidean,
@@ -20,6 +21,7 @@ from stiefel_lab.repsolve import (
     REGIME_EXHAUSTIVE,
     REGIME_HENSEL,
     REGIME_NOT_FOUND,
+    ZERO_SEARCH_BUDGET,
     _bounded_zeros,
     _close_zero,
     _residue_zero,
@@ -248,6 +250,58 @@ def test_transversal_zero_padic_lift():
 def test_transversal_zero_rejects_odd_block_count():
     with pytest.raises(ValueError):
         transversal_zero([euclidean(F5, 2)])
+
+
+def residue_transversal_oracle(diags, p):
+    """First tuple of per-block vectors, each block's in lexicographic order
+    and of unit value mod p, whose values sum to 0 mod p; or None."""
+    per_block = [[x for x in itertools.product(range(p), repeat=len(d))
+                  if sum(a * c * c for a, c in zip(d, x)) % p]
+                 for d in diags]
+    for combo in itertools.product(*per_block):
+        if sum(sum(a * c * c for a, c in zip(d, x)) for d, x in zip(diags, combo)) % p == 0:
+            return tuple(c for x in combo for c in x)
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_transversal_zero_matches_residue_oracle(p):
+    """Every pair of unit diagonal blocks of rank 1 or 2, over F_p and Z/p^N
+    (N = 1, 2, 3): None exactly when no residue transversal exists, else a
+    zero mod p^N with unit block values over the oracle's first transversal."""
+    diags = [d for rank in (1, 2) for d in itertools.product(range(1, p), repeat=rank)]
+    found = missing = 0
+    for ring in (finite_field(p), padic(p, 1), padic(p, 2), padic(p, 3)):
+        for d1, d2 in itertools.product(diags, repeat=2):
+            blocks = [diagonal_module(ring, list(d1)), diagonal_module(ring, list(d2))]
+            want = residue_transversal_oracle([d1, d2], p)
+            t = transversal_zero(blocks)
+            if want is None:
+                assert t is None, (ring, d1, d2)
+                missing += 1
+                continue
+            assert t is not None and tuple(c.value % p for c in t) == want, (ring, d1, d2)
+            x1, x2 = t[:len(d1)], t[len(d1):]
+            assert evaluate(blocks[0], x1).is_unit() and evaluate(blocks[1], x2).is_unit()
+            assert (evaluate(blocks[0], x1) + evaluate(blocks[1], x2)).is_zero()
+            found += 1
+    assert found and missing
+
+
+def test_bounded_zero_search_refuses_past_its_budget():
+    """Over Q, <1, 1, 1, -7> has no zero at bound 20 and 3<1> does not
+    represent 7; both searches used to run for over 13 s before reporting it.
+    Each now refuses with its counts (a few tenths of a second), while
+    4<1> still represents 7 after 399 candidates."""
+    for run in (lambda: find_isotropic(diagonal_module(Q, [1, 1, 1, -7])),
+                lambda: represents(euclidean(Q, 3), 7)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"rank-4 form at bound 20 passed "
+                                              f"{ZERO_SEARCH_BUDGET} candidates"):
+            run()
+        assert time.perf_counter() - start < 2.0
+    v = represents(euclidean(Q, 4), 7)
+    assert v is not None and evaluate(euclidean(Q, 4), v) == Q.scalar(7)
 
 
 def test_scale_to_primitive_examples():

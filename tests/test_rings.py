@@ -14,7 +14,6 @@ from stiefel_lab.rings import (
     finite_field,
     hensel_root,
     integers,
-    is_square,
     localized_at,
     padic,
     rationals,
@@ -68,6 +67,10 @@ def test_valuation_examples():
     expected = factor_count(9, 5) - factor_count(25, 5)
     assert expected == -2
     assert valuation(Q.scalar(Fraction(9, 25)), 5) == expected
+    # Over truncated Z_p: the valuation of the residue, 250 = 2 * 5^3 mod 5^4.
+    assert valuation(padic(5, 4).scalar(250)) == factor_count(250, 5) == 3
+    assert valuation(padic(5, 4).scalar(5 ** 4)) == math.inf
+    assert valuation(padic(5, 4).scalar(7), 5) == 0
 
 
 def test_valuation_ring_mismatch():
@@ -77,6 +80,8 @@ def test_valuation_ring_mismatch():
         valuation(Q.scalar(1))  # prime not attached
     with pytest.raises(RingError):
         valuation(F5.scalar(1), 5)
+    with pytest.raises(RingError):
+        valuation(padic(5, 2).scalar(1), 7)
 
 
 def test_valuation_is_multiplicative_and_ultrametric():
@@ -109,7 +114,9 @@ def test_residue_field_is_built_once_per_descriptor():
     assert padic(5, 3) == padic(5, 3) and hash(padic(5, 3)) == hash(padic(5, 3))
     assert padic(5, 3) != padic(5, 2) and padic(5, 2).residue_ring() == Z5.residue_ring()
     assert repr(Z5) == "RingDescriptor(kind='localized-at-p', p=5, precision=None)"
-    for ring in (F5, Q, integers()):
+    # F_p is its own residue field; Q and Z have none here.
+    assert F5.residue_ring() is F5 and residue(F5.scalar(3)) == F5.scalar(3)
+    for ring in (Q, integers()):
         with pytest.raises(RingError, match="no residue field"):
             ring.residue_ring()
 
@@ -131,12 +138,12 @@ def test_residue_is_multiplicative():
 
 
 def test_is_square_examples():
-    r = is_square(F5.scalar(4))
-    assert r is not None and r * r == F5.scalar(4)
+    r = sum_of_squares(F5.scalar(4), 1)
+    assert r is not None and r[0] * r[0] == F5.scalar(4)
     # Oracle: the squares mod 5 are exactly {0, 1, 4}.
     assert sorted({x * x % 5 for x in range(5)}) == [0, 1, 4]
-    assert is_square(F5.scalar(2)) is None
-    assert is_square(F3.scalar(0)) == F3.scalar(0)
+    assert sum_of_squares(F5.scalar(2), 1) is None
+    assert sum_of_squares(F3.scalar(0), 1) == (F3.scalar(0),)
 
 
 def test_is_square_agrees_with_exhaustion():
@@ -144,10 +151,10 @@ def test_is_square_agrees_with_exhaustion():
         p = ring.p
         squares = {x * x % p for x in range(p)}
         for a in range(p):
-            witness = is_square(ring.scalar(a))
+            witness = sum_of_squares(ring.scalar(a), 1)
             assert (witness is not None) == (a in squares)
             if witness is not None:
-                assert witness * witness == ring.scalar(a)
+                assert witness[0] * witness[0] == ring.scalar(a)
 
 
 def test_sum_of_squares_examples():
@@ -263,7 +270,9 @@ def test_unit_detection():
 
 
 def test_ring_descriptor_flags():
+    # Henselian: Z_p, and the fields under the trivial valuation.
     assert padic(5, 2).henselian and not localized_at(5).henselian
+    assert finite_field(5).henselian and rationals().henselian and not integers().henselian
     assert rationals().formally_real and localized_at(5).formally_real
     assert not finite_field(5).formally_real
     assert not integers().two_is_unit and localized_at(3).two_is_unit

@@ -311,3 +311,38 @@ def test_newton_lifting_has_one_home():
     assert found == []
     assert _newton_steps(ast.parse((Path(stiefel_lab.__file__).parent / "rings.py")
                                    .read_text()))
+
+
+def _residue_kind_tests(tree) -> list[int]:
+    """Lines comparing a `.kind` against a tuple naming both LOCALIZED and
+    PADIC, bare or as module attributes."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
+                and node.left.attr == "kind"):
+            continue
+        for comp in node.comparators:
+            if isinstance(comp, ast.Tuple):
+                names = {getattr(e, "id", None) or getattr(e, "attr", None) for e in comp.elts}
+                if {"LOCALIZED", "PADIC"} <= names:
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_residue_field_rings_have_one_home():
+    """Which rings have a residue field is answered by `rings` alone:
+    elsewhere `ring.residue_ring()` or `ring.p` says it, not a kind test."""
+    sample = ast.parse("if ring.kind in (LOCALIZED, PADIC): pass\n"
+                       "ok = x.ring.kind not in (rings.PADIC, FINITE_FIELD, rings.LOCALIZED)\n"
+                       "if ring.kind in (RATIONALS, LOCALIZED): pass\n"
+                       "if kind in (LOCALIZED, PADIC): pass\n"
+                       "if ring.kind == PADIC: pass\n")
+    assert _residue_kind_tests(sample) == [1, 2]
+    found = []
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        if path.name != "rings.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _residue_kind_tests(tree)]
+    assert found == []
+    assert _residue_kind_tests(ast.parse((Path(stiefel_lab.__file__).parent / "rings.py")
+                                         .read_text()))
