@@ -238,7 +238,7 @@ def cmd_wn_check(args) -> int:
 def cmd_int_aut(args) -> int:
     from stiefel_lab.stiefel import integer_aut_check
 
-    res = integer_aut_check(args.n)
+    res = integer_aut_check(_frame_rank(args.n))
     assertions = [_assertion("signed-permutation-isomorphism", res.passed,
                              res.failures[:3])]
     return _finish("int-aut", {"n": args.n}, res.details, assertions,

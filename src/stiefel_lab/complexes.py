@@ -344,14 +344,18 @@ def reduced_homology(
     """Reduced integer homology in degrees <= max_degree via boundary SNF;
     the zeroth Betti number is cross-checked against a union-find count.
 
-    Boundaries are reduced bottom-up, each cleared by the one below (Chen and
-    Kerber's twist): the rows of d_(k+1) at the unit-pivot columns J of d_k
-    are dropped before it is reduced.  Those pivots make d_k[I, J]
-    triangular with +-1 on the diagonal after row operations, so it is
-    unimodular; as d_k d_(k+1) = 0, rows J of d_(k+1) are then integer
+    Boundaries are reduced bottom-up in one loop, each cleared by the one
+    below (Chen and Kerber's twist): the rows of d_(k+1) at the unit-pivot
+    columns J of d_k are dropped before it is reduced.  Those pivots make
+    d_k[I, J] triangular with +-1 on the diagonal after row operations, so
+    it is unimodular; as d_k d_(k+1) = 0, rows J of d_(k+1) are then integer
     combinations of its other rows, and dropping them keeps the row lattice,
-    hence the rank and the invariant factors."""
-    complete = max_degree >= K.dimension
+    hence the rank and the invariant factors.  A boundary above the
+    complex's dimension is zero and never built.  A graph (dimension 1) is
+    not eliminated at all: every invariant factor of d_1 is 1, so its rank
+    is the vertex count minus the union-find component count."""
+    dimension = K.dimension
+    complete = max_degree >= dimension
     if K.n_simplices(0) == 0:
         return HomologyProfile(
             betti=(0,) * (max_degree + 1),
@@ -362,48 +366,26 @@ def reduced_homology(
         )
     components = _component_count((s[0] for s in K.simplices.get(0, [])),
                                   K.simplices.get(1, []))
-    ranks: dict[int, int] = {}
-    torsion_by_source: dict[int, list[int]] = {}
-    pivot_columns: dict[int, list[int]] = {}
-
-    def boundary_data(d: int):
-        if d in ranks:
-            return
-        if K.n_simplices(d) == 0 or d == 0:
-            ranks[d] = 0
-            torsion_by_source[d] = []
-            return
-        if d == 1 and K.dimension <= 1:
-            # Graph boundary: all invariant factors are 1.
-            ranks[d] = K.n_simplices(0) - components
-            torsion_by_source[d] = []
-            return
-        entries = K.boundary_items(d, set(pivot_columns.get(d - 1, ())))
-        factors = _invariant_factors(entries, pivot_columns.setdefault(d, []))
-        ranks[d] = len(factors)
-        torsion_by_source[d] = [f for f in factors if f != 1]
-
-    betti = []
-    torsion = []
-    for i in range(max_degree + 1):
-        if i == 0:
-            b = components - 1
-            boundary_data(1)
-            # SNF cross-check of the union-find count.
-            if K.n_simplices(1) and K.dimension > 1 and K.n_simplices(0) - ranks[1] - 1 != b:
-                raise AssertionError(
-                    f"component count mismatch: union-find gives {components}, "
-                    f"the boundary rank gives {K.n_simplices(0) - ranks[1]}"
-                )
-            betti.append(b)
-            torsion.append(())
-            continue
-        boundary_data(i)
-        boundary_data(i + 1)
-        b = K.n_simplices(i) - ranks[i] - ranks[i + 1]
-        betti.append(b)
-        torsion.append(tuple(torsion_by_source[i + 1]))
-    return HomologyProfile(tuple(betti), tuple(torsion), max_degree, complete=complete)
+    # Rank and torsion of d_0, ..., d_(max_degree + 1), where d_0 is the
+    # augmentation C_0 -> Z (rank 1) that makes the homology reduced.
+    ranks = [1] + [0] * (max_degree + 1)
+    torsion: list[tuple[int, ...]] = [()] * (max_degree + 2)
+    cleared: list[int] = []
+    for d in range(1, min(max_degree + 1, dimension) + 1):
+        if dimension == 1:  # a graph: d_1 has only unit invariant factors
+            ranks[1] = K.n_simplices(0) - components
+            break
+        pivots: list[int] = []
+        factors = _invariant_factors(K.boundary_items(d, set(cleared)), pivots)
+        ranks[d], torsion[d], cleared = len(factors), tuple(f for f in factors if f != 1), pivots
+        # SNF cross-check of the union-find count.
+        if d == 1 and K.n_simplices(0) - ranks[1] != components:
+            raise AssertionError(
+                f"component count mismatch: union-find gives {components}, "
+                f"the boundary rank gives {K.n_simplices(0) - ranks[1]}"
+            )
+    betti = tuple(K.n_simplices(i) - ranks[i] - ranks[i + 1] for i in range(max_degree + 1))
+    return HomologyProfile(betti, tuple(torsion[1:]), max_degree, complete=complete)
 
 
 # ---------------------------------------------------------------------------

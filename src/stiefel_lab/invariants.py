@@ -10,7 +10,6 @@ therefore interval comparisons and may legitimately come out undetermined.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,7 @@ from stiefel_lab.rings import (
     RingDescriptor,
     RingError,
     Scalar,
+    integers,
     localized_at,
     sum_of_squares,
 )
@@ -150,14 +150,7 @@ def compute_invariants(ring: RingDescriptor) -> InvariantReport:
     chain = _ff_sum_chain(p)
     stable = chain[-1]
     pyth = next(i + 1 for i, s in enumerate(chain) if s == stable)
-    minus_one = (p - 1) % p
-    stufe = None
-    for k, s in enumerate(chain, start=1):
-        if minus_one in s:
-            stufe = k
-            break
-    if stufe is None:
-        stufe = INF if minus_one not in stable else len(chain)
+    stufe = next(k for k, s in enumerate(chain, start=1) if p - 1 in s)
     u = 0
     for rank in range(1, FIELD_SEARCH_RANK + 1):
         if any((V != 0).all(axis=0).any() for V in _ff_diag_values(p, rank)):
@@ -174,7 +167,7 @@ def compute_invariants(ring: RingDescriptor) -> InvariantReport:
     return InvariantReport(
         ring,
         pythagoras=exact(pyth),
-        stufe=exact(stufe) if stufe != INF else InvariantValue(len(chain) + 1, INF, "exhaustive"),
+        stufe=exact(stufe),
         u_invariant=exact(u),
         m_invariant=exact(m),
     )
@@ -420,25 +413,19 @@ def m_zp_witness(p: int, height: int) -> MZpWitness:
     if 7 % p == 0:
         raise RingError(f"construction needs p not dividing 7, got p = {p}")
     ring = localized_at(p)
-    # Explicit four-square decomposition 7 = 4 + 1 + 1 + 1, rescaled by 1/7.
-    quads = None
-    for combo in itertools.product(range(0, 3), repeat=4):
-        if sum(c * c for c in combo) == 7:
-            quads = combo
-            break
+    # Height 2 covers every integer solution below, as x^2 <= 7.
+    seven = integers().scalar(7)
+    quads = sum_of_squares(seven, 4, height_bound=2)
     if quads is None:
         raise AssertionError("no four-square decomposition of 7")
-    four = tuple(Fraction(c, 7) for c in quads)
+    four = tuple(Fraction(c.value, 7) for c in quads)  # rescaled by 1/7
     total = sum(f * f for f in four)
     if total != Fraction(1, 7):
         raise AssertionError("rescaled squares do not sum to 1/7")
     for f in four:
         Scalar(ring, f)  # all lie in Z_(p) since p does not divide 7
     rational_found = not no_rational_three_square(7, height)
-    integer_found = any(
-        a * a + b * b + c * c == 7
-        for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)
-    )
+    integer_found = sum_of_squares(seven, 3, height_bound=2) is not None
     return MZpWitness(p, height, four, rational_found, integer_found)
 
 

@@ -38,13 +38,12 @@ from stiefel_lab.quadmod import (
     diagonal_module,
     euclidean,
     frame,
-    identity_matrix,
     intersect_complements,
     orthogonal_sum,
     polar,
     vec,
 )
-from stiefel_lab.isometry import Isometry, frame_transport
+from stiefel_lab.isometry import frame_transport
 from stiefel_lab.complexes import (
     CheckResult,
     Poset,
@@ -69,25 +68,24 @@ CLIQUE_CHUNK = 1 << 22  # mask bits unpacked at once by _cliques
 
 
 def unit_vectors(q: QuadraticModule) -> list[Vector]:
-    """All vectors of value 1, canonically ordered.
+    """All vectors of value 1, canonically ordered: the unit sphere of a
+    finite-field form, enumerated exhaustively, or the signed standard basis
+    over Z."""
+    rows = UnitSphere(q).vectors if q.ring.kind == FINITE_FIELD else _signed_basis(q)
+    return [vec(q.ring, row) for row in rows.tolist()]
 
-    Finite fields are enumerated exhaustively.  Over Z (identity Gram matrix
-    only) a sum of integer squares equals 1 exactly when one coordinate is
-    +-1 and the rest vanish, so the list is the signed standard basis.
-    """
-    ring = q.ring
-    if ring.kind == FINITE_FIELD:
-        return [vec(ring, tuple(int(c) for c in row)) for row in UnitSphere(q).vectors]
-    if ring.kind == INTEGERS:
-        n = q.rank
-        if q.gram != identity_matrix(ring, n):
-            raise RingError("integer enumeration needs the identity Gram matrix")
-        out = []
-        for i in range(n):
-            for sign in (-1, 1):
-                out.append(vec(ring, [sign if j == i else 0 for j in range(n)]))
-        return sorted(out, key=lambda v: tuple(c.value for c in v))
-    raise RingError(f"unit vectors are not enumerable over {ring.label()}")
+
+def _signed_basis(q: QuadraticModule) -> np.ndarray:
+    """The unit vectors of a form over Z with the identity Gram matrix, as
+    the rows -e_0, ..., -e_(n-1), e_(n-1), ..., e_0 (lexicographic order): a
+    sum of integer squares is 1 exactly when one coordinate is +-1 and the
+    rest vanish."""
+    if q.ring.kind != INTEGERS:
+        raise RingError(f"unit vectors are not enumerable over {q.ring.label()}")
+    eye = np.eye(q.rank, dtype=np.int64)
+    if not np.array_equal(np.array(q.gram_values, dtype=np.int64).reshape(eye.shape), eye):
+        raise RingError("integer enumeration needs the identity Gram matrix")
+    return np.concatenate([-eye, eye[::-1]])
 
 
 class UnitSphere:
@@ -260,14 +258,12 @@ def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tupl
     return out
 
 
-def _integer_graph(q: QuadraticModule) -> tuple[list[Vector], np.ndarray]:
-    """The unit vectors of a form over Z and their orthogonality graph,
-    through the exact polar form."""
-    verts = unit_vectors(q)
-    m = len(verts)
-    adj = np.array([[i != j and polar(q, verts[i], verts[j]).is_zero() for j in range(m)]
-                    for i in range(m)], dtype=bool)
-    return verts, adj
+def _integer_graph(q: QuadraticModule) -> tuple[np.ndarray, np.ndarray]:
+    """The unit vectors of a form over Z (the signed basis table) and their
+    orthogonality graph: B(v, w) = 2 v.w, so v and w are orthogonal exactly
+    when v.w = 0."""
+    table = _signed_basis(q)
+    return table, table @ table.T == 0
 
 
 def _ordered_cliques(by_size: dict[int, list[tuple[int, ...]]],
@@ -490,8 +486,9 @@ def wn_identification_check(ring: RingDescriptor, v_diag: Sequence[int], n: int,
 
 
 def local_standardness_check(ring: RingDescriptor, v_diag: Sequence[int], n: int) -> CheckResult:
-    """LS1: the two stabilization embeddings of E^1 into V + E^2 are distinct
-    maps; LS2: appending a zero coordinate sends Hom(E^1, V + E^(n-1))
+    """LS1: the two stabilization embeddings of E^1 into V + E^2 (onto the
+    last two basis vectors, so distinct by construction) lie in the Hom-set;
+    LS2: appending a zero coordinate sends Hom(E^1, V + E^(n-1))
     injectively into Hom(E^1, V + E^n).  Both checked on the exhaustive
     Hom-set enumeration, by codes: a map's code has its coordinates as
     base-p digits, so appending a zero coordinate multiplies it by p.  A
@@ -509,8 +506,6 @@ def local_standardness_check(ring: RingDescriptor, v_diag: Sequence[int], n: int
     if not gfnum.member(gfnum.codes(_form_preserving_maps(amb2, 1), w),
                         gfnum.codes(np.stack([first, second]), w)).all():
         failures.append("LS1: the two stabilization embeddings are not in the Hom-set")
-    if (first == second).all():
-        failures.append("LS1: the embeddings coincide")
     maps_small = _form_preserving_maps(ambn1, 1)
     stabilized = gfnum.codes(maps_small, gfnum.code_weights(p, ambn1.rank)) * p
     if len(np.unique(stabilized)) != len(stabilized):
@@ -934,37 +929,41 @@ def integer_aut_check(n: int) -> CheckResult:
     and is the boundary of the cross-polytope; its simplicial automorphisms
     are exactly the signed permutations, 2^n n! of them, and each lifts to an
     integer orthogonal matrix.  The antipode of a vertex is its unique
-    non-neighbor, which pins the automorphism down from the basis images."""
-    ring = integers()
-    q = euclidean(ring, n)
-    verts, graph = _integer_graph(q)
-    adj = graph.tolist()
-    m = len(verts)
+    non-neighbor, which pins the automorphism down from the basis images.
+
+    Everything is read off the int table V of vertices: the lift L of an
+    automorphism has as columns the images of e_0, ..., e_(n-1); it must
+    satisfy L^T L = I and send every vertex where the automorphism does
+    (L V^T = V[perm]^T), checked on blocks of automorphisms at a time."""
+    if n < 1:
+        raise ValueError(f"the cross-polytope needs n >= 1, got n = {n}")
+    V, graph = _integer_graph(euclidean(integers(), n))
+    m = len(V)
     failures = []
     # Antipode characterization: the unique non-neighbor of v is -v.
-    for i in range(m):
-        non = [j for j in range(m) if j != i and not adj[i][j]]
-        anti = [j for j in range(m) if verts[j] == tuple(-c for c in verts[i])]
-        if non != anti:
-            failures.append(f"antipode characterization fails at vertex {i}")
-    autos = _graph_automorphisms(adj)
+    non_neighbors = ~graph & ~np.eye(m, dtype=bool)
+    antipodes = (V[:, None, :] == -V[None, :, :]).all(axis=2)
+    bad = (non_neighbors != antipodes).any(axis=1)
+    if bad.any():
+        failures.append(f"antipode characterization fails at vertex {int(bad.argmax())}")
+    autos = _graph_automorphisms(graph.tolist())
     expected = 2 ** n * math.factorial(n)
     if len(autos) != expected:
         failures.append(f"automorphism count {len(autos)} != 2^n n! = {expected}")
-    basis_index = [verts.index(vec(ring, [1 if j == i else 0 for j in range(n)]))
-                   for i in range(n)]
-    for perm in autos:
-        cols = [verts[perm[basis_index[i]]] for i in range(n)]
-        mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        try:
-            iso = Isometry(q, mat)
-        except ValueError:
-            failures.append("an automorphism does not lift to an integer isometry")
-            break
-        for i in range(m):
-            if iso.apply(verts[i]) != verts[perm[i]]:
-                failures.append("lift disagrees with the automorphism on a vertex")
-                break
+    basis = [int(np.flatnonzero((V == e).all(axis=1))[0]) for e in np.eye(n, dtype=np.int64)]
+    unlifted = disagrees = False
+    for block in gfnum.blocks(len(autos), 2 * m * n):
+        perms = np.array(autos[block], dtype=np.int64).reshape(-1, m)
+        images = V[perms[:, basis]]  # images[a] is L_a^T: row i is L_a e_i
+        orthogonal = (images @ images.transpose(0, 2, 1) == np.eye(n)).all(axis=(1, 2))
+        unlifted = unlifted or not orthogonal.all()
+        # row v of V L_a^T is L_a v; compared only where L_a is a lift
+        wrong = (V @ images != V[perms]).any(axis=(1, 2))
+        disagrees = disagrees or (wrong & orthogonal).any()
+    if unlifted:
+        failures.append("an automorphism does not lift to an integer isometry")
+    if disagrees:
+        failures.append("lift disagrees with the automorphism on a vertex")
     return CheckResult(
         "integer-automorphisms", not failures, failures,
         {"n": n, "vertices": m, "automorphisms": len(autos), "expected": expected},

@@ -299,7 +299,9 @@ def test_orbit_check_command(capsys):
     (["wn-check", "--field", "3", "--n", "0"], "--n must be at least 1, got 0"),
     (["wn-check", "--field", "3", "--n", "1", "--max-p", "0"],
      "LS2 needs V + E^(n-1) of rank at least 1, got rank 0 from --n 1 and 0 --v-diag entries"),
-], ids=["orbit-n0", "orbit-k-above-n", "wn-n0", "wn-n1-rank0"])
+    (["int-aut", "--n", "0"], "--n must be at least 1, got 0"),
+    (["int-aut", "--n", "-1"], "--n must be at least 1, got -1"),
+], ids=["orbit-n0", "orbit-k-above-n", "wn-n0", "wn-n1-rank0", "int-aut-n0", "int-aut-n-1"])
 def test_frame_commands_refuse_vacuous_sizes(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

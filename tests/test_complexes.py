@@ -208,6 +208,25 @@ def test_clearing_drops_the_rows_at_the_pivots_below(monkeypatch):
     assert rows == [24, 72 - 21, 96 - 51]
 
 
+def test_each_boundary_reaches_the_elimination_once(monkeypatch):
+    """A graph's d_1 is never eliminated: its rank is the union-find count.
+    X(F_3^4), of dimension 3, has d_1, d_2 and d_3 eliminated once each, and
+    no empty boundary above, however high max_degree reaches."""
+    calls = []
+    reduce = complexes._invariant_factors
+
+    def spy(entries, pivots):
+        calls.append(pivots)
+        return reduce(entries, pivots)
+
+    monkeypatch.setattr(complexes, "_invariant_factors", spy)
+    assert reduced_homology(triangle_boundary(), 3).betti == (0, 1, 0, 0)
+    assert calls == []
+    K = build_stiefel(euclidean(finite_field(3), 4), 3)
+    assert reduced_homology(K, 5).betti == (2, 0, 0, 3, 0, 0)
+    assert len(calls) == 3
+
+
 def test_h0_cross_check_raises_on_mismatch(monkeypatch):
     # The SNF rank of the boundary C_1 -> C_0 must confirm the union-find
     # count; a wrong count is refused by an explicit exception (not a bare

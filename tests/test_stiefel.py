@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from stiefel_lab.rings import finite_field, integers
+from stiefel_lab.rings import RingError, finite_field, integers, rationals
 from stiefel_lab.quadmod import (
     diagonal_module,
     euclidean,
@@ -15,7 +15,7 @@ from stiefel_lab.quadmod import (
     polar,
     vec,
 )
-from stiefel_lab import complexes, stiefel
+from stiefel_lab import complexes, gfnum, stiefel
 from stiefel_lab.complexes import poset_from_frames, reduced_homology
 from stiefel_lab.stiefel import (
     BudgetError,
@@ -46,6 +46,19 @@ def test_unit_vector_counts():
     assert len(unit_vectors(euclidean(F3, 3))) == 6
     for n in (1, 2, 3, 4):
         assert len(unit_vectors(euclidean(integers(), n))) == 2 * n
+
+
+def test_unit_vectors_over_z_are_the_sorted_signed_basis():
+    Z = integers()
+    for n in range(1, 6):
+        signed = [vec(Z, [s if j == i else 0 for j in range(n)])
+                  for i in range(n) for s in (-1, 1)]
+        assert unit_vectors(euclidean(Z, n)) == sorted(
+            signed, key=lambda v: tuple(c.value for c in v))
+    with pytest.raises(RingError, match="integer enumeration needs the identity Gram matrix"):
+        unit_vectors(diagonal_module(Z, [1, 2]))
+    with pytest.raises(RingError, match="unit vectors are not enumerable over Q"):
+        unit_vectors(euclidean(rationals(), 2))
 
 
 def test_build_stiefel_small():
@@ -726,6 +739,52 @@ def test_graph_automorphisms_match_every_permutation(n):
     brute = [perm for perm in itertools.permutations(range(m))
              if all(adj[perm[i]][perm[j]] == adj[i][j] for i in range(m) for j in range(m))]
     assert stiefel._graph_automorphisms(adj) == brute
+
+
+# Over Z^2 the vertices are -e_0, -e_1, e_1, e_0 (indices 0 to 3).
+@pytest.mark.parametrize("planted, failure", [
+    ((0, 1, 3, 2), "lift disagrees with the automorphism on a vertex"),  # e_0 <-> e_1 only
+    ((2, 1, 0, 3), "an automorphism does not lift to an integer isometry"),  # e_1 -> -e_0
+], ids=["swap-e0-e1", "basis-not-orthonormal"])
+def test_integer_aut_check_refuses_a_planted_automorphism(monkeypatch, planted, failure):
+    """The last automorphism found is replaced, so the count still holds;
+    with one automorphism per block the failure is caught in its own block
+    and each failure kind is reported once."""
+    graph = stiefel._integer_graph(euclidean(integers(), 2))[1].tolist()
+    found = stiefel._graph_automorphisms(graph)[:-1] + [planted]
+    monkeypatch.setattr(stiefel, "_graph_automorphisms", lambda adj: found)
+    monkeypatch.setattr(gfnum, "_BLOCK_ENTRIES", 1)
+    res = integer_aut_check(2)
+    assert not res.passed
+    assert res.failures == [failure]
+
+
+def test_integer_aut_check_refuses_a_planted_edge(monkeypatch):
+    """An edge joining -e_0 to its antipode e_0 leaves -e_0 no non-neighbor."""
+    build = stiefel._integer_graph
+
+    def planted(q):
+        table, graph = build(q)
+        graph = graph.copy()
+        graph[0, 3] = graph[3, 0] = True
+        return table, graph
+
+    monkeypatch.setattr(stiefel, "_integer_graph", planted)
+    res = integer_aut_check(2)
+    assert not res.passed
+    assert res.failures[0] == "antipode characterization fails at vertex 0"
+
+
+def test_integer_aut_check_passes_one_automorphism_per_block(monkeypatch):
+    monkeypatch.setattr(gfnum, "_BLOCK_ENTRIES", 1)
+    res = integer_aut_check(3)
+    assert res.passed and res.details["automorphisms"] == 48
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_integer_aut_check_refuses_rank_below_one(n):
+    with pytest.raises(ValueError, match=f"got n = {n}$"):
+        integer_aut_check(n)
 
 
 def test_integer_aut_count_n5():
