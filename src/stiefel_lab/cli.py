@@ -111,24 +111,26 @@ def cmd_invariants(args) -> int:
     return _finish("invariants", config, results, assertions, args.seed, args.format)
 
 
-def _frame_rank(n: int) -> int:
-    """The rank of a frame complex's form: a rank-0 form has no unit vector."""
-    if n < 1:
-        raise ValueError(f"--n must be at least 1, got {n}")
-    return n
+def _at_least(flag: str, value: int, low: int) -> int:
+    """The value of an integer flag, refused below its least meaningful
+    value (a rank-0 form has no unit vector, a negative degree reads no
+    homology, an empty sweep checks nothing)."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+    return value
 
 
 def cmd_stiefel(args) -> int:
     from stiefel_lab.stiefel import build_stiefel, skeleton_vs_poset_profiles
 
     ring = finite_field(args.field)
-    q = euclidean(ring, _frame_rank(args.n))
-    komplex = build_stiefel(q, args.max_dim, args.budget)
+    q = euclidean(ring, _at_least("--n", args.n, 1))
+    komplex = build_stiefel(q, _at_least("--max-dim", args.max_dim, 0))
     counts = {str(d): komplex.n_simplices(d) for d in sorted(komplex.simplices)}
     results = {"simplices": counts}
     assertions = []
     if args.check_poset:
-        direct, subdivided = skeleton_vs_poset_profiles(q, args.max_dim + 1, args.budget)
+        direct, subdivided = skeleton_vs_poset_profiles(q, args.max_dim + 1)
         ok = direct == subdivided
         results["profile"] = {"betti": list(direct.betti),
                               "torsion": [list(t) for t in direct.torsion]}
@@ -143,7 +145,8 @@ def cmd_connectivity(args) -> int:
     from stiefel_lab.stiefel import connectivity_report
 
     ring = finite_field(args.field)
-    rep = connectivity_report(ring, _frame_rank(args.n), args.max_degree, args.budget)
+    rep = connectivity_report(ring, _at_least("--n", args.n, 1),
+                              _at_least("--max-degree", args.max_degree, 0))
     assertions = [_assertion("connectivity-bound", rep.bound_satisfied,
                              {"betti": list(rep.betti)})]
     config = {"field": args.field, "n": args.n, "max_degree": args.max_degree}
@@ -155,7 +158,10 @@ def cmd_morse_replay(args) -> int:
     from stiefel_lab.stiefel import morse_replay
 
     ring = finite_field(args.field)
-    q, u_fr, v_fr = _seeded_frames(ring, args.n, args.r, args.s, args.seed)
+    if args.samples is not None:
+        _at_least("--samples", args.samples, 1)
+    q, u_fr, v_fr = _seeded_frames(ring, _at_least("--n", args.n, 1), _at_least("--r", args.r, 0),
+                                   _at_least("--s", args.s, 0), args.seed)
     cert = morse_replay(ring, args.n, args.l, u_fr, v_fr,
                         sample_budget=args.samples, seed=args.seed)
     assertions = [_assertion(name, ok, detail) for name, ok, detail in cert.assertions]
@@ -169,7 +175,7 @@ def cmd_reflect(args) -> int:
     from stiefel_lab.isometry import reflection
 
     ring = finite_field(args.field)
-    q = euclidean(ring, args.n)
+    q = euclidean(ring, _at_least("--n", args.n, 1))
     v = [int(c) for c in args.vector.split(",")]
     tau = reflection(q, v)
     mat = [[e.value for e in row] for row in tau.matrix]
@@ -193,7 +199,7 @@ def cmd_orbit_check(args) -> int:
     )
 
     ring = finite_field(args.field)
-    q = euclidean(ring, _frame_rank(args.n))
+    q = euclidean(ring, _at_least("--n", args.n, 1))
     if not 0 <= args.k <= args.n:
         raise ValueError(f"--k must be between 0 and --n = {args.n}, got {args.k}")
     config = {"field": args.field, "n": args.n, "k": args.k}
@@ -224,7 +230,8 @@ def cmd_wn_check(args) -> int:
 
     ring = finite_field(args.field)
     v_diag = [int(c) for c in args.v_diag.split(",")] if args.v_diag else []
-    res = wn_identification_check(ring, v_diag, _frame_rank(args.n), args.max_p)
+    res = wn_identification_check(ring, v_diag, _at_least("--n", args.n, 1),
+                                  _at_least("--max-p", args.max_p, 0))
     ls = local_standardness_check(ring, v_diag, args.n)
     assertions = [
         _assertion("wn-identification", res.passed, res.failures[:3]),
@@ -238,7 +245,7 @@ def cmd_wn_check(args) -> int:
 def cmd_int_aut(args) -> int:
     from stiefel_lab.stiefel import integer_aut_check
 
-    res = integer_aut_check(_frame_rank(args.n))
+    res = integer_aut_check(_at_least("--n", args.n, 1))
     assertions = [_assertion("signed-permutation-isomorphism", res.passed,
                              res.failures[:3])]
     return _finish("int-aut", {"n": args.n}, res.details, assertions,
@@ -270,9 +277,12 @@ def cmd_ranges(args) -> int:
         _emit(payload, args.format if args.format == "tsv" else "json")
         return 0
     assertions = []
+    _at_least("--n", args.n, 1)
+    _at_least("--value", args.value, 1)
+    if args.d is not None:
+        _at_least("--d", args.d, 0)
     if args.corollary:
-        bound = intro_corollary_ranges(args.corollary, args.case, args.n,
-                                       args.value or 0, d=args.d)
+        bound = intro_corollary_ranges(args.corollary, args.case, args.n, args.value, d=args.d)
         results = {"bound": bound}
         config = {"corollary": args.corollary, "case": args.case, "n": args.n,
                   "value": args.value, "d": args.d}
@@ -300,7 +310,8 @@ def cmd_ranges(args) -> int:
 def cmd_hensel(args) -> int:
     from stiefel_lab.repsolve import hensel_isotropy_replay
 
-    stats = hensel_isotropy_replay(args.p, args.precision, args.count, args.seed,
+    count = _at_least("--count", args.count, 1)
+    stats = hensel_isotropy_replay(args.p, args.precision, count, args.seed,
                                    all_precisions=args.all_precisions)
     assertions = [_assertion("all-forms-lift", stats["count"] == args.count)]
     config = {"p": args.p, "precision": args.precision, "count": args.count}
@@ -330,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-dim", type=int, default=1)
-    p.add_argument("--budget", type=int, default=50_000_000)
     p.add_argument("--check-poset", action="store_true")
     p.set_defaults(fn=cmd_stiefel)
 
@@ -338,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=0)
-    p.add_argument("--budget", type=int, default=50_000_000)
     p.set_defaults(fn=cmd_connectivity)
 
     p = sub.add_parser("morse-replay", help="replay the Morse filtration certificate")

@@ -1,12 +1,12 @@
 """Isotropy and representation solvers.
 
-The organizing fact: a non-singular form represents a unit a exactly when the
-orthogonal sum with <-a> is isotropic, and a transversal zero of that sum
-turns the isotropic vector into an explicit representation.  Over the
-residue rings Z/m, m = ring.modulus (p over F_p, which is Z/p^1, and p^N
-over truncated Z_p), one int kernel finds the first zero mod p exhaustively
-and, when m > p, closes it with one Hensel step; over Q and Z_(p) one
-bounded-height search over Q is rescaled into Z_(p).
+The organizing fact: a non-singular form q represents a unit a exactly when
+q(x) = a has a solution, and each ring kind reaches one by one route.  Over
+the residue rings Z/m, m = ring.modulus (p over F_p, which is Z/p^1, and p^N
+over truncated Z_p), one int kernel finds the first x with q(x) = a mod p
+exhaustively and, when m > p, closes it with one Hensel step; isotropy is
+its case a = 0.  Over Q and Z_(p) one bounded-height search finds zeros
+(w | x) of q + <-a>, and the first with a unit x gives q(w/x) = a.
 
 Bounded search cannot prove negatives over infinite rings, so "not found
 within bound" is a first-class outcome carrying its bound and is never
@@ -25,7 +25,6 @@ import numpy as np
 
 from stiefel_lab import gfnum
 from stiefel_lab.rings import (
-    FINITE_FIELD,
     LOCALIZED,
     PADIC,
     RATIONALS,
@@ -48,7 +47,6 @@ from stiefel_lab.quadmod import (
     diagonal_module,
     evaluate,
     integer_lift,
-    intersect_complements,
     orthogonal_sum,
     polar,
     vec,
@@ -88,25 +86,28 @@ class IsotropyWitness:
         return self.found
 
 
-def _residue_zero(rows: Sequence[Sequence[int]], p: int) -> Optional[list[int]]:
-    """Lexicographically first nonzero x with q(x) = 0 mod p, for q the form
-    with these int Gram rows; None when the reduction mod p is anisotropic."""
+def _residue_zero(rows: Sequence[Sequence[int]], p: int, a: int = 0) -> Optional[list[int]]:
+    """Lexicographically first nonzero x with q(x) = a mod p, for q the form
+    with these int Gram rows; None when q takes no such value (for a = 0:
+    the reduction mod p is anisotropic)."""
     X = gfnum.all_vectors(p, len(rows))[1:]  # skip zero
     G = np.array([[g % p for g in row] for row in rows], dtype=np.int64)
-    hits = np.flatnonzero(gfnum.gram_values(G, X, p) == 0)
+    hits = np.flatnonzero(gfnum.gram_values(G, X, p) == a % p)
     return X[hits[0]].tolist() if hits.size else None
 
 
 def _close_zero(rows: Sequence[Sequence[int]], x0: Sequence[int],
-                ring: RingDescriptor) -> list[int]:
-    """Zero mod m = ring.modulus of the non-singular form with int Gram rows,
-    from a primitive x0 with q(x0) = 0 mod p: x0 itself when m = p, else
-    closed by one Hensel step (Hensel's lemma for a simple root).
+                ring: RingDescriptor, a: int = 0) -> list[int]:
+    """Solution of q(x) = a mod m = ring.modulus for the non-singular form
+    with int Gram rows, from a primitive x0 with q(x0) = a mod p: x0 itself
+    when m = p, else closed by one Hensel step (Hensel's lemma for a simple
+    root).
 
     G is invertible mod p and x0 is nonzero mod p, so some (G x0)_j is a
-    unit.  At the first such j, q(x0 + t e_j) = G_jj t^2 + 2 (G x0)_j t + q(x0)
-    has the simple root t = 0 mod p, and its lift closes q to zero mod m.
-    The result is re-checked on ints: zero mod m and primitive mod p."""
+    unit.  At the first such j, q(x0 + t e_j) - a = G_jj t^2 + 2 (G x0)_j t
+    + q(x0) - a has the simple root t = 0 mod p, and its lift closes q to a
+    mod m.  The result is re-checked on ints: q(x) = a mod m and x primitive
+    mod p."""
     p, m = ring.p, ring.modulus
     x = list(x0)
     if m > p:
@@ -114,12 +115,12 @@ def _close_zero(rows: Sequence[Sequence[int]], x0: Sequence[int],
         j = next((i for i, c in enumerate(gx) if c % p), None)
         if j is None:
             raise AssertionError("primitive vector with no unit pairing in a non-singular form")
-        value = sum(c * g for c, g in zip(x, gx))
+        value = sum(c * g for c, g in zip(x, gx)) - a
         x[j] = (x[j] + hensel_root(ring, (rows[j][j], 2 * gx[j], value), 0).value) % m
     if not any(c % p for c in x):
         raise AssertionError("witness not primitive")
-    if sum(c * sum(g * d for g, d in zip(row, x)) for c, row in zip(x, rows)) % m:
-        raise AssertionError(f"isotropic witness does not vanish mod {m}")
+    if (sum(c * sum(g * d for g, d in zip(row, x)) for c, row in zip(x, rows)) - a) % m:
+        raise AssertionError(f"witness does not take the value {a} mod {m}")
     return x
 
 
@@ -203,105 +204,38 @@ def scale_to_primitive(x: Sequence[Scalar], p: int) -> Vector:
     return out
 
 
-def transversal_zero(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
-    """Zero vector of the orthogonal sum whose block components all have unit
-    values.  Even block count and a semi-local ring are required; over the
-    residue rings Z/m the first residue transversal, exhaustive mod p and
-    closed mod m; bounded search over Q and Z_(p)."""
-    if not blocks:
-        raise ValueError("need at least one block")
-    ring = blocks[0].ring
-    if any(b.ring != ring for b in blocks):
-        raise RingError("blocks live over different rings")
-    if len(blocks) % 2 != 0:
-        raise ValueError("transversality needs an even number of blocks")
-    if not ring.is_local:
-        raise RingError("transversality implemented for semi-local rings here")
-    if ring.modulus is not None:
-        return _residue_transversal(blocks)
-    return _bounded_transversal(blocks)
-
-
-def _residue_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
-    """First residue transversal over Z/m, m = ring.modulus: each block's
-    vectors of unit value mod p in lexicographic order, the blocks' choices
-    in product order, the first whose values sum to 0 mod p; closed mod m by
-    `_close_zero`.  The Hensel step moves each block value by a multiple of
-    p, so units stay units (re-checked)."""
-    ring = blocks[0].ring
-    p = ring.p
-    per_block = []
-    for b in blocks:
-        G = np.array([[g % p for g in row] for row in b.gram_values], dtype=np.int64)
-        X = gfnum.all_vectors(p, b.rank)
-        vals = gfnum.gram_values(G, X, p)
-        keep = vals != 0
-        per_block.append(list(zip(X[keep].tolist(), vals[keep].tolist())))
-    for combo in itertools.product(*per_block):
-        if sum(v for _, v in combo) % p == 0:
-            x0 = [c for x, _ in combo for c in x]
-            rows = orthogonal_sum_all(blocks).gram_values
-            x = vec(ring, _close_zero(rows, x0, ring))
-            if not _block_values_are_units(blocks, x):
-                raise AssertionError("block value left the unit class")
-            return x
-    return None
-
-
-def _bounded_transversal(blocks: Sequence[QuadraticModule]) -> Optional[Vector]:
-    ring = blocks[0].ring
-    for cand in _bounded_zeros(orthogonal_sum_all(blocks), DEFAULT_HEIGHT_BOUND):
-        x = vec(ring, cand)
-        if _block_values_are_units(blocks, x):
-            return x
-    return None
-
-
-def _block_values_are_units(blocks: Sequence[QuadraticModule], x: Vector) -> bool:
-    offset = 0
-    for b in blocks:
-        if not evaluate(b, x[offset: offset + b.rank]).is_unit():
-            return False
-        offset += b.rank
-    return True
-
-
-def orthogonal_sum_all(blocks: Sequence[QuadraticModule]) -> QuadraticModule:
-    total = blocks[0]
-    for b in blocks[1:]:
-        total = orthogonal_sum(total, b)
-    return total
-
-
 def represents(q: QuadraticModule, a: Scalar) -> Optional[Vector]:
-    """Vector v with q(v) = a, via isotropy of q + <-a>.
+    """Vector v with q(v) = a for a unit a and a non-singular q.
 
-    The isotropic witness (v | x) gives v/x directly when its last coordinate
-    is a unit; otherwise a transversal zero of the two-block decomposition
-    supplies one.  None over a prime field is a proof; over Q and Z_(p) it
-    only reports the bound."""
+    Over Z/m, the first solution of q(x) = a mod p, closed mod m; None is a
+    proof.  Over Q and Z_(p), v = w/x for the first zero (w | x) of q + <-a>
+    in the bounded search whose last coordinate x is a unit; None only
+    reports the bound, except for a definite q + <-a>, which has no zero."""
     ring = q.ring
     a = Scalar(ring, a)
     if not a.is_unit():
         raise ValueError("representation targets must be units")
     if q.rank == 0:
         return None
+    if not q.is_nonsingular():
+        raise ValueError("representation search expects a non-singular module")
+    if ring.modulus is not None:
+        x0 = _residue_zero(q.gram_values, ring.p, a.value)
+        return None if x0 is None else vec(ring, _close_zero(q.gram_values, x0, ring, a.value))
+    if ring.kind not in (LOCALIZED, RATIONALS):
+        raise RingError(f"representation search not supported over {ring.label()}")
     aug = orthogonal_sum(q, diagonal_module(ring, [-a.value]))
-    witness = find_isotropic(aug)
-    if not witness.found:
+    if _rational_definite(aug):
         return None
-    w = witness.vector
-    x = w[-1]
-    if not x.is_unit():
-        t = transversal_zero([q, diagonal_module(ring, [-a.value])])
-        if t is None:
-            return None
-        w, x = t, t[-1]
-    v = tuple(c / x for c in w[:-1])
-    got = evaluate(q, v)
-    if got != a:
-        raise AssertionError(f"representation check failed: {got} != {a}")
-    return v
+    for cand in _bounded_zeros(aug, DEFAULT_HEIGHT_BOUND):
+        x = cand[-1]
+        if x and (ring.kind == RATIONALS or x % ring.p):
+            v = vec(ring, [Fraction(c, x) for c in cand[:-1]])
+            got = evaluate(q, v)
+            if got != a:
+                raise AssertionError(f"representation check failed: {got} != {a}")
+            return v
+    return None
 
 
 def hensel_isotropy_replay(p: int = 5, precision: int = 4, count: int = 50,
@@ -390,9 +324,13 @@ def unit_vector_in_complement(
     u_frame: Frame,
     v_frame: Frame,
 ) -> tuple[Optional[Vector], ConditionReport]:
-    """Unit vector orthogonal to both frames, searched first in the
-    non-singular core and then (over finite fields) in the full intersection;
-    returns the vector and the report of which sufficient conditions held."""
+    """Unit vector orthogonal to both frames, searched in the non-singular
+    core W of U-perp ∩ V-perp; returns the vector and the report of which
+    sufficient conditions held.
+
+    Over F_p the core search is exhaustive and answers for the whole
+    intersection: there U-perp ∩ V-perp = Rad + W orthogonally with q = 0
+    on the radical, so q(r + w) = q(w)."""
     ring = q.ring
     n, r, s = q.rank, len(u_frame), len(v_frame)
     conditions = tuple((lbl, app, holds) for lbl, app, holds in
@@ -403,13 +341,6 @@ def unit_vector_in_complement(
         got = represents(core.restricted_module(), ring.one)
         if got is not None:
             found_vec = core.to_ambient(got)
-    if found_vec is None and ring.kind == FINITE_FIELD:
-        inter = intersect_complements(q, u_frame.as_submodule(), v_frame.as_submodule())
-        if inter.rank:
-            sphere = gfnum.unit_sphere(np.array(inter.restricted_module().gram_values,
-                                                dtype=np.int64), ring.p)
-            if len(sphere):
-                found_vec = inter.to_ambient(vec(ring, sphere[0].tolist()))
     if found_vec is not None:
         if evaluate(q, found_vec) != ring.one:
             raise AssertionError("complement vector does not have value 1")

@@ -275,8 +275,7 @@ def _ordered_cliques(by_size: dict[int, list[tuple[int, ...]]],
     return rows[np.argsort(gfnum.codes(rows, gfnum.code_weights(len(by_size[1]), size)))]
 
 
-def build_stiefel(q: QuadraticModule, max_dim: int,
-                  budget: int = SIMPLEX_BUDGET) -> SimplicialComplex:
+def build_stiefel(q: QuadraticModule, max_dim: int) -> SimplicialComplex:
     """The max_dim-skeleton of the frame complex of q (clique complex of the
     orthogonality graph on the unit vectors).
 
@@ -284,25 +283,23 @@ def build_stiefel(q: QuadraticModule, max_dim: int,
     the space |sk X(q)| whose homology agrees with the full complex in every
     degree strictly below max_dim."""
     adj = _integer_graph(q)[1] if q.ring.kind == INTEGERS else UnitSphere(q).adjacency()
-    by_size = _cliques(adj, max_dim + 1, budget)  # each level in lexicographic order
+    by_size = _cliques(adj, max_dim + 1, SIMPLEX_BUDGET)  # each level in lexicographic order
     return SimplicialComplex({size - 1: v for size, v in by_size.items()})
 
 
-def build_skeleton_poset(q: QuadraticModule, k: int,
-                         budget: int = SIMPLEX_BUDGET) -> Poset:
+def build_skeleton_poset(q: QuadraticModule, k: int) -> Poset:
     """Poset of frames of length <= k, ordered by containment."""
-    komplex = build_stiefel(q, k - 1, budget)
+    komplex = build_stiefel(q, k - 1)
     frames = [frozenset(s) for d in sorted(komplex.simplices) for s in komplex.simplices[d]]
     return poset_from_frames(frames)
 
 
-def skeleton_vs_poset_profiles(q: QuadraticModule, k: int,
-                               budget: int = SIMPLEX_BUDGET):
+def skeleton_vs_poset_profiles(q: QuadraticModule, k: int):
     """Homology of |X_k(q)| and of the (k-1)-skeleton of X(q); the two are
     the same space up to barycentric subdivision, so the profiles agree."""
-    komplex = build_stiefel(q, k - 1, budget)
+    komplex = build_stiefel(q, k - 1)
     direct = reduced_homology(komplex, k - 1)
-    subdivided = build_skeleton_poset(q, k, budget).homology()
+    subdivided = build_skeleton_poset(q, k).homology()
     return direct, subdivided
 
 
@@ -323,8 +320,7 @@ class ConnectivityReport:
     counts: dict
 
 
-def connectivity_report(ring: RingDescriptor, n: int, max_degree: int,
-                        budget: int = SIMPLEX_BUDGET) -> ConnectivityReport:
+def connectivity_report(ring: RingDescriptor, n: int, max_degree: int) -> ConnectivityReport:
     """Reduced homology of the Euclidean Stiefel complex in degrees up to
     max_degree, compared against the m-invariant connectivity bound
     (n - m - 3)/3: homology must vanish in degrees up to the bound."""
@@ -343,7 +339,7 @@ def connectivity_report(ring: RingDescriptor, n: int, max_degree: int,
         betti = (comps - 1,)
         torsion = ((),)
     else:
-        komplex = build_stiefel(q, max_degree + 1, budget)
+        komplex = build_stiefel(q, max_degree + 1)
         for d in sorted(komplex.simplices):
             counts[f"simplices_dim_{d}"] = komplex.n_simplices(d)
         prof = reduced_homology(komplex, max_degree)
@@ -708,7 +704,7 @@ def morse_replay(
         _deformation_items(cert, poset, filt, l)
         _join_items(cert, poset, filt, layers, l)
     else:
-        sample = sample_budget or 200
+        sample = 200 if sample_budget is None else sample_budget
         cert.config["sample_budget"] = sample
         _sampled_partition_items(cert, sphere, filt, rng, l, sample)
         for layer_i in range(1, l + 1):

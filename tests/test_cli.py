@@ -1,5 +1,6 @@
 """CLI: schema, determinism, exit codes, formats."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -155,25 +156,29 @@ def test_usage_error_exit_2(capsys):
     assert "no sufficient condition" in err
 
 
-@pytest.mark.parametrize("argv,message", [
-    ("stiefel --field 5 --n 4 --max-dim 2 --budget 10",
-     "clique enumeration exceeded budget 10 at size 2"),
+@pytest.mark.parametrize("argv,message,simplex_budget", [
+    ("stiefel --field 5 --n 4 --max-dim 2",
+     "clique enumeration exceeded budget 10 at size 2", 10),
     # One vector table each, of 16.4, 21.8 and 52.0 GiB, and the Hom-set
     # table of wn-check's form-preserving maps (21.8 GiB).
     ("connectivity --field 3 --n 17 --max-degree 0",
-     "the table of all 3^17 vectors of length 17 holds 2195382771 entries"),
+     "the table of all 3^17 vectors of length 17 holds 2195382771 entries", None),
     ("stiefel --field 5 --n 12 --max-dim 1",
-     "the table of all 5^12 vectors of length 12 holds 2929687500 entries"),
+     "the table of all 5^12 vectors of length 12 holds 2929687500 entries", None),
     ("--seed 0 morse-replay --field 3 --n 18 --l 2 --samples 5",
-     "the table of all 3^18 vectors of length 18 holds 6973568802 entries"),
+     "the table of all 3^18 vectors of length 18 holds 6973568802 entries", None),
     ("wn-check --field 5 --n 3 --max-p 3",
-     "the table of all 5^12 vectors of length 12 holds 2929687500 entries"),
+     "the table of all 5^12 vectors of length 12 holds 2929687500 entries", None),
     # 78,000 frames, whose pair sweep took a 2.91 GiB block.
     ("orbit-check --field 5 --n 5 --k 2",
-     "transport sweep over 78000 frames needs 6084000000 transports, more than"),
+     "transport sweep over 78000 frames needs 6084000000 transports, more than", None),
 ], ids=["stiefel-budget-10", "connectivity-F3-n17", "stiefel-F5-n12", "morse-F3-n18",
         "wn-F5-n3", "orbit-F5-n5-k2"])
-def test_budget_error_exit_2(argv, message, capsys):
+def test_budget_error_exit_2(argv, message, simplex_budget, monkeypatch, capsys):
+    from stiefel_lab import stiefel
+
+    if simplex_budget is not None:
+        monkeypatch.setattr(stiefel, "SIMPLEX_BUDGET", simplex_budget)
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
@@ -301,11 +306,107 @@ def test_orbit_check_command(capsys):
      "LS2 needs V + E^(n-1) of rank at least 1, got rank 0 from --n 1 and 0 --v-diag entries"),
     (["int-aut", "--n", "0"], "--n must be at least 1, got 0"),
     (["int-aut", "--n", "-1"], "--n must be at least 1, got -1"),
-], ids=["orbit-n0", "orbit-k-above-n", "wn-n0", "wn-n1-rank0", "int-aut-n0", "int-aut-n-1"])
+    # Each of these used to run: a negative degree read no homology (a passing
+    # bound, a false poset mismatch, no wn level), --samples 0 ran the default
+    # 200 samples, and an empty hensel sweep passed or failed vacuously.
+    ("connectivity --field 3 --n 5 --max-degree -1".split(),
+     "--max-degree must be at least 0, got -1"),
+    ("stiefel --field 3 --n 3 --max-dim -1 --check-poset".split(),
+     "--max-dim must be at least 0, got -1"),
+    ("wn-check --field 3 --n 2 --max-p -1".split(), "--max-p must be at least 0, got -1"),
+    ("--seed 0 morse-replay --field 3 --n 7 --l 2 --samples 0".split(),
+     "--samples must be at least 1, got 0"),
+    ("--seed 0 morse-replay --field 3 --n 7 --l 2 --samples -5".split(),
+     "--samples must be at least 1, got -5"),
+    ("hensel --p 5 --precision 3 --count 0".split(), "--count must be at least 1, got 0"),
+    ("hensel --p 5 --precision 3 --count -2".split(), "--count must be at least 1, got -2"),
+], ids=["orbit-n0", "orbit-k-above-n", "wn-n0", "wn-n1-rank0", "int-aut-n0", "int-aut-n-1",
+        "connectivity-degree-1", "stiefel-dim-1", "wn-p-1", "morse-samples0", "morse-samples-5",
+        "hensel-count0", "hensel-count-2"])
 def test_frame_commands_refuse_vacuous_sizes(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+PRIME = "an odd prime; anything else is refused by the ring with RingError"
+
+# Every integer option of every subcommand, keyed (subcommand, flag), None for
+# the top-level parser: (least valid value, the rest of a valid call[, the
+# error one below it prints when that is not `_at_least`'s]), or the reason
+# the option has no least value.
+INTEGER_FLAGS = {
+    (None, "--seed"): "any integer seeds the pseudo-random choices",
+    ("invariants", "--field"): PRIME,
+    ("invariants", "--p"): PRIME,
+    ("invariants", "--precision"): (1, ["invariants", "--ring", "zp"],
+                                    "p-adic precision must be >= 1"),
+    ("invariants", "--height"): (1, ["invariants", "--ring", "zploc"], "height must be >= 1"),
+    ("stiefel", "--field"): PRIME,
+    ("stiefel", "--n"): (1, ["stiefel", "--field", "3"]),
+    ("stiefel", "--max-dim"): (0, ["stiefel", "--field", "3", "--n", "3"]),
+    ("connectivity", "--field"): PRIME,
+    ("connectivity", "--n"): (1, ["connectivity", "--field", "3"]),
+    ("connectivity", "--max-degree"): (0, ["connectivity", "--field", "3", "--n", "3"]),
+    ("morse-replay", "--field"): PRIME,
+    ("morse-replay", "--n"): (1, ["morse-replay", "--field", "3", "--l", "2"]),
+    ("morse-replay", "--l"): (2, ["morse-replay", "--field", "3", "--n", "5"],
+                              "the filtration argument needs l >= 2"),
+    ("morse-replay", "--r"): (0, ["morse-replay", "--field", "3", "--n", "5", "--l", "2"]),
+    ("morse-replay", "--s"): (0, ["morse-replay", "--field", "3", "--n", "5", "--l", "2"]),
+    ("morse-replay", "--samples"): (1, ["morse-replay", "--field", "3", "--n", "5", "--l", "2"]),
+    ("reflect", "--field"): PRIME,
+    ("reflect", "--n"): (1, ["reflect", "--field", "3", "--vector", "1"]),
+    ("orbit-check", "--field"): PRIME,
+    ("orbit-check", "--n"): (1, ["orbit-check", "--field", "3"]),
+    ("orbit-check", "--k"): (0, ["orbit-check", "--field", "3", "--n", "2"],
+                             "--k must be between 0 and --n = 2, got -1"),
+    ("wn-check", "--field"): PRIME,
+    ("wn-check", "--n"): (1, ["wn-check", "--field", "3"]),
+    ("wn-check", "--max-p"): (0, ["wn-check", "--field", "3", "--n", "2"]),
+    ("int-aut", "--n"): (1, ["int-aut"]),
+    ("ranges", "--n"): (1, ["ranges"]),
+    ("ranges", "--value"): (1, ["ranges"]),
+    ("ranges", "--r"): "-1 is a valid coefficient degree, and the range formulas refuse "
+                       "anything below it",
+    ("ranges", "--d"): (0, ["ranges", "--corollary", "1", "--case", "a"]),
+    ("ranges", "--corollary"): (1, ["ranges", "--case", "a", "--d", "1"], "invalid choice: 0"),
+    ("hensel", "--p"): PRIME,
+    ("hensel", "--precision"): (1, ["hensel"], "p-adic precision must be >= 1"),
+    ("hensel", "--count"): (1, ["hensel"]),
+}
+
+
+def _integer_options():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in [(None, parser), *sub.choices.items()]:
+        for action in p._actions:
+            if action.type is int:
+                yield command, action.option_strings[0]
+
+
+def test_every_integer_flag_has_a_row():
+    """A new integer option needs its least value, or the reason it has
+    none, in INTEGER_FLAGS."""
+    assert sorted(_integer_options(), key=str) == sorted(INTEGER_FLAGS, key=str)
+
+
+LEAST_VALUES = [k for k, v in INTEGER_FLAGS.items() if isinstance(v, tuple)]
+
+
+@pytest.mark.parametrize("command, flag", LEAST_VALUES, ids=[c + f for c, f in LEAST_VALUES])
+def test_integer_flags_refuse_one_below_their_least_value(command, flag, capsys):
+    low, argv, *message = INTEGER_FLAGS[(command, flag)]
+    message = message[0] if message else f"{flag} must be at least {low}, got {low - 1}"
+    cli.build_parser().parse_args(argv + [flag, str(low)])  # the rest of the call is valid
+    try:
+        code = main(argv + [flag, str(low - 1)])
+    except SystemExit as exc:  # argparse refuses a value outside `choices`
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def test_wn_check_n1_with_a_v_diag_entry_is_not_vacuous(capsys):

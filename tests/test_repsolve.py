@@ -1,4 +1,4 @@
-"""Isotropy, representation, transversality, and rescaling solvers."""
+"""Isotropy, representation, and rescaling solvers."""
 
 import itertools
 import random
@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from stiefel_lab.rings import BudgetError, finite_field, localized_at, padic, rationals
+from stiefel_lab.rings import (
+    BudgetError,
+    RingError,
+    finite_field,
+    integers,
+    localized_at,
+    padic,
+    rationals,
+)
 from stiefel_lab.quadmod import (
     diagonal_module,
     euclidean,
@@ -29,13 +37,11 @@ from stiefel_lab.repsolve import (
     hensel_isotropy_replay,
     represents,
     scale_to_primitive,
-    transversal_zero,
     unit_vector_in_complement,
 )
 
 F3 = finite_field(3)
 F5 = finite_field(5)
-F7 = finite_field(7)
 Q = rationals()
 Z5 = localized_at(5)
 
@@ -117,6 +123,14 @@ def test_represents_requires_unit_target():
         represents(euclidean(Z5, 2), Z5.scalar(5))
 
 
+def test_represents_refuses_singular_forms_and_z():
+    for ring in (F5, padic(5, 3), Q):
+        with pytest.raises(ValueError, match="non-singular"):
+            represents(quadratic_module(ring, [[1, 0], [0, 0]]), 1)
+    with pytest.raises(RingError):
+        represents(euclidean(integers(), 2), 1)
+
+
 def representation_equivalence_sweep(p):
     """Exhaustive: represents(q, a) <-> q + <-a> isotropic, all diagonal
     non-singular forms of rank <= 3 and all units a.  Returns case count."""
@@ -143,11 +157,12 @@ def test_representation_theorem_equivalence(p):
     assert representation_equivalence_sweep(p) > 0
 
 
-def residue_zeros(rows, p):
-    """Oracle: every primitive zero mod p of the form with these Gram rows."""
+def residue_zeros(rows, p, a=0):
+    """Oracle: every nonzero x with q(x) = a mod p for the form with these
+    Gram rows (for a = 0, every primitive zero)."""
     n = len(rows)
     return [v for v in itertools.product(range(p), repeat=n) if any(v)
-            and sum(v[i] * rows[i][j] * v[j] for i in range(n) for j in range(n)) % p == 0]
+            and (sum(v[i] * rows[i][j] * v[j] for i in range(n) for j in range(n)) - a) % p == 0]
 
 
 def hensel_close_forms(p):
@@ -180,25 +195,34 @@ def test_hensel_close_lifts_every_residue_zero(p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_residue_kernel_matches_brute_force(p):
-    """Over Z/p^N (N = 1, 2, 3; F_p as Z/p^1 too), for the forms above: no
-    zero exactly when no nonzero vector vanishes mod p, else a primitive
-    zero mod p^N over the lexicographically first zero mod p."""
+    """Over Z/p^N (N = 1, 2, 3; F_p as Z/p^1 too), for the forms above and
+    every target a in 0 .. p - 1 and p + 1 (a unit lifting 1): no solution
+    of q(x) = a exactly when none exists mod p, else a primitive solution
+    mod p^N over the lexicographically first one mod p.  For a unit a,
+    `represents` returns that vector, and q of it is exactly a."""
     found = 0
-    for ring in (finite_field(p), padic(p, 1), padic(p, 2), padic(p, 3)):
-        m = ring.modulus
-        for rows in hensel_close_forms(p):
-            assert quadratic_module(ring, rows).is_nonsingular()
-            zeros = residue_zeros(rows, p)
-            x0 = _residue_zero(rows, p)
-            if not zeros:
-                assert x0 is None
-                continue
-            x = _close_zero(rows, x0, ring)
-            assert tuple(c % p for c in x) == zeros[0]
-            n = len(rows)
-            assert sum(x[i] * rows[i][j] * x[j] for i in range(n) for j in range(n)) % m == 0
-            assert any(c % p for c in x)
-            found += 1
+    for rows in hensel_close_forms(p):
+        n = len(rows)
+        for a in [*range(p), p + 1]:
+            sols = residue_zeros(rows, p, a)
+            x0 = _residue_zero(rows, p, a)
+            for ring in (finite_field(p), padic(p, 1), padic(p, 2), padic(p, 3)):
+                m = ring.modulus
+                q = quadratic_module(ring, rows)
+                assert q.is_nonsingular()
+                v = represents(q, a) if a % p else None
+                if not sols:
+                    assert x0 is None and v is None, (rows, a, ring)
+                    continue
+                x = _close_zero(rows, x0, ring, a)
+                assert tuple(c % p for c in x) == sols[0]
+                value = sum(x[i] * rows[i][j] * x[j] for i in range(n) for j in range(n))
+                assert (value - a) % m == 0
+                assert any(c % p for c in x)
+                if a % p:
+                    assert tuple(c.value for c in v) == tuple(x)
+                    assert evaluate(q, v) == ring.scalar(a)
+                found += 1
     assert found > 0
 
 
@@ -221,71 +245,18 @@ def test_bounded_zeros_match_brute_force(ring):
         assert list(_bounded_zeros(q, 3)) == bounded_zeros_oracle(q, 3)
 
 
-def test_transversal_zero_examples():
-    t = transversal_zero([diagonal_module(F5, [1]), diagonal_module(F5, [-1])])
-    assert t is not None
-    assert evaluate(diagonal_module(F5, [1]), t[:1]).is_unit()
-    assert evaluate(diagonal_module(F5, [-1]), t[1:]).is_unit()
-
-    blocks = [diagonal_module(F7, [1, 1]), diagonal_module(F7, [-2, -3])]
-    t = transversal_zero(blocks)
-    assert t is not None
-    total = evaluate(blocks[0], t[:2]) + evaluate(blocks[1], t[2:])
-    assert total.is_zero()
-
-    blocks = [diagonal_module(F5, [1, 1]), diagonal_module(F5, [-1, -1])]
-    assert transversal_zero(blocks) is not None
-
-
-def test_transversal_zero_padic_lift():
-    ring = padic(5, 3)
-    blocks = [diagonal_module(ring, [1, 1]), diagonal_module(ring, [-1, -1])]
-    t = transversal_zero(blocks)
-    assert t is not None
-    total = evaluate(blocks[0], t[:2]) + evaluate(blocks[1], t[2:])
-    assert total.is_zero()
-    assert evaluate(blocks[0], t[:2]).is_unit()
-
-
-def test_transversal_zero_rejects_odd_block_count():
-    with pytest.raises(ValueError):
-        transversal_zero([euclidean(F5, 2)])
-
-
-def residue_transversal_oracle(diags, p):
-    """First tuple of per-block vectors, each block's in lexicographic order
-    and of unit value mod p, whose values sum to 0 mod p; or None."""
-    per_block = [[x for x in itertools.product(range(p), repeat=len(d))
-                  if sum(a * c * c for a, c in zip(d, x)) % p]
-                 for d in diags]
-    for combo in itertools.product(*per_block):
-        if sum(sum(a * c * c for a, c in zip(d, x)) for d, x in zip(diags, combo)) % p == 0:
-            return tuple(c for x in combo for c in x)
-    return None
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_transversal_zero_matches_residue_oracle(p):
-    """Every pair of unit diagonal blocks of rank 1 or 2, over F_p and Z/p^N
-    (N = 1, 2, 3): None exactly when no residue transversal exists, else a
-    zero mod p^N with unit block values over the oracle's first transversal."""
-    diags = [d for rank in (1, 2) for d in itertools.product(range(1, p), repeat=rank)]
-    found = missing = 0
-    for ring in (finite_field(p), padic(p, 1), padic(p, 2), padic(p, 3)):
-        for d1, d2 in itertools.product(diags, repeat=2):
-            blocks = [diagonal_module(ring, list(d1)), diagonal_module(ring, list(d2))]
-            want = residue_transversal_oracle([d1, d2], p)
-            t = transversal_zero(blocks)
-            if want is None:
-                assert t is None, (ring, d1, d2)
-                missing += 1
-                continue
-            assert t is not None and tuple(c.value % p for c in t) == want, (ring, d1, d2)
-            x1, x2 = t[:len(d1)], t[len(d1):]
-            assert evaluate(blocks[0], x1).is_unit() and evaluate(blocks[1], x2).is_unit()
-            assert (evaluate(blocks[0], x1) + evaluate(blocks[1], x2)).is_zero()
-            found += 1
-    assert found and missing
+@pytest.mark.parametrize("ring", [Q, Z5], ids=["Q", "Z5"])
+def test_represents_skips_zeros_with_a_non_unit_last_coordinate(ring):
+    """The first zero of <1, -1, -3> has last coordinate 0, so it gives no
+    representation of 3 by <1, -1>; the first zero (w | x) with a unit x
+    gives v = w/x."""
+    q = diagonal_module(ring, [1, -1])
+    zeros = bounded_zeros_oracle(diagonal_module(ring, [1, -1, -3]), 3)
+    assert zeros[0][-1] == 0
+    w = next(z for z in zeros if z[-1] and (ring == Q or z[-1] % 5))
+    v = represents(q, 3)
+    assert v == vec(ring, [Fraction(c, w[-1]) for c in w[:-1]])
+    assert evaluate(q, v) == ring.scalar(3)
 
 
 def test_bounded_zero_search_refuses_past_its_budget():
@@ -419,3 +390,32 @@ def test_unit_vector_condition_forces_discovery():
                 found, report = unit_vector_in_complement(en, u_fr, frame(en, []))
                 if report.any_holds():
                     assert found is not None
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_unit_vector_in_complement_is_exhaustive_over_fp(p):
+    """Seeded frame pairs in Euclidean n-space over F_p (n = 2 .. 5): the
+    core search finds nothing exactly when no vector of value 1 is
+    orthogonal to both frames, by brute force over F_p^n."""
+    from stiefel_lab.stiefel import UnitSphere
+
+    rng = random.Random(p)
+    ring = finite_field(p)
+    found = missing = 0
+    for n in (2, 3, 4, 5):
+        en = euclidean(ring, n)
+        sphere = UnitSphere(en)
+        for _ in range(8):
+            frames = []
+            for size in (rng.randrange(1, n), rng.randrange(n)):
+                idxs = sphere.random_clique(rng, size, attempts=1000)
+                frames.append([[int(c) for c in sphere.vectors[i]] for i in idxs])
+            want = any(sum(c * c for c in x) % p == 1
+                       and all(sum(c * f for c, f in zip(x, fv)) % p == 0
+                               for fr in frames for fv in fr)
+                       for x in itertools.product(range(p), repeat=n))
+            got, _ = unit_vector_in_complement(en, frame(en, frames[0]), frame(en, frames[1]))
+            assert (got is not None) == want, (n, frames)
+            found += want
+            missing += not want
+    assert found and missing

@@ -85,9 +85,10 @@ def test_cross_polytope_identity():
         assert prof.betti[n - 1] == 1
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(stiefel, "SIMPLEX_BUDGET", 50)
     with pytest.raises(BudgetError):
-        build_stiefel(euclidean(F5, 4), 2, budget=50)
+        build_stiefel(euclidean(F5, 4), 2)
 
 
 def test_skeleton_poset_matches_complex():
