@@ -270,7 +270,8 @@ def complex_from_simplices(simps: Iterable[Sequence[int]]) -> SimplicialComplex:
 
 
 def _component_count(vertices: Iterable, edges: Iterable[tuple]) -> int:
-    """Connected components of the graph (vertices, edges), by union-find."""
+    """Connected components of the graph (vertices, edges), by union-find:
+    each merge of two components takes one away from the vertex count."""
     parent = {v: v for v in vertices}
 
     def find(x):
@@ -279,11 +280,13 @@ def _component_count(vertices: Iterable, edges: Iterable[tuple]) -> int:
             x = parent[x]
         return x
 
+    components = len(parent)
     for a, b in edges:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    return len({find(v) for v in parent})
+            components -= 1
+    return components
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,9 +410,12 @@ class Poset:
     and per shape.  A subposet's shape is its size and its relation with
     each index renumbered by its rank in the set; two index sets of one shape
     span isomorphic subposets (renumbering by rank is the isomorphism), whose
-    order complexes are isomorphic and have one profile.  So an order
-    complex is built and homologized once per shape, however many index sets
-    share it.
+    order complexes are isomorphic and have one profile.  So a profile is
+    computed once per shape, however many index sets share it.  A shape
+    without a chain of three elements has height at most one: its order
+    complex is its comparability graph, whose profile is read off the rank
+    pairs by union-find.  Only a shape holding a three-chain has its order
+    complex built and homologized.
     """
 
     elements: list
@@ -465,26 +471,50 @@ class Poset:
         """Indices comparable with element i (the open star boundary)."""
         return sorted(self.above[i] | self.below[i])
 
-    def _shape(self, indices: frozenset[int]) -> tuple:
+    def _shape(self, indices: frozenset[int]) -> tuple[tuple, bool]:
         """The subposet's size and its relation as sorted pairs of ranks in
-        the index set: equal shapes mean isomorphic subposets."""
+        the index set (equal shapes mean isomorphic subposets), and whether
+        the set holds a chain of three: some element both above and below
+        others in it."""
         rank = {i: r for r, i in enumerate(sorted(indices))}
         above = self.above
-        return len(rank), tuple(sorted((rank[i], rank[j]) for i in rank
-                                       for j in above[i] & indices))
+        pairs, lower, upper = [], set(), set()
+        for i in rank:
+            ups = above[i] & indices
+            if ups:
+                lower.add(i)
+                upper |= ups
+                pairs += [(rank[i], rank[j]) for j in ups]
+        pairs.sort()
+        return (len(rank), tuple(pairs)), not lower.isdisjoint(upper)
 
     def homology(self, indices: Optional[Iterable[int]] = None) -> HomologyProfile:
         """Reduced homology of the subposet on `indices` (all of it by
         default), in every degree up to its top chain dimension.  Each shape's
-        profile is computed once and kept, and so is each index set's."""
+        profile is computed once and kept, and so is each index set's.
+
+        Without a three-chain the order complex is the comparability graph
+        on the rank pairs: reduced H_0 has rank components - 1, H_1 is free
+        of rank edges - vertices + components, and the top degree is 1 when
+        there are edges.  Otherwise the chains are built and homologized."""
         chosen = frozenset(range(len(self)) if indices is None else indices)
         profile = self._profiles.get(chosen)
         if profile is None:
-            shape = self._shape(chosen)
+            shape, three_chain = self._shape(chosen)
             profile = self._shapes.get(shape)
             if profile is None:
-                K = self._chains(chosen)
-                profile = self._shapes[shape] = reduced_homology(K, max(K.dimension, 0))
+                size, pairs = shape
+                if three_chain:
+                    K = self._chains(chosen)
+                    profile = reduced_homology(K, max(K.dimension, 0))
+                elif not size:
+                    profile = HomologyProfile((0,), ((),), 0, empty=True)
+                else:
+                    components = _component_count(range(size), pairs)
+                    top = 1 if pairs else 0
+                    betti = (components - 1, len(pairs) - size + components)
+                    profile = HomologyProfile(betti[:top + 1], ((),) * (top + 1), top)
+                self._shapes[shape] = profile
             self._profiles[chosen] = profile
         return profile
 
@@ -504,14 +534,15 @@ def poset_from_frames(frames: Sequence[frozenset]) -> Poset:
     transitive and irreflexive on distinct sets, so no validation pass)."""
     from itertools import combinations
 
-    index = {f: i for i, f in enumerate(frames)}
+    keys = [tuple(sorted(f)) for f in frames]
+    index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(frames):
         raise ValueError("duplicate frames")
     above: list[list[int]] = [[] for _ in frames]
-    for j, fj in enumerate(frames):
-        for k in range(1, len(fj)):
-            for sub in combinations(fj, k):
-                i = index.get(frozenset(sub))
+    for j, key in enumerate(keys):
+        for k in range(1, len(key)):
+            for sub in combinations(key, k):  # sorted, as the keys are
+                i = index.get(sub)
                 if i is not None:
                     above[i].append(j)
     return Poset(list(frames), above)

@@ -158,7 +158,10 @@ def range_polynomial(case: str, inputs: RangeInputs) -> RangeResult:
 def intro_corollary_ranges(which: int, case: str, n: int, invariant: int,
                            d: Optional[int] = None) -> int:
     """Vanishing/stability degree bounds of the three introductory
-    corollaries: the largest i satisfying the stated inequality."""
+    corollaries: the largest i satisfying the stated inequality.  Corollaries
+    1 and 2 take one of the cases a, b, c, d."""
+    if which in (1, 2) and case not in ("a", "b", "c", "d"):
+        raise ValueError(f"corollary {which} has cases a, b, c and d, got {case!r}")
     if which == 1:
         if d is None:
             raise ValueError("corollary 1 needs the exterior-power degree d")

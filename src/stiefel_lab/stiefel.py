@@ -22,7 +22,7 @@ from typing import Collection, Optional, Sequence
 
 import numpy as np
 
-from stiefel_lab import gfnum
+from stiefel_lab import gfnum, isometry
 from stiefel_lab.rings import (
     FINITE_FIELD,
     INTEGERS,
@@ -689,9 +689,9 @@ def morse_replay(
         by_size = _cliques(sphere.adjacency(), l, budget=SIMPLEX_BUDGET)
         frames = [frozenset(t) for size in sorted(by_size) for t in by_size[size]]
         poset = poset_from_frames(frames)
+        layer_of = [filt.layer(f) for f in frames]
         x0, layers = [], [[] for _ in range(l)]
-        for i, f in enumerate(poset.elements):
-            k = filt.layer(f)
+        for i, k in enumerate(layer_of):
             (layers[k - 1] if k else x0).append(i)
         cert.config["layer_sizes"] = {"X0": len(x0),
                                       **{f"L{j+1}": len(layer) for j, layer in enumerate(layers)}}
@@ -701,8 +701,8 @@ def morse_replay(
             direct = lemma.details["direct_cross_check"]
             cert.add("direct-homology", direct.is_wedge_of_spheres(d),
                      f"betti {direct.betti}")
-        _deformation_items(cert, poset, filt, l)
-        _join_items(cert, poset, filt, layers, l)
+        _deformation_items(cert, poset, filt, layer_of, l)
+        _join_items(cert, poset, filt, layer_of, l)
     else:
         sample = 200 if sample_budget is None else sample_budget
         cert.config["sample_budget"] = sample
@@ -732,15 +732,16 @@ def morse_replay(
     return cert
 
 
-def _deformation_items(cert, poset, filt, l):
+def _deformation_items(cert, poset, filt, layer_of, l):
     """The X_0 deformation onto the suspension: drop the members pairing
     non-trivially with the pivot (keeping the pivot itself), then compare
-    against the suspension of the one-lower skeleton poset of the hyperplane."""
+    against the suspension of the one-lower skeleton poset of the hyperplane.
+    `layer_of[i]` is the filtration layer of element i, 0 for X_0."""
     keep = {filt.pivot_index, filt.pivot_negative_index}
     elements = poset.elements
     f_map = {}
     for i, fset in enumerate(elements):
-        if filt.layer(fset):
+        if layer_of[i]:
             continue
         core = filt.deform(fset)
         if core == fset:
@@ -773,16 +774,16 @@ def _deformation_items(cert, poset, filt, l):
     )
 
 
-def _join_items(cert, poset, filt, layers, l):
+def _join_items(cert, poset, filt, layer_of, l):
     """Claim-2 join decomposition of the links of the all-pairing layers:
     every proper subframe (a sphere of dimension |x| - 2) below every
-    pure-hyperplane extension."""
+    pure-hyperplane extension.  `layer_of[i]` is the filtration layer of
+    element i, 0 for X_0."""
     checked = 0
     failures = []
     elements = poset.elements
-    layer_of = [filt.layer(f) for f in elements]
     for layer_i in range(2, l + 1):
-        for xi in layers[layer_i - 1]:
+        for xi in (i for i, k in enumerate(layer_of) if k == layer_i):
             x = elements[xi]
             subs = {j for j in poset.below[xi] if layer_of[j] < layer_i}
             exts = {j for j in poset.above[xi] if layer_of[j] < layer_i}
@@ -930,9 +931,16 @@ def integer_aut_check(n: int) -> CheckResult:
     Everything is read off the int table V of vertices: the lift L of an
     automorphism has as columns the images of e_0, ..., e_(n-1); it must
     satisfy L^T L = I and send every vertex where the automorphism does
-    (L V^T = V[perm]^T), checked on blocks of automorphisms at a time."""
+    (L V^T = V[perm]^T), checked on blocks of automorphisms at a time.
+    The search lists every automorphism, so it is refused before it starts
+    when 2^n n! exceeds isometry.ENUMERATION_CAP."""
     if n < 1:
         raise ValueError(f"the cross-polytope needs n >= 1, got n = {n}")
+    expected = 2 ** n * math.factorial(n)
+    if expected > isometry.ENUMERATION_CAP:
+        raise BudgetError(f"the automorphism search lists 2^n n! = {expected} signed "
+                          f"permutations, more than the enumeration cap "
+                          f"{isometry.ENUMERATION_CAP}")
     V, graph = _integer_graph(euclidean(integers(), n))
     m = len(V)
     failures = []
@@ -943,7 +951,6 @@ def integer_aut_check(n: int) -> CheckResult:
     if bad.any():
         failures.append(f"antipode characterization fails at vertex {int(bad.argmax())}")
     autos = _graph_automorphisms(graph.tolist())
-    expected = 2 ** n * math.factorial(n)
     if len(autos) != expected:
         failures.append(f"automorphism count {len(autos)} != 2^n n! = {expected}")
     basis = [int(np.flatnonzero((V == e).all(axis=1))[0]) for e in np.eye(n, dtype=np.int64)]

@@ -172,8 +172,11 @@ def test_usage_error_exit_2(capsys):
     # 78,000 frames, whose pair sweep took a 2.91 GiB block.
     ("orbit-check --field 5 --n 5 --k 2",
      "transport sweep over 78000 frames needs 6084000000 transports, more than", None),
+    # 2^8 8! signed permutations; n = 9 was still listing them after 30 s.
+    ("int-aut --n 8", "the automorphism search lists 2^n n! = 10321920 signed permutations, "
+     "more than the enumeration cap 1000000", None),
 ], ids=["stiefel-budget-10", "connectivity-F3-n17", "stiefel-F5-n12", "morse-F3-n18",
-        "wn-F5-n3", "orbit-F5-n5-k2"])
+        "wn-F5-n3", "orbit-F5-n5-k2", "int-aut-n8"])
 def test_budget_error_exit_2(argv, message, simplex_budget, monkeypatch, capsys):
     from stiefel_lab import stiefel
 
@@ -320,9 +323,13 @@ def test_orbit_check_command(capsys):
      "--samples must be at least 1, got -5"),
     ("hensel --p 5 --precision 3 --count 0".split(), "--count must be at least 1, got 0"),
     ("hensel --p 5 --precision 3 --count -2".split(), "--count must be at least 1, got -2"),
+    # Corollaries 1 and 2 have cases a-d; the default --case i used to die
+    # with a KeyError traceback.
+    ("ranges --corollary 2".split(), "corollary 2 has cases a, b, c and d, got 'i'"),
+    ("ranges --corollary 1 --d 2".split(), "corollary 1 has cases a, b, c and d, got 'i'"),
 ], ids=["orbit-n0", "orbit-k-above-n", "wn-n0", "wn-n1-rank0", "int-aut-n0", "int-aut-n-1",
         "connectivity-degree-1", "stiefel-dim-1", "wn-p-1", "morse-samples0", "morse-samples-5",
-        "hensel-count0", "hensel-count-2"])
+        "hensel-count0", "hensel-count-2", "corollary-2-case-i", "corollary-1-case-i"])
 def test_frame_commands_refuse_vacuous_sizes(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -261,27 +261,59 @@ def crowns_and_chain() -> Poset:
 
 def test_homology_is_computed_once_per_shape(monkeypatch):
     """Index sets whose relations agree once renumbered by rank share one
-    computed profile; same-size subposets of other shapes get their own."""
-    computed = []
+    profile; same-size subposets of other shapes get their own.  Only the
+    4-chain's shape holds a chain of three, so it alone has its order
+    complex built and homologized; the other shapes are graphs."""
+    built, homologized = [], []
+    chains = Poset._chains
+
+    def counted_chains(self, indices):
+        built.append(indices)
+        return chains(self, indices)
 
     def counted(K, max_degree):
-        computed.append(K)
+        homologized.append(K)
         return reduced_homology(K, max_degree)
 
+    monkeypatch.setattr(Poset, "_chains", counted_chains)
     monkeypatch.setattr(complexes, "reduced_homology", counted)
     P = crowns_and_chain()
     crown = P.homology([0, 1, 2, 3])
-    assert P.homology([4, 5, 6, 7]) == crown and len(computed) == 1
+    assert P.homology([4, 5, 6, 7]) is crown and not built
     assert crown.betti == (0, 1)  # the crown's order complex is a 4-cycle
     chain = P.homology([8, 9, 10, 11])
-    assert len(computed) == 2 and chain != crown and chain.is_trivial()
+    assert chain != crown and chain.is_trivial()
     two_chain = P.homology([8, 11])
-    assert P.homology([0, 2]) == two_chain and len(computed) == 3
+    assert P.homology([0, 2]) is two_chain
     two_antichain = P.homology([2, 3])
-    assert P.homology([4, 5]) == two_antichain and len(computed) == 4
+    assert P.homology([4, 5]) is two_antichain
     assert two_chain != two_antichain and two_antichain.betti == (1,)
-    assert [set(K.simplices[0]) for K in computed] == [
-        {(0,), (1,), (2,), (3,)}, {(8,), (9,), (10,), (11,)}, {(8,), (11,)}, {(2,), (3,)}]
+    assert len({id(prof) for prof in (crown, chain, two_chain, two_antichain)}) == 4
+    assert built == [frozenset({8, 9, 10, 11})] and len(homologized) == 1
+
+
+def assert_fields_match(prof, oracle):
+    """Field by field: profile equality trims trailing zero degrees, but the
+    betti tuples themselves reach certificate details."""
+    for name in ("betti", "torsion", "max_degree", "empty", "complete"):
+        assert getattr(prof, name) == getattr(oracle, name), name
+
+
+def assert_matches_order_complex(P, indices):
+    """The profile of an index set against reduced homology of its order
+    complex in every degree up to its dimension."""
+    K = P._chains(frozenset(indices))
+    assert_fields_match(P.homology(indices), reduced_homology(K, max(K.dimension, 0)))
+
+
+def test_graph_profiles_match_order_complex_homology():
+    """The empty set, an antichain, two disjoint edges, a singleton and a
+    crown (a 4-cycle) take the graph route, and the 4-chain the chain route;
+    each profile matches its order complex's homology field by field."""
+    P = crowns_and_chain()
+    for S in ([], [0, 1, 2, 3], [2, 3], [0, 3, 5, 6], [8], [8, 9, 10, 11]):
+        assert_matches_order_complex(P, S)
+    assert P.homology([]).empty and P.homology([0, 1, 2, 3]).betti == (0, 1)
 
 
 def test_order_complex_examples():
@@ -485,6 +517,23 @@ def test_index_set_homology_matches_built_subposet(order):
         top = max(prof.max_degree + 1, 2)
         assert prof == reduced_homology(alone.order_complex(), top)
     assert P.homology() == P.homology(range(n))
+
+
+@ORDERS
+def test_drawn_index_set_profiles_match_order_complex(order):
+    """Every index set that test_index_set_homology_matches_built_subposet
+    draws, of either route, matches its order complex's homology field by
+    field."""
+    P = poset_from_less(*order)
+    n = len(P)
+    rng = random.Random(n)
+    chosen = [[], [rng.randrange(n)], list(range(n))]
+    chosen += [rng.sample(range(n), rng.randint(2, n - 1)) for _ in range(12)]
+    three_chains = set()
+    for S in chosen:
+        assert_matches_order_complex(P, S)
+        three_chains.add(P._shape(frozenset(S))[1])
+    assert three_chains == {False, True}  # both routes are taken
 
 
 def test_morse_lemma_on_octahedron_poset():

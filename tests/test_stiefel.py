@@ -16,7 +16,7 @@ from stiefel_lab.quadmod import (
     vec,
 )
 from stiefel_lab import complexes, gfnum, stiefel
-from stiefel_lab.complexes import poset_from_frames, reduced_homology
+from stiefel_lab.complexes import Poset, poset_from_frames, reduced_homology
 from stiefel_lab.stiefel import (
     BudgetError,
     UnitSphere,
@@ -415,14 +415,11 @@ def test_join_items_read_extensions_from_the_poset():
     poset of F_3, n = 5 each of the 576 L2 links has subframes below
     extensions, and every L2 and L3 link satisfies the join check."""
     _sphere, filt, poset = frame_poset_and_filtration(5, 3)
-    layers = [[], [], []]
-    for i, f in enumerate(poset.elements):
-        if filt.layer(f):
-            layers[filt.layer(f) - 1].append(i)
+    layer_of = [filt.layer(f) for f in poset.elements]
     assert all(any(filt.in_prev(poset.elements[j], 2) for j in poset.above[i])
-               for i in layers[1])
+               for i, k in enumerate(layer_of) if k == 2)
     cert = stiefel.MorseCertificate(passed=True, mode="exhaustive")
-    stiefel._join_items(cert, poset, filt, layers, 3)
+    stiefel._join_items(cert, poset, filt, layer_of, 3)
     assert cert.assertions == [("link-join-split", True, f"{576 + 768} links decomposed; ")]
 
 
@@ -441,34 +438,65 @@ def test_join_split_requires_every_subframe(l):
     _sphere, filt, poset = frame_poset_and_filtration(5, l)
     wrong = SingletonsLast(filt.l, filt.pivot_index, filt.pivot_negative_index,
                            filt.orthogonal_to_pivot)
-    layers = [[i for i, f in enumerate(poset.elements) if wrong.layer(f) == k]
-              for k in range(1, l + 1)]
+    layer_of = [wrong.layer(f) for f in poset.elements]
     cert = stiefel.MorseCertificate(passed=True, mode="exhaustive")
-    stiefel._join_items(cert, poset, wrong, layers, l)
+    stiefel._join_items(cert, poset, wrong, layer_of, l)
     [(name, ok, detail)] = cert.assertions
     assert name == "link-join-split" and not ok
-    assert detail.startswith(f"{sum(len(layer) for layer in layers[1:])} links decomposed; ")
+    assert detail.startswith(f"{sum(2 <= k <= l for k in layer_of)} links decomposed; ")
     assert "subframes of" in detail
+
+
+def replayed_index_sets(monkeypatch) -> list:
+    """Run the exhaustive F_3, n = 5, l = 2 replay and return the (poset,
+    index set) pairs whose homology it asked for."""
+    asked = []
+    shape = Poset._shape
+
+    def recorded(self, indices):
+        asked.append((self, indices))
+        return shape(self, indices)
+
+    monkeypatch.setattr(Poset, "_shape", recorded)
+    q5 = euclidean(F3, 5)
+    cert = morse_replay(F3, 5, 2, frame(q5, []), frame(q5, []))
+    assert cert.passed and cert.mode == "exhaustive"
+    monkeypatch.setattr(Poset, "_shape", shape)
+    return asked
 
 
 def test_exhaustive_replay_builds_each_order_complex_once(monkeypatch):
     """The F_3, n = 5, l = 2 replay asks for the homology of 654 distinct
     subposets of its frame poset, 648 of them a two-frame antichain, but
-    they come in 7 shapes: one order complex is built and homologized per
-    shape, each on its own vertex set."""
+    they come in 7 shapes, one profile each.  Frames of at most two vectors
+    hold no chain of three, so every shape is a graph read off its rank
+    pairs: no order complex is built or homologized."""
     built = []
-    compute = complexes.reduced_homology
+    chains = Poset._chains
 
-    def counted(K, max_degree):
-        built.append(frozenset(s[0] for s in K.simplices[0]))
-        return compute(K, max_degree)
+    def counted_chains(self, indices):
+        built.append(indices)
+        return chains(self, indices)
 
-    monkeypatch.setattr(complexes, "reduced_homology", counted)
-    q5 = euclidean(F3, 5)
-    cert = morse_replay(F3, 5, 2, frame(q5, []), frame(q5, []))
-    assert cert.passed and cert.mode == "exhaustive"
-    assert len(built) == 7
-    assert len(built) == len(set(built))
+    monkeypatch.setattr(Poset, "_chains", counted_chains)
+    monkeypatch.setattr(complexes, "reduced_homology",
+                        lambda K, d: built.append(K) or reduced_homology(K, d))
+    asked = replayed_index_sets(monkeypatch)
+    assert len(asked) == len({S for _P, S in asked}) == 654
+    assert len({P._shape(S)[0] for P, S in asked}) == 7
+    assert len({id(P.homology(S)) for P, S in asked}) == 7
+    assert not built
+
+
+def test_exhaustive_replay_profiles_match_order_complexes(monkeypatch):
+    """Each of the 654 profiles of the F_3, n = 5, l = 2 replay matches the
+    homology of its order complex field by field."""
+    for P, S in replayed_index_sets(monkeypatch):
+        K = P._chains(S)
+        oracle = reduced_homology(K, max(K.dimension, 0))
+        prof = P.homology(S)
+        for name in ("betti", "torsion", "max_degree", "empty", "complete"):
+            assert getattr(prof, name) == getattr(oracle, name), name
 
 
 def test_morse_replay_rejects_l1():
