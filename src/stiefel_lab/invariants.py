@@ -30,8 +30,8 @@ from stiefel_lab.rings import (
     localized_at,
     sum_of_squares,
 )
-from stiefel_lab.quadmod import diagonal_module, euclidean
-from stiefel_lab.repsolve import find_isotropic, represents
+from stiefel_lab.quadmod import euclidean
+from stiefel_lab.repsolve import _close_zero, _residue_zero, find_isotropic
 
 INF = math.inf
 # Largest rank the exhaustive u and m scans try over a prime field, and
@@ -124,7 +124,7 @@ def _ff_diag_values(p: int, rank: int):
         raise BudgetError(f"the rank-{rank} scans over F_{p} read {diagonals} diagonals against "
                           f"{tuples} square tuples, {diagonals * tuples} products, "
                           f"more than {FIELD_SCAN_BUDGET}")
-    squares = np.array(sorted(_ff_sum_chain(p)[0]), dtype=np.int64)
+    squares = np.array(sorted({x * x % p for x in range(p)}), dtype=np.int64)
     S = squares[gfnum.all_vectors(len(squares), rank)[1:]]
     D = _ff_all_unit_diagonals(p, rank)
     for block in gfnum.blocks(len(D), len(S)):
@@ -147,10 +147,6 @@ def compute_invariants(ring: RingDescriptor) -> InvariantReport:
     if ring.kind != FINITE_FIELD:
         raise RingError("compute_invariants is exhaustive over prime fields only")
     p = ring.p
-    chain = _ff_sum_chain(p)
-    stable = chain[-1]
-    pyth = next(i + 1 for i, s in enumerate(chain) if s == stable)
-    stufe = next(k for k, s in enumerate(chain, start=1) if p - 1 in s)
     u = 0
     for rank in range(1, FIELD_SEARCH_RANK + 1):
         if any((V != 0).all(axis=0).any() for V in _ff_diag_values(p, rank)):
@@ -164,6 +160,9 @@ def compute_invariants(ring: RingDescriptor) -> InvariantReport:
             break
     if m is None:
         raise AssertionError(f"no rank <= {FIELD_SEARCH_RANK} forces a unit vector over F_{p}")
+    chain = _ff_sum_chain(p)  # after the budgeted scans, which refuse a large p
+    pyth = next(i + 1 for i, s in enumerate(chain) if s == chain[-1])
+    stufe = next(k for k, s in enumerate(chain, start=1) if p - 1 in s)
     return InvariantReport(
         ring,
         pythagoras=exact(pyth),
@@ -181,40 +180,32 @@ def compute_invariants(ring: RingDescriptor) -> InvariantReport:
 def padic_invariants(ring: RingDescriptor) -> InvariantReport:
     """s, u, m over truncated Z_p by Hensel-certified witnesses; these agree
     with the residue field (the lifts are the certificates, the failures are
-    exact because an anisotropic reduction stays anisotropic)."""
+    exact because an anisotropic reduction stays anisotropic).  Each unit
+    diagonal is solved on its int Gram rows: the first solution of
+    q(x) = a mod p, closed mod p^N by `_close_zero`, which re-checks it."""
     if ring.kind != PADIC:
         raise RingError("expects a truncated p-adic ring")
     kappa_report = compute_invariants(ring.residue_ring())
     tag = f"hensel-certified at precision {ring.precision}"
-    s_val = None
-    for k in range(1, 5):
-        if represents(euclidean(ring, k), ring.scalar(-1)) is not None:
-            s_val = k
-            break
+
+    def solves(d, a: int) -> bool:
+        rows = [[c if i == j else 0 for j in range(len(d))] for i, c in enumerate(d)]
+        x0 = _residue_zero(rows, ring.p, a)
+        if x0 is not None:
+            _close_zero(rows, x0, ring, a)  # raises unless q(x) = a mod p^N
+        return x0 is not None
+
+    ranks = range(1, PADIC_SEARCH_RANK + 1)
+    diagonals = {r: _ff_all_unit_diagonals(ring.p, r).tolist() for r in ranks}
+    s_val = next((k for k in range(1, 5) if solves([1] * k, -1)), None)
     if s_val != kappa_report.stufe.value():
         raise AssertionError("Hensel-certified Stufe disagrees with the residue field")
-    u_val = 0
-    for rank in range(1, PADIC_SEARCH_RANK + 1):
-        found_aniso = False
-        for d in _ff_all_unit_diagonals(ring.p, rank).tolist():
-            q = diagonal_module(ring, d)
-            if not find_isotropic(q).found:
-                found_aniso = True
-                break
-        if found_aniso:
-            u_val = rank
-        else:
-            break
+    # u: the ranks below the first whose unit diagonals are all isotropic.
+    u_val = next((r - 1 for r in ranks if all(solves(d, 0) for d in diagonals[r])),
+                 PADIC_SEARCH_RANK)
     if u_val != kappa_report.u_invariant.value():
         raise AssertionError("Hensel-certified u-invariant disagrees with the residue field")
-    m_val = None
-    for rank in range(1, PADIC_SEARCH_RANK + 1):
-        if all(
-            represents(diagonal_module(ring, d), ring.one) is not None
-            for d in _ff_all_unit_diagonals(ring.p, rank).tolist()
-        ):
-            m_val = rank
-            break
+    m_val = next((r for r in ranks if all(solves(d, 1) for d in diagonals[r])), None)
     if m_val != kappa_report.m_invariant.value():
         raise AssertionError("Hensel-certified m-invariant disagrees with the residue field")
     # P: squeezed between P(kappa) and s + 1 (2 is a unit).

@@ -196,7 +196,8 @@ def cartan_dieudonne(q: QuadraticModule, phi: Isometry) -> list[Vector]:
 
     The Witt step carries phi(b) back to b for each vector b of an orthogonal
     basis.  The reflections r_1, ..., r_m it applies give r_m ... r_1 phi = 1,
-    so phi = r_1 ... r_m since each r_i is an involution."""
+    so phi = r_1 ... r_m since each r_i is an involution, which is checked
+    on raw rows: `_reflect` by r_m, ..., r_1 carries e_j to phi's column j."""
     if phi.module != q:
         raise ValueError("isometry belongs to a different module")
     ring, n = q.ring, q.rank
@@ -209,10 +210,10 @@ def cartan_dieudonne(q: QuadraticModule, phi: Isometry) -> list[Vector]:
     refs, _ = _witt_reflections(q, images, basis)
     if len(refs) > 2 * n:
         raise AssertionError("factorization exceeded 2n reflections")
-    check = identity_isometry(q)
-    for v in refs:
-        check = check.compose(reflection(q, v))
-    if check != phi:
+    cols = _eye(ring, n)
+    for v in reversed(refs):
+        cols = _reflect(q, v, cols)
+    if tuple(zip(*cols)) != phi.values:
         raise AssertionError("reflection product does not reproduce the isometry")
     return [vec(ring, v) for v in refs]
 
@@ -229,15 +230,18 @@ def orthonormal_extension(q: QuadraticModule, f: Frame) -> Isometry:
 
 
 def frame_transport(q: QuadraticModule, f1: Frame, f2: Frame) -> Isometry:
-    """Isometry phi with phi(f1[i]) = f2[i], built from orthonormal
-    extensions of both frames; verified exactly before returning."""
+    """Isometry phi with phi(f1[i]) = f2[i] for any form over a local ring
+    with 2 a unit (two frames share their Gram matrix, so Witt's theorem
+    applies): one Witt pass carries f1 onto f2, and the images of the
+    identity rows riding along are phi's columns; verified exactly."""
     if len(f1) != len(f2):
         raise ValueError("frames must have equal length")
     if f1.ambient != q or f2.ambient != q:
         raise ValueError("frames must live in the given module")
-    m1 = orthonormal_extension(q, f1)
-    m2 = orthonormal_extension(q, f2)
-    phi = m2.compose(m1.inverse())
+    ring, n = q.ring, q.rank
+    rows = _values(ring, f1.vectors, n) + list(_eye(ring, n))
+    _, images = _witt_reflections(q, rows, _values(ring, f2.vectors, n))
+    phi = _isometry(q, list(zip(*images[len(f1):])))
     for v1, v2 in zip(f1.vectors, f2.vectors):
         if phi.apply(v1) != v2:
             raise AssertionError("transport failed to match the frames")
@@ -314,7 +318,9 @@ def _reflections(q: QuadraticModule) -> np.ndarray:
     p^N over truncated Z_p; other rings are refused), as an (r, n, n) array
     of residue matrices: one per line through a vector of unit length value,
     represented by its vector whose first unit coordinate is 1.  tau_v = tau_w
-    forces w = c v for a unit c (apply both to v), so no two coincide."""
+    forces w = c v for a unit c (apply both to v), so no two coincide.  Each
+    is `_reflect` of the identity rows, transposed, and is checked with the
+    whole closure by `enumerate_group`'s batched M^T G M = G."""
     m, p, n = q.ring.modulus, q.ring.p, q.rank
     if m is None:
         raise RingError(f"group enumeration needs a residue ring, not {q.ring.label()}")
@@ -325,8 +331,9 @@ def _reflections(q: QuadraticModule) -> np.ndarray:
     # below 2^63 for n >= 2; for n = 1 the one line left is (1).
     G = np.array(q.gram_values, dtype=np.int64)
     units = vectors[gfnum.gram_values(G, vectors, m) % p != 0]
-    return np.array([reflection(q, v).values for v in units.tolist()],
-                    dtype=np.int64).reshape(-1, n, n)
+    eye = _eye(q.ring, n)
+    return np.array([_reflect(q, v, eye) for v in units.tolist()],
+                    dtype=np.int64).reshape(-1, n, n).transpose(0, 2, 1)
 
 
 def enumerate_group(q: QuadraticModule) -> list[Isometry]:

@@ -534,9 +534,13 @@ class MorseFiltration:
     orthogonal_to_pivot: np.ndarray  # bool mask over the sphere
     # the indices the mask marks: the unit vectors in the pivot hyperplane
     hyperplane: frozenset[int] = field(init=False, repr=False, compare=False)
+    # the vectors pairing non-trivially with the pivot, save the pivot and -pivot
+    pairing: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.hyperplane = frozenset(np.flatnonzero(self.orthogonal_to_pivot).tolist())
+        self.pairing = ~self.orthogonal_to_pivot
+        self.pairing[[self.pivot_index, self.pivot_negative_index]] = False
 
     def layer(self, frame: Collection[int]) -> int:
         """The i of the layer L_i holding the frame, 0 for X_0."""
@@ -778,7 +782,9 @@ def _join_items(cert, poset, filt, layer_of, l):
     """Claim-2 join decomposition of the links of the all-pairing layers:
     every proper subframe (a sphere of dimension |x| - 2) below every
     pure-hyperplane extension.  `layer_of[i]` is the filtration layer of
-    element i, 0 for X_0."""
+    element i, 0 for X_0.  The exhaustive replay has l <= 3, so every
+    extension in an earlier layer is pure: x in L_2 plus a vector off the
+    hyperplane has no member in it and lies in L_3."""
     checked = 0
     failures = []
     elements = poset.elements
@@ -787,10 +793,6 @@ def _join_items(cert, poset, filt, layer_of, l):
             x = elements[xi]
             subs = {j for j in poset.below[xi] if layer_of[j] < layer_i}
             exts = {j for j in poset.above[xi] if layer_of[j] < layer_i}
-            if any(not elements[j] - x <= filt.hyperplane for j in exts):
-                # only possible for l >= 4; the join claim then concerns the
-                # pure extensions and is not asserted here
-                continue
             boundary = poset.homology(subs)
             if len(subs) != 2 ** len(x) - 2 or not (
                     boundary.is_wedge_of_spheres(len(x) - 2)
@@ -808,10 +810,7 @@ def _join_items(cert, poset, filt, layer_of, l):
 def _sample_layer_frame(rng, sphere, filt, layer_i, l):
     if layer_i == 1:
         return _random_frame(rng, sphere, l, filt.orthogonal_to_pivot)
-    non_orth = ~filt.orthogonal_to_pivot
-    non_orth[filt.pivot_index] = False
-    non_orth[filt.pivot_negative_index] = False
-    return _random_frame(rng, sphere, layer_i, non_orth)
+    return _random_frame(rng, sphere, layer_i, filt.pairing)
 
 
 def _sampled_partition_items(cert, sphere, filt, rng, l, sample):
@@ -859,9 +858,7 @@ def _sampled_x0_items(cert, sphere, filt, rng, l, sample):
         w_part = _random_frame(rng, sphere, t, filt.orthogonal_to_pivot)
         if w_part is None:
             continue
-        mask = sphere.orthogonal_mask_all(w_part) & ~filt.orthogonal_to_pivot
-        mask[filt.pivot_index] = False
-        mask[filt.pivot_negative_index] = False
+        mask = sphere.orthogonal_mask_all(w_part) & filt.pairing
         extra = rng.randint(0, l - t)
         rest = _random_frame(rng, sphere, extra, mask) if extra else tuple()
         if rest is None:

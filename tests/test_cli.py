@@ -254,6 +254,22 @@ def test_invariants_field_scan_budget_exit_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("p, counts", [
+    (30011, "900600100 diagonals against 225180035 square tuples"),
+    (1000003, "1000002 diagonals against 500001 square tuples"),
+])
+def test_invariants_large_field_refused_before_the_chain(p, counts, capsys):
+    # The budgeted scans run before the sums-of-squares chain, whose sumsets
+    # hold about p^2 / 4 sums.
+    start = time.perf_counter()
+    code = main(["invariants", "--field", str(p)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and counts in err
+    assert "Traceback" not in err
+
+
 def test_unsampleable_frame_exit_2(capsys):
     # F_3^1 has two unit vectors and they are not orthogonal: no 2-frame.
     code = main(["morse-replay", "--field", "3", "--n", "1", "--l", "2", "--r", "2"])

@@ -285,3 +285,26 @@ def test_padic_invariants_certified():
     assert rep.m_invariant.value() == 2
     rep3 = padic_invariants(padic(3, 2))
     assert rep3.stufe.value() == 2
+
+
+def test_padic_invariants_check_the_residue_field(monkeypatch):
+    import dataclasses
+
+    residue = compute_invariants
+
+    def one_more_u(ring):
+        rep = residue(ring)
+        return dataclasses.replace(rep, u_invariant=invariants.exact(rep.u_invariant.value() + 1))
+
+    monkeypatch.setattr(invariants, "compute_invariants", one_more_u)
+    with pytest.raises(AssertionError, match="u-invariant disagrees with the residue field"):
+        padic_invariants(padic(5, 3))
+
+
+def test_padic_invariants_close_every_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("planted: witness not closed")
+
+    monkeypatch.setattr(invariants, "_close_zero", refuse)
+    with pytest.raises(AssertionError, match="planted"):
+        padic_invariants(padic(5, 3))

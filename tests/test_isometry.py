@@ -180,6 +180,68 @@ def test_frame_transport_examples():
             assert phi.apply(a) == vec(F3, b)
 
 
+# A non-diagonal Gram matrix of determinant 3, a unit at 5.
+SKEW = [[1, 1, 0], [1, 3, 1], [0, 1, 2]]
+
+
+def assert_transports(q, f1, f2):
+    phi = frame_transport(q, f1, f2)
+    assert [phi.apply(v) for v in f1.vectors] == list(f2.vectors)
+    assert Isometry(q, phi.matrix) == phi
+
+
+def test_frame_transport_on_a_non_diagonal_gram_over_f5():
+    q = quadratic_module(F5, SKEW)
+    units = [v for v in itertools.product(range(5), repeat=3)
+             if evaluate(q, v) == F5.one]
+    pairs = [(a, b) for a in units for b in units if polar(q, a, b).is_zero()]
+    assert len(pairs) > 1
+    rng = random.Random(0)
+    for _ in range(10):
+        (a, b), (c, d) = rng.choice(pairs), rng.choice(pairs)
+        assert_transports(q, frame(q, [a]), frame(q, [c]))
+        assert_transports(q, frame(q, [a, b]), frame(q, [c, d]))
+
+
+def test_frame_transport_on_a_non_diagonal_gram_over_z5():
+    # (x_1 + x_2)^2 + 2 x_2^2 = 1 at (-1, 2/3, 0): two unit vectors with a
+    # denominator 3, which is a unit of Z_(5).
+    q = quadratic_module(Z5, SKEW)
+    v = [-1, Fraction(2, 3), 0]
+    assert_transports(q, frame(q, [[1, 0, 0]]), frame(q, [v]))
+    assert_transports(q, frame(q, [v]), frame(q, [[-1, 0, 0]]))
+
+
+def test_frame_transport_over_euclidean_truncated_z5():
+    ring = padic(5, 3)
+    e3 = euclidean(ring, 3)
+    rows = [[Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)],
+            [Fraction(2, 3), Fraction(-1, 3), Fraction(-2, 3)]]
+    assert_transports(e3, frame(e3, [[1, 0, 0], [0, 0, 1]]), frame(e3, rows))
+    assert_transports(e3, frame(e3, rows[::-1]), frame(e3, [[0, 1, 0], [1, 0, 0]]))
+
+
+def test_frame_transport_needs_a_local_ring():
+    e2 = euclidean(integers(), 2)
+    with pytest.raises(RingError):
+        frame_transport(e2, frame(e2, [[1, 0]]), frame(e2, [[0, 1]]))
+
+
+def test_cartan_dieudonne_checks_its_product(monkeypatch):
+    from stiefel_lab import isometry
+
+    witt = isometry._witt_reflections
+
+    def drop_last(*args):
+        refs, images = witt(*args)
+        return refs[:-1], images
+
+    e3 = euclidean(F3, 3)
+    monkeypatch.setattr(isometry, "_witt_reflections", drop_last)
+    with pytest.raises(AssertionError, match="does not reproduce"):
+        cartan_dieudonne(e3, reflection(e3, [1, 1, 0]))
+
+
 def test_orthonormal_extension_is_isometry():
     e4 = euclidean(F5, 4)
     # Two orthogonal non-standard unit vectors, found programmatically.
