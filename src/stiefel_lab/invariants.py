@@ -97,14 +97,13 @@ class InvariantReport:
 
 
 def _ff_sum_chain(p: int):
-    """S_1 ⊆ S_2 ⊆ ... until stable; returns the chain list."""
+    """[S_1, S_2], the sums of one and of two squares mod p: the chain is
+    stable at S_2 = F_p (checked), so no third sumset is built."""
     s1 = frozenset(x * x % p for x in range(p))
-    chain = [s1]
-    while True:
-        nxt = frozenset((a + b) % p for a in chain[-1] for b in s1)
-        if nxt == chain[-1]:
-            return chain
-        chain.append(nxt)
+    s2 = frozenset((a + b) % p for a in s1 for b in s1)
+    if len(s2) != p:
+        raise AssertionError(f"not every element of F_{p} is a sum of two squares")
+    return [s1, s2]
 
 
 def _ff_all_unit_diagonals(p: int, rank: int) -> np.ndarray:
@@ -128,7 +127,7 @@ def _ff_diag_values(p: int, rank: int):
     S = squares[gfnum.all_vectors(len(squares), rank)[1:]]
     D = _ff_all_unit_diagonals(p, rank)
     for block in gfnum.blocks(len(D), len(S)):
-        yield S @ D[block].T % p
+        yield gfnum.mod(S @ D[block].T, p)
 
 
 def compute_invariants(ring: RingDescriptor) -> InvariantReport:

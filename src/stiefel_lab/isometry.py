@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
 
 from stiefel_lab import gfnum
-from stiefel_lab.rings import FINITE_FIELD, BudgetError, RingError, Scalar, _wrap
+from stiefel_lab.rings import BudgetError, RingError, Scalar, _wrap
 from stiefel_lab.quadmod import (
     Frame,
     Matrix,
@@ -34,6 +35,7 @@ from stiefel_lab.quadmod import (
     _values,
     det,
     diagonalize,
+    frame,
     identity_matrix,
     integer_lift,
     orthogonal_sum,
@@ -288,7 +290,7 @@ def _grow(known: np.ndarray, frontier: np.ndarray, S: np.ndarray, m: int,
         mats = gfnum.decode(frontier, w, m).reshape(-1, n, n)
         level, held, bound = [], 0, gfnum._BLOCK_ENTRIES
         for block in gfnum.blocks(len(mats), S.size):
-            codes = np.unique(gfnum.codes(S[None] @ mats[block, None] % m, w))
+            codes = np.unique(gfnum.codes(gfnum.mod(S[None] @ mats[block, None], m), w))
             level.append(codes[~gfnum.member(known, codes)])
             held += len(level[-1])
             if held > 2 * bound:
@@ -325,12 +327,12 @@ def _reflections(q: QuadraticModule) -> np.ndarray:
     if m is None:
         raise RingError(f"group enumeration needs a residue ring, not {q.ring.label()}")
     vectors = gfnum.all_vectors(m, n)
-    leading = vectors[np.arange(len(vectors)), (vectors % p != 0).argmax(axis=1)]
+    leading = vectors[np.arange(len(vectors)), (gfnum.mod(vectors, p) != 0).argmax(axis=1)]
     vectors = vectors[leading == 1]
     # The table budget keeps n^2 (M - 1)^3, the largest form value summed,
     # below 2^63 for n >= 2; for n = 1 the one line left is (1).
     G = np.array(q.gram_values, dtype=np.int64)
-    units = vectors[gfnum.gram_values(G, vectors, m) % p != 0]
+    units = vectors[gfnum.mod(gfnum.gram_values(G, vectors, m), p) != 0]
     eye = _eye(q.ring, n)
     return np.array([_reflect(q, v, eye) for v in units.tolist()],
                     dtype=np.int64).reshape(-1, n, n).transpose(0, 2, 1)
@@ -345,7 +347,7 @@ def enumerate_group(q: QuadraticModule) -> list[Isometry]:
     codes = _closure(_reflections(q), n, m, ENUMERATION_CAP)
     M = gfnum.decode(codes, gfnum.code_weights(m, n * n), m).reshape(-1, n, n)
     G = np.array(q.gram_values, dtype=np.int64)
-    if ((M.transpose(0, 2, 1) @ (G @ M % m) - G) % m).any():
+    if gfnum.mod(M.transpose(0, 2, 1) @ gfnum.mod(G @ M, m) - G, m).any():
         raise ValueError("matrix does not preserve the form")
     return [_bind(q, tuple(map(tuple, g))) for g in M.tolist()]
 
@@ -367,9 +369,9 @@ def _derived_codes(elements: list[Isometry]) -> tuple[np.ndarray, np.ndarray]:
                                             dtype=np.int64, count=len(elements) * n * n), w))
     if not gfnum.member(group, gfnum.codes(S, w)).all():
         raise ValueError("elements lack a reflection of the form")
-    st = (S[:, None] @ S[None, :]) % m
+    st = gfnum.mod(S[:, None] @ S[None, :], m)
     known, X = gfnum.codes(np.eye(n, dtype=np.int64), w), S[:0]
-    pending = (st @ st % m).reshape(-1, n, n)
+    pending = gfnum.mod(st @ st, m).reshape(-1, n, n)
     while len(pending):
         start, codes = len(X), gfnum.codes(pending, w)
         outside = ~gfnum.member(known, codes)
@@ -377,7 +379,7 @@ def _derived_codes(elements: list[Isometry]) -> tuple[np.ndarray, np.ndarray]:
             X = np.concatenate([X, pending[outside.argmax()][None]])
             known = _grow(known, known, X, m, w)
             outside &= ~gfnum.member(known, codes)
-        pending = (S[:, None] @ X[None, start:] % m @ S[:, None] % m).reshape(-1, n, n)
+        pending = gfnum.mod(gfnum.mod(S[:, None] @ X[start:], m) @ S[:, None], m).reshape(-1, n, n)
     return group, known
 
 
@@ -390,20 +392,43 @@ def abelianization_exponent(elements: list[Isometry]) -> int:
     m, n = q.ring.modulus, q.rank
     w = gfnum.code_weights(m, n * n)
     M = gfnum.decode(group, w, m).reshape(-1, n, n)
-    if not gfnum.member(derived, gfnum.codes(M @ M % m, w)).all():
+    if not gfnum.member(derived, gfnum.codes(gfnum.mod(M @ M, m), w)).all():
         raise AssertionError("abelianization exponent does not divide 2")
     return 1 if gfnum.member(derived, group).all() else 2
 
 
 def ordered_frames(q: QuadraticModule, k: int) -> list[tuple[Vector, ...]]:
     """All ordered k-tuples of pairwise-orthogonal unit vectors."""
-    from stiefel_lab.stiefel import SIMPLEX_BUDGET, UnitSphere, _cliques, _ordered_cliques
+    from stiefel_lab.stiefel import UnitSphere, _frame_rows
 
     sphere = UnitSphere(q)
-    out = _ordered_cliques(_cliques(sphere.adjacency(), k, SIMPLEX_BUDGET), k).tolist() \
-        if k else [()]
     units = [vec(q.ring, v) for v in sphere.vectors.tolist()]
-    return [tuple(units[i] for i in t) for t in out]
+    return [tuple(units[i] for i in t) for t in _frame_rows(sphere, k).tolist()]
+
+
+def _orthonormal_extensions(q: QuadraticModule, frames: np.ndarray) -> np.ndarray:
+    """The matrices of `orthonormal_extension` for an (N, k, n) array of F_p
+    frames, by `_witt_reflections`' steps on all at once (a vector of value 0
+    reflects nothing, which masks a step per frame), checked in one batch."""
+    p, (count, k, n) = q.ring.p, frames.shape
+    if q.gram_values != _eye(q.ring, n):
+        raise RingError("extension implemented for Euclidean Gram matrices")
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+
+    def reflect(X, w):  # x - (2 x.w / q(w)) w for each image row x
+        t = 2 * (X @ w[:, :, None]) * inverse[gfnum.mod((w * w).sum(axis=1), p), None, None]
+        return gfnum.mod(X - gfnum.mod(t, p) * w[:, None, :], p)
+
+    X = np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n))  # rows: images of e_j
+    for i in range(k):
+        b, c = frames[:, i], X[:, i]
+        w = gfnum.mod(b - c, p)
+        detour = (w.any(axis=1) & (gfnum.mod((w * w).sum(axis=1), p) == 0))[:, None]
+        X = reflect(reflect(reflect(X, w), (b + c) * detour), b * detour)
+    eye = np.eye(n, dtype=np.int64)
+    if not ((X[:, :k] == frames).all() and (gfnum.mod(X @ X.transpose(0, 2, 1), p) == eye).all()):
+        raise AssertionError("an extension does not send e_1..e_k isometrically onto its frame")
+    return X.transpose(0, 2, 1)
 
 
 # Most frame pairs one transport sweep checks (F_5, n = 4, k = 2 has 12,960,000).
@@ -411,41 +436,40 @@ TRANSPORT_PAIR_BUDGET = 50_000_000
 
 
 def frame_transport_exhaustive(q: QuadraticModule, k: int, seed: int = 0) -> dict:
-    """Transport between *every* ordered pair of k-frames: one verified
-    orthonormal extension per frame, then a vectorized pass that builds each
-    transport B A^(-1) and re-checks both the frame matching and form
-    preservation on residues (refused past TRANSPORT_PAIR_BUDGET pairs).
-    50 seeded pairs also go through the single-pair frame_transport API."""
+    """Transport between *every* ordered pair of k-frames over F_p, refused
+    past TRANSPORT_PAIR_BUDGET pairs (priced by the clique count before any
+    frame is listed, for k <= 3): `_orthonormal_extensions` builds every
+    extension, each transport B A^(-1) is re-checked on residues to match
+    the frames and preserve the form, and 50 seeded pairs also go through
+    the single-pair frame_transport API."""
     import random
 
-    ring = q.ring
-    if ring.kind != FINITE_FIELD:
-        raise RingError("the exhaustive sweep enumerates over a prime field")
-    p = ring.p
-    frames = ordered_frames(q, k)
-    if len(frames) ** 2 > TRANSPORT_PAIR_BUDGET:
-        raise BudgetError(f"transport sweep over {len(frames)} frames needs "
-                          f"{len(frames) ** 2} transports, more than {TRANSPORT_PAIR_BUDGET}")
-    n = q.rank
-    mats = np.array([orthonormal_extension(q, Frame(q, fr)).values for fr in frames],
-                    dtype=np.int64).reshape(-1, n, n)
+    from stiefel_lab.stiefel import UnitSphere, _count_cliques, _frame_rows
+
+    sphere = UnitSphere(q)  # refuses a ring other than F_p
+    p, n = q.ring.p, q.rank
+    rows = None if 0 < k <= 3 else _frame_rows(sphere, k)
+    count = len(rows) if rows is not None else factorial(k) * _count_cliques(sphere, k)[k]
+    if count ** 2 > TRANSPORT_PAIR_BUDGET:
+        raise BudgetError(f"transport sweep over {count} frames needs "
+                          f"{count ** 2} transports, more than {TRANSPORT_PAIR_BUDGET}")
+    frames = sphere.vectors[_frame_rows(sphere, k) if rows is None else rows]
+    mats = _orthonormal_extensions(q, frames)
     f_cols = mats[:, :, :k]  # the frame vectors are the leading columns
     inv = np.transpose(mats, (0, 2, 1))  # Euclidean Gram: inverse = transpose
     total = 0
     for block in gfnum.blocks(len(mats), len(mats) * n * n):
-        phi = (mats[None, :, :, :] @ inv[block, None, :, :]) % p
-        moved = (phi @ f_cols[block, None, :, :]) % p
+        phi = gfnum.mod(mats[None, :, :, :] @ inv[block, None, :, :], p)
+        moved = gfnum.mod(phi @ f_cols[block, None, :, :], p)
         if not (moved == f_cols[None, :, :, :]).all():
             raise AssertionError("a transport failed to match the target frame")
-        gram_check = (np.transpose(phi, (0, 1, 3, 2)) @ phi) % p
-        eye = np.eye(n, dtype=np.int64)
-        if not (gram_check == eye).all():
+        if not (gfnum.mod(phi.transpose(0, 1, 3, 2) @ phi, p) == np.eye(n, dtype=np.int64)).all():
             raise AssertionError("a transport is not an isometry")
         total += phi.shape[0] * phi.shape[1]
     rng = random.Random(seed)
     spot_checks = min(50, len(frames) ** 2)
     for _ in range(spot_checks):
-        f1 = frames[rng.randrange(len(frames))]
-        f2 = frames[rng.randrange(len(frames))]
-        frame_transport(q, Frame(q, f1), Frame(q, f2))  # raises unless phi(f1) = f2
+        f1 = frame(q, frames[rng.randrange(len(frames))].tolist())
+        f2 = frame(q, frames[rng.randrange(len(frames))].tolist())
+        frame_transport(q, f1, f2)  # raises unless phi(f1) = f2
     return {"frames": len(frames), "pairs": total, "spot_checks": spot_checks}

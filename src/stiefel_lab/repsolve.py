@@ -124,6 +124,22 @@ def _close_zero(rows: Sequence[Sequence[int]], x0: Sequence[int],
     return x
 
 
+def _shell(h: int, r: int):
+    """The (2h + 1)^r - (2h - 1)^r integer r-tuples of max-norm h in
+    lexicographic order, chained from products (a head +-h takes any tail)."""
+    full, inner = range(-h, h + 1), range(1 - h, h)
+
+    def blocks(prefix, r):  # the rank-r shell after the factors of prefix
+        yield itertools.product(*prefix, (-h,), *[full] * (r - 1))
+        if r == 2:
+            yield itertools.product(*prefix, inner, (-h, h))
+        for c in inner if r > 2 else ():
+            yield from blocks(prefix + ((c,),), r - 1)
+        yield itertools.product(*prefix, (h,), *[full] * (r - 1))
+
+    return itertools.chain.from_iterable(blocks((), r) if r else ())
+
+
 def _bounded_zeros(q: QuadraticModule, bound: int):
     """Nonzero integer vectors of max-norm <= bound on which the integer lift
     of q vanishes, by max-norm and then lexicographically.  Counts the
@@ -131,9 +147,7 @@ def _bounded_zeros(q: QuadraticModule, bound: int):
     lifted, _ = integer_lift(q.gram_values, q.ring)
     scanned = 0
     for h in range(1, bound + 1):
-        for cand in itertools.product(range(-h, h + 1), repeat=q.rank):
-            if h not in cand and -h not in cand:
-                continue
+        for cand in _shell(h, q.rank):
             scanned += 1
             if scanned > ZERO_SEARCH_BUDGET:
                 raise BudgetError(f"zero search of a rank-{q.rank} form at bound {bound} "

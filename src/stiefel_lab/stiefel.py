@@ -94,13 +94,13 @@ class UnitSphere:
 
     `_orthogonal` is the one pairing kernel: with left = v_i 2G mod p, it
     sums left[:, k] V^T[k] over k in the narrowest unsigned dtype that holds
-    n (p - 1)^2, so the sum is exact, and tests it for 0 mod p.  The graph
-    is built from it once, on first use, as bit-packed rows: bit j of row i
-    (word j // 64, bit j % 64) is set when vectors i and j are orthogonal.
-    The diagonal is clear, since B(v, v) = 2 q(v) = 2 is non-zero over an
-    odd prime field, and bits past m stay zero.  Before the graph is built a
-    single mask is one kernel row, and `components` never packs rows, so
-    drawing a frame or counting components never holds the whole graph."""
+    n (p - 1)^2, so the sum is exact, and tests total // p * p == total.
+    The graph is built from it once, on first use, as bit-packed rows: bit j
+    of row i (word j // 64, bit j % 64) is set when vectors i and j are
+    orthogonal.  The diagonal is clear, since B(v, v) = 2 q(v) = 2 is non-zero
+    over an odd prime field, and bits past m stay zero.  Before the graph is
+    built a single mask is one kernel row, and `components` never packs rows,
+    so drawing a frame or counting components never holds the whole graph."""
 
     def __init__(self, form: QuadraticModule):
         if form.ring.kind != FINITE_FIELD:
@@ -121,11 +121,11 @@ class UnitSphere:
         """The bool block B(v_i, v_j) == 0 for i in `rows` (at most
         GRAPH_CHUNK of them) and j in `cols`."""
         right = self._right[:, cols]
-        left = (self.vectors[rows] @ (2 * self.gram) % self.p).astype(right.dtype)
+        left = gfnum.mod(self.vectors[rows] @ (2 * self.gram), self.p).astype(right.dtype)
         total = np.zeros((len(left), right.shape[1]), dtype=right.dtype)
         for k in range(len(right)):
             total += left[:, k, None] * right[k]
-        return total % self.p == 0
+        return total // self.p * self.p == total
 
     def packed_rows(self) -> np.ndarray:
         """The orthogonality graph as an (m, ceil(m / 64)) little-endian
@@ -273,6 +273,13 @@ def _ordered_cliques(by_size: dict[int, list[tuple[int, ...]]],
     cliques = np.array(by_size.get(size, []), dtype=np.int64).reshape(-1, size)
     rows = cliques[:, list(itertools.permutations(range(size)))].reshape(-1, size)
     return rows[np.argsort(gfnum.codes(rows, gfnum.code_weights(len(by_size[1]), size)))]
+
+
+def _frame_rows(sphere: UnitSphere, k: int) -> np.ndarray:
+    """The ordered k-frames as rows of sphere indices, in lexicographic order."""
+    if not k:
+        return np.zeros((1, 0), dtype=np.int64)
+    return _ordered_cliques(_cliques(sphere.adjacency(), k, SIMPLEX_BUDGET), k)
 
 
 def build_stiefel(q: QuadraticModule, max_dim: int) -> SimplicialComplex:
@@ -425,11 +432,11 @@ def _form_preserving_maps(target: QuadraticModule, k: int) -> np.ndarray:
     p, m = ring.p, target.rank
     G = np.array(target.gram_values, dtype=np.int64)
     inputs = gfnum.all_vectors(p, k)
-    want = (inputs * inputs).sum(axis=1) % p
+    want = gfnum.mod((inputs * inputs).sum(axis=1), p)
     candidates = gfnum.all_vectors(p, m * k).reshape(-1, m, k)
     keep = []
     for block in gfnum.blocks(len(candidates), len(inputs) * m):
-        images = np.einsum("bmk,ik->bim", candidates[block], inputs) % p
+        images = gfnum.mod(np.einsum("bmk,ik->bim", candidates[block], inputs), p)
         got = gfnum.gram_values(G, images.reshape(-1, m), p).reshape(len(images), -1)
         keep.append((got == want).all(axis=1))
     return candidates[np.concatenate(keep)]

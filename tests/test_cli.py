@@ -172,17 +172,23 @@ def test_usage_error_exit_2(capsys):
     # 78,000 frames, whose pair sweep took a 2.91 GiB block.
     ("orbit-check --field 5 --n 5 --k 2",
      "transport sweep over 78000 frames needs 6084000000 transports, more than", None),
+    # 15,921,360 ordered 3-frames, priced from the triangle count before any
+    # is listed; listing them first took 33.7 s and 3.6 GB before the refusal.
+    ("orbit-check --field 3 --n 7 --k 3",
+     "transport sweep over 15921360 frames needs 253489704249600 transports, more than", None),
     # 2^8 8! signed permutations; n = 9 was still listing them after 30 s.
     ("int-aut --n 8", "the automorphism search lists 2^n n! = 10321920 signed permutations, "
      "more than the enumeration cap 1000000", None),
 ], ids=["stiefel-budget-10", "connectivity-F3-n17", "stiefel-F5-n12", "morse-F3-n18",
-        "wn-F5-n3", "orbit-F5-n5-k2", "int-aut-n8"])
+        "wn-F5-n3", "orbit-F5-n5-k2", "orbit-F3-n7-k3", "int-aut-n8"])
 def test_budget_error_exit_2(argv, message, simplex_budget, monkeypatch, capsys):
     from stiefel_lab import stiefel
 
     if simplex_budget is not None:
         monkeypatch.setattr(stiefel, "SIMPLEX_BUDGET", simplex_budget)
+    start = time.perf_counter()
     assert main(argv.split()) == 2
+    assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err

@@ -22,6 +22,20 @@ def test_all_vectors_is_itertools_product_order(p, n):
     assert X.tolist() == [list(t) for t in itertools.product(range(p), repeat=n)]
 
 
+@pytest.mark.parametrize("m", [3, 5, 7, 25, 27, 125])
+def test_mod_is_numpy_remainder(m):
+    """a - a // m * m is a % m under numpy's floor semantics: on int64 with
+    negative entries, and on the narrow unsigned dtypes of the pairing
+    kernel, modulo primes and prime powers."""
+    rng = np.random.default_rng(m)
+    for a in (rng.integers(-10**12, 10**12, size=1000), np.arange(-300, 300),
+              rng.integers(0, 256, size=1000).astype(np.uint8),
+              rng.integers(0, 65536, size=1000).astype(np.uint16)):
+        got = gfnum.mod(a, m)
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, a % m)
+
+
 def test_all_vectors_refuses_past_the_table_budget(monkeypatch):
     # 3^4 vectors of length 4 hold 324 entries: refused at a budget of 323,
     # before numpy is asked for the table.

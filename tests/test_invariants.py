@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from stiefel_lab import gfnum, invariants
-from stiefel_lab.rings import RingError, finite_field, integers, localized_at, padic, rationals
+from stiefel_lab.rings import (
+    BudgetError,
+    RingError,
+    finite_field,
+    integers,
+    localized_at,
+    padic,
+    rationals,
+)
 from stiefel_lab.quadmod import det, mat
 from stiefel_lab.invariants import (
     check_inequalities,
@@ -45,6 +53,29 @@ def test_invariant_table():
     assert 2 * 2 % 5 == 5 - 1
     assert all(x * x % 3 != 2 for x in range(3)) and (1 + 1) % 3 == 2
     assert table[7]["s"] == 2
+
+
+# compute_invariants over every odd prime up to 41, as the sums-of-squares
+# chain grown until stable gave them: P, s, u, m.  F_41 is refused by the
+# rank-3 scan budget before the chain is built.
+PINNED_FIELD_INVARIANTS = {
+    3: (2, 2, 2, 2), 5: (2, 1, 2, 2), 7: (2, 2, 2, 2), 11: (2, 2, 2, 2),
+    13: (2, 1, 2, 2), 17: (2, 1, 2, 2), 19: (2, 2, 2, 2), 23: (2, 2, 2, 2),
+    29: (2, 1, 2, 2), 31: (2, 2, 2, 2), 37: (2, 1, 2, 2),
+}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
+def test_compute_invariants_pinned(p):
+    if p not in PINNED_FIELD_INVARIANTS:
+        with pytest.raises(BudgetError, match="rank-3 scans over F_41 read 64000 diagonals "
+                                              "against 9260 square tuples, 592640000 products"):
+            compute_invariants(finite_field(p))
+        return
+    rep = compute_invariants(finite_field(p))
+    got = (rep.pythagoras, rep.stufe, rep.u_invariant, rep.m_invariant)
+    assert tuple(v.value() for v in got) == PINNED_FIELD_INVARIANTS[p]
+    assert all(str(v) == f"{v.value()} (exhaustive)" for v in got)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])

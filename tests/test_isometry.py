@@ -37,6 +37,7 @@ from stiefel_lab.isometry import (
     _derived_codes,
     _isometry,
     _invert,
+    _orthonormal_extensions,
     _reflections,
     _witt_reflections,
     abelianization_exponent,
@@ -774,9 +775,41 @@ def test_transport_sweep_refuses_past_the_pair_budget(monkeypatch):
         raise AssertionError("an extension was built")
 
     monkeypatch.setattr("stiefel_lab.isometry.TRANSPORT_PAIR_BUDGET", frames ** 2 - 1)
-    monkeypatch.setattr("stiefel_lab.isometry.orthonormal_extension", no_extension)
+    monkeypatch.setattr("stiefel_lab.isometry._orthonormal_extensions", no_extension)
     with pytest.raises(BudgetError, match=f"over {frames} frames needs {frames ** 2} transports"):
         frame_transport_exhaustive(q, 1)
+
+
+@pytest.mark.parametrize("p,n,k", [(3, 4, 2), (5, 4, 1), (5, 3, 1)])
+def test_batched_extensions_are_the_single_frame_extensions(p, n, k):
+    from stiefel_lab.stiefel import UnitSphere, _frame_rows
+
+    q = euclidean(finite_field(p), n)
+    sphere = UnitSphere(q)
+    frames = sphere.vectors[_frame_rows(sphere, k)]
+    mats = _orthonormal_extensions(q, frames)
+    assert mats.shape == (len(ordered_frames(q, k)), n, n)
+    assert [tuple(map(tuple, m)) for m in mats.tolist()] == \
+        [orthonormal_extension(q, frame(q, f)).values for f in frames.tolist()]
+
+
+def test_batched_extensions_refuse_a_corrupted_frame():
+    """A second vector equal to the first, a vector of value 2, and a
+    coordinate past p each break one frame row of F_3^4; the batched pass
+    refuses every one, and a non-Euclidean Gram matrix as the single-frame
+    extension does."""
+    from stiefel_lab.stiefel import UnitSphere, _frame_rows
+
+    q = euclidean(F3, 4)
+    sphere = UnitSphere(q)
+    frames = sphere.vectors[_frame_rows(sphere, 2)]
+    for i, row in ((5, frames[5, 0]), (17, np.array([1, 1, 0, 0])), (40, frames[40, 1] + 3)):
+        bad = frames.copy()
+        bad[i, 1] = row
+        with pytest.raises(AssertionError):
+            _orthonormal_extensions(q, bad)
+    with pytest.raises(RingError, match="Euclidean"):
+        _orthonormal_extensions(diagonal_module(F3, [1, 1, 1, 2]), frames)
 
 
 @pytest.mark.parametrize("ring", [F5, Q, Z5], ids=["F5", "Q", "Z_(5)"])

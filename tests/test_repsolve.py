@@ -32,6 +32,7 @@ from stiefel_lab.repsolve import (
     ZERO_SEARCH_BUDGET,
     _bounded_zeros,
     _close_zero,
+    _shell,
     _residue_zero,
     find_isotropic,
     hensel_isotropy_replay,
@@ -243,6 +244,17 @@ def test_bounded_zeros_match_brute_force(ring):
     ]
     for q in forms:
         assert list(_bounded_zeros(q, 3)) == bounded_zeros_oracle(q, 3)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_shell_is_the_filtered_cube(r):
+    """Shell h of rank r: exactly the (2h + 1)^r - (2h - 1)^r tuples of the
+    cube [-h, h]^r holding +-h, in the cube's itertools.product order."""
+    for h in range(1, 6):
+        cube = itertools.product(range(-h, h + 1), repeat=r)
+        shell = list(_shell(h, r))
+        assert shell == [c for c in cube if h in c or -h in c]
+        assert len(shell) == (2 * h + 1) ** r - (2 * h - 1) ** r
 
 
 @pytest.mark.parametrize("ring", [Q, Z5], ids=["Q", "Z5"])

@@ -139,6 +139,36 @@ def test_library_has_no_floating_point():
     assert found == []
 
 
+def _bulk_remainders(tree) -> list[int]:
+    """Lines with a `%` whose left operand is a matrix product or an
+    `np.*` call: a bulk array remainder."""
+    def bulk(node) -> bool:
+        if isinstance(node, ast.BinOp):
+            return isinstance(node.op, ast.MatMult)
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+                   and isinstance(node.op, ast.Mod) and bulk(node.left)})
+
+
+def test_bulk_reductions_go_through_gfnum_mod():
+    """numpy's integer `%` is several times slower than its floor division,
+    so bulk reductions use `gfnum.mod`; a scalar `%` stays allowed."""
+    sample = ast.parse("a = x @ y % p\n"
+                       "b = np.einsum('ij,j', x, y) % p\n"
+                       "c = (x @ y) % p\n"
+                       "d = x % p\n"
+                       "e = gfnum.mod(x @ y, p)\n"
+                       "f = f'{x % p}'\n"
+                       "g = x.sum() % p\n")
+    assert _bulk_remainders(sample) == [1, 2, 3]
+    found = []
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _bulk_remainders(tree)]
+    assert found == []
+
+
 def test_tests_have_no_vacuous_asserts():
     """No test asserts a literal `True`, alone or as an operand of `or`."""
     found = []
