@@ -14,8 +14,9 @@ which the test suite cross-checks against dense elimination of the whole.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 from math import gcd
-from operator import lt
+from operator import itemgetter, lt
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from stiefel_lab.rings import BudgetError
@@ -117,19 +118,27 @@ def _sparse_unit_reduce(entries: Entries, pivot_columns: Optional[list[int]] = N
     that streams them (as reduced_homology does) holds no copy while the
     elimination runs.
 
-    The live entries are counted: each fill adds one, each cancellation and
-    each entry of a removed pivot row takes one away.  After every pivot the
-    count is held against SNF_ENTRY_BUDGET, and crossing it raises
-    BudgetError with the pivots done and the entries live."""
+    The live entries are counted: loading reads at most SNF_ENTRY_BUDGET + 1
+    nonzero entries and refuses, before any pivot, when it holds more than
+    the budget; then each fill adds one, each cancellation and each entry of
+    a removed pivot row takes one away.  After every pivot the count is held
+    against SNF_ENTRY_BUDGET, and crossing it raises BudgetError with the
+    pivots done and the entries live."""
     import heapq  # its C part is an extension library; load it only to reduce
 
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (i, j), val in entries.items() if isinstance(entries, dict) else entries:
-        if val:
-            rows.setdefault(i, {})[j] = val
-            cols.setdefault(j, set()).add(i)
+    nonzero = filter(itemgetter(1), entries.items() if isinstance(entries, dict) else entries)
+    for (i, j), val in islice(nonzero, SNF_ENTRY_BUDGET + 1):
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = {}
+        row[j] = val
+        cols.setdefault(j, set()).add(i)
     live = sum(map(len, rows.values()))
+    if live > SNF_ENTRY_BUDGET:
+        raise BudgetError(f"sparse elimination refused while loading, before any pivot: "
+                          f"{live} live entries exceed {SNF_ENTRY_BUDGET}")
 
     def has_unit(row):
         return any(v == 1 or v == -1 for v in row.values())
@@ -532,8 +541,6 @@ def poset_from_less(elements: Sequence, less: Callable) -> Poset:
 def poset_from_frames(frames: Sequence[frozenset]) -> Poset:
     """Containment order on a family of finite sets (containment is already
     transitive and irreflexive on distinct sets, so no validation pass)."""
-    from itertools import combinations
-
     keys = [tuple(sorted(f)) for f in frames]
     index = {key: i for i, key in enumerate(keys)}
     if len(index) != len(frames):
@@ -720,8 +727,6 @@ def morse_lemma_check(
 def invariant_factors_by_minors(matrix) -> list[int]:
     """d_1 ... d_r with d_1 ... d_k = gcd of all k x k minors; exponential in
     the matrix size, used only to cross-check the elimination code."""
-    from itertools import combinations
-
     rows = [list(map(int, r)) for r in matrix]
     m = len(rows)
     n = len(rows[0]) if m else 0

@@ -26,12 +26,17 @@ from stiefel_lab.rings import (
     RingDescriptor,
     RingError,
     Scalar,
-    integers,
     localized_at,
-    sum_of_squares,
+    rationals,
 )
 from stiefel_lab.quadmod import euclidean
-from stiefel_lab.repsolve import _close_zero, _residue_zero, find_isotropic
+from stiefel_lab.repsolve import (
+    ZERO_SEARCH_BUDGET,
+    _close_zero,
+    _residue_zero,
+    find_isotropic,
+    represents,
+)
 
 INF = math.inf
 # Largest rank the exhaustive u and m scans try over a prime field, and
@@ -230,11 +235,12 @@ def localized_invariants(ring: RingDescriptor, height: int = 50) -> InvariantRep
     constant m_Q = 4 for the upper bound."""
     if ring.kind != LOCALIZED:
         raise RingError("expects Z_(p)")
-    # Stufe: -1 is never a bounded sum of squares (every partial sum is
-    # nonnegative); report the searched floor rather than asserting infinity.
+    # Stufe: k<1> + <1> is definite, so `represents` proves -1 is no sum of
+    # k squares before it evaluates a candidate; report the searched floor
+    # rather than asserting infinity.
     s_checked = 4
     for k in range(1, s_checked + 1):
-        if sum_of_squares(ring.scalar(-1), k, height_bound=height) is not None:
+        if represents(euclidean(ring, k), ring.scalar(-1)) is not None:
             raise AssertionError(f"-1 is a sum of {k} squares in {ring.label()}")
     stufe = InvariantValue(s_checked + 1, INF, f"no witness for k <= {s_checked} at height {height}")
     # u: n<1> is definite, hence anisotropic at every tested rank.
@@ -378,7 +384,13 @@ class MZpWitness:
 def no_rational_three_square(target: int, height: int) -> bool:
     """True when a^2 + b^2 + c^2 = target * d^2 has no integer solution with
     1 <= d <= height and |a|, |b|, |c| <= height.  Vector height here is the
-    max of the cleared-denominator entries (common denominator d included)."""
+    max of the cleared-denominator entries (common denominator d included).
+    The h(h + 1)(h + 2)/2 candidates (d, a <= b) at height h are priced
+    first: past ZERO_SEARCH_BUDGET of them the search is refused."""
+    count = height * (height + 1) * (height + 2) // 2
+    if count > ZERO_SEARCH_BUDGET:
+        raise BudgetError(f"three-square search at height {height} prices {count} "
+                          f"candidates, more than {ZERO_SEARCH_BUDGET}")
     for d in range(1, height + 1):
         rhs = target * d * d
         amax = min(height, math.isqrt(rhs))
@@ -403,19 +415,19 @@ def m_zp_witness(p: int, height: int) -> MZpWitness:
     if 7 % p == 0:
         raise RingError(f"construction needs p not dividing 7, got p = {p}")
     ring = localized_at(p)
-    # Height 2 covers every integer solution below, as x^2 <= 7.
-    seven = integers().scalar(7)
-    quads = sum_of_squares(seven, 4, height_bound=2)
+    # 7 = 2^2 + 1^2 + 1^2 + 1^2, the first zero of 4<1> + <-7> at max-norm 2.
+    quads = represents(euclidean(rationals(), 4), 7)
     if quads is None:
         raise AssertionError("no four-square decomposition of 7")
-    four = tuple(Fraction(c.value, 7) for c in quads)  # rescaled by 1/7
+    four = tuple(c.value / 7 for c in quads)  # rescaled by 1/7
     total = sum(f * f for f in four)
     if total != Fraction(1, 7):
         raise AssertionError("rescaled squares do not sum to 1/7")
     for f in four:
         Scalar(ring, f)  # all lie in Z_(p) since p does not divide 7
     rational_found = not no_rational_three_square(7, height)
-    integer_found = sum_of_squares(seven, 3, height_bound=2) is not None
+    # The d = 1 slice at height 2 holds every integer solution, as x^2 <= 7.
+    integer_found = not no_rational_three_square(7, 2)
     return MZpWitness(p, height, four, rational_found, integer_found)
 
 

@@ -32,7 +32,6 @@ from stiefel_lab.rings import (
     Scalar,
     _wrap,
     residue,
-    sum_of_squares,
     valuation,
 )
 
@@ -552,7 +551,9 @@ def reduce_mod_p(q: QuadraticModule) -> QuadraticModule:
 
 def is_isometric_ff(q1: QuadraticModule, q2: QuadraticModule) -> bool:
     """Isometry test over a prime field: equal rank and square discriminant
-    ratio classify non-singular forms completely."""
+    ratio classify non-singular forms completely.  The ratio's square class
+    is read by Euler's criterion: a unit r is a square mod p exactly when
+    r^((p-1)/2) = 1."""
     if q1.ring.kind != FINITE_FIELD or q1.ring != q2.ring:
         raise RingError("finite-field isometry test needs one common prime field")
     d1, d2 = q1.det(), q2.det()
@@ -560,4 +561,5 @@ def is_isometric_ff(q1: QuadraticModule, q2: QuadraticModule) -> bool:
         raise ValueError("both forms must be non-singular")
     if q1.rank != q2.rank:
         return False
-    return sum_of_squares(d1 / d2, 1) is not None
+    p = q1.ring.p
+    return pow((d1 / d2).value, (p - 1) // 2, p) == 1

@@ -7,6 +7,10 @@ only for the signed-permutation checks).  Every value is immutable and every
 operation is exact; there is no floating point anywhere in this module.
 
 Valuations are discrete (value group Z).  2 is a unit in every ring except Z.
+
+Sums of squares are not searched here: a is a sum of k squares exactly when
+the Euclidean form k<1> represents it, which `repsolve.represents` decides
+(a square root of a over F_p is `represents(euclidean(F_p, 1), a)`).
 """
 
 from __future__ import annotations
@@ -334,94 +338,6 @@ def residue(x: Scalar) -> Scalar:
     """Residue-field image of a scalar over a ring with a prime: its value,
     a residue mod p^N or a Fraction prime to p, read mod p."""
     return Scalar(x.ring.residue_ring(), x.value)
-
-
-def _heights(bound: int):
-    """Rationals of height <= bound: max(|num|, |den|) after reduction,
-    ordered by height and then numerically.  At height h that is -h/d, n/h
-    with |n| < h, then h/d, for d and n coprime to h (at h = 1: -1, 0, 1)."""
-    for h in range(1, bound + 1):
-        dens = [d for d in range(1, h + 1) if math.gcd(h, d) == 1]
-        yield from (Fraction(-h, d) for d in dens)
-        yield from (Fraction(n, h) for n in range(1 - h, h) if math.gcd(n, h) == 1)
-        yield from (Fraction(h, d) for d in reversed(dens))
-
-
-def sum_of_squares(a: Scalar, k: int, height_bound: Optional[int] = None):
-    """Decompose a as x_1^2 + ... + x_k^2, or report failure.
-
-    Over a prime field the search is exhaustive, so None means the
-    decomposition does not exist.  Over Q, Z_(p) and Z the search runs over
-    candidates of height <= height_bound (|x| <= bound over Z) and None only
-    means "not found within the bound", except for a negative a, which no
-    sum of squares there equals, so None is then a proof.  Truncated Z_p is
-    refused: for a unit a, `repsolve.represents` on the Euclidean form of
-    rank k decomposes a by lifting a residue witness with one Hensel step.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ring = a.ring
-    kind = ring.kind
-    if kind == FINITE_FIELD:
-        p = ring.p
-        target = a.value
-        found = _ff_sum_of_squares(target, k, p)
-        if found is None:
-            return None
-        return tuple(Scalar(ring, x) for x in found)
-    if kind == PADIC:
-        raise RingError("sums of squares over truncated Z_p: use repsolve.represents "
-                        "on the Euclidean form of rank k")
-    if height_bound is None:
-        raise ValueError(f"height bound required over {ring.label()}")
-    if a.value < 0:
-        return None
-    if kind == INTEGERS:
-        candidates = [Fraction(n) for n in range(-height_bound, height_bound + 1)]
-        candidates.sort(key=lambda f: (abs(f), f < 0))
-    else:
-        candidates = list(_heights(height_bound))
-        if kind == LOCALIZED:
-            candidates = [c for c in candidates if c.denominator % ring.p != 0]
-    target = Fraction(a.value)
-    out = _bounded_sum_of_squares(target, k, candidates)
-    if out is None:
-        return None
-    return tuple(Scalar(ring, x) for x in out)
-
-
-def _ff_sum_of_squares(target: int, k: int, p: int):
-    squares = sorted({x * x % p: x for x in range(p)}.items())
-
-    def rec(rem: int, depth: int, acc):
-        if depth == k:
-            return acc if rem == 0 else None
-        for sq, root in squares:
-            got = rec((rem - sq) % p, depth + 1, acc + [root])
-            if got is not None:
-                return got
-        return None
-
-    return rec(target % p, 0, [])
-
-
-def _bounded_sum_of_squares(target: Fraction, k: int, candidates):
-    # Squares are nonnegative over Q, so partial sums may be pruned.
-    def rec(rem: Fraction, depth: int, acc):
-        if depth == k:
-            return acc if rem == 0 else None
-        if rem < 0:
-            return None
-        for c in candidates:
-            c2 = c * c
-            if c2 > rem:
-                continue
-            got = rec(rem - c2, depth + 1, acc + [c])
-            if got is not None:
-                return got
-        return None
-
-    return rec(target, 0, [])
 
 
 def hensel_root(ring: RingDescriptor, coeffs, r0: int) -> Scalar:

@@ -211,7 +211,7 @@ class UnitSphere:
         return None
 
 
-def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tuple[int, ...]]]:
+def _cliques(adj: np.ndarray, max_size: int) -> dict[int, list[tuple[int, ...]]]:
     """All cliques of size 1..max_size, each as a sorted index tuple, in
     lexicographic order.
 
@@ -219,8 +219,9 @@ def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tupl
     of its common neighbours above its last vertex (built only when the
     level is extended).  The next level is the nonzero bits of those masks,
     unpacked CLIQUE_CHUNK bits at a time: clique-major, then vertex-ascending,
-    which keeps the order lexicographic.  Its size is the masks' popcount,
-    held against the budget before the level is built."""
+    which keeps the order lexicographic.  Its size is the masks' popcount:
+    the running total is held against SIMPLEX_BUDGET before the level is
+    built."""
     m = adj.shape[0]
     out: dict[int, list[tuple[int, ...]]] = {1: [(i,) for i in range(m)]}
     if max_size < 2:
@@ -235,9 +236,9 @@ def _cliques(adj: np.ndarray, max_size: int, budget: int) -> dict[int, list[tupl
     for size in range(2, max_size + 1):
         count = int(np.bitwise_count(masks).sum())
         total += count
-        if total > budget:
+        if total > SIMPLEX_BUDGET:
             raise BudgetError(
-                f"clique enumeration exceeded budget {budget} at size {size} "
+                f"clique enumeration exceeded budget {SIMPLEX_BUDGET} at size {size} "
                 f"(running total {total})"
             )
         if not count:
@@ -279,7 +280,7 @@ def _frame_rows(sphere: UnitSphere, k: int) -> np.ndarray:
     """The ordered k-frames as rows of sphere indices, in lexicographic order."""
     if not k:
         return np.zeros((1, 0), dtype=np.int64)
-    return _ordered_cliques(_cliques(sphere.adjacency(), k, SIMPLEX_BUDGET), k)
+    return _ordered_cliques(_cliques(sphere.adjacency(), k), k)
 
 
 def build_stiefel(q: QuadraticModule, max_dim: int) -> SimplicialComplex:
@@ -290,7 +291,7 @@ def build_stiefel(q: QuadraticModule, max_dim: int) -> SimplicialComplex:
     the space |sk X(q)| whose homology agrees with the full complex in every
     degree strictly below max_dim."""
     adj = _integer_graph(q)[1] if q.ring.kind == INTEGERS else UnitSphere(q).adjacency()
-    by_size = _cliques(adj, max_dim + 1, SIMPLEX_BUDGET)  # each level in lexicographic order
+    by_size = _cliques(adj, max_dim + 1)  # each level in lexicographic order
     return SimplicialComplex({size - 1: v for size, v in by_size.items()})
 
 
@@ -410,7 +411,7 @@ def build_ordered_stiefel(q: QuadraticModule, max_p: int) -> SemiSimplicialSet:
     table is one binary search of the level's rows with slot i deleted among
     the codes of the level below (base the sphere size)."""
     sphere = UnitSphere(q)
-    by_size = _cliques(sphere.adjacency(), max_p + 1, SIMPLEX_BUDGET)
+    by_size = _cliques(sphere.adjacency(), max_p + 1)
     levels = [_ordered_cliques(by_size, size) for size in range(1, max_p + 2)]
     face_maps: list[list[np.ndarray]] = [[]]
     for p in range(1, max_p + 1):
@@ -620,7 +621,7 @@ def _link_in_prev(sphere: UnitSphere, filt: MorseFiltration, x: tuple[int, ...],
     if room > 0:
         candidates = np.flatnonzero(sphere.orthogonal_mask_all(x))
         # one added vector needs no adjacency among the candidates
-        local = (_cliques(sphere.adjacency(candidates), room, budget=10_000_000)
+        local = (_cliques(sphere.adjacency(candidates), room)
                  if room > 1 else {1: [(i,) for i in range(candidates.size)]})
         for size in sorted(local):
             for clique in local[size]:
@@ -697,7 +698,7 @@ def morse_replay(
     d = l - 1
     rng = random.Random(seed)
     if explicit:
-        by_size = _cliques(sphere.adjacency(), l, budget=SIMPLEX_BUDGET)
+        by_size = _cliques(sphere.adjacency(), l)
         frames = [frozenset(t) for size in sorted(by_size) for t in by_size[size]]
         poset = poset_from_frames(frames)
         layer_of = [filt.layer(f) for f in frames]
@@ -891,7 +892,7 @@ def _sampled_x0_items(cert, sphere, filt, rng, l, sample):
     # frame poset is the face poset of the hyperplane's clique complex cut at
     # dimension l - 2, so that skeleton has the same homology.
     w_adj = sphere.adjacency(np.flatnonzero(filt.orthogonal_to_pivot))
-    levels = _cliques(w_adj, l - 1, SIMPLEX_BUDGET)
+    levels = _cliques(w_adj, l - 1)
     prof = reduced_homology(SimplicialComplex({k - 1: level for k, level in levels.items()}),
                             l - 2)
     ok = prof.is_wedge_of_spheres(l - 2)

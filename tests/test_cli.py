@@ -179,8 +179,13 @@ def test_usage_error_exit_2(capsys):
     # 2^8 8! signed permutations; n = 9 was still listing them after 30 s.
     ("int-aut --n 8", "the automorphism search lists 2^n n! = 10321920 signed permutations, "
      "more than the enumeration cap 1000000", None),
+    # About h^3 / 2 three-square candidates, priced before the loop; the
+    # unpriced search was still running after 30 s.
+    ("invariants --ring zploc --p 3 --height 100000",
+     "three-square search at height 100000 prices 500015000100000 candidates, "
+     "more than 100000", None),
 ], ids=["stiefel-budget-10", "connectivity-F3-n17", "stiefel-F5-n12", "morse-F3-n18",
-        "wn-F5-n3", "orbit-F5-n5-k2", "orbit-F3-n7-k3", "int-aut-n8"])
+        "wn-F5-n3", "orbit-F5-n5-k2", "orbit-F3-n7-k3", "int-aut-n8", "zploc-p3-h100000"])
 def test_budget_error_exit_2(argv, message, simplex_budget, monkeypatch, capsys):
     from stiefel_lab import stiefel
 
@@ -244,7 +249,7 @@ def test_hensel_stall_exit_2(monkeypatch, capsys):
     code = main(["hensel", "--count", "2"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error: form generation stalled after 200 forms")
     assert "Traceback" not in err
 
 

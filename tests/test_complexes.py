@@ -93,6 +93,32 @@ def test_unit_reduce_refuses_past_its_entry_budget(monkeypatch):
         _sparse_unit_reduce(entries)
 
 
+def test_unit_reduce_refuses_a_load_past_its_entry_budget(monkeypatch):
+    """A boundary with more entries than the budget is refused while it is
+    loaded: no pivot is taken, and at most one entry past the budget is
+    read from the stream."""
+    entries = build_stiefel(euclidean(finite_field(3), 5), 2).boundary_entries(2)
+    assert len(entries) == 6480
+    read = []
+
+    def stream():
+        for item in entries.items():
+            read.append(item)
+            yield item
+
+    pivots = []
+    refused = "^sparse elimination refused while loading, before any pivot: "
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 6479)
+    with pytest.raises(BudgetError, match=refused + "6480 live entries exceed 6479$"):
+        _sparse_unit_reduce(stream(), pivots)
+    assert pivots == [] and len(read) == 6480
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 100)
+    read.clear()
+    with pytest.raises(BudgetError, match=refused + "101 live entries exceed 100$"):
+        _sparse_unit_reduce(stream(), pivots)
+    assert pivots == [] and len(read) == 101
+
+
 def test_snf_sparse_path_matches_dense():
     rng = random.Random(2)
     for _ in range(10):

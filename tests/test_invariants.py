@@ -148,7 +148,8 @@ def test_m_zp_witness_examples():
 
 
 def test_localized_invariants_search_three_squares_once(monkeypatch):
-    """The P bound reuses the rank-3 witness's search for a three-square 7."""
+    """The P bound reuses the rank-3 witness's search for a three-square 7 at
+    the height; the witness's integer check is the same search at height 2."""
     calls = []
 
     def counted(target, height):
@@ -157,7 +158,7 @@ def test_localized_invariants_search_three_squares_once(monkeypatch):
 
     monkeypatch.setattr(invariants, "no_rational_three_square", counted)
     rep = localized_invariants(localized_at(3), height=10)
-    assert calls == [(7, 10)]
+    assert calls == [(7, 10), (7, 2)]
     assert str(rep.pythagoras) == "[4, inf] (7 needs four squares; searched height 10)"
 
 
@@ -165,6 +166,19 @@ def test_no_rational_three_square_oracle():
     # 6 = 1 + 1 + 4 is a sum of three squares, 7 is not (7 = 7 mod 8).
     assert not no_rational_three_square(6, 5)
     assert no_rational_three_square(7, 30)
+
+
+def test_three_square_search_is_priced_before_its_loop(monkeypatch):
+    """h(h + 1)(h + 2)/2 candidates at height h: 97,527 at h = 57 fit
+    ZERO_SEARCH_BUDGET, 102,660 at h = 58 are refused before any is read."""
+    assert no_rational_three_square(7, 57)
+    roots = []
+    isqrt = math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: roots.append(n) or isqrt(n))
+    with pytest.raises(BudgetError, match="^three-square search at height 58 prices 102660 "
+                                          "candidates, more than 100000$"):
+        no_rational_three_square(7, 58)
+    assert roots == []
 
 
 def test_shapiro_bound_check():

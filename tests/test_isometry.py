@@ -338,7 +338,7 @@ def test_group_of_a_non_euclidean_form():
 
 def test_enumerate_group_cap_is_a_budget_error(monkeypatch):
     monkeypatch.setattr("stiefel_lab.isometry.ENUMERATION_CAP", 4)
-    with pytest.raises(BudgetError, match="enumeration cap 4"):
+    with pytest.raises(BudgetError, match="^group exceeds the enumeration cap 4$"):
         enumerate_group(euclidean(F3, 2))
 
 

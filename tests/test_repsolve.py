@@ -279,8 +279,8 @@ def test_bounded_zero_search_refuses_past_its_budget():
     for run in (lambda: find_isotropic(diagonal_module(Q, [1, 1, 1, -7])),
                 lambda: represents(euclidean(Q, 3), 7)):
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match=f"rank-4 form at bound 20 passed "
-                                              f"{ZERO_SEARCH_BUDGET} candidates"):
+        with pytest.raises(BudgetError, match=f"^zero search of a rank-4 form at bound 20 "
+                                              f"passed {ZERO_SEARCH_BUDGET} candidates"):
             run()
         assert time.perf_counter() - start < 2.0
     v = represents(euclidean(Q, 4), 7)

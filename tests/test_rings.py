@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from stiefel_lab import rings
+from stiefel_lab import repsolve
 from stiefel_lab.rings import (
     RingError,
     Scalar,
-    _heights,
     finite_field,
     hensel_root,
     integers,
@@ -18,7 +17,6 @@ from stiefel_lab.rings import (
     padic,
     rationals,
     residue,
-    sum_of_squares,
     valuation,
 )
 from stiefel_lab.quadmod import euclidean
@@ -138,73 +136,65 @@ def test_residue_is_multiplicative():
 
 
 def test_is_square_examples():
-    r = sum_of_squares(F5.scalar(4), 1)
+    r = represents(euclidean(F5, 1), F5.scalar(4))
     assert r is not None and r[0] * r[0] == F5.scalar(4)
     # Oracle: the squares mod 5 are exactly {0, 1, 4}.
     assert sorted({x * x % 5 for x in range(5)}) == [0, 1, 4]
-    assert sum_of_squares(F5.scalar(2), 1) is None
-    assert sum_of_squares(F3.scalar(0), 1) == (F3.scalar(0),)
+    assert represents(euclidean(F5, 1), F5.scalar(2)) is None
+    with pytest.raises(ValueError, match="units"):
+        represents(euclidean(F3, 1), F3.scalar(0))
 
 
 def test_is_square_agrees_with_exhaustion():
     for ring in (F3, F5, F7):
         p = ring.p
         squares = {x * x % p for x in range(p)}
-        for a in range(p):
-            witness = sum_of_squares(ring.scalar(a), 1)
+        for a in range(1, p):
+            witness = represents(euclidean(ring, 1), ring.scalar(a))
             assert (witness is not None) == (a in squares)
             if witness is not None:
                 assert witness[0] * witness[0] == ring.scalar(a)
 
 
 def test_sum_of_squares_examples():
-    got = sum_of_squares(F3.scalar(2), 2)
-    assert got is not None and sum(x * x for x, in zip(got)) == F3.scalar(2)
+    got = represents(euclidean(F3, 2), F3.scalar(2))
+    assert got is not None and sum((x * x for x in got), F3.zero) == F3.scalar(2)
     # -1 over F5: 2^2 = 4 = -1 (exhaustive).
-    got = sum_of_squares(F5.scalar(-1), 1)
+    got = represents(euclidean(F5, 1), F5.scalar(-1))
     assert got is not None and got[0] * got[0] == F5.scalar(-1)
-    # 7 = 7 mod 8 is not a sum of 3 squares; exhaustive over |x| <= 2.
-    assert all(
-        a * a + b * b + c * c != 7
-        for a in range(-2, 3) for b in range(-2, 3) for c in range(-2, 3)
-    )
-    assert sum_of_squares(integers().scalar(7), 3, height_bound=3) is None
+    # -1 over F3 needs two squares: 1 + 1 = 2.
+    assert represents(euclidean(F3, 1), F3.scalar(-1)) is None
+    assert represents(euclidean(F3, 2), F3.scalar(-1)) is not None
 
 
 def test_sum_of_squares_found_values_check_out():
-    got = sum_of_squares(Q.scalar(Fraction(1, 4)), 1, height_bound=4)
+    got = represents(euclidean(Q, 1), Q.scalar(Fraction(1, 4)))
     assert got is not None and got[0] * got[0] == Q.scalar(Fraction(1, 4))
-    got = sum_of_squares(Z5.scalar(2), 2, height_bound=3)
+    got = represents(euclidean(Z5, 2), Z5.scalar(2))
     assert got is not None
     assert sum((x * x for x in got), Z5.zero) == Z5.scalar(2)
 
 
-def test_sum_of_squares_of_a_negative_builds_no_candidates(monkeypatch):
-    """Squares over Q, Z_(p) and Z are non-negative, so a negative target is
-    refused before any candidate of bounded height is built."""
-    def no_heights(bound):
-        raise AssertionError("candidates built for a negative target")
+def test_minus_one_is_no_sum_of_k_squares_before_any_candidate(monkeypatch):
+    """k<1> + <1> is definite over Q, so -1 is no sum of k squares over Q or
+    Z_(p): `represents` proves it before the bounded zero search starts."""
+    def no_search(q, bound):
+        raise AssertionError("bounded zero search entered for a definite form")
 
-    monkeypatch.setattr(rings, "_heights", no_heights)
+    monkeypatch.setattr(repsolve, "_bounded_zeros", no_search)
     for ring in (Q, Z5):
-        for k in (1, 4):
-            assert sum_of_squares(ring.scalar(-1), k, height_bound=50) is None
-    assert sum_of_squares(integers().scalar(-3), 4, height_bound=50) is None
+        for k in range(1, 5):
+            assert represents(euclidean(ring, k), ring.scalar(-1)) is None
 
 
-def test_sum_of_squares_padic_lifts():
-    """Over truncated Z_p the decomposition is a representation by the
+def test_represents_padic_lifts():
+    """Over truncated Z_p a sum of k squares is a representation by the
     Euclidean form, lifted from the residue field by one Hensel step."""
     ring = padic(5, 3)
     for a, k in ((-1, 1), (7, 2)):
         got = represents(euclidean(ring, k), ring.scalar(a))
         assert got is not None
         assert sum((x * x for x in got), ring.zero) == ring.scalar(a)
-
-
-def test_sum_of_squares_padic_is_refused():
-    with pytest.raises(RingError, match="repsolve.represents"):
-        sum_of_squares(padic(5, 3).scalar(-1), 1)
 
 
 def hensel_oracle(a, b, c, r0, p, N):
@@ -283,15 +273,6 @@ def test_ring_descriptor_flags():
         localized_at(9)
     with pytest.raises(RingError):
         padic(5, 0)
-
-
-def test_heights_match_brute_force():
-    """Every reduced rational with max(|num|, den) <= b, sorted by (height,
-    value): the order the Q and Z_(p) square searches rely on."""
-    for b in range(13):
-        brute = {Fraction(n, d) for d in range(1, b + 1) for n in range(-b, b + 1)}
-        assert list(_heights(b)) == sorted(
-            brute, key=lambda f: (max(abs(f.numerator), f.denominator), f))
 
 
 @pytest.mark.parametrize("ring,draw", [

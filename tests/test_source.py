@@ -376,3 +376,39 @@ def test_residue_field_rings_have_one_home():
     assert found == []
     assert _residue_kind_tests(ast.parse((Path(stiefel_lab.__file__).parent / "rings.py")
                                          .read_text()))
+
+
+def _budget_messages(tree) -> list[tuple[int, str]]:
+    """(line, leading literal text) of every `raise BudgetError(...)` whose
+    message starts with literal text: a plain string, or an f-string's
+    text before its first placeholder."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "BudgetError" and node.exc.args):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.JoinedStr) and message.values:
+            message = message.values[0]
+        if isinstance(message, ast.Constant) and isinstance(message.value, str):
+            found.append((node.lineno, message.value))
+    return found
+
+
+def test_budget_refusals_are_tested():
+    """The leading text of every budget refusal in the package appears in
+    some test file, so each refusal is raised and read by a test."""
+    sample = ast.parse("raise BudgetError(f'table of {n} rows refused')\n"
+                       "raise BudgetError('cap exceeded')\n"
+                       "raise BudgetError(f'{n} rows')\n"
+                       "raise ValueError('not a budget')\n")
+    assert _budget_messages(sample) == [(1, "table of "), (2, "cap exceeded")]
+    here = Path(__file__)
+    tests = "".join(path.read_text() for path in sorted(here.parent.glob("test_*.py"))
+                    if path != here)
+    found = []
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} {text!r}" for line, text in _budget_messages(tree)
+                  if text not in tests]
+    assert found == []

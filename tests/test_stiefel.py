@@ -149,7 +149,7 @@ def test_ordered_stiefel_and_identities():
 def face_tables_by_dict(q, max_p):
     """Reference: the ordered levels as sorted tuples, and each face table
     looked up in a dict from the frames of the level below to their index."""
-    by_size = stiefel._cliques(UnitSphere(q).adjacency(), max_p + 1, budget=10**7)
+    by_size = stiefel._cliques(UnitSphere(q).adjacency(), max_p + 1)
     levels = [sorted(t for c in by_size.get(size, []) for t in itertools.permutations(c))
               for size in range(1, max_p + 2)]
     index = [{t: i for i, t in enumerate(level)} for level in levels]
@@ -281,7 +281,7 @@ def test_cliques_match_combinations(m):
     max_size = 4 if m <= 65 else 3
     for seed in range(2):
         adj = random_graph(m, 0.3, seed)
-        got = stiefel._cliques(adj, max_size, budget=10**7)
+        got = stiefel._cliques(adj, max_size)
         assert got[1] == [(i,) for i in range(m)]
         for size in range(2, max_size + 1):
             subsets = np.fromiter(
@@ -299,17 +299,34 @@ def test_cliques_refuse_a_level_before_building_it(monkeypatch):
     short of the first three levels refuses size 3 from the popcount of the
     edge masks: only the vertex masks were ever unpacked."""
     adj = UnitSphere(euclidean(F3, 4)).adjacency()
-    assert {k: len(v) for k, v in stiefel._cliques(adj, 4, budget=240).items()} == \
+    monkeypatch.setattr(stiefel, "SIMPLEX_BUDGET", 240)
+    assert {k: len(v) for k, v in stiefel._cliques(adj, 4).items()} == \
         {1: 24, 2: 72, 3: 96, 4: 48}
-    assert len(stiefel._cliques(adj, 2, budget=24 + 72)[2]) == 72
+    monkeypatch.setattr(stiefel, "SIMPLEX_BUDGET", 24 + 72)
+    assert len(stiefel._cliques(adj, 2)[2]) == 72
     unpacked = []
     unpack = np.unpackbits
     monkeypatch.setattr(np, "unpackbits",
                         lambda a, *args, **kw: unpacked.append(len(a)) or unpack(a, *args, **kw))
+    monkeypatch.setattr(stiefel, "SIMPLEX_BUDGET", 24 + 72 + 96 - 1)
     with pytest.raises(BudgetError, match=r"^clique enumeration exceeded budget 191 at size 3 "
                                           r"\(running total 192\)$"):
-        stiefel._cliques(adj, 4, budget=24 + 72 + 96 - 1)
+        stiefel._cliques(adj, 4)
     assert unpacked == [24]
+
+
+def test_orthogonality_graph_tables_refuse_past_their_size(monkeypatch):
+    """The packed graph is priced at 8 bytes a word before it is built, and
+    the bool adjacency matrix of every vertex is refused above 8000 of them:
+    X(F_3^4) packs 24 rows of one word, X(F_3^10) has 19,764 vertices."""
+    monkeypatch.setattr(stiefel, "PACKED_GRAPH_BYTES", 24 * 8 - 1)
+    with pytest.raises(BudgetError, match=r"^packed orthogonality graph for 24 vertices "
+                                          r"\(192 bytes\) refused above 191$"):
+        UnitSphere(euclidean(F3, 4)).packed_rows()
+    monkeypatch.setattr(stiefel, "PACKED_GRAPH_BYTES", 24 * 8)
+    assert UnitSphere(euclidean(F3, 4)).packed_rows().shape == (24, 1)
+    with pytest.raises(BudgetError, match="^adjacency matrix for 19764 vertices refused$"):
+        UnitSphere(euclidean(F3, 10)).adjacency()
 
 
 def test_triangle_count_is_refused_above_the_simplex_budget(monkeypatch):
@@ -382,7 +399,7 @@ def frame_poset_and_filtration(n, l):
     orth = sphere.orthogonal_mask(0)
     orth[neg] = False
     filt = stiefel.MorseFiltration(l, 0, neg, orth)
-    by_size = stiefel._cliques(sphere.adjacency(), l, budget=10**6)
+    by_size = stiefel._cliques(sphere.adjacency(), l)
     frames = [frozenset(t) for size in sorted(by_size) for t in by_size[size]]
     return sphere, filt, poset_from_frames(frames)
 
