@@ -15,6 +15,8 @@ division: numpy's integer `%` is several times slower for the same residues).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from stiefel_lab.rings import BudgetError
@@ -37,10 +39,15 @@ def all_vectors(base: int, n: int) -> np.ndarray:
     return np.indices((base,) * n, dtype=np.int64).reshape(n, -1).T
 
 
+def block_rows(width: int) -> int:
+    """Rows of `width` entries one block holds (at least one)."""
+    return max(1, _BLOCK_ENTRIES // max(width, 1))
+
+
 def blocks(count: int, width: int):
     """Slices of range(count) whose rows, at `width` entries a row, fill at
     most _BLOCK_ENTRIES entries (one row per block when a row is wider)."""
-    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    step = block_rows(width)
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
@@ -52,6 +59,44 @@ def mod(a: np.ndarray, m: int) -> np.ndarray:
 def gram_values(gram: np.ndarray, X: np.ndarray, m: int) -> np.ndarray:
     """q(x) = x G x^T mod m for each row x of X."""
     return mod(np.einsum("ij,jk,ik->i", X, gram, X), m)
+
+
+@functools.cache
+def _upper_triangle(r: int):
+    """Row and column indices of the r(r + 1)/2 entries i <= j, and the
+    weight of each in q(x) (1 on the diagonal, 2 off it)."""
+    I, J = np.triu_indices(r)
+    return I, J, np.where(I == J, 1, 2)
+
+
+def first_solutions(grams: np.ndarray, p: int, a: int = 0) -> np.ndarray:
+    """For each of a stack of int Gram matrices of one rank r (shape
+    (B, r, r)), the lexicographically first nonzero x in [0, p)^r with
+    q(x) = a mod p, as one row of the (B, r) result; a zero row means q
+    takes no such value (for a = 0: the reduction mod p is anisotropic).
+
+    q(x) is the upper-triangle coefficients of the Gram matrix reduced mod p
+    (the off-diagonal ones doubled, so below 2p) times the monomials x_i x_j
+    reduced mod p, so every int64 sum stays below r(r + 1)/2 * 2p^2.  The
+    vector table is scanned in lexicographic slabs; a form leaves the scan at
+    its first hit.  Each slab is one block of `blocks` counted over its
+    temporaries: a row's r(r + 1)/2 monomials and its values on the forms
+    still unsolved each pass through at most four int64 arrays at a time."""
+    count, r = grams.shape[:2]
+    X = all_vectors(p, r)
+    I, J, weights = _upper_triangle(r)
+    coeffs = mod(grams[:, I, J], p) * weights
+    first = np.zeros(count, dtype=np.int64)  # table row of the first hit; row 0 is x = 0
+    left = np.arange(count)
+    lo = 1
+    while left.size and lo < len(X):
+        slab = X[lo:lo + block_rows(4 * (len(I) + left.size))]
+        hit = mod(mod(slab[:, I] * slab[:, J], p) @ coeffs[left].T, p) == a % p
+        solved = hit.any(axis=0)
+        first[left[solved]] = lo + hit[:, solved].argmax(axis=0)
+        left = left[~solved]
+        lo += len(slab)
+    return X[first]
 
 
 def unit_sphere(gram: np.ndarray, p: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from stiefel_lab.quadmod import euclidean
 from stiefel_lab.repsolve import (
     ZERO_SEARCH_BUDGET,
     _close_zero,
-    _residue_zero,
+    _residue_solutions,
     find_isotropic,
     represents,
 )
@@ -184,32 +184,38 @@ def compute_invariants(ring: RingDescriptor) -> InvariantReport:
 def padic_invariants(ring: RingDescriptor) -> InvariantReport:
     """s, u, m over truncated Z_p by Hensel-certified witnesses; these agree
     with the residue field (the lifts are the certificates, the failures are
-    exact because an anisotropic reduction stays anisotropic).  Each unit
-    diagonal is solved on its int Gram rows: the first solution of
-    q(x) = a mod p, closed mod p^N by `_close_zero`, which re-checks it."""
+    exact because an anisotropic reduction stays anisotropic).  The unit
+    diagonals of a rank are solved together on their int Gram rows: the
+    first solution of q(x) = a mod p of each, closed mod p^N by
+    `_close_zero`, which re-checks it."""
     if ring.kind != PADIC:
         raise RingError("expects a truncated p-adic ring")
     kappa_report = compute_invariants(ring.residue_ring())
     tag = f"hensel-certified at precision {ring.precision}"
 
-    def solves(d, a: int) -> bool:
-        rows = [[c if i == j else 0 for j in range(len(d))] for i, c in enumerate(d)]
-        x0 = _residue_zero(rows, ring.p, a)
-        if x0 is not None:
-            _close_zero(rows, x0, ring, a)  # raises unless q(x) = a mod p^N
-        return x0 is not None
+    def solve_all(forms, a: int) -> bool:
+        """Whether every form takes the value a; each solution found is
+        closed by `_close_zero`, which raises unless q(x) = a mod p^N."""
+        zeros = _residue_solutions(forms, ring.p, a)
+        for rows, x0 in zip(forms, zeros):
+            if x0 is not None:
+                _close_zero(rows, x0, ring, a)
+        return None not in zeros
+
+    def diagonal_rows(d):
+        return [[c if i == j else 0 for j in range(len(d))] for i, c in enumerate(d)]
 
     ranks = range(1, PADIC_SEARCH_RANK + 1)
-    diagonals = {r: _ff_all_unit_diagonals(ring.p, r).tolist() for r in ranks}
-    s_val = next((k for k in range(1, 5) if solves([1] * k, -1)), None)
+    diagonals = {r: [diagonal_rows(d) for d in _ff_all_unit_diagonals(ring.p, r).tolist()]
+                 for r in ranks}
+    s_val = next((k for k in range(1, 5) if solve_all([diagonal_rows([1] * k)], -1)), None)
     if s_val != kappa_report.stufe.value():
         raise AssertionError("Hensel-certified Stufe disagrees with the residue field")
     # u: the ranks below the first whose unit diagonals are all isotropic.
-    u_val = next((r - 1 for r in ranks if all(solves(d, 0) for d in diagonals[r])),
-                 PADIC_SEARCH_RANK)
+    u_val = next((r - 1 for r in ranks if solve_all(diagonals[r], 0)), PADIC_SEARCH_RANK)
     if u_val != kappa_report.u_invariant.value():
         raise AssertionError("Hensel-certified u-invariant disagrees with the residue field")
-    m_val = next((r for r in ranks if all(solves(d, 1) for d in diagonals[r])), None)
+    m_val = next((r for r in ranks if solve_all(diagonals[r], 1)), None)
     if m_val != kappa_report.m_invariant.value():
         raise AssertionError("Hensel-certified m-invariant disagrees with the residue field")
     # P: squeezed between P(kappa) and s + 1 (2 is a unit).
@@ -386,23 +392,20 @@ def no_rational_three_square(target: int, height: int) -> bool:
     1 <= d <= height and |a|, |b|, |c| <= height.  Vector height here is the
     max of the cleared-denominator entries (common denominator d included).
     The h(h + 1)(h + 2)/2 candidates (d, a <= b) at height h are priced
-    first: past ZERO_SEARCH_BUDGET of them the search is refused."""
+    first: past ZERO_SEARCH_BUDGET of them the search is refused.  The
+    search itself is one lookup: whether some target * d^2 - c^2 (c >= 0)
+    lies in the sorted table of the a^2 + b^2 (a, b >= 0), all <= 2h^2.
+    A negative target has no solution, nor has one past 3h^2, where every
+    difference passes 2h^2; so every int64 entry stays below 3h^4."""
     count = height * (height + 1) * (height + 2) // 2
     if count > ZERO_SEARCH_BUDGET:
         raise BudgetError(f"three-square search at height {height} prices {count} "
                           f"candidates, more than {ZERO_SEARCH_BUDGET}")
-    for d in range(1, height + 1):
-        rhs = target * d * d
-        amax = min(height, math.isqrt(rhs))
-        for a in range(amax + 1):
-            rem_a = rhs - a * a
-            bmax = min(height, math.isqrt(rem_a))
-            for b in range(a, bmax + 1):
-                c2 = rem_a - b * b
-                c = math.isqrt(c2)
-                if c * c == c2 and c <= height:
-                    return False
-    return True
+    if not 0 <= target <= 3 * height * height:
+        return True
+    squares = np.arange(height + 1, dtype=np.int64) ** 2
+    sums = np.unique(squares[:, None] + squares)
+    return not gfnum.member(sums, target * squares[1:, None] - squares).any()
 
 
 def m_zp_witness(p: int, height: int) -> MZpWitness:

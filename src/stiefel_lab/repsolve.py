@@ -3,10 +3,12 @@
 The organizing fact: a non-singular form q represents a unit a exactly when
 q(x) = a has a solution, and each ring kind reaches one by one route.  Over
 the residue rings Z/m, m = ring.modulus (p over F_p, which is Z/p^1, and p^N
-over truncated Z_p), one int kernel finds the first x with q(x) = a mod p
-exhaustively and, when m > p, closes it with one Hensel step; isotropy is
-its case a = 0.  Over Q and Z_(p) one bounded-height search finds zeros
-(w | x) of q + <-a>, and the first with a unit x gives q(w/x) = a.
+over truncated Z_p), one batched kernel, `gfnum.first_solutions`, finds
+the first x with q(x) = a mod p exhaustively for every form of a stack of
+one rank at once, and, when m > p, each is closed with one Hensel step;
+isotropy is its case a = 0.  Over Q and Z_(p) one bounded-height search
+finds zeros (w | x) of q + <-a>, and the first with a unit x gives
+q(w/x) = a.
 
 Bounded search cannot prove negatives over infinite rings, so "not found
 within bound" is a first-class outcome carrying its bound and is never
@@ -86,14 +88,24 @@ class IsotropyWitness:
         return self.found
 
 
-def _residue_zero(rows: Sequence[Sequence[int]], p: int, a: int = 0) -> Optional[list[int]]:
-    """Lexicographically first nonzero x with q(x) = a mod p, for q the form
-    with these int Gram rows; None when q takes no such value (for a = 0:
-    the reduction mod p is anisotropic)."""
-    X = gfnum.all_vectors(p, len(rows))[1:]  # skip zero
-    G = np.array([[g % p for g in row] for row in rows], dtype=np.int64)
-    hits = np.flatnonzero(gfnum.gram_values(G, X, p) == a % p)
-    return X[hits[0]].tolist() if hits.size else None
+def _residue_solutions(forms: Sequence[Sequence[Sequence[int]]], p: int,
+                       a: int = 0) -> list[Optional[list[int]]]:
+    """For each form, given by its int Gram rows, the lexicographically first
+    nonzero x with q(x) = a mod p, or None when q takes no such value (for
+    a = 0: the reduction mod p is anisotropic).  The forms of each rank are
+    solved together, in one call of the batched kernel
+    `gfnum.first_solutions`."""
+    out: list[Optional[list[int]]] = [None] * len(forms)
+    by_rank: dict[int, list[int]] = {}
+    for i, rows in enumerate(forms):
+        by_rank.setdefault(len(rows), []).append(i)
+    for members in by_rank.values():
+        grams = np.array([[[g % p for g in row] for row in forms[i]] for i in members],
+                         dtype=np.int64)
+        for i, x in zip(members, gfnum.first_solutions(grams, p, a).tolist()):
+            if any(x):
+                out[i] = x
+    return out
 
 
 def _close_zero(rows: Sequence[Sequence[int]], x0: Sequence[int],
@@ -181,7 +193,7 @@ def find_isotropic(
     if q.rank == 0:
         return IsotropyWitness(None, REGIME_EXHAUSTIVE)
     if ring.modulus is not None:
-        x0 = _residue_zero(q.gram_values, ring.p)
+        x0 = _residue_solutions([q.gram_values], ring.p)[0]
         if x0 is None:
             return IsotropyWitness(None, REGIME_EXHAUSTIVE, precision=ring.precision)
         regime = REGIME_HENSEL if ring.kind == PADIC else REGIME_EXHAUSTIVE
@@ -234,7 +246,7 @@ def represents(q: QuadraticModule, a: Scalar) -> Optional[Vector]:
     if not q.is_nonsingular():
         raise ValueError("representation search expects a non-singular module")
     if ring.modulus is not None:
-        x0 = _residue_zero(q.gram_values, ring.p, a.value)
+        x0 = _residue_solutions([q.gram_values], ring.p, a.value)[0]
         return None if x0 is None else vec(ring, _close_zero(q.gram_values, x0, ring, a.value))
     if ring.kind not in (LOCALIZED, RATIONALS):
         raise RingError(f"representation search not supported over {ring.label()}")
@@ -265,25 +277,27 @@ def hensel_isotropy_replay(p: int = 5, precision: int = 4, count: int = 50,
     generated = 0
     targets = [padic(p, n) for n in (range(1, precision + 1) if all_precisions else [precision])]
     while done < count:
-        generated += 1
-        if generated > 100 * count:
-            raise BudgetError(f"form generation stalled after {generated - 1} forms")
-        rank = rng.choice([2, 3])
-        rows = [[rng.randrange(p ** precision) for _ in range(rank)] for _ in range(rank)]
-        for i in range(rank):
-            for j in range(i):
-                rows[i][j] = rows[j][i]
-        if _bareiss_det(rows) % p == 0:  # singular over Z/p^N
-            continue
-        # The residue form is the same at every precision, so one mod-p scan
-        # is the filter (none found: the reduction is anisotropic) and the
-        # zero that each precision closes (re-checked there to vanish mod p^n).
-        x0 = _residue_zero(rows, p)
-        if x0 is None:
-            continue
-        for ring in targets:
-            _close_zero(rows, x0, ring)
-        done += 1
+        if generated == 100 * count:
+            raise BudgetError(f"form generation stalled after {generated} forms")
+        # Each form lifts at most once, so count - done more forms are all
+        # needed; at most one block of rank-3 Gram matrices is drawn ahead.
+        size = min(count - done, 100 * count - generated, gfnum.block_rows(9))
+        forms = []
+        for _ in range(size):  # the rank, then the rows; the upper triangle is kept
+            rank = rng.choice([2, 3])
+            rows = [[rng.randrange(p ** precision) for _ in range(rank)] for _ in range(rank)]
+            forms.append([[rows[min(i, j)][max(i, j)] for j in range(rank)] for i in range(rank)])
+        # The residue form is the same at every precision, so one mod-p
+        # solution is the filter (none found: the reduction is anisotropic)
+        # and the zero that each precision closes (re-checked there to
+        # vanish mod p^n).
+        for rows, x0 in zip(forms, _residue_solutions(forms, p)):
+            generated += 1
+            if x0 is None or _bareiss_det(rows) % p == 0:  # or singular over Z/p^N
+                continue
+            for ring in targets:
+                _close_zero(rows, x0, ring)
+            done += 1
     return {"p": p, "precision": precision, "count": done, "seed": seed,
             "forms_generated": generated}
 

@@ -242,15 +242,27 @@ def test_parser_is_built_once_and_keeps_no_values(monkeypatch, capsys):
 
 
 def test_hensel_stall_exit_2(monkeypatch, capsys):
-    from stiefel_lab import repsolve
+    import random
+
+    from stiefel_lab import gfnum
 
     # Every form's reduction reads as anisotropic, so no form ever lifts.
-    monkeypatch.setattr(repsolve, "_residue_zero", lambda rows, p: None)
+    monkeypatch.setattr(gfnum, "first_solutions",
+                        lambda grams, p, a: np.zeros(grams.shape[:2], dtype=np.int64))
+    drawn = []  # one rank is drawn per form
+
+    class CountedRandom(random.Random):
+        def choice(self, seq):
+            drawn.append(seq)
+            return super().choice(seq)
+
+    monkeypatch.setattr(random, "Random", CountedRandom)
     code = main(["hensel", "--count", "2"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: form generation stalled after 200 forms")
     assert "Traceback" not in err
+    assert 200 <= len(drawn) <= 201
 
 
 def test_invariants_field_scan_budget_exit_2(capsys):

@@ -2,6 +2,7 @@
 code, and the memory that the blocked F_p scans may hold."""
 
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,67 @@ def test_member_on_absent_and_largest_codes():
     assert gfnum.member(known, codes).tolist() == [False, True, False, True, False, True, False]
     assert gfnum.member(np.append(known, top), codes)[-1]
     assert not gfnum.member(known[:0], codes).any()
+
+
+def first_solution_oracle(rows, p, a):
+    """Brute force, one form at a time: the first nonzero x of [0, p)^r in
+    lexicographic order with q(x) = a mod p, or None."""
+    r = len(rows)
+    for x in itertools.product(range(p), repeat=r):
+        if any(x) and (sum(x[i] * rows[i][j] * x[j] for i in range(r) for j in range(r))
+                       - a) % p == 0:
+            return list(x)
+    return None
+
+
+def oracle_forms(p, r, rng):
+    """Gram rows of rank r: random symmetric ones with entries of either
+    sign, the zero form (solved by every x for a = 0, by none for a unit),
+    the identity, and n<1> + <-c> for c a non-square (anisotropic at r = 2)."""
+    forms = []
+    for _ in range(10 if p ** r < 5000 else 3):
+        rows = [[rng.randrange(-3 * p, 3 * p) for _ in range(r)] for _ in range(r)]
+        forms.append([[rows[min(i, j)][max(i, j)] for j in range(r)] for i in range(r)])
+    squares = {x * x % p for x in range(p)}
+    c = next(c for c in range(1, p) if c not in squares)
+    forms.append([[0] * r for _ in range(r)])
+    forms.append([[int(i == j) for j in range(r)] for i in range(r)])
+    forms.append([[(1 if i < r - 1 else -c) * (i == j) for j in range(r)] for i in range(r)])
+    return forms
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_first_solutions_match_the_per_form_scan(p, monkeypatch):
+    """The batched kernel against the brute-force scan, for ranks 1-4 and
+    a in {0, 1, -1}, in one batch and one form at a time, with slabs of
+    the default block, slabs of one row (smaller than any batch of more
+    than one; on tables of at most 13^3 rows, as a slab a row is slow), and
+    two slabs: the nonzero x with x_1 = 0, then the rest of the table,
+    where some first solutions lie."""
+    rng = random.Random(p)
+    default = gfnum.block_rows
+
+    def solve(grams, a, slabs):
+        """The kernel's solutions with these slab sizes (the last repeated),
+        or with the default block when slabs is None."""
+        sizes = iter(slabs or ())
+        monkeypatch.setattr(gfnum, "block_rows",
+                            default if slabs is None else lambda width: next(sizes, slabs[-1]))
+        return [x if any(x) else None for x in gfnum.first_solutions(grams, p, a).tolist()]
+
+    seen = {"none": 0, "last slab": 0}
+    for r in range(1, 5):
+        plans = [None, [max(1, p ** (r - 1) - 1), p ** r]] + ([[1]] if p ** r <= 13 ** 3 else [])
+        for a in (0, 1, -1):
+            forms = oracle_forms(p, r, rng)
+            want = [first_solution_oracle(rows, p, a) for rows in forms]
+            grams = np.array(forms, dtype=np.int64)
+            for slabs in plans:
+                assert solve(grams, a, slabs) == want, (r, a, slabs)
+                assert [solve(grams[i:i + 1], a, slabs)[0] for i in range(len(forms))] == want
+            seen["none"] += want.count(None)
+            seen["last slab"] += sum(x is not None and x[0] > 0 for x in want) if r > 1 else 0
+    assert seen["none"] and seen["last slab"]
 
 
 def peak_mib(call) -> float:

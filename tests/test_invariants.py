@@ -168,6 +168,33 @@ def test_no_rational_three_square_oracle():
     assert no_rational_three_square(7, 30)
 
 
+def three_square_loop(target, height):
+    """The triple loop the table lookup replaced: True when no
+    a^2 + b^2 + c^2 = target * d^2 with 1 <= d <= height and
+    0 <= a <= b <= height, c = the remaining root, c <= height."""
+    for d in range(1, height + 1):
+        rhs = target * d * d
+        for a in range(min(height, math.isqrt(rhs)) + 1):
+            rem_a = rhs - a * a
+            for b in range(a, min(height, math.isqrt(rem_a)) + 1):
+                c2 = rem_a - b * b
+                c = math.isqrt(c2)
+                if c * c == c2 and c <= height:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("target, found", [(3, True), (6, True), (14, True), (12, True),
+                                           (7, False), (15, False), (28, False), (60, False)])
+def test_three_square_lookup_matches_the_loop(target, found):
+    """The lookup answers as the loop at every height up to 12; 3, 6, 14 and
+    12 are sums of three squares (at d = 1), while 7, 15, 28 = 4 * 7 and
+    60 = 4 * 15 are of the form 4^k(8m + 7) and stay unrepresented."""
+    for height in range(1, 13):
+        assert no_rational_three_square(target, height) == three_square_loop(target, height)
+    assert no_rational_three_square(target, 12) is not found
+
+
 def test_three_square_search_is_priced_before_its_loop(monkeypatch):
     """h(h + 1)(h + 2)/2 candidates at height h: 97,527 at h = 57 fit
     ZERO_SEARCH_BUDGET, 102,660 at h = 58 are refused before any is read."""

@@ -32,8 +32,8 @@ from stiefel_lab.repsolve import (
     ZERO_SEARCH_BUDGET,
     _bounded_zeros,
     _close_zero,
+    _residue_solutions,
     _shell,
-    _residue_zero,
     find_isotropic,
     hensel_isotropy_replay,
     represents,
@@ -206,7 +206,7 @@ def test_residue_kernel_matches_brute_force(p):
         n = len(rows)
         for a in [*range(p), p + 1]:
             sols = residue_zeros(rows, p, a)
-            x0 = _residue_zero(rows, p, a)
+            x0 = _residue_solutions([rows], p, a)[0]
             for ring in (finite_field(p), padic(p, 1), padic(p, 2), padic(p, 3)):
                 m = ring.modulus
                 q = quadratic_module(ring, rows)
