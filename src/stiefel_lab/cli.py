@@ -99,10 +99,14 @@ def cmd_invariants(args) -> int:
         for name, status in check_inequalities(rep):
             assertions.append(_assertion(name, status == "pass", status))
     else:
-        zp = args.ring == "zp"
-        ring = padic(args.p, args.precision) if zp else localized_at(args.p)
-        rep = padic_invariants(ring) if zp else localized_invariants(ring, args.height)
-        kappa = compute_invariants(ring.residue_ring())
+        if args.ring == "zp":  # the residue field's report is computed once
+            ring = padic(args.p, args.precision)
+            kappa = compute_invariants(ring.residue_ring())
+            rep = padic_invariants(ring, kappa)
+        else:
+            ring = localized_at(args.p)
+            rep = localized_invariants(ring, args.height)
+            kappa = compute_invariants(ring.residue_ring())
         results = rep.as_dict()
         for name, status in check_inequalities(rep, kappa):
             assertions.append(_assertion(name, status != "fail", status))

@@ -6,9 +6,13 @@ package means that reduced homology vanishes in degrees <= k; the fundamental
 group is never computed, and every certificate that depends on sphericity in
 degrees >= 2 says so.
 
-Every matrix is first reduced by sparse unit-pivot elimination in Markowitz
-order; only the leftover without a +-1 entry is finished by dense elimination,
-which the test suite cross-checks against dense elimination of the whole.
+Every matrix takes one path, as numpy arrays of its entries: first the peel,
+vectorised rounds of +-1 pivots that are alone in their row or column and so
+create no fill (the coreductions of Mrozek and Batko); then sparse unit-pivot
+elimination in Markowitz order on the core the peel leaves; then dense
+elimination of the leftover without a +-1 entry.  The test suite
+cross-checks the path against dense elimination of the whole and against
+gcds of minors.
 """
 
 from __future__ import annotations
@@ -19,15 +23,21 @@ from math import gcd
 from operator import itemgetter, lt
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
+from stiefel_lab import gfnum
 from stiefel_lab.rings import BudgetError
 
 # Routes nothing here.  The benchmark's traced runs name their SNF spans
 # "dense" or "sparse" by this column count, and need both names to occur.
 DENSE_COLUMN_CUTOFF = 2000
-# Live entries the sparse elimination may hold.  Its row dicts and column
-# sets took 190 and 302 bytes of peak RSS per live entry on the cleared d = 2
-# boundaries of X(F_3^6) and X(F_7^4), so the budget stands for at most about
-# 2.4 GB.
+# Entries a boundary may have, priced as (d + 1) n_d before its arrays are
+# built, and live entries the Markowitz elimination may hold.  The arrays and
+# the peel took 38 bytes of peak RSS per entry on the d = 2 boundary of
+# X(F_3^7) (7,960,680 entries, peeled whole), so a boundary at the budget
+# costs about 0.3 GB; the Markowitz row dicts and column sets took 190 and
+# 302 bytes per live entry on the cleared d = 2 boundaries of X(F_3^6) and
+# X(F_7^4), so a core at the budget stands for at most about 2.4 GB.
 SNF_ENTRY_BUDGET = 8_000_000
 # Sparse integer matrix entries: a dict {(row, col): value}, or its items
 # read once.
@@ -115,8 +125,8 @@ def _sparse_unit_reduce(entries: Entries, pivot_columns: Optional[list[int]] = N
     skipped.  Returns the count of unit pivots and the leftover entries (to
     finish densely), and appends each pivot's column to `pivot_columns` when
     given.  The entries are read once into rows and columns, so a caller
-    that streams them (as reduced_homology does) holds no copy while the
-    elimination runs.
+    that streams them (as `_invariant_factors` streams the peel's core)
+    holds no copy while the elimination runs.
 
     The live entries are counted: loading reads at most SNF_ENTRY_BUDGET + 1
     nonzero entries and refuses, before any pivot, when it holds more than
@@ -199,21 +209,63 @@ def _densify(entries: dict[tuple[int, int], int], row_ids, col_ids) -> list[list
     return dense
 
 
-def _invariant_factors(entries: Entries,
-                       pivot_columns: Optional[list[int]] = None) -> list[int]:
-    """Nonzero invariant factors of the matrix with the given sparse entries:
-    unit-pivot elimination (its pivot columns appended to `pivot_columns`
-    when given), with the leftover finished densely."""
-    units, leftover = _sparse_unit_reduce(entries, pivot_columns)
+def _peel(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+          pivot_columns: list[int]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Take every +-1 entry that is alone in its column or alone in its row
+    as a pivot, in vectorised rounds, until none is left; returns the count
+    of pivots and the core's rows, cols and vals, and appends each pivot's
+    column to `pivot_columns`.
+
+    Such a pivot needs no fill: alone in its column, its row clears the rest
+    of its row by column operations that touch no other row; alone in its
+    row, row operations clear its column and touch no other column.  Either
+    way the Schur complement is the matrix with that row and column deleted,
+    and the pivot contributes one invariant factor 1.  Each round counts the
+    rows and columns, picks every such entry, keeps the first per row and
+    then the first per column, and deletes their rows and columns at once:
+    deletion only removes entries, so a pivot kept in a round stays alone
+    after the others are deleted.  Values are never changed, so an object
+    array of Python ints stays exact."""
+    units = (vals == 1) | (vals == -1)
+    peeled = 0
+    while rows.size:
+        alone = (np.bincount(rows)[rows] == 1) | (np.bincount(cols)[cols] == 1)
+        picked = np.flatnonzero(alone & units)
+        if not picked.size:
+            break
+        picked = np.sort(picked[np.unique(rows[picked], return_index=True)[1]])
+        picked = picked[np.unique(cols[picked], return_index=True)[1]]
+        dead_rows = np.zeros(rows.max() + 1, dtype=bool)
+        dead_cols = np.zeros(cols.max() + 1, dtype=bool)
+        dead_rows[rows[picked]] = dead_cols[cols[picked]] = True
+        pivot_columns += cols[picked].tolist()
+        peeled += picked.size
+        keep = ~(dead_rows[rows] | dead_cols[cols])
+        rows, cols, vals, units = rows[keep], cols[keep], vals[keep], units[keep]
+    return peeled, rows, cols, vals
+
+
+def _invariant_factors(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                       pivot_columns: list[int]) -> list[int]:
+    """Nonzero invariant factors of the matrix with the given entries
+    (distinct positions, nonzero values): the peel, then unit-pivot
+    elimination of its core in Markowitz order, then dense elimination of
+    what is left.  Every pivot's column is appended to `pivot_columns`."""
+    peeled, rows, cols, vals = _peel(rows, cols, vals, pivot_columns)
+    units, leftover = _sparse_unit_reduce(
+        zip(zip(rows.tolist(), cols.tolist()), vals.tolist()), pivot_columns)
     rest = _dense_snf(_densify(
         leftover, sorted({i for i, _ in leftover}), sorted({j for _, j in leftover})))
-    return [1] * units + rest
+    return [1] * (peeled + units) + rest
 
 
 def smith_normal_form(matrix) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix."""
-    return _invariant_factors(
-        {(i, j): int(x) for i, r in enumerate(matrix) for j, x in enumerate(r) if x})
+    """Invariant factors d_1 | d_2 | ... of an integer matrix, whose entries
+    are read as Python ints and kept exact (an object array) at any size."""
+    entries = [(i, j, int(x)) for i, r in enumerate(matrix) for j, x in enumerate(r) if x]
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    return _invariant_factors(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                              np.array(vals, dtype=object), [])
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +296,54 @@ class SimplicialComplex:
         return len(self.simplices.get(d, []))
 
     def boundary_entries(self, d: int) -> dict[tuple[int, int], int]:
-        """Sparse entries of the boundary map C_d -> C_(d-1)."""
-        return dict(self.boundary_items(d))
+        """Sparse entries {(row, col): sign} of the boundary map C_d -> C_(d-1)."""
+        rows, cols, signs = self.boundary_arrays(d, ())
+        return dict(zip(zip(rows.tolist(), cols.tolist()), signs.tolist()))
 
-    def boundary_items(self, d: int, cleared: Collection[int] = ()):
-        """The entries of the boundary map C_d -> C_(d-1) as ((row, col),
-        sign) pairs, column by column, without the rows in `cleared`."""
-        lower_index = {s: i for i, s in enumerate(self.simplices.get(d - 1, []))}
-        for col, s in enumerate(self.simplices.get(d, [])):
-            sign = 1
-            for i in range(len(s)):
-                row = lower_index[s[:i] + s[i + 1:]]
-                if row not in cleared:
-                    yield (row, col), sign
-                sign = -sign
+    def _vertex_ranks(self, d: int) -> np.ndarray:
+        """The d-simplices as rows of vertex ranks: each vertex label's
+        position among the sorted labels of the 0-simplices."""
+        labels = np.sort(np.array(self.simplices.get(0, []), dtype=np.int64).reshape(-1))
+        table = np.array(self.simplices.get(d, []), dtype=np.int64).reshape(-1, d + 1)
+        known = gfnum.member(labels, table).all(axis=1)
+        if not known.all():
+            raise ValueError(f"{d}-simplex {self.simplices[d][known.argmin()]} "
+                             f"has a vertex that is no 0-simplex")
+        return np.searchsorted(labels, table)
+
+    def boundary_arrays(self, d: int, cleared: Collection[int]):
+        """The entries of the boundary map C_d -> C_(d-1), d >= 1, without
+        the rows in `cleared`: int64 rows, cols and signs, column by column.
+
+        Faces are found by code: column i of the table of vertex ranks is
+        dropped, the rest coded in base the vertex count, and each code
+        searched among the sorted codes of the (d-1)-simplices; a missing
+        face raises ValueError naming the simplex.  Refused with BudgetError
+        before any array is built when the boundary's (d + 1) n_d entries
+        exceed SNF_ENTRY_BUDGET."""
+        count = self.n_simplices(d)
+        if (d + 1) * count > SNF_ENTRY_BUDGET:
+            raise BudgetError(f"the boundary d_{d} has {d + 1} x {count} = {(d + 1) * count} "
+                              f"entries, more than {SNF_ENTRY_BUDGET}; refused before it is built")
+        upper = self._vertex_ranks(d)
+        w = gfnum.code_weights(self.n_simplices(0), d)
+        lower = gfnum.codes(self._vertex_ranks(d - 1), w)
+        order = np.argsort(lower)
+        known = lower[order]
+        rows = np.empty_like(upper)
+        for i in range(d + 1):
+            faces = gfnum.codes(np.delete(upper, i, axis=1), w)
+            found = gfnum.member(known, faces)
+            if not found.all():
+                raise ValueError(f"{d}-simplex {self.simplices[d][found.argmin()]} "
+                                 f"has a face that is no {d - 1}-simplex")
+            rows[:, i] = order[np.searchsorted(known, faces)]
+        drop = np.zeros(len(lower), dtype=bool)
+        drop[list(cleared)] = True
+        keep = ~drop[rows.ravel()]
+        cols = np.repeat(np.arange(count, dtype=np.int64), d + 1)
+        signs = np.tile(np.resize(np.array([1, -1], dtype=np.int64), d + 1), count)
+        return rows.ravel()[keep], cols[keep], signs[keep]
 
 
 def complex_from_simplices(simps: Iterable[Sequence[int]]) -> SimplicialComplex:
@@ -357,15 +443,25 @@ def reduced_homology(
     the zeroth Betti number is cross-checked against a union-find count.
 
     Boundaries are reduced bottom-up in one loop, each cleared by the one
-    below (Chen and Kerber's twist): the rows of d_(k+1) at the unit-pivot
-    columns J of d_k are dropped before it is reduced.  Those pivots make
-    d_k[I, J] triangular with +-1 on the diagonal after row operations, so
-    it is unimodular; as d_k d_(k+1) = 0, rows J of d_(k+1) are then integer
-    combinations of its other rows, and dropping them keeps the row lattice,
-    hence the rank and the invariant factors.  A boundary above the
-    complex's dimension is zero and never built.  A graph (dimension 1) is
-    not eliminated at all: every invariant factor of d_1 is 1, so its rank
-    is the vertex count minus the union-find component count."""
+    below (Chen and Kerber's twist): the rows of d_(k+1) at the pivot columns
+    J of d_k are dropped before it is reduced.  The pivots, in the order they
+    were taken (the peel's, then the Markowitz core's), make d_k[I, J]
+    upper triangular with +-1 on the diagonal after row operations, as each
+    clears its column from every row still live; so d_k[I, J] is unimodular.
+    As d_k d_(k+1) = 0, rows J of d_(k+1) are then integer combinations of
+    its other rows, and dropping them keeps the row lattice, hence the rank
+    and the invariant factors.  The loop starts from d_0, the augmentation
+    C_0 -> Z (rank 1, which makes the homology reduced): its one row is all
+    ones, so its unit pivot at vertex 0 makes d_0[I, J] = (1), and d_1 is
+    reduced without row 0.  The peel then takes a spanning tree of the
+    1-skeleton, the star of vertex 0 first and then breadth first.  The
+    union-find cross-check reads the rank of this cleared d_1, which the
+    same argument keeps equal to the rank of the whole.
+
+    A boundary above the complex's dimension is zero and never built.  A
+    graph (dimension 1) is not eliminated at all: every invariant factor of
+    d_1 is 1, so its rank is the vertex count minus the union-find
+    component count."""
     dimension = K.dimension
     complete = max_degree >= dimension
     if K.n_simplices(0) == 0:
@@ -378,17 +474,17 @@ def reduced_homology(
         )
     components = _component_count((s[0] for s in K.simplices.get(0, [])),
                                   K.simplices.get(1, []))
-    # Rank and torsion of d_0, ..., d_(max_degree + 1), where d_0 is the
-    # augmentation C_0 -> Z (rank 1) that makes the homology reduced.
+    # Rank and torsion of d_0, ..., d_(max_degree + 1); the augmentation d_0
+    # has rank 1 and its pivot column 0.
     ranks = [1] + [0] * (max_degree + 1)
     torsion: list[tuple[int, ...]] = [()] * (max_degree + 2)
-    cleared: list[int] = []
+    cleared = [0]
     for d in range(1, min(max_degree + 1, dimension) + 1):
         if dimension == 1:  # a graph: d_1 has only unit invariant factors
             ranks[1] = K.n_simplices(0) - components
             break
         pivots: list[int] = []
-        factors = _invariant_factors(K.boundary_items(d, set(cleared)), pivots)
+        factors = _invariant_factors(*K.boundary_arrays(d, cleared), pivots)
         ranks[d], torsion[d], cleared = len(factors), tuple(f for f in factors if f != 1), pivots
         # SNF cross-check of the union-find count.
         if d == 1 and K.n_simplices(0) - ranks[1] != components:

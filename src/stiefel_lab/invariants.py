@@ -181,16 +181,21 @@ def compute_invariants(ring: RingDescriptor) -> InvariantReport:
 # ---------------------------------------------------------------------------
 
 
-def padic_invariants(ring: RingDescriptor) -> InvariantReport:
+def padic_invariants(ring: RingDescriptor,
+                     kappa_report: Optional[InvariantReport] = None) -> InvariantReport:
     """s, u, m over truncated Z_p by Hensel-certified witnesses; these agree
-    with the residue field (the lifts are the certificates, the failures are
-    exact because an anisotropic reduction stays anisotropic).  The unit
-    diagonals of a rank are solved together on their int Gram rows: the
-    first solution of q(x) = a mod p of each, closed mod p^N by
-    `_close_zero`, which re-checks it."""
+    with the residue field's `kappa_report` (computed here when not given;
+    the lifts are the certificates, the failures are exact because an
+    anisotropic reduction stays anisotropic).  The unit diagonals of a rank
+    are solved together on their int Gram rows: the first solution of
+    q(x) = a mod p of each, closed mod p^N by `_close_zero`, which re-checks
+    it."""
     if ring.kind != PADIC:
         raise RingError("expects a truncated p-adic ring")
-    kappa_report = compute_invariants(ring.residue_ring())
+    if kappa_report is None:
+        kappa_report = compute_invariants(ring.residue_ring())
+    elif kappa_report.ring != ring.residue_ring():
+        raise ValueError("residue report does not match the ring")
     tag = f"hensel-certified at precision {ring.precision}"
 
     def solve_all(forms, a: int) -> bool:

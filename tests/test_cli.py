@@ -212,15 +212,59 @@ def test_triangle_count_budget_exit_2(monkeypatch, capsys):
 
 
 def test_snf_entry_budget_exit_2(monkeypatch, capsys):
-    # The d = 2 boundary of X(F_3^5), cleared of its 89 rows at the unit-pivot
-    # columns of d = 1, holds 5,946 entries and fills up to 5,948 live ones.
+    # X(F_3^5) has 1,080 edges and 2,160 triangles: d_1 has 2 x 1,080 =
+    # 2,160 entries and is reduced, d_2 has 3 x 2,160 = 6,480 and is priced
+    # past the budget before its arrays are built.
     monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 5947)
     code = main(["connectivity", "--field", "3", "--n", "5", "--max-degree", "1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: sparse elimination refused after 1 unit pivots: "
-                          "5948 live entries exceed 5947")
+    assert err == ("error: the boundary d_2 has 3 x 2160 = 6480 entries, more than 5947; "
+                   "refused before it is built\n")
     assert "Traceback" not in err
+
+
+def test_connectivity_f3_n7_degree_one_fits_a_capped_address_space():
+    """X(F_3^7) at degree <= 1 (702 / 88,452 / 2,653,560 simplices) runs in
+    a child whose address space alone is capped at 1.5 GB, and exits 0 with
+    vanishing homology."""
+    import resource
+
+    cap = 3 * 2 ** 29
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "stiefel_lab.cli", "connectivity", "--field", "3", "--n", "7",
+         "--max-degree", "1"],
+        capture_output=True, text=True, preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = json.loads(proc.stdout)["results"]
+    assert results["betti"] == [0, 0] and results["torsion"] == [[], []]
+
+
+def test_zp_invariants_scan_the_residue_field_once(monkeypatch, capsys):
+    """`invariants --ring zp` computes the residue field's report once and
+    hands it to `padic_invariants`; stdout is the same as when that function
+    computes its own."""
+    from stiefel_lab import invariants
+    from stiefel_lab.rings import finite_field, padic
+
+    argv = ["invariants", "--ring", "zp", "--p", "13", "--precision", "4"]
+    alone = run_cli(argv, capsys)
+    scanned = []
+    compute = invariants.compute_invariants
+    monkeypatch.setattr(invariants, "compute_invariants",
+                        lambda ring: scanned.append(ring.label()) or compute(ring))
+    assert run_cli(argv, capsys) == alone
+    assert scanned == ["F13"]
+    ring = padic(13, 4)
+    assert invariants.padic_invariants(ring) == \
+        invariants.padic_invariants(ring, compute(finite_field(13)))
+    with pytest.raises(ValueError, match="residue report does not match the ring"):
+        invariants.padic_invariants(ring, compute(finite_field(5)))
 
 
 def test_parser_is_built_once_and_keeps_no_values(monkeypatch, capsys):

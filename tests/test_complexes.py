@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from stiefel_lab import complexes
@@ -22,7 +23,7 @@ from stiefel_lab.complexes import (
     reduced_homology,
     smith_normal_form,
 )
-from stiefel_lab.complexes import _dense_snf, _sparse_unit_reduce
+from stiefel_lab.complexes import _dense_snf, _invariant_factors, _peel, _sparse_unit_reduce
 from stiefel_lab.quadmod import euclidean
 from stiefel_lab.rings import BudgetError, finite_field
 from stiefel_lab.stiefel import build_stiefel
@@ -156,6 +157,197 @@ def test_snf_sparse_on_boundary_matrices():
         assert prof.torsion == ((),) + tuple(torsion[d + 1] for d in range(1, K.dimension + 1))
 
 
+def entry_arrays(m):
+    """The nonzero entries of a dense matrix as int64 rows, cols and vals."""
+    entries = [(i, j, x) for i, r in enumerate(m) for j, x in enumerate(r) if x]
+    return tuple(np.array(entries, dtype=np.int64).reshape(-1, 3).T)
+
+
+def alone_units(rows, cols, vals) -> list:
+    """The +-1 entries alone in their row or in their column."""
+    row_count, col_count = {}, {}
+    for i, j in zip(rows, cols):
+        row_count[i] = row_count.get(i, 0) + 1
+        col_count[j] = col_count.get(j, 0) + 1
+    return [(i, j, v) for i, j, v in zip(rows, cols, vals)
+            if abs(v) == 1 and (row_count[i] == 1 or col_count[j] == 1)]
+
+
+def test_peel_core_dense_matches_minor_oracle():
+    """The one path (peel, Markowitz core, dense finish) against gcds of
+    minors and dense elimination on seeded matrices with empty rows and
+    columns and +-2 entries, some alone in their row or column; each
+    matrix's core holds no +-1 entry alone in its row or column."""
+    rng = random.Random(31)
+    for _ in range(60):
+        m_rows, m_cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3]) for _ in range(m_cols)]
+             for _ in range(m_rows)]
+        m[rng.randrange(m_rows)] = [0] * m_cols
+        for row in m:
+            row[rng.randrange(m_cols)] = 0
+        oracle = invariant_factors_by_minors(m)
+        assert _invariant_factors(*entry_arrays(m), []) == oracle
+        assert _dense_snf([row[:] for row in m]) == oracle
+        _, *core = _peel(*entry_arrays(m), [])
+        assert alone_units(*(a.tolist() for a in core)) == []
+
+
+def test_peel_leaves_entries_other_than_units_alone():
+    """+-2 and 3 alone in their row and column are no pivots; a +-1 alone in
+    its row or column is, and its row and column go."""
+    m = [[2, 0, 0, 5],
+         [0, -2, 1, 7],
+         [0, 0, 0, 0],
+         [3, 0, 0, 4]]
+    pivots = []
+    peeled, rows, cols, vals = _peel(*entry_arrays(m), pivots)
+    assert (peeled, pivots) == (1, [2])
+    assert sorted(zip(rows.tolist(), cols.tolist(), vals.tolist())) == [
+        (0, 0, 2), (0, 3, 5), (3, 0, 3), (3, 3, 4)]
+    assert smith_normal_form(m) == invariant_factors_by_minors(m) == [1, 1, 7]
+
+
+def test_peel_takes_one_pivot_per_row_and_column_each_round():
+    """Every entry of the all-ones 1 x 3 row is alone in its column, but one
+    row takes one pivot; the identity takes all of its pivots in one round."""
+    pivots = []
+    assert _peel(*entry_arrays([[1, 1, 1]]), pivots)[0] == 1 and pivots == [0]
+    pivots = []
+    peeled, rows, *_ = _peel(*entry_arrays([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]), pivots)
+    assert (peeled, sorted(pivots), rows.size) == (3, [0, 1, 2], 0)
+
+
+def test_snf_stays_exact_beyond_int64():
+    """Entries past int64 are read as Python ints and never wrap."""
+    big = 2 ** 70 + 1
+    m = [[big, 0, 1], [0, 3, 1], [2 ** 65, 0, 0]]
+    assert smith_normal_form(m) == invariant_factors_by_minors(m)
+    assert smith_normal_form([[big, 0], [0, 1]]) == [1, big]
+    assert smith_normal_form([[1, 2 ** 80], [2 ** 80, 1]]) == [1, 2 ** 160 - 1]
+
+
+def test_core_keeps_the_markowitz_refusals(monkeypatch):
+    """A core the peel cannot touch (every unit shares its row and column)
+    is refused while it is loaded past the budget, or when the first pivot's
+    fill passes it: four rows 1 at column 0 and 2 at three columns of their
+    own hold 16 entries, and pivoting on row 0 leaves 3 x 6 = 18."""
+    m = [[1] + [2 if j // 3 == k else 0 for j in range(12)] for k in range(4)]
+    assert smith_normal_form(m) == [1, 2, 2, 2]
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 17)
+    with pytest.raises(BudgetError, match="^sparse elimination refused after 1 unit pivots: "
+                                          "18 live entries exceed 17$"):
+        smith_normal_form(m)
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 15)
+    with pytest.raises(BudgetError, match="^sparse elimination refused while loading, before "
+                                          "any pivot: 16 live entries exceed 15$"):
+        smith_normal_form(m)
+
+
+def test_cores_reaching_markowitz_hold_no_peelable_unit(monkeypatch):
+    """In reduced_homology the core handed to the Markowitz elimination never
+    holds a +-1 entry alone in its row or column; X(F_3^5)'s d_3 and d_1
+    are peeled whole."""
+    cores = []
+    reduce = complexes._sparse_unit_reduce
+
+    def spy(entries, pivots):
+        entries = list(entries)
+        cores.append(entries)
+        return reduce(entries, pivots)
+
+    monkeypatch.setattr(complexes, "_sparse_unit_reduce", spy)
+    builds = [rp2, octahedron, lambda: build_stiefel(euclidean(finite_field(3), 5), 3)]
+    builds += [lambda seed=seed: random_flag_complex(seed) for seed in range(6)]
+    for build in builds:
+        K = build()
+        cores.clear()
+        reduced_homology(K, K.dimension)
+        assert len(cores) == K.dimension
+        for entries in cores:
+            assert alone_units([i for (i, _), _ in entries], [j for (_, j), _ in entries],
+                               [v for _, v in entries]) == []
+        if K.n_simplices(3) == 2160:
+            assert [len(c) for c in cores][::2] == [0, 0]
+
+
+def reference_boundary_items(K, d, cleared=()):
+    """Per-simplex reference: the ((row, col), sign) entries of C_d ->
+    C_(d-1), column by column, without the rows in `cleared`."""
+    lower_index = {s: i for i, s in enumerate(K.simplices.get(d - 1, []))}
+    for col, s in enumerate(K.simplices.get(d, [])):
+        sign = 1
+        for i in range(len(s)):
+            row = lower_index[s[:i] + s[i + 1:]]
+            if row not in cleared:
+                yield (row, col), sign
+            sign = -sign
+
+
+def sparse_labelled_chains():
+    """The order complex of the divisibility order on 1..30 without the
+    multiples of 7: its vertex labels are poset indices up to 29 for 26
+    vertices, so faces coded by label in base 26 would collide (1 | 30 and
+    2 | 4 would both read 29)."""
+    elements, less = divisibility()
+    P = poset_from_less(elements, less)
+    return P._chains(frozenset(i for i, x in enumerate(elements) if x % 7))
+
+
+@pytest.mark.parametrize("build, contiguous", [
+    (lambda: build_stiefel(euclidean(finite_field(3), 4), 3), True),
+    (sparse_labelled_chains, False),
+    (lambda: SimplicialComplex({d: simps[::-1] for d, simps in
+                                sparse_labelled_chains().simplices.items()}), False),
+], ids=["X(F_3^4)", "order-complex", "order-complex-reversed-levels"])
+def test_boundary_arrays_match_a_per_simplex_reference(build, contiguous):
+    """Entries, in order, equal those of a per-simplex generator, with and
+    without cleared rows: on a Stiefel complex, and on an order complex whose
+    vertex labels are poset indices past the vertex count, with its levels
+    as built and reversed."""
+    K = build()
+    labels = sorted(v for v, in K.simplices[0])
+    assert K.dimension >= 2
+    assert (labels == list(range(len(labels)))) == contiguous
+    for d in range(1, K.dimension + 1):
+        cleared = list(range(0, K.n_simplices(d - 1), 4))
+        for drop in ((), cleared):
+            rows, cols, signs = K.boundary_arrays(d, drop)
+            assert rows.dtype == cols.dtype == signs.dtype == np.int64
+            got = list(zip(zip(rows.tolist(), cols.tolist()), signs.tolist()))
+            assert got == list(reference_boundary_items(K, d, set(drop)))
+        assert K.boundary_entries(d) == dict(reference_boundary_items(K, d))
+
+
+def test_boundary_arrays_refuse_a_missing_face():
+    K = SimplicialComplex({0: [(0,), (1,), (2,)], 1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]})
+    assert K.boundary_arrays(1, ())[0].tolist() == [1, 0, 2, 1]
+    with pytest.raises(ValueError, match=r"^2-simplex \(0, 1, 2\) has a face that is no "
+                                         r"1-simplex$"):
+        K.boundary_arrays(2, ())
+    K = SimplicialComplex({0: [(0,), (5,)], 1: [(0, 5), (0, 7)]})
+    with pytest.raises(ValueError, match=r"^1-simplex \(0, 7\) has a vertex that is no "
+                                         r"0-simplex$"):
+        K.boundary_arrays(1, ())
+
+
+def test_boundary_is_priced_before_its_arrays(monkeypatch):
+    """(d + 1) n_d entries past the budget are refused with the counts
+    before any array of the boundary is built."""
+    K = build_stiefel(euclidean(finite_field(3), 4), 3)
+    built = []
+    ranks = SimplicialComplex._vertex_ranks
+    monkeypatch.setattr(SimplicialComplex, "_vertex_ranks",
+                        lambda self, d: built.append(d) or ranks(self, d))
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 3 * 96 - 1)
+    with pytest.raises(BudgetError, match=r"^the boundary d_2 has 3 x 96 = 288 entries, "
+                                          r"more than 287; refused before it is built$"):
+        reduced_homology(K, 2)
+    assert built == [1, 0]
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 3 * 96)
+    assert reduced_homology(K, 2).betti == (2, 0, 0)
+
+
 def triangle_boundary():
     return complex_from_simplices([(0, 1), (1, 2), (0, 2)])
 
@@ -219,19 +411,19 @@ def random_flag_complex(seed):
 def test_clearing_drops_the_rows_at_the_pivots_below(monkeypatch):
     """On X(F_3^4) (24 / 72 / 96 / 48 simplices) each boundary reaches the
     elimination without the rows at the pivot columns of the one below:
-    d_2 loses rank d_1 = 21 of its 72 rows, d_3 loses rank d_2 = 51 of 96."""
+    d_1 loses row 0, the pivot column of the augmentation d_0; d_2 loses
+    rank d_1 = 21 of its 72 rows, d_3 loses rank d_2 = 51 of 96."""
     K = build_stiefel(euclidean(finite_field(3), 4), 3)
     rows = []
     reduce = complexes._invariant_factors
 
-    def spy(entries, pivots):
-        entries = dict(entries)
-        rows.append(len({i for i, _ in entries}))
-        return reduce(entries, pivots)
+    def spy(entry_rows, cols, vals, pivots):
+        rows.append(len(set(entry_rows.tolist())))
+        return reduce(entry_rows, cols, vals, pivots)
 
     monkeypatch.setattr(complexes, "_invariant_factors", spy)
     assert reduced_homology(K, 2).betti == (2, 0, 0)
-    assert rows == [24, 72 - 21, 96 - 51]
+    assert rows == [24 - 1, 72 - 21, 96 - 51]
 
 
 def test_each_boundary_reaches_the_elimination_once(monkeypatch):
@@ -241,9 +433,9 @@ def test_each_boundary_reaches_the_elimination_once(monkeypatch):
     calls = []
     reduce = complexes._invariant_factors
 
-    def spy(entries, pivots):
+    def spy(rows, cols, vals, pivots):
         calls.append(pivots)
-        return reduce(entries, pivots)
+        return reduce(rows, cols, vals, pivots)
 
     monkeypatch.setattr(complexes, "_invariant_factors", spy)
     assert reduced_homology(triangle_boundary(), 3).betti == (0, 1, 0, 0)
