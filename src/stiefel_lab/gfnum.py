@@ -2,8 +2,8 @@
 
 These helpers work on plain numpy int64 arrays of residues.  `all_vectors`
 is the one vector table, refused before it allocates, and `blocks` the one
-block bound for every residue scan (unit spheres, diagonal values, form-
-preserving maps, group closure over F_p and Z/p^N); the Scalar layer in
+block bound for every residue scan (unit spheres, form-preserving maps,
+group closure over F_p and Z/p^N); the Scalar layer in
 `rings` stays the source of truth for exactness and all results feed back
 through exact checks there.
 

@@ -33,7 +33,6 @@ from stiefel_lab.quadmod import euclidean
 from stiefel_lab.repsolve import (
     ZERO_SEARCH_BUDGET,
     _close_zero,
-    _residue_solutions,
     find_isotropic,
     represents,
 )
@@ -43,9 +42,6 @@ INF = math.inf
 # the Hensel-certified scans over truncated Z_p.
 FIELD_SEARCH_RANK = 4
 PADIC_SEARCH_RANK = 3
-# Most products (diagonals times square tuples) one rank of the F_p u and m
-# scans may read, a few seconds' work: at rank 3 F_37 reads 3.2e8, F_41 5.9e8.
-FIELD_SCAN_BUDGET = 5 * 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -101,78 +97,62 @@ class InvariantReport:
 # ---------------------------------------------------------------------------
 
 
-def _ff_sum_chain(p: int):
-    """[S_1, S_2], the sums of one and of two squares mod p: the chain is
-    stable at S_2 = F_p (checked), so no third sumset is built."""
-    s1 = frozenset(x * x % p for x in range(p))
-    s2 = frozenset((a + b) % p for a in s1 for b in s1)
-    if len(s2) != p:
-        raise AssertionError(f"not every element of F_{p} is a sum of two squares")
-    return [s1, s2]
+def _square_class_diagonals(p: int, rank: int) -> np.ndarray:
+    """The 2^rank diagonal Gram matrices <c_1, ..., c_rank>, each c_i 1 or
+    the least non-square nu mod p, as a (2^rank, rank, rank) stack in the
+    lexicographic order of (c_i): r<1> first, r<nu> last.
 
-
-def _ff_all_unit_diagonals(p: int, rank: int) -> np.ndarray:
-    """Every diagonal of units of a rank, rows in lexicographic order."""
-    return gfnum.all_vectors(p - 1, rank) + 1
-
-
-def _ff_diag_values(p: int, rank: int):
-    """The values of the unit diagonal forms of a rank on the non-zero
-    vectors, as blocks of columns S D^T: D the diagonals of
-    `_ff_all_unit_diagonals`, S every non-zero tuple of squares mod p.
-    A diagonal form sees x only through (x_1^2, ..., x_r^2), which is zero
-    exactly when x is, so each column holds the form's values on x != 0.
-    Refuses before the first product past FIELD_SCAN_BUDGET products."""
-    diagonals, tuples = (p - 1) ** rank, ((p + 1) // 2) ** rank - 1
-    if diagonals * tuples > FIELD_SCAN_BUDGET:
-        raise BudgetError(f"the rank-{rank} scans over F_{p} read {diagonals} diagonals against "
-                          f"{tuples} square tuples, {diagonals * tuples} products, "
-                          f"more than {FIELD_SCAN_BUDGET}")
-    squares = np.array(sorted({x * x % p for x in range(p)}), dtype=np.int64)
-    S = squares[gfnum.all_vectors(len(squares), rank)[1:]]
-    D = _ff_all_unit_diagonals(p, rank)
-    for block in gfnum.blocks(len(D), len(S)):
-        yield gfnum.mod(S @ D[block].T, p)
+    They stand for every unit diagonal of the rank, over F_p and over Z/p^N
+    alike.  x -> (t_i x_i) is an isometry from <a_i t_i^2> to <a_i> for units
+    t_i, and it keeps x primitive; so whether a unit diagonal is isotropic,
+    or represents a value, depends only on the square classes of its
+    entries.  Over Z/p^N with p odd every unit is 1 or nu times a unit
+    square (Hensel's lemma lifts the square roots mod p)."""
+    nu = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    classes = 1 + (nu - 1) * gfnum.all_vectors(2, rank)
+    return classes[:, :, None] * np.eye(rank, dtype=np.int64)
 
 
 def compute_invariants(ring: RingDescriptor) -> InvariantReport:
     """All four invariants of an odd prime field, by exhaustive search.
 
-    P from the stabilization of the sums-of-squares chain; s from the least k
-    with -1 a sum of k squares; u as the largest rank of an anisotropic
-    diagonal unit form (a diagonal form of higher rank contains one of lower
-    rank, so scanning ranks until every form is isotropic is complete); m as
-    the least rank forcing every diagonal unit form to represent 1 (again
-    inherited by higher ranks through subforms).  The u and m scans stay
-    exhaustive over every diagonal and every non-zero vector: they read
-    each form's values through the tuples of squared coordinates, and
-    those tuples take every value the form takes on x != 0 and no other.
+    Every unit diagonal of a rank is one of the 2^rank square-class
+    diagonals up to isometry (`_square_class_diagonals`), and
+    `gfnum.first_solutions` scans each of those over every non-zero vector
+    until its first solution of q(x) = a.  u is the largest rank of an
+    anisotropic unit diagonal (a = 0) and m the least rank at which every
+    unit diagonal represents 1 (a = 1): a diagonal of higher rank contains
+    one of lower rank, so both scans stop at the first rank that settles
+    them.  The same a = 1 scans give P and s: the sums of r squares are all
+    of F_p exactly when r<1> represents nu, that is when r<nu> (the last
+    class row) represents 1, and that least r is P; k<1> represents -1
+    exactly when k<-1> represents 1, and -1 lies in the class of 1 or of nu,
+    so s is the least k at which the first row k<1> or the last row k<nu>,
+    after the class of -1, represents 1.
     """
     if ring.kind != FINITE_FIELD:
         raise RingError("compute_invariants is exhaustive over prime fields only")
     p = ring.p
-    u = 0
+    u, ones = None, []  # ones[r - 1]: which class diagonals of rank r represent 1
     for rank in range(1, FIELD_SEARCH_RANK + 1):
-        if any((V != 0).all(axis=0).any() for V in _ff_diag_values(p, rank)):
-            u = rank
-        else:
+        grams = _square_class_diagonals(p, rank)
+        if not ones or not ones[-1].all():
+            ones.append(gfnum.first_solutions(grams, p, 1).any(axis=1))
+        if u is None and gfnum.first_solutions(grams, p, 0).any(axis=1).all():
+            u = rank - 1
+        if u is not None and ones[-1].all():
             break
-    m = None
-    for rank in range(1, FIELD_SEARCH_RANK + 1):
-        if all((V == 1).any(axis=0).all() for V in _ff_diag_values(p, rank)):
-            m = rank
-            break
-    if m is None:
-        raise AssertionError(f"no rank <= {FIELD_SEARCH_RANK} forces a unit vector over F_{p}")
-    chain = _ff_sum_chain(p)  # after the budgeted scans, which refuse a large p
-    pyth = next(i + 1 for i, s in enumerate(chain) if s == chain[-1])
-    stufe = next(k for k, s in enumerate(chain, start=1) if p - 1 in s)
+    else:
+        raise AssertionError(f"no rank <= {FIELD_SEARCH_RANK} settles u and m over F_{p}")
+    minus_one = 0 if pow(p - 1, (p - 1) // 2, p) == 1 else -1
+    pyth = next(r for r, solved in enumerate(ones, 1) if solved[-1])
+    stufe = next(r for r, solved in enumerate(ones, 1) if solved[minus_one])
     return InvariantReport(
         ring,
         pythagoras=exact(pyth),
         stufe=exact(stufe),
         u_invariant=exact(u),
-        m_invariant=exact(m),
+        m_invariant=exact(len(ones)),
     )
 
 
@@ -186,10 +166,12 @@ def padic_invariants(ring: RingDescriptor,
     """s, u, m over truncated Z_p by Hensel-certified witnesses; these agree
     with the residue field's `kappa_report` (computed here when not given;
     the lifts are the certificates, the failures are exact because an
-    anisotropic reduction stays anisotropic).  The unit diagonals of a rank
-    are solved together on their int Gram rows: the first solution of
-    q(x) = a mod p of each, closed mod p^N by `_close_zero`, which re-checks
-    it."""
+    anisotropic reduction stays anisotropic).  Every unit diagonal of a rank
+    is one of its 2^rank square-class diagonals up to an isometry that keeps
+    vectors primitive (`_square_class_diagonals`), so u and m are read off
+    those alone: the first solution of q(x) = a mod p of each, from one call
+    of `gfnum.first_solutions`, closed mod p^N by `_close_zero`, which
+    re-checks it."""
     if ring.kind != PADIC:
         raise RingError("expects a truncated p-adic ring")
     if kappa_report is None:
@@ -198,29 +180,27 @@ def padic_invariants(ring: RingDescriptor,
         raise ValueError("residue report does not match the ring")
     tag = f"hensel-certified at precision {ring.precision}"
 
-    def solve_all(forms, a: int) -> bool:
+    def solve_all(grams: np.ndarray, a: int) -> bool:
         """Whether every form takes the value a; each solution found is
         closed by `_close_zero`, which raises unless q(x) = a mod p^N."""
-        zeros = _residue_solutions(forms, ring.p, a)
-        for rows, x0 in zip(forms, zeros):
-            if x0 is not None:
+        zeros = gfnum.first_solutions(grams, ring.p, a)
+        for rows, x0 in zip(grams.tolist(), zeros.tolist()):
+            if any(x0):
                 _close_zero(rows, x0, ring, a)
-        return None not in zeros
+        return bool(zeros.any(axis=1).all())
 
-    def diagonal_rows(d):
-        return [[c if i == j else 0 for j in range(len(d))] for i, c in enumerate(d)]
+    def classes(rank: int) -> np.ndarray:
+        return _square_class_diagonals(ring.p, rank)
 
     ranks = range(1, PADIC_SEARCH_RANK + 1)
-    diagonals = {r: [diagonal_rows(d) for d in _ff_all_unit_diagonals(ring.p, r).tolist()]
-                 for r in ranks}
-    s_val = next((k for k in range(1, 5) if solve_all([diagonal_rows([1] * k)], -1)), None)
+    s_val = next((k for k in range(1, 5) if solve_all(classes(k)[:1], -1)), None)
     if s_val != kappa_report.stufe.value():
         raise AssertionError("Hensel-certified Stufe disagrees with the residue field")
     # u: the ranks below the first whose unit diagonals are all isotropic.
-    u_val = next((r - 1 for r in ranks if solve_all(diagonals[r], 0)), PADIC_SEARCH_RANK)
+    u_val = next((r - 1 for r in ranks if solve_all(classes(r), 0)), PADIC_SEARCH_RANK)
     if u_val != kappa_report.u_invariant.value():
         raise AssertionError("Hensel-certified u-invariant disagrees with the residue field")
-    m_val = next((r for r in ranks if solve_all(diagonals[r], 1)), None)
+    m_val = next((r for r in ranks if solve_all(classes(r), 1)), None)
     if m_val != kappa_report.m_invariant.value():
         raise AssertionError("Hensel-certified m-invariant disagrees with the residue field")
     # P: squeezed between P(kappa) and s + 1 (2 is a unit).

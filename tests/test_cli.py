@@ -46,6 +46,9 @@ def test_connectivity_command(capsys):
     (3, 6, [0, 0], [[], [3]]),
     # The d = 2 boundary leaves a 96 x 3,415 block without unit entries.
     (7, 4, [0, 18], [[], [2] * 16]),
+    # 1,722 / 34,440 / 22,960 simplices; at --max-degree 2, b~_2 = 2,870 and
+    # b~_0 - b~_1 + b~_2 = -9,759, the reduced Euler characteristic.
+    (41, 3, [0, 12629], [[], []]),
 ])
 def test_connectivity_degree_one_homology(capsys, field, n, betti, torsion):
     code, out = run_cli(["connectivity", "--field", str(field), "--n", str(n),
@@ -184,8 +187,12 @@ def test_usage_error_exit_2(capsys):
     ("invariants --ring zploc --p 3 --height 100000",
      "three-square search at height 100000 prices 500015000100000 candidates, "
      "more than 100000", None),
+    # The rank-3 u scan over F_227, after ranks 1 and 2 have answered.
+    ("invariants --field 227",
+     "the table of all 227^3 vectors of length 3 holds 35091249 entries", None),
 ], ids=["stiefel-budget-10", "connectivity-F3-n17", "stiefel-F5-n12", "morse-F3-n18",
-        "wn-F5-n3", "orbit-F5-n5-k2", "orbit-F3-n7-k3", "int-aut-n8", "zploc-p3-h100000"])
+        "wn-F5-n3", "orbit-F5-n5-k2", "orbit-F3-n7-k3", "int-aut-n8", "zploc-p3-h100000",
+        "invariants-F227"])
 def test_budget_error_exit_2(argv, message, simplex_budget, monkeypatch, capsys):
     from stiefel_lab import stiefel
 
@@ -309,31 +316,28 @@ def test_hensel_stall_exit_2(monkeypatch, capsys):
     assert 200 <= len(drawn) <= 201
 
 
-def test_invariants_field_scan_budget_exit_2(capsys):
-    # F_61's rank-3 u scan would read 60^3 diagonals against 31^3 - 1 square
-    # tuples (6.4e9 products); it is priced and refused before it starts.
+def test_invariants_f61_answers(capsys):
+    # Each rank reads F_61's vector table for its 2^r square-class diagonals
+    # only, not for all 60^r unit diagonals.
     start = time.perf_counter()
-    code = main(["invariants", "--field", "61"])
+    code, out = run_cli(["invariants", "--field", "61"], capsys)
     assert time.perf_counter() - start < 1.0
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "6434640000 products" in err
-    assert "Traceback" not in err
+    assert code == 0
+    assert json.loads(out)["results"] == {"P": 2, "s": 1, "u": 2, "m": 2}
 
 
-@pytest.mark.parametrize("p, counts", [
-    (30011, "900600100 diagonals against 225180035 square tuples"),
-    (1000003, "1000002 diagonals against 500001 square tuples"),
-])
-def test_invariants_large_field_refused_before_the_chain(p, counts, capsys):
-    # The budgeted scans run before the sums-of-squares chain, whose sumsets
-    # hold about p^2 / 4 sums.
+@pytest.mark.parametrize("p, message", [
+    (30011, "the table of all 30011^2 vectors of length 2 holds 1801320242 entries"),
+    (1000003, "the table of all 1000003^2 vectors of length 2 holds 2000012000018 entries"),
+], ids=["30011", "1000003"])
+def test_invariants_large_field_refused_by_the_vector_table(p, message, capsys):
+    # Rank 1 answers; the rank-2 table is priced and refused before it is built.
     start = time.perf_counter()
     code = main(["invariants", "--field", str(p)])
     assert time.perf_counter() - start < 2.0
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and counts in err
+    assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
 
 

@@ -55,23 +55,20 @@ def test_invariant_table():
     assert table[7]["s"] == 2
 
 
-# compute_invariants over every odd prime up to 41, as the sums-of-squares
-# chain grown until stable gave them: P, s, u, m.  F_41 is refused by the
-# rank-3 scan budget before the chain is built.
+# compute_invariants over every odd prime up to 37, as the sums-of-squares
+# chain grown until stable gave them: P, s, u, m.  The primes past 37 carry
+# the classical values P = u = m = 2, and s = 1 exactly when p = 1 mod 4;
+# F_223 is the largest prime whose rank-3 vector table fits.
 PINNED_FIELD_INVARIANTS = {
     3: (2, 2, 2, 2), 5: (2, 1, 2, 2), 7: (2, 2, 2, 2), 11: (2, 2, 2, 2),
     13: (2, 1, 2, 2), 17: (2, 1, 2, 2), 19: (2, 2, 2, 2), 23: (2, 2, 2, 2),
     29: (2, 1, 2, 2), 31: (2, 2, 2, 2), 37: (2, 1, 2, 2),
+    **{p: (2, 1 if p % 4 == 1 else 2, 2, 2) for p in (41, 43, 61, 101, 223)},
 }
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
+@pytest.mark.parametrize("p", sorted(PINNED_FIELD_INVARIANTS))
 def test_compute_invariants_pinned(p):
-    if p not in PINNED_FIELD_INVARIANTS:
-        with pytest.raises(BudgetError, match="rank-3 scans over F_41 read 64000 diagonals "
-                                              "against 9260 square tuples, 592640000 products"):
-            compute_invariants(finite_field(p))
-        return
     rep = compute_invariants(finite_field(p))
     got = (rep.pythagoras, rep.stufe, rep.u_invariant, rep.m_invariant)
     assert tuple(v.value() for v in got) == PINNED_FIELD_INVARIANTS[p]
@@ -80,25 +77,46 @@ def test_compute_invariants_pinned(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_compute_invariants_matches_a_per_diagonal_scan(p):
-    """Reference: every unit diagonal of ranks 1-3 evaluated on its own, on
-    the non-zero vectors in itertools.product order.  The scan sees each
-    vector through its squared coordinates, so its rows are the reference
-    rows as a set: one per tuple of squares, not one per vector."""
-    from stiefel_lab.invariants import _ff_diag_values
-
+    """Reference that shares nothing with the kernel: every one of the
+    (p - 1)^r unit diagonals of ranks 1-3 evaluated on every non-zero
+    vector in itertools.product order.  u and m come from those values, P
+    and s from the sets S_1 and S_1 + S_1 of sums of one and two squares."""
     u, m = 0, None
     for rank in (1, 2, 3):
         X = np.array(list(itertools.product(range(p), repeat=rank))[1:])
-        diagonals = itertools.product(range(1, p), repeat=rank)
-        columns = [(X * X % p) @ np.array(d) % p for d in diagonals]
-        rows = np.hstack(list(_ff_diag_values(p, rank))).tolist()
-        assert set(map(tuple, rows)) == set(map(tuple, np.stack(columns, axis=1).tolist()))
-        if u == rank - 1 and any((c != 0).all() for c in columns):
+        D = np.array(list(itertools.product(range(1, p), repeat=rank)))
+        values = (X * X) @ D.T % p  # one column per diagonal, one row per vector
+        if u == rank - 1 and (values != 0).all(axis=0).any():
             u = rank
-        if m is None and all((c == 1).any() for c in columns):
+        if m is None and (values == 1).any(axis=0).all():
             m = rank
+    s1 = {x * x % p for x in range(p)}
+    s2 = {(a + b) % p for a in s1 for b in s1}
+    assert s2 == set(range(p))
+    pyth = 1 if s1 == s2 else 2
+    stufe = 1 if p - 1 in s1 else 2
     rep = compute_invariants(finite_field(p))
-    assert (rep.u_invariant.value(), rep.m_invariant.value()) == (u, m) == (2, 2)
+    got = (rep.pythagoras, rep.stufe, rep.u_invariant, rep.m_invariant)
+    assert tuple(v.value() for v in got) == (pyth, stufe, u, m)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_invariants_hand_the_kernel_one_form_per_square_class(p, monkeypatch):
+    """compute_invariants and padic_invariants read every unit diagonal of
+    rank r off its 2^r square classes: no kernel call sees more forms."""
+    calls = []
+    kernel = gfnum.first_solutions
+
+    def spy(grams, q, a=0):
+        calls.append(grams.shape)
+        return kernel(grams, q, a)
+
+    monkeypatch.setattr(gfnum, "first_solutions", spy)
+    compute_invariants(finite_field(p))
+    field_calls = len(calls)
+    padic_invariants(padic(p, 3))
+    assert 0 < field_calls < len(calls)
+    assert all(count <= 2 ** rank for count, rank, _ in calls)
 
 
 def test_check_inequalities_field_alone():
