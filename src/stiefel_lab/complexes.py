@@ -18,7 +18,7 @@ gcds of minors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import gcd
 from operator import itemgetter, lt
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
@@ -364,26 +364,6 @@ def complex_from_simplices(simps: Iterable[Sequence[int]]) -> SimplicialComplex:
     return SimplicialComplex(out)
 
 
-def _component_count(vertices: Iterable, edges: Iterable[tuple]) -> int:
-    """Connected components of the graph (vertices, edges), by union-find:
-    each merge of two components takes one away from the vertex count."""
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = len(parent)
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            components -= 1
-    return components
-
-
 @dataclass(frozen=True, eq=False)
 class HomologyProfile:
     """Reduced Betti numbers and torsion coefficients per degree.
@@ -440,7 +420,8 @@ def reduced_homology(
     max_degree: int,
 ) -> HomologyProfile:
     """Reduced integer homology in degrees <= max_degree via boundary SNF;
-    the zeroth Betti number is cross-checked against a union-find count.
+    the zeroth Betti number is cross-checked against the component count of
+    `gfnum.component_labels` on the 1-skeleton.
 
     Boundaries are reduced bottom-up in one loop, each cleared by the one
     below (Chen and Kerber's twist): the rows of d_(k+1) at the pivot columns
@@ -455,13 +436,12 @@ def reduced_homology(
     ones, so its unit pivot at vertex 0 makes d_0[I, J] = (1), and d_1 is
     reduced without row 0.  The peel then takes a spanning tree of the
     1-skeleton, the star of vertex 0 first and then breadth first.  The
-    union-find cross-check reads the rank of this cleared d_1, which the
+    component cross-check reads the rank of this cleared d_1, which the
     same argument keeps equal to the rank of the whole.
 
     A boundary above the complex's dimension is zero and never built.  A
     graph (dimension 1) is not eliminated at all: every invariant factor of
-    d_1 is 1, so its rank is the vertex count minus the union-find
-    component count."""
+    d_1 is 1, so its rank is the vertex count minus the component count."""
     dimension = K.dimension
     complete = max_degree >= dimension
     if K.n_simplices(0) == 0:
@@ -472,24 +452,25 @@ def reduced_homology(
             empty=True,
             complete=complete,
         )
-    components = _component_count((s[0] for s in K.simplices.get(0, [])),
-                                  K.simplices.get(1, []))
     # Rank and torsion of d_0, ..., d_(max_degree + 1); the augmentation d_0
     # has rank 1 and its pivot column 0.
     ranks = [1] + [0] * (max_degree + 1)
     torsion: list[tuple[int, ...]] = [()] * (max_degree + 2)
     cleared = [0]
-    for d in range(1, min(max_degree + 1, dimension) + 1):
-        if dimension == 1:  # a graph: d_1 has only unit invariant factors
-            ranks[1] = K.n_simplices(0) - components
-            break
+    top = min(max_degree + 1, dimension)
+    for d in range(2 if dimension == 1 else 1, top + 1):  # a graph's d_1 is not eliminated
         pivots: list[int] = []
         factors = _invariant_factors(*K.boundary_arrays(d, cleared), pivots)
         ranks[d], torsion[d], cleared = len(factors), tuple(f for f in factors if f != 1), pivots
-        # SNF cross-check of the union-find count.
-        if d == 1 and K.n_simplices(0) - ranks[1] != components:
+    if top >= 1:
+        edges = K._vertex_ranks(1)
+        labels = gfnum.component_labels(K.n_simplices(0), edges[:, 0], edges[:, 1])
+        components = int(np.count_nonzero(labels == np.arange(len(labels))))
+        if dimension == 1:  # a graph: d_1 has only unit invariant factors
+            ranks[1] = K.n_simplices(0) - components
+        elif K.n_simplices(0) - ranks[1] != components:  # SNF cross-check of the count
             raise AssertionError(
-                f"component count mismatch: union-find gives {components}, "
+                f"component count mismatch: the labelling gives {components}, "
                 f"the boundary rank gives {K.n_simplices(0) - ranks[1]}"
             )
     betti = tuple(K.n_simplices(i) - ranks[i] - ranks[i + 1] for i in range(max_degree + 1))
@@ -501,154 +482,255 @@ def reduced_homology(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _neighbours(ptr: np.ndarray, data: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the CSR rows `rows` of (ptr, data), all at once: for
+    each entry, the position in `rows` of its row, and the entry."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), counts)
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return owner, data[np.arange(len(owner)) + shift]
+
+
+class _Rows:
+    """Row i of a CSR relation, read as a frozenset of element indices."""
+
+    def __init__(self, ptr: np.ndarray, data: np.ndarray) -> None:
+        self.ptr, self.data = ptr, data
+
+    def __getitem__(self, i: int) -> frozenset[int]:
+        return frozenset(self.data[self.ptr[i]:self.ptr[i + 1]].tolist())
+
+
+def _index_pairs(index_sets: Sequence[Collection[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Index sets as the (set, member) pairs that `Poset.profiles` takes."""
+    sizes = [len(s) for s in index_sets]
+    members = np.fromiter(chain.from_iterable(index_sets), np.int64, sum(sizes))
+    return np.repeat(np.arange(len(sizes)), sizes), members
+
+
+@dataclass(eq=False)
 class Poset:
-    """Finite poset: elements plus the full strict-order relation, kept both
-    ways.
+    """Finite poset: elements plus the strict order as int64 arrays of the
+    pairs lo[k] < hi[k], sorted by (lo, hi), with their codes lo * len + hi.
 
-    `above[i]` is the set of indices strictly greater than element i, and
-    `below[i]`, derived from `above` once, the set strictly smaller.  The
-    relation must already be transitive; `validate` checks irreflexivity,
-    antisymmetry, and transitivity on demand.
+    Sorted so, `hi` is the CSR view of the order upwards: the elements above
+    i are one slice of it.  The pairs sorted by (hi, lo) give the CSR view
+    downwards.  `above[i]` and `below[i]` read those slices as frozensets.
+    The relation must already be transitive; `validate` checks
+    irreflexivity, antisymmetry and transitivity on demand.
 
-    Homology is answered for any index set and kept twice: per index set,
-    and per shape.  A subposet's shape is its size and its relation with
-    each index renumbered by its rank in the set; two index sets of one shape
-    span isomorphic subposets (renumbering by rank is the isomorphism), whose
-    order complexes are isomorphic and have one profile.  So a profile is
-    computed once per shape, however many index sets share it.  A shape
-    without a chain of three elements has height at most one: its order
-    complex is its comparability graph, whose profile is read off the rank
-    pairs by union-find.  Only a shape holding a three-chain has its order
-    complex built and homologized.
+    `profiles` is the one homology kernel: the reduced homology of many
+    index sets at once, given as (set, member) pairs.  An index set without
+    a chain of three elements has height at most one, so its order complex
+    is its comparability graph, and its profile is read off its vertex,
+    edge and component counts.  Only an index set holding a three-chain has
+    its order complex built and homologized, once per shape: its size and
+    its pairs renumbered by rank in the set.  Index sets of one shape span
+    isomorphic subposets, whose order complexes share one profile.
+    `homology` asks for one index set, and keeps its profile.
     """
 
     elements: list
-    above: list[frozenset[int]]
-    below: list[frozenset[int]] = field(init=False, repr=False)
-    _profiles: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _shapes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    lo: np.ndarray
+    hi: np.ndarray
+    above: _Rows = field(init=False, repr=False)
+    below: _Rows = field(init=False, repr=False)
+    _profiles: dict = field(init=False, repr=False, default_factory=dict)
+    _shapes: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.above = [frozenset(a) for a in self.above]
-        below: list[list[int]] = [[] for _ in self.above]
-        for i, up in enumerate(self.above):
-            for j in up:
-                below[j].append(i)
-        self.below = [frozenset(b) for b in below]
+        n = len(self.elements)
+        self._codes = gfnum.distinct(np.asarray(self.lo, np.int64) * n + np.asarray(self.hi, np.int64))[0]
+        self.lo, self.hi = np.divmod(self._codes, max(n, 1))
+        ends = np.arange(n + 1)
+        self._up_ptr = np.searchsorted(self.lo, ends)
+        down = np.argsort(self.hi, kind="stable")  # by (hi, lo), as the pairs sort by lo
+        self._down, self._down_ptr = self.lo[down], np.searchsorted(self.hi[down], ends)
+        self.above = _Rows(self._up_ptr, self.hi)
+        self.below = _Rows(self._down_ptr, self._down)
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def less(self, i: int, j: int) -> bool:
-        return j in self.above[i]
+    def less(self, i, j):
+        """Whether i < j; elementwise for int arrays."""
+        return gfnum.member(self._codes, np.asarray(i) * len(self) + np.asarray(j))
 
-    def comparable(self, i: int, j: int) -> bool:
-        return j in self.above[i] or j in self.below[i]
+    def comparable(self, i, j):
+        return self.less(i, j) | self.less(j, i)
+
+    def up(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The elements above each of `rows`, as (position in rows, element)."""
+        return _neighbours(self._up_ptr, self.hi, np.asarray(rows, dtype=np.int64))
+
+    def down(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The elements below each of `rows`, as (position in rows, element)."""
+        return _neighbours(self._down_ptr, self._down, np.asarray(rows, dtype=np.int64))
 
     def validate(self) -> None:
-        for i, up in enumerate(self.above):
-            if i in up:
-                raise ValueError(f"order is not irreflexive at {i}")
-            for j in up:
-                if i in self.above[j]:
-                    raise ValueError(f"2-cycle between {i} and {j}")
-                if not self.above[j] <= up:
-                    raise ValueError(f"order not transitive at {i} < {j}")
+        loops = self.lo == self.hi
+        if loops.any():
+            raise ValueError(f"order is not irreflexive at {self.lo[loops.argmax()]}")
+        back = self.less(self.hi, self.lo)
+        if back.any():
+            raise ValueError(f"2-cycle between {self.lo[back.argmax()]} and {self.hi[back.argmax()]}")
+        pair, top = self.up(self.hi)
+        missing = ~self.less(self.lo[pair], top)
+        if missing.any():
+            k = pair[missing.argmax()]
+            raise ValueError(f"order not transitive at {self.lo[k]} < {self.hi[k]}")
+
+    def _inside(self, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs with both ends in the sorted index array `chosen`."""
+        inside = gfnum.member(chosen, self.lo) & gfnum.member(chosen, self.hi)
+        return self.lo[inside], self.hi[inside]
 
     def order_complex(self) -> SimplicialComplex:
         """Chains of the poset as simplices (vertex = element index)."""
-        return self._chains(frozenset(range(len(self))))
+        return self._chains(range(len(self)))
 
-    def _chains(self, indices: frozenset[int]) -> SimplicialComplex:
-        """Chains inside the index set, walked through `above[i] & indices`;
-        vertices keep their indices, so no restricted copy is made."""
-        by_dim: dict[int, list[tuple[int, ...]]] = {0: [(i,) for i in sorted(indices)]}
-        frontier = by_dim[0]
-        while frontier:
-            frontier = [chain + (j,) for chain in frontier
-                        for j in self.above[chain[-1]] & indices]
-            if frontier:
-                by_dim[len(by_dim)] = sorted(tuple(sorted(c)) for c in frontier)
-        return SimplicialComplex(by_dim)
+    def _chains(self, indices: Collection[int]) -> SimplicialComplex:
+        """Chains inside the index set, each level the one below extended by
+        every greater element of the set; vertices keep their indices, so no
+        restricted copy is made."""
+        chosen = np.array(sorted(indices), dtype=np.int64)
+        lo, hi = self._inside(chosen)
+        ptr = np.searchsorted(lo, np.arange(len(self) + 1))
+        level = chosen[:, None]
+        by_dim = {0: [(i,) for i in chosen.tolist()]}
+        while True:
+            owner, top = _neighbours(ptr, hi, level[:, -1])
+            if not len(top):
+                return SimplicialComplex(by_dim)
+            level = np.column_stack([level[owner], top])
+            by_dim[len(by_dim)] = sorted(map(tuple, np.sort(level, axis=1).tolist()))
 
     def link(self, i: int) -> list[int]:
         """Indices comparable with element i (the open star boundary)."""
-        return sorted(self.above[i] | self.below[i])
+        return sorted(self._down[self._down_ptr[i]:self._down_ptr[i + 1]].tolist()
+                      + self.hi[self._up_ptr[i]:self._up_ptr[i + 1]].tolist())
 
-    def _shape(self, indices: frozenset[int]) -> tuple[tuple, bool]:
-        """The subposet's size and its relation as sorted pairs of ranks in
-        the index set (equal shapes mean isomorphic subposets), and whether
-        the set holds a chain of three: some element both above and below
-        others in it."""
-        rank = {i: r for r, i in enumerate(sorted(indices))}
-        above = self.above
-        pairs, lower, upper = [], set(), set()
-        for i in rank:
-            ups = above[i] & indices
-            if ups:
-                lower.add(i)
-                upper |= ups
-                pairs += [(rank[i], rank[j]) for j in ups]
-        pairs.sort()
-        return (len(rank), tuple(pairs)), not lower.isdisjoint(upper)
+    def _shape(self, indices: Collection[int]) -> tuple[tuple, bool]:
+        """The subposet's size and its pairs renumbered by rank in the index
+        set (equal shapes mean isomorphic subposets), and whether the set
+        holds a chain of three: some element both above and below others in
+        it."""
+        chosen = np.array(sorted(indices), dtype=np.int64)
+        lo, hi = (np.searchsorted(chosen, ends) for ends in self._inside(chosen))
+        pairs = tuple(zip(lo.tolist(), hi.tolist()))
+        return (len(chosen), pairs), bool(np.intersect1d(lo, hi).size)
+
+    def profiles(self, sets: np.ndarray, members: np.ndarray, count: int) -> list[HomologyProfile]:
+        """Reduced homology of `count` index sets at once, each up to its top
+        chain dimension: set s holds the members paired with s (repeats count
+        once); a set with no pair is empty.
+
+        Each (set, member) pair is one vertex, keyed set * len + member.
+        Edges come from looking up the keys of each member's smaller
+        elements in one binary search.  The order is transitive, so a set
+        holds a three-chain exactly when some member tops one edge and
+        bottoms another.  `gfnum.component_labels` counts the components of
+        every set at once.  Without a three-chain the order complex is the
+        comparability graph: reduced H_0 has rank components - 1, H_1 is
+        free of rank edges - vertices + components, and the top degree is 1
+        when there are edges; equal graph profiles of one call are one
+        object.  A three-chain set is homologized once per shape."""
+        n = len(self)
+        keys = gfnum.distinct(np.asarray(sets, np.int64) * n + np.asarray(members, np.int64))[0]
+        owner, member = np.divmod(keys, max(n, 1))
+        at, lower = self.down(member)
+        want = owner[at] * n + lower
+        pos = np.searchsorted(keys, want)
+        found = keys.take(pos, mode="clip") == want
+        top, bottom = at[found], pos[found]
+        vertices = np.bincount(owner, minlength=count)
+        edges = np.bincount(owner[top], minlength=count)
+        labels = gfnum.component_labels(len(keys), top, bottom)
+        components = np.bincount(owner[labels == np.arange(len(keys))], minlength=count)
+        tops = np.zeros(len(keys), dtype=bool)
+        tops[top] = True
+        chained = np.zeros(count, dtype=bool)
+        chained[owner[bottom[tops[bottom]]]] = True
+        # one code per graph profile, from H_1's rank, the component count
+        # (0 only for the empty set) and whether there are edges
+        code = ((edges - vertices + components) * (n + 1) + components) * 2 + (edges > 0)
+        kinds, at = gfnum.distinct(code)
+        made = []
+        for kind in kinds.tolist():
+            (h1, c), top_degree = divmod(kind // 2, n + 1), kind % 2
+            made.append(HomologyProfile((c - 1, h1)[:top_degree + 1], ((),) * (top_degree + 1),
+                                        top_degree) if c else
+                        HomologyProfile((0,), ((),), 0, empty=True))
+        out = [made[k] for k in at.tolist()]
+        for s in np.flatnonzero(chained).tolist():
+            bounds = np.searchsorted(owner, [s, s + 1])
+            chosen = member[bounds[0]:bounds[1]].tolist()
+            shape, _ = self._shape(chosen)
+            out[s] = self._shapes.get(shape)
+            if out[s] is None:
+                K = self._chains(chosen)
+                out[s] = self._shapes[shape] = reduced_homology(K, max(K.dimension, 0))
+        return out
 
     def homology(self, indices: Optional[Iterable[int]] = None) -> HomologyProfile:
         """Reduced homology of the subposet on `indices` (all of it by
-        default), in every degree up to its top chain dimension.  Each shape's
-        profile is computed once and kept, and so is each index set's.
-
-        Without a three-chain the order complex is the comparability graph
-        on the rank pairs: reduced H_0 has rank components - 1, H_1 is free
-        of rank edges - vertices + components, and the top degree is 1 when
-        there are edges.  Otherwise the chains are built and homologized."""
+        default): `profiles` of one index set, whose profile is kept."""
         chosen = frozenset(range(len(self)) if indices is None else indices)
         profile = self._profiles.get(chosen)
         if profile is None:
-            shape, three_chain = self._shape(chosen)
-            profile = self._shapes.get(shape)
-            if profile is None:
-                size, pairs = shape
-                if three_chain:
-                    K = self._chains(chosen)
-                    profile = reduced_homology(K, max(K.dimension, 0))
-                elif not size:
-                    profile = HomologyProfile((0,), ((),), 0, empty=True)
-                else:
-                    components = _component_count(range(size), pairs)
-                    top = 1 if pairs else 0
-                    betti = (components - 1, len(pairs) - size + components)
-                    profile = HomologyProfile(betti[:top + 1], ((),) * (top + 1), top)
-                self._shapes[shape] = profile
-            self._profiles[chosen] = profile
+            members = np.fromiter(chosen, np.int64, len(chosen))
+            profile = self._profiles[chosen] = self.profiles(np.zeros_like(members), members, 1)[0]
         return profile
 
 
 def poset_from_less(elements: Sequence, less: Callable) -> Poset:
     n = len(elements)
-    above = []
-    for i in range(n):
-        above.append([j for j in range(n) if i != j and less(elements[i], elements[j])])
-    p = Poset(list(elements), above)
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and less(elements[i], elements[j])]
+    lo, hi = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    p = Poset(list(elements), lo, hi)
     p.validate()
     return p
 
 
-def poset_from_frames(frames: Sequence[frozenset]) -> Poset:
-    """Containment order on a family of finite sets (containment is already
-    transitive and irreflexive on distinct sets, so no validation pass)."""
-    keys = [tuple(sorted(f)) for f in frames]
-    index = {key: i for i, key in enumerate(keys)}
-    if len(index) != len(frames):
+def poset_from_frames(frames: Sequence[Collection[int]]) -> Poset:
+    """Containment order on a family of distinct finite sets of ints
+    (containment is already transitive and irreflexive on distinct sets, so
+    no validation pass).
+
+    A frame of k members is coded by the row of its sorted members, each
+    shifted to a digit of at least 1, placed at the end of a row as wide as
+    the largest frame and read in base one more than the largest digit, so
+    distinct frames have distinct codes; `gfnum.code_weights` refuses a
+    family whose codes would not fit in int64.  The pairs come from looking
+    up the codes of every frame's 2^k - 2 proper subframes (its row with
+    some digits dropped) among the sorted frame codes."""
+    sizes = np.fromiter(map(len, frames), np.int64, len(frames))
+    flat = np.fromiter(chain.from_iterable(frames), np.int64, int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    low = int(flat.min(initial=0))
+    width = int(sizes.max(initial=0))
+    w = gfnum.code_weights(int(flat.max(initial=low)) - low + 2, width)
+    codes = np.empty(len(frames), dtype=np.int64)
+    rows_of = {}
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
+        at = np.flatnonzero(sizes == k)
+        rows = np.sort(flat[starts[at, None] + np.arange(k)], axis=1) - low + 1
+        codes[at], rows_of[k] = gfnum.codes(rows, w[width - k:]), (at, rows)
+    order = np.argsort(codes)
+    known = codes[order]
+    if (known[1:] == known[:-1]).any():
         raise ValueError("duplicate frames")
-    above: list[list[int]] = [[] for _ in frames]
-    for j, key in enumerate(keys):
-        for k in range(1, len(key)):
-            for sub in combinations(key, k):  # sorted, as the keys are
-                i = index.get(sub)
-                if i is not None:
-                    above[i].append(j)
-    return Poset(list(frames), above)
+    lo, hi = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for k, (at, rows) in rows_of.items():
+        for size in range(1, k):
+            for kept in combinations(range(k), size):
+                sub = gfnum.codes(rows[:, list(kept)], w[width - size:])
+                found = gfnum.member(known, sub)
+                lo.append(order[np.searchsorted(known, sub[found])])
+                hi.append(at[found])
+    return Poset(list(frames), np.concatenate(lo), np.concatenate(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -671,25 +753,28 @@ def closure_deformation_check(P: Poset, f: Mapping[int, int] | Sequence[int]) ->
     """Verify that f, a map from a set of P's indices into that set (a
     sequence maps its positions), is monotone and deflationary, and that the
     subposets on its domain and on its image have equal homology profiles
-    (the testable consequence of the deformation lemma)."""
+    (the testable consequence of the deformation lemma).  Both hypotheses
+    are tested on arrays, and their first ten failures reported in the order
+    of f's items and of the sorted pairs of the domain."""
     f = dict(f) if isinstance(f, Mapping) else dict(enumerate(f))
-    domain = frozenset(f)
-    failures = []
-    for i, fi in f.items():
-        if fi not in domain:
-            failures.append(f"f({i}) = {fi} leaves the domain")
-        elif fi != i and not P.less(fi, i):
-            failures.append(f"f({i}) = {fi} is not <= {i}")
+    dom = np.fromiter(f, np.int64, len(f))
+    img = np.fromiter(f.values(), np.int64, len(f))
+    domain = np.sort(dom)
+    leaves = ~gfnum.member(domain, img)
+    bad = np.flatnonzero(leaves | ((img != dom) & ~P.less(img, dom)))[:10]
+    failures = [f"f({i}) = {fi} leaves the domain" if out else f"f({i}) = {fi} is not <= {i}"
+                for i, fi, out in zip(dom[bad].tolist(), img[bad].tolist(), leaves[bad].tolist())]
     if failures:
-        return CheckResult("closure-deformation", False, failures[:10])
-    for i in domain:
-        for j in P.above[i] & domain:
-            if f[i] != f[j] and not P.less(f[i], f[j]):
-                failures.append(f"monotonicity fails on {i} < {j}")
+        return CheckResult("closure-deformation", False, failures)
+    image_of = np.zeros(len(P), dtype=np.int64)
+    image_of[dom] = img
+    lo, hi = P._inside(domain)
+    bad = np.flatnonzero((image_of[lo] != image_of[hi]) & ~P.less(image_of[lo], image_of[hi]))
+    failures = [f"monotonicity fails on {i} < {j}"
+                for i, j in zip(lo[bad[:10]].tolist(), hi[bad[:10]].tolist())]
     if failures:
-        return CheckResult("closure-deformation", False, failures[:10])
-    prof_full = P.homology(domain)
-    prof_image = P.homology(f.values())
+        return CheckResult("closure-deformation", False, failures)
+    prof_full, prof_image = P.profiles(np.repeat([0, 1], len(f)), np.concatenate([dom, img]), 2)
     ok = prof_full == prof_image
     return CheckResult(
         "closure-deformation",
@@ -726,21 +811,48 @@ def poset_join_check(P: Poset, y_indices: Iterable[int],
     Conclusion checked: the homology of the subposet on Y ∪ Z matches the
     join prediction from |Y| and |Z| (rational Betti comparison; integral
     equality asserted when both factors are torsion-free)."""
-    failures = []
-    yset, zset = frozenset(y_indices), frozenset(z_indices)
-    if yset & zset:
-        failures.append("Y and Z are not disjoint")
-    else:
-        for y in yset:
-            if not zset <= P.above[y]:
-                z = min(zset - P.above[y])
-                failures.append(f"hypothesis fails: {y} not < {z}")
-                break
-    if failures:
-        return CheckResult("poset-join", False, failures)
-    prof_p = P.homology(yset | zset)
-    py = P.homology(yset)
-    pz = P.homology(zset)
+    y_pairs = _index_pairs([frozenset(y_indices)])
+    z_pairs = _index_pairs([frozenset(z_indices)])
+    return poset_join_checks(P, y_pairs, z_pairs, 1)[0]
+
+
+def poset_join_checks(P: Poset, y_pairs: tuple[np.ndarray, np.ndarray],
+                      z_pairs: tuple[np.ndarray, np.ndarray], count: int) -> list[CheckResult]:
+    """`poset_join_check` for `count` splits at once, Y and Z given as
+    (split, member) pairs.  The hypothesis counts, for each z, the members
+    of its split's Y below it (expanding the few elements below each z, not
+    the many above each y); a failure names the least y not below some z,
+    and the least z not above it.  One `profiles` call answers Y ∪ Z, Y and
+    Z of every split, and splits whose three profiles are the same objects
+    share one CheckResult."""
+    n = len(P)
+    ykeys = gfnum.distinct(y_pairs[0] * n + y_pairs[1])[0]
+    zkeys = gfnum.distinct(z_pairs[0] * n + z_pairs[1])[0]
+    (ysplit, y), (zsplit, z) = np.divmod(ykeys, max(n, 1)), np.divmod(zkeys, max(n, 1))
+    shared = np.zeros(count, dtype=bool)
+    shared[ysplit[gfnum.member(zkeys, ykeys)]] = True
+    owner, down = P.down(z)
+    hits = np.bincount(owner[gfnum.member(ykeys, zsplit[owner] * n + down)], minlength=len(z))
+    short = np.zeros(count, dtype=bool)
+    short[zsplit[hits < np.bincount(ysplit, minlength=count)[zsplit]]] = True
+    profs = P.profiles(np.concatenate([3 * ysplit, 3 * zsplit, 3 * ysplit + 1, 3 * zsplit + 2]),
+                       np.concatenate([y, z, y, z]), 3 * count)
+    keys = list(zip(map(id, profs[0::3]), map(id, profs[1::3]), map(id, profs[2::3])))
+    judged = {key: _join_result(*profs[3 * s:3 * s + 3])
+              for key, s in dict(zip(keys, range(count))).items()}
+    out = [judged[key] for key in keys]
+    for s in np.flatnonzero(shared).tolist():
+        out[s] = CheckResult("poset-join", False, ["Y and Z are not disjoint"])
+    for s in np.flatnonzero(short & ~shared).tolist():
+        zset = set(z[zsplit == s].tolist())
+        y0 = min(v for v in y[ysplit == s].tolist() if not zset <= P.above[v])
+        out[s] = CheckResult("poset-join", False,
+                             [f"hypothesis fails: {y0} not < {min(zset - P.above[y0])}"])
+    return out
+
+
+def _join_result(prof_p: HomologyProfile, py: HomologyProfile, pz: HomologyProfile) -> CheckResult:
+    """The join check's conclusion from the profiles of Y ∪ Z, Y and Z."""
     predicted = join_betti_prediction(py, pz, prof_p.max_degree)
     ok = prof_p.betti == predicted
     torsion_free = all(not t for t in py.torsion) and all(not t for t in pz.torsion)
@@ -768,46 +880,58 @@ def morse_lemma_check(
          wedge of (d-1)-spheres, for every x.
 
     When the hypotheses hold, the certificate asserts the wedge profile for
-    |X| and cross-checks it by direct homology."""
+    |X| and cross-checks it by direct homology.  Each element counts in the
+    first part that holds it, so the link of x in L_i is its neighbours whose
+    part comes before L_i; X0, every link and X go to one `profiles` call."""
+    n = len(X)
+    parts = [np.asarray(part, dtype=np.int64).reshape(-1) for part in (x0_indices, *layers)]
+    if not np.array_equal(gfnum.distinct(np.concatenate(parts))[0], np.arange(n)):
+        return CheckResult("morse-lemma", False, ["parts do not cover the poset"])
+    part_of = np.empty(n, dtype=np.int64)
+    for i in range(len(parts) - 1, -1, -1):
+        part_of[parts[i]] = i
+    members = [gfnum.distinct(layer)[0] for layer in parts[1:]]
+    xs = np.concatenate([np.zeros(0, dtype=np.int64), *members])
+    level = np.repeat(np.arange(1, len(parts)), [len(m) for m in members])
+    below, above = X.down(xs), X.up(xs)
+    owner, y = np.concatenate([below[0], above[0]]), np.concatenate([below[1], above[1]])
+    prev = part_of[y] < level[owner]
+    profs = X.profiles(np.concatenate([np.zeros(len(parts[0]), np.int64), owner[prev] + 1,
+                                       np.full(n, len(xs) + 1)]),
+                       np.concatenate([parts[0], y[prev], np.arange(n)]), len(xs) + 2)
     failures = []
     details: dict = {"clauses": {}}
-    cover = set(x0_indices)
-    for layer in layers:
-        cover |= set(layer)
-    if cover != set(range(len(X))):
-        return CheckResult("morse-lemma", False, ["parts do not cover the poset"])
-    prof0 = X.homology(x0_indices)
+    prof0 = profs[0]
     if not prof0.is_wedge_of_spheres(d):
         failures.append(f"clause (i): |X0| profile {prof0} is not a wedge of S^{d}")
     details["clauses"]["x0_profile"] = prof0
 
-    prev = set(x0_indices)
-    for li, layer in enumerate(layers, start=1):
-        members = set(layer)
-        layer = sorted(members)
+    links = profs[1:-1]
+    wedge = {key: prof.is_wedge_of_spheres(d - 1)
+             for key, prof in dict(zip(map(id, links), links)).items()}
+    bad = np.flatnonzero(~np.fromiter(map(wedge.__getitem__, map(id, links)), bool, len(links)))
+    start = 0
+    for li, layer in enumerate(members, start=1):
+        inside = np.zeros(n, dtype=bool)
+        inside[layer] = True
         # an antichain: no member lies below another member
-        for x in layer:
-            higher = X.above[x] & members
-            if higher:
-                failures.append(
-                    f"clause (ii): comparable pair in L{li}: "
-                    f"{X.elements[x]} < {X.elements[min(higher)]}"
-                )
+        comparable = np.flatnonzero(inside[X.lo] & inside[X.hi])
+        if comparable.size:
+            c = comparable[0]
+            failures.append(f"clause (ii): comparable pair in L{li}: "
+                            f"{X.elements[X.lo[c]]} < {X.elements[X.hi[c]]}")
+        for k in bad[(bad >= start) & (bad < start + len(layer))].tolist():
+            prof = links[k]
+            failures.append(
+                f"clause (iii): link of {X.elements[layer[k - start]]} in layer L{li} "
+                f"is not a wedge of S^{d-1} (profile {None if prof.empty else prof})"
+            )
+            if len(failures) > 10:
                 break
-        for x in layer:
-            link = (X.above[x] | X.below[x]) & prev
-            prof = X.homology(link) if link else None
-            if prof is None or not prof.is_wedge_of_spheres(d - 1):
-                failures.append(
-                    f"clause (iii): link of {X.elements[x]} in layer L{li} "
-                    f"is not a wedge of S^{d-1} (profile {prof})"
-                )
-                if len(failures) > 10:
-                    break
-        prev |= members
+        start += len(layer)
     passed = not failures
     if passed:
-        full = X.homology()
+        full = profs[-1]
         details["direct_cross_check"] = full
         passed = full.is_wedge_of_spheres(d)
         if not passed:

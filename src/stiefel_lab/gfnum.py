@@ -11,6 +11,7 @@ through exact checks there.
 sphere indices): one int64, so sorted rows have sorted codes and a lookup is
 one `np.searchsorted` (`member`).  `mod` is the one bulk reduction (by floor
 division: numpy's integer `%` is several times slower for the same residues).
+`component_labels` is the one labelling of a graph's components.
 """
 
 from __future__ import annotations
@@ -130,3 +131,38 @@ def member(known: np.ndarray, codes: np.ndarray) -> np.ndarray:
     if not len(known):
         return np.zeros(codes.shape, dtype=bool)
     return known.take(np.searchsorted(known, codes), mode="clip") == codes
+
+
+def distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in ascending order, and each code's position among
+    them, by one stable sort (`np.unique` takes a hash path for int arrays
+    that is many times slower)."""
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    fresh = np.ones(len(codes), dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    at = np.empty(len(codes), dtype=np.int64)
+    at[order] = np.cumsum(fresh) - 1
+    return ordered[fresh], at
+
+
+def component_labels(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component in the graph on
+    range(count) with edges (a[k], b[k]), by min-label propagation with
+    pointer jumping.  Each round hooks the larger of every edge's two labels
+    onto the smaller, then replaces each label by its label's label until
+    none moves; a round with no edge between two labels ends the loop.  A
+    label only falls and always names a vertex of its own component, so the
+    least vertex keeps its own, and at the end every vertex carries it."""
+    labels = np.arange(count)
+    while True:
+        la, lb = labels[a], labels[b]
+        split = la != lb
+        if not split.any():
+            return labels
+        np.minimum.at(labels, np.maximum(la, lb)[split], np.minimum(la, lb)[split])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped

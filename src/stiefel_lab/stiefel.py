@@ -51,7 +51,7 @@ from stiefel_lab.complexes import (
     closure_deformation_check,
     morse_lemma_check,
     poset_from_frames,
-    poset_join_check,
+    poset_join_checks,
     reduced_homology,
 )
 
@@ -560,6 +560,13 @@ class MorseFiltration:
             return size
         return 0
 
+    def layers(self, sizes: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """`layer` of every frame in one array pass, from the frames' sizes
+        and their counts of members in the pivot hyperplane."""
+        out = np.where((sizes >= 2) & (inside == 0), sizes, 0)
+        out[(sizes == self.l) & (inside == sizes)] = 1
+        return out
+
     def in_prev(self, frame: Collection[int], i: int) -> bool:
         """Membership in X_0 ∪ L_1 ∪ ... ∪ L_(i-1)."""
         return self.layer(frame) < i
@@ -569,6 +576,16 @@ class MorseFiltration:
         the pivot hyperplane, plus the pivot and its negative if present."""
         return (frame & self.hyperplane) | (frame & {self.pivot_index,
                                                      self.pivot_negative_index})
+
+
+def _member_counts(frames: Sequence[Collection[int]], *masks: np.ndarray) -> list[np.ndarray]:
+    """The size of each frame, then for each bool mask over the sphere how
+    many of the frame's members it marks."""
+    sizes = np.fromiter(map(len, frames), np.int64, len(frames))
+    flat = np.fromiter(itertools.chain.from_iterable(frames), np.int64, int(sizes.sum()))
+    ends = np.cumsum(sizes)
+    running = [np.concatenate([[0], np.cumsum(mask[flat])]) for mask in masks]
+    return [sizes] + [marked[ends] - marked[ends - sizes] for marked in running]
 
 
 @dataclass
@@ -701,10 +718,12 @@ def morse_replay(
         by_size = _cliques(sphere.adjacency(), l)
         frames = [frozenset(t) for size in sorted(by_size) for t in by_size[size]]
         poset = poset_from_frames(frames)
-        layer_of = [filt.layer(f) for f in frames]
-        x0, layers = [], [[] for _ in range(l)]
-        for i, k in enumerate(layer_of):
-            (layers[k - 1] if k else x0).append(i)
+        kept = filt.orthogonal_to_pivot.copy()  # the members a deformation keeps
+        kept[[filt.pivot_index, filt.pivot_negative_index]] = True
+        sizes, inside, core = _member_counts(frames, filt.orthogonal_to_pivot, kept)
+        layer_of = filt.layers(sizes, inside)
+        x0 = np.flatnonzero(layer_of == 0)
+        layers = [np.flatnonzero(layer_of == k) for k in range(1, l + 1)]
         cert.config["layer_sizes"] = {"X0": len(x0),
                                       **{f"L{j+1}": len(layer) for j, layer in enumerate(layers)}}
         lemma = morse_lemma_check(poset, x0, layers, d)
@@ -713,27 +732,18 @@ def morse_replay(
             direct = lemma.details["direct_cross_check"]
             cert.add("direct-homology", direct.is_wedge_of_spheres(d),
                      f"betti {direct.betti}")
-        _deformation_items(cert, poset, filt, layer_of, l)
+        _deformation_items(cert, poset, filt, layer_of, l, sizes, inside, core)
         _join_items(cert, poset, filt, layer_of, l)
     else:
         sample = 200 if sample_budget is None else sample_budget
         cert.config["sample_budget"] = sample
         _sampled_partition_items(cert, sphere, filt, rng, l, sample)
         for layer_i in range(1, l + 1):
-            checked = 0
-            failures = 0
-            for _ in range(sample):
-                x = _sample_layer_frame(rng, sphere, filt, layer_i, l)
-                if x is None:
-                    continue
-                link = _link_in_prev(sphere, filt, x, layer_i, l)
-                if not link:
-                    failures += 1
-                    continue
-                prof = poset_from_frames(link).homology()
-                if not prof.is_wedge_of_spheres(d - 1):
-                    failures += 1
-                checked += 1
+            drawn = (_sample_layer_frame(rng, sphere, filt, layer_i, l) for _ in range(sample))
+            links = [_link_in_prev(sphere, filt, x, layer_i, l) for x in drawn if x is not None]
+            # an empty link has the empty profile, which is no wedge
+            failures = sum(not prof.is_wedge_of_spheres(d - 1) for prof in _link_profiles(links))
+            checked = sum(1 for link in links if link)
             cert.add(
                 f"links-L{layer_i}", failures == 0 and checked >= min(sample, 1),
                 f"{checked} links sampled, {failures} failures",
@@ -744,37 +754,50 @@ def morse_replay(
     return cert
 
 
-def _deformation_items(cert, poset, filt, layer_of, l):
+def _link_profiles(links: list[list[frozenset]]) -> list:
+    """The profile of each link, as an index set of the containment poset of
+    all their frames: one poset and one `profiles` call for the lot."""
+    frames = list(dict.fromkeys(itertools.chain.from_iterable(links)))
+    index = {f: i for i, f in enumerate(frames)}
+    members = np.fromiter((index[f] for link in links for f in link), np.int64)
+    sets = np.repeat(np.arange(len(links)), [len(link) for link in links])
+    return poset_from_frames(frames).profiles(sets, members, len(links))
+
+
+def _deformation_items(cert, poset, filt, layer_of, l, sizes, inside, core):
     """The X_0 deformation onto the suspension: drop the members pairing
     non-trivially with the pivot (keeping the pivot itself), then compare
     against the suspension of the one-lower skeleton poset of the hyperplane.
-    `layer_of[i]` is the filtration layer of element i, 0 for X_0."""
+    Element i has layer `layer_of[i]` (0 for X_0), `sizes[i]` members,
+    `inside[i]` of them in the pivot hyperplane and `core[i]` there or at
+    the pivot or its negative.  Those `core[i]` members, the frame's core,
+    are the frame itself or the one subframe below it whose members all lie
+    there and whose size is the core's; so f is read off the poset's pairs
+    in one array pass."""
     keep = {filt.pivot_index, filt.pivot_negative_index}
     elements = poset.elements
-    f_map = {}
-    for i, fset in enumerate(elements):
-        if layer_of[i]:
-            continue
-        core = filt.deform(fset)
-        if core == fset:
-            f_map[i] = i
-        elif core:
-            f_map[i] = next(j for j in poset.below[i] if elements[j] == core)
+    fixed = core == sizes
+    image = np.where(fixed, np.arange(len(elements)), -1)
+    lo, hi = poset.lo, poset.hi
+    onto = ~fixed[hi] & fixed[lo] & (sizes[lo] == core[hi])
+    image[hi[onto]] = lo[onto]
+    domain = np.flatnonzero((np.asarray(layer_of) == 0) & (core > 0))
+    f_map = dict(zip(domain.tolist(), image[domain].tolist()))
     res = closure_deformation_check(poset, f_map)
     cert.add("x0-deformation", res.passed, "; ".join(res.failures[:3]))
     # The image is the suspension-shaped family; its profile must equal the
     # suspended profile of X_(l-1) of the pivot hyperplane.
-    w_idx = [i for i, f in enumerate(elements) if len(f) <= l - 1 and f <= filt.hyperplane]
-    w_prof = poset.homology(w_idx)
-    image = set(f_map.values())
+    w_idx = np.flatnonzero((sizes <= l - 1) & (inside == sizes))
+    image = gfnum.distinct(image[domain])[0]
     expected = {frozenset({v}) for v in keep}
-    for i in w_idx:
+    for i in w_idx.tolist():
         expected |= {elements[i], elements[i] | {filt.pivot_index},
                      elements[i] | {filt.pivot_negative_index}}
-    structural = {elements[j] for j in image} == expected
+    structural = {elements[j] for j in image.tolist()} == expected
     cert.add("x0-suspension-structure", structural,
              f"image {len(image)} elements vs expected {len(expected)}")
-    prof_prime = poset.homology(image)
+    w_prof, prof_prime = poset.profiles(np.repeat([0, 1], [len(w_idx), len(image)]),
+                                        np.concatenate([w_idx, image]), 2)
     ok = (
         prof_prime.is_wedge_of_spheres(l - 1)
         and w_prof.is_wedge_of_spheres(l - 2)
@@ -792,27 +815,37 @@ def _join_items(cert, poset, filt, layer_of, l):
     pure-hyperplane extension.  `layer_of[i]` is the filtration layer of
     element i, 0 for X_0.  The exhaustive replay has l <= 3, so every
     extension in an earlier layer is pure: x in L_2 plus a vector off the
-    hyperplane has no member in it and lies in L_3."""
-    checked = 0
+    hyperplane has no member in it and lies in L_3.  The links of every
+    layer, in layer order, go to one `profiles` call for their subframes and
+    one `poset_join_checks` call."""
+    layer_of = np.asarray(layer_of)
+    xs = np.flatnonzero((layer_of >= 2) & (layer_of <= l))
+    xs = xs[np.argsort(layer_of[xs], kind="stable")]
+    sub_of, subs = poset.down(xs)
+    earlier = layer_of[subs] < layer_of[xs[sub_of]]
+    sub_of, subs = sub_of[earlier], subs[earlier]
+    ext_of, exts = poset.up(xs)
+    earlier = layer_of[exts] < layer_of[xs[ext_of]]
+    ext_of, exts = ext_of[earlier], exts[earlier]
+    boundaries = poset.profiles(sub_of, subs, len(xs))
+    joins = poset_join_checks(poset, (sub_of, subs), (ext_of, exts), len(xs))
+    frames = [poset.elements[i] for i in xs.tolist()]
+    sizes = np.fromiter(map(len, frames), np.int64, len(frames))
+    keys = list(zip(map(id, boundaries), sizes.tolist()))
+    spheres = {(key, size): prof.is_wedge_of_spheres(size - 2) and prof.wedge_size(size - 2) == 1
+               for (key, size), prof in dict(zip(keys, boundaries)).items()}
+    counts = np.bincount(sub_of, minlength=len(xs))
+    whole = (counts == 2 ** sizes - 2) & np.fromiter(map(spheres.__getitem__, keys), bool, len(keys))
+    joined = np.fromiter((res.passed for res in joins), bool, len(joins))
     failures = []
-    elements = poset.elements
-    for layer_i in range(2, l + 1):
-        for xi in (i for i, k in enumerate(layer_of) if k == layer_i):
-            x = elements[xi]
-            subs = {j for j in poset.below[xi] if layer_of[j] < layer_i}
-            exts = {j for j in poset.above[xi] if layer_of[j] < layer_i}
-            boundary = poset.homology(subs)
-            if len(subs) != 2 ** len(x) - 2 or not (
-                    boundary.is_wedge_of_spheres(len(x) - 2)
-                    and boundary.wedge_size(len(x) - 2) == 1):
-                failures.append(f"subframes of {sorted(x)}: {len(subs)} elements, "
-                                f"betti {boundary.betti}")
-            res = poset_join_check(poset, subs, exts)
-            if not res.passed:
-                failures.append(f"join check failed at {sorted(x)}: {res.failures[:1]}")
-            checked += 1
+    for k in np.flatnonzero(~whole | ~joined).tolist():
+        if not whole[k]:
+            failures.append(f"subframes of {sorted(frames[k])}: {counts[k]} elements, "
+                            f"betti {boundaries[k].betti}")
+        if not joined[k]:
+            failures.append(f"join check failed at {sorted(frames[k])}: {joins[k].failures[:1]}")
     cert.add("link-join-split", not failures,
-             f"{checked} links decomposed; " + "; ".join(failures[:3]))
+             f"{len(xs)} links decomposed; " + "; ".join(failures[:3]))
 
 
 def _sample_layer_frame(rng, sphere, filt, layer_i, l):
@@ -823,7 +856,9 @@ def _sample_layer_frame(rng, sphere, filt, layer_i, l):
 
 def _sampled_partition_items(cert, sphere, filt, rng, l, sample):
     """Classification sanity on random frames: the three membership
-    predicates are mutually exclusive and some part always takes the frame."""
+    predicates are mutually exclusive and some part always takes the frame.
+    Then clause (ii) on sampled layer frames: no proper subframe of a frame
+    lies in the frame's own layer."""
     bad = 0
     tried = 0
     for _ in range(sample):
@@ -839,20 +874,20 @@ def _sampled_partition_items(cert, sphere, filt, rng, l, sample):
         if filt.layer(x) != want:
             bad += 1
     cert.add("layer-partition", bad == 0, f"{tried} frames classified, {bad} bad")
-    # incomparability within a layer is structural: same-size distinct sets
     pairs_checked = 0
     comparable = 0
     for _ in range(min(sample, 50)):
         size = rng.randint(2, l)
         a = _sample_layer_frame(rng, sphere, filt, size, l)
         b = _sample_layer_frame(rng, sphere, filt, size, l)
+        for x in filter(None, {a, b}):
+            comparable += any(filt.layer(sub) == filt.layer(x) for k in range(1, len(x))
+                              for sub in itertools.combinations(x, k))
         if a and b and a != b:
-            if set(a) <= set(b) or set(b) <= set(a):
-                comparable += 1
             pairs_checked += 1
-    detail = f"structural (equal frame sizes); {pairs_checked} sampled pairs"
+    detail = f"{pairs_checked} sampled pairs, no proper subframe in its frame's layer"
     if comparable:
-        detail += f", {comparable} comparable"
+        detail = f"{pairs_checked} sampled pairs, {comparable} frames with a proper subframe in their layer"
     cert.add("layer-incomparability", comparable == 0, detail)
 
 

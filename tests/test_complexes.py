@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from stiefel_lab import complexes
+from stiefel_lab import complexes, gfnum
 from stiefel_lab.complexes import (
     CheckResult,
     HomologyProfile,
@@ -446,12 +446,11 @@ def test_each_boundary_reaches_the_elimination_once(monkeypatch):
 
 
 def test_h0_cross_check_raises_on_mismatch(monkeypatch):
-    # The SNF rank of the boundary C_1 -> C_0 must confirm the union-find
-    # count; a wrong count is refused by an explicit exception (not a bare
-    # assert, which python -O would strip).
-    import stiefel_lab.complexes as cx
-
-    monkeypatch.setattr(cx, "_component_count", lambda vertices, edges: 2)
+    # The SNF rank of the boundary C_1 -> C_0 must confirm the component
+    # count of `gfnum.component_labels`; a wrong count (here every vertex its
+    # own component) is refused by an explicit exception (not a bare assert,
+    # which python -O would strip).
+    monkeypatch.setattr(gfnum, "component_labels", lambda count, a, b: np.arange(count))
     with pytest.raises(AssertionError, match="component count mismatch"):
         reduced_homology(octahedron(), 2)
 
@@ -472,16 +471,16 @@ def crowns_and_chain() -> Poset:
     8 < 9 < 10 < 11."""
     above = [{2, 3}, {2, 3}, set(), set(), {6, 7}, {6, 7}, set(), set(),
              {9, 10, 11}, {10, 11}, {11}, set()]
-    P = Poset(list(range(12)), above)
-    P.validate()
-    return P
+    return poset_from_less(list(range(12)), lambda i, j: j in above[i])
 
 
 def test_homology_is_computed_once_per_shape(monkeypatch):
-    """Index sets whose relations agree once renumbered by rank share one
-    profile; same-size subposets of other shapes get their own.  Only the
-    4-chain's shape holds a chain of three, so it alone has its order
-    complex built and homologized; the other shapes are graphs."""
+    """One kernel call answers every index set.  Equal graph profiles within
+    it are one object, and so are the profiles of three-chain sets of one
+    shape; same-size subposets of other shapes get their own.  Only the
+    4-chain and the two 3-chains hold a chain of three, so they alone have
+    an order complex built and homologized, once per shape; the other sets
+    are graphs read off their counts."""
     built, homologized = [], []
     chains = Poset._chains
 
@@ -496,18 +495,21 @@ def test_homology_is_computed_once_per_shape(monkeypatch):
     monkeypatch.setattr(Poset, "_chains", counted_chains)
     monkeypatch.setattr(complexes, "reduced_homology", counted)
     P = crowns_and_chain()
-    crown = P.homology([0, 1, 2, 3])
-    assert P.homology([4, 5, 6, 7]) is crown and not built
-    assert crown.betti == (0, 1)  # the crown's order complex is a 4-cycle
-    chain = P.homology([8, 9, 10, 11])
+    sets = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [8, 11], [0, 2], [2, 3], [4, 5],
+            [8, 9, 10], [9, 10, 11]]
+    (crown, crown2, chain, two_chain, two_chain2, two_antichain, two_antichain2,
+     three_chain, three_chain2) = P.profiles(*complexes._index_pairs(sets), len(sets))
+    assert crown2 is crown and crown.betti == (0, 1)  # the crown's order complex is a 4-cycle
     assert chain != crown and chain.is_trivial()
-    two_chain = P.homology([8, 11])
-    assert P.homology([0, 2]) is two_chain
-    two_antichain = P.homology([2, 3])
-    assert P.homology([4, 5]) is two_antichain
+    assert two_chain2 is two_chain and two_antichain2 is two_antichain
     assert two_chain != two_antichain and two_antichain.betti == (1,)
-    assert len({id(prof) for prof in (crown, chain, two_chain, two_antichain)}) == 4
-    assert built == [frozenset({8, 9, 10, 11})] and len(homologized) == 1
+    assert three_chain2 is three_chain
+    assert len({id(prof) for prof in (crown, chain, two_chain, two_antichain, three_chain)}) == 5
+    assert [set(S) for S in built] == [{8, 9, 10, 11}, {8, 9, 10}]
+    assert len(homologized) == 2
+    # A batch of one per homology call: equal, and kept per index set.
+    assert P.homology([4, 5, 6, 7]) == crown and P.homology([7, 6, 5, 4]) is P.homology([4, 5, 6, 7])
+    assert len(built) == 2
 
 
 def assert_fields_match(prof, oracle):
@@ -752,6 +754,48 @@ def test_drawn_index_set_profiles_match_order_complex(order):
         assert_matches_order_complex(P, S)
         three_chains.add(P._shape(frozenset(S))[1])
     assert three_chains == {False, True}  # both routes are taken
+
+
+def mixed_index_sets(P, seed) -> list:
+    """Index sets of every kind for one kernel batch: the empty set, a
+    singleton, the whole poset, random draws, and some elements' links and
+    closed down-sets."""
+    n = len(P)
+    rng = random.Random(seed)
+    sets = [[], [rng.randrange(n)], list(range(n))]
+    sets += [rng.sample(range(n), rng.randint(2, min(n - 1, 400))) for _ in range(12)]
+    for i in rng.sample(range(n), min(n, 20)):
+        sets += [P.link(i), sorted(P.below[i] | {i})]
+    return sets
+
+
+def assert_batch_matches_order_complexes(P, sets):
+    """One `profiles` call against reduced homology of each set's order
+    complex, field by field.  The batch holds empty, singleton and height-one
+    sets, and three-chain sets whenever the poset has a chain of three."""
+    kinds = set()
+    for S, prof in zip(sets, P.profiles(*complexes._index_pairs(sets), len(sets))):
+        K = P._chains(S)
+        assert_fields_match(prof, reduced_homology(K, max(K.dimension, 0)))
+        kinds.add("empty" if not S else "point" if len(S) == 1 else
+                  "three-chain" if P._shape(S)[1] else "height one")
+    has_three_chain = P._shape(range(len(P)))[1]
+    assert kinds == {"empty", "point", "height one"} | ({"three-chain"} if has_three_chain else set())
+
+
+@ORDERS
+def test_profiles_batch_matches_order_complexes(order):
+    P = poset_from_less(*order)
+    assert_batch_matches_order_complexes(P, mixed_index_sets(P, len(P)))
+
+
+@pytest.mark.parametrize("l, size", [(2, 1170), (3, 3330)])
+def test_frame_poset_profiles_match_order_complexes(l, size):
+    """The same on the frame posets of X_l(F_3^5), whose frames hold at most
+    l vectors: height one at l = 2, three-chains at l = 3."""
+    P = face_poset(build_stiefel(euclidean(finite_field(3), 5), l - 1))
+    assert len(P) == size
+    assert_batch_matches_order_complexes(P, mixed_index_sets(P, l))
 
 
 def test_morse_lemma_on_octahedron_poset():

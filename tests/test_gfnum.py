@@ -196,3 +196,48 @@ def test_abelianization_memory():
 
 def test_form_preserving_map_scan_memory():
     assert peak_mib(lambda: wn_identification_check(finite_field(5), [], 3, 1)) < 2
+
+
+def least_of_components(count, pairs) -> list[int]:
+    """The least vertex of each vertex's component, by breadth-first search."""
+    neighbours = [[] for _ in range(count)]
+    for a, b in pairs:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    least = [-1] * count
+    for start in range(count):
+        if least[start] < 0:
+            least[start] = start
+            queue = [start]
+            for v in queue:
+                for w in neighbours[v]:
+                    if least[w] < 0:
+                        least[w] = start
+                        queue.append(w)
+    return least
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_component_labels_match_bfs(seed):
+    rng = random.Random(seed)
+    count = rng.randint(0, 80)
+    pairs = [(rng.randrange(count), rng.randrange(count))
+             for _ in range(rng.randint(0, 2 * count))] if count else []
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    assert gfnum.component_labels(count, a, b).tolist() == least_of_components(count, pairs)
+
+
+def test_component_labels_join_a_shuffled_path():
+    """A path whose vertices are numbered at random needs many hooks and
+    jumps; every vertex ends labelled 0."""
+    perm = np.random.default_rng(0).permutation(2000)
+    assert (gfnum.component_labels(2000, perm[:-1], perm[1:]) == 0).all()
+
+
+def test_distinct_matches_np_unique():
+    rng = np.random.default_rng(0)
+    for codes in (np.zeros(0, dtype=np.int64), rng.integers(-50, 50, 500),
+                  rng.integers(0, 2**62, 300)):
+        values, at = gfnum.distinct(codes)
+        want, inverse = np.unique(codes, return_inverse=True)
+        assert np.array_equal(values, want) and np.array_equal(at, inverse.reshape(-1))

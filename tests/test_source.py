@@ -282,6 +282,43 @@ def test_row_codes_have_one_home():
                                    .read_text()))
 
 
+def _pointer_jumps(tree) -> list[int]:
+    """Lines that index an array by itself or by its own entries, `a[a]` or
+    `a[a[i]]`: the pointer jumping (path compression) at the heart of a
+    union-find or a label propagation.  Type hints such as
+    `Sequence[Sequence[int]]` are not indexing, and are skipped."""
+    hints = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    hints += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    skip = {id(sub) for hint in hints if hint is not None for sub in ast.walk(hint)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and id(node) not in skip:
+            inner = node.slice.value if isinstance(node.slice, ast.Subscript) else node.slice
+            if ast.dump(inner) == ast.dump(node.value):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_component_labelling_has_one_home():
+    """Graph components are labelled only by `gfnum.component_labels`: no
+    other module jumps pointers, so no union-find or label propagation of
+    its own sits outside it."""
+    sample = ast.parse("parent[x] = parent[parent[x]]\n"
+                       "labels = labels[labels]\n"
+                       "y = rows[cols]\n"
+                       "z = face_maps[p - 1][i][face_maps[p][j]]\n"
+                       "def f(a: Sequence[Sequence[int]]) -> list[list[int]]: pass\n")
+    assert _pointer_jumps(sample) == [1, 2]
+    found = []
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        if path.name != "gfnum.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _pointer_jumps(tree)]
+    assert found == []
+    assert _pointer_jumps(ast.parse((Path(stiefel_lab.__file__).parent / "gfnum.py")
+                                    .read_text()))
+
+
 def _vector_tables(tree) -> list[int]:
     """Lines that call `np.indices` (or `numpy.indices`)."""
     return sorted({node.lineno for node in ast.walk(tree)

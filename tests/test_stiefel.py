@@ -391,6 +391,18 @@ def test_morse_replay_exhaustive_n6():
     assert sum(sizes.values()) == 252 + 11340  # singletons + orthogonal pairs
 
 
+def test_morse_replay_exhaustive_n7():
+    """The largest exhaustive scale in tier-1 (89,154 elements): every
+    clause of the filtration argument, with the direct homology
+    cross-check."""
+    q7 = euclidean(F3, 7)
+    cert = morse_replay(F3, 7, 2, frame(q7, []), frame(q7, []))
+    assert cert.passed and cert.mode == "exhaustive"
+    assert cert.config["layer_sizes"] == {"X0": 41526, "L1": 11340, "L2": 36288}
+    assert ("direct-homology", True, "betti (0, 87751)") in cert.assertions
+    assert ("link-join-split", True, "36288 links decomposed; ") in cert.assertions
+
+
 def frame_poset_and_filtration(n, l):
     """The frame poset of X_l(F_3^n), built as the exhaustive replay builds
     it, and the Morse filtration about the first unit vector."""
@@ -464,30 +476,41 @@ def test_join_split_requires_every_subframe(l):
     assert "subframes of" in detail
 
 
+# Calls of `Poset.profiles` in one exhaustive replay: the lemma (X0, every
+# link and X), the deformation check (its domain and image), the suspension
+# (the base and the image), the links' subframe sets, and the join checks.
+REPLAY_KERNEL_CALLS = 5
+
+
 def replayed_index_sets(monkeypatch) -> list:
-    """Run the exhaustive F_3, n = 5, l = 2 replay and return the (poset,
-    index set) pairs whose homology it asked for."""
-    asked = []
-    shape = Poset._shape
+    """Run the exhaustive F_3, n = 5, l = 2 replay and return the index sets
+    of each call of the profile kernel, as (poset, frozensets)."""
+    calls = []
+    profiles = Poset.profiles
 
-    def recorded(self, indices):
-        asked.append((self, indices))
-        return shape(self, indices)
+    def recorded(self, sets, members, count):
+        order = np.argsort(sets, kind="stable")
+        ends = np.searchsorted(np.asarray(sets)[order], np.arange(count + 1))
+        members_by_set = np.asarray(members)[order]
+        calls.append((self, [frozenset(members_by_set[ends[k]:ends[k + 1]].tolist())
+                             for k in range(count)]))
+        return profiles(self, sets, members, count)
 
-    monkeypatch.setattr(Poset, "_shape", recorded)
+    monkeypatch.setattr(Poset, "profiles", recorded)
     q5 = euclidean(F3, 5)
     cert = morse_replay(F3, 5, 2, frame(q5, []), frame(q5, []))
     assert cert.passed and cert.mode == "exhaustive"
-    monkeypatch.setattr(Poset, "_shape", shape)
-    return asked
+    monkeypatch.setattr(Poset, "profiles", profiles)
+    return calls
 
 
 def test_exhaustive_replay_builds_each_order_complex_once(monkeypatch):
     """The F_3, n = 5, l = 2 replay asks for the homology of 654 distinct
-    subposets of its frame poset, 648 of them a two-frame antichain, but
-    they come in 7 shapes, one profile each.  Frames of at most two vectors
-    hold no chain of three, so every shape is a graph read off its rank
-    pairs: no order complex is built or homologized."""
+    subposets of its frame poset, 648 of them a two-frame antichain, in
+    REPLAY_KERNEL_CALLS calls of the batched kernel (one `Poset.homology`
+    call per index set made 2,958 calls).  They come in 7 shapes.  Frames of
+    at most two vectors hold no chain of three, so every profile is read off
+    its graph counts: no order complex is built or homologized."""
     built = []
     chains = Poset._chains
 
@@ -498,22 +521,64 @@ def test_exhaustive_replay_builds_each_order_complex_once(monkeypatch):
     monkeypatch.setattr(Poset, "_chains", counted_chains)
     monkeypatch.setattr(complexes, "reduced_homology",
                         lambda K, d: built.append(K) or reduced_homology(K, d))
-    asked = replayed_index_sets(monkeypatch)
-    assert len(asked) == len({S for _P, S in asked}) == 654
-    assert len({P._shape(S)[0] for P, S in asked}) == 7
-    assert len({id(P.homology(S)) for P, S in asked}) == 7
+    calls = replayed_index_sets(monkeypatch)
+    assert len(calls) == REPLAY_KERNEL_CALLS
+    [P] = {P for P, _sets in calls}
+    asked = {S for _P, sets in calls for S in sets}
+    assert len(asked) == 654
+    assert sum(1 for S in asked if len(S) == 2 and P.homology(S).betti == (1,)) == 648
+    assert len({P._shape(S)[0] for S in asked}) == 7
     assert not built
 
 
 def test_exhaustive_replay_profiles_match_order_complexes(monkeypatch):
     """Each of the 654 profiles of the F_3, n = 5, l = 2 replay matches the
     homology of its order complex field by field."""
-    for P, S in replayed_index_sets(monkeypatch):
+    asked = {(P, S) for P, sets in replayed_index_sets(monkeypatch) for S in sets}
+    assert len(asked) == 654
+    for P, S in asked:
         K = P._chains(S)
         oracle = reduced_homology(K, max(K.dimension, 0))
         prof = P.homology(S)
         for name in ("betti", "torsion", "max_degree", "empty", "complete"):
             assert getattr(prof, name) == getattr(oracle, name), name
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_array_layers_match_layer(l):
+    """The replay's one-pass classification agrees with `layer` frame by
+    frame on the F_3, n = 5 frame posets."""
+    _sphere, filt, poset = frame_poset_and_filtration(5, l)
+    sizes, inside = stiefel._member_counts(poset.elements, filt.orthogonal_to_pivot)
+    assert filt.layers(sizes, inside).tolist() == [filt.layer(f) for f in poset.elements]
+
+
+class PairingSingletonsInL2(stiefel.MorseFiltration):
+    """A wrong filtration: a singleton pairing with the pivot lies in L_2,
+    the layer of the frames of two such vectors, its superframes."""
+
+    def layer(self, frame):
+        if len(frame) == 1 and self.pairing[next(iter(frame))]:
+            return 2
+        return super().layer(frame)
+
+
+def test_sampled_incomparability_fails_on_a_subframe_in_its_layer():
+    """The sampled clause (ii) draws the same frames under either
+    filtration, and fails only when a proper subframe shares its frame's
+    layer."""
+    sphere, filt, _poset = frame_poset_and_filtration(5, 2)
+    wrong = PairingSingletonsInL2(filt.l, filt.pivot_index, filt.pivot_negative_index,
+                                  filt.orthogonal_to_pivot)
+    results = []
+    for f in (filt, wrong):
+        cert = stiefel.MorseCertificate(passed=True, mode="sampled")
+        stiefel._sampled_partition_items(cert, sphere, f, random.Random(0), 2, 20)
+        [(name, ok, detail)] = [a for a in cert.assertions if a[0] == "layer-incomparability"]
+        results.append((ok, detail))
+    assert results[0] == (True, "20 sampled pairs, no proper subframe in its frame's layer")
+    assert results[1] == (False, "20 sampled pairs, 40 frames with a proper subframe in "
+                                 "their layer")
 
 
 def test_morse_replay_rejects_l1():
@@ -550,15 +615,38 @@ def test_morse_replay_sampled_l3():
     assert cert.config["frame_counts"][3] == 63685440
 
 
-def suspension_base_by_union_find(sphere, filt):
+def bfs_components(count, pairs):
+    """Components of the graph on range(count) with the given edges, by
+    breadth-first search: an oracle that shares no code with
+    `gfnum.component_labels`."""
+    neighbours = [[] for _ in range(count)]
+    for a, b in pairs:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen = [False] * count
+    components = 0
+    for start in range(count):
+        if not seen[start]:
+            components += 1
+            seen[start] = True
+            queue = [start]
+            for v in queue:
+                for w in neighbours[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+    return components
+
+
+def suspension_base_by_bfs(sphere, filt):
     """Reference for the l = 3 suspension-base items: X_2 of the pivot
     hyperplane is a graph, so its reduced Betti numbers are b0 = C - 1 and
-    b1 = E - V + C, with C counted by union-find (the Euler count of the
-    barycentric graph: V + E vertices, 2E edges)."""
+    b1 = E - V + C, with C counted by breadth-first search (the Euler count
+    of the barycentric graph: V + E vertices, 2E edges)."""
     w_indices = np.flatnonzero(filt.orthogonal_to_pivot)
     ii, jj = np.nonzero(np.triu(sphere.adjacency(w_indices)))
     verts, edges = len(w_indices), len(ii)
-    comps = complexes._component_count(range(verts), zip(ii.tolist(), jj.tolist()))
+    comps = bfs_components(verts, zip(ii.tolist(), jj.tolist()))
     b0, b1 = comps - 1, 2 * edges - (verts + edges) + comps
     ok = b0 == 0
     return [("x0-suspension-base", ok,
@@ -580,7 +668,7 @@ def suspension_base_by_poset(sphere, filt):
 
 
 @pytest.mark.parametrize("ring, n, l, reference", [
-    (F3, 8, 3, suspension_base_by_union_find),
+    (F3, 8, 3, suspension_base_by_bfs),
     (F3, 7, 2, suspension_base_by_poset),
     (F5, 6, 2, suspension_base_by_poset),
 ], ids=["F3-n8-l3", "F3-n7-l2", "F5-n6-l2"])
@@ -709,12 +797,12 @@ COMPONENT_FORMS = {
 
 @pytest.mark.parametrize("name", list(COMPONENT_FORMS))
 def test_sphere_components_match_union_find(name, monkeypatch):
-    from stiefel_lab.complexes import _component_count
-
+    """The sphere's packed BFS against `bfs_components` on the built
+    adjacency matrix."""
     q, count = COMPONENT_FORMS[name]
     sphere = UnitSphere(q)
     ii, jj = np.nonzero(np.triu(sphere.adjacency()))
-    expected = _component_count(range(sphere.m), zip(ii.tolist(), jj.tolist()))
+    expected = bfs_components(sphere.m, zip(ii.tolist(), jj.tolist()))
     assert expected == count
     assert sphere.components() == expected  # the BFS ignores the built graph
     monkeypatch.setattr(stiefel, "GRAPH_CHUNK", 1)
