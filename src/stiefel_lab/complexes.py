@@ -655,14 +655,14 @@ class Poset:
         # one code per graph profile, from H_1's rank, the component count
         # (0 only for the empty set) and whether there are edges
         code = ((edges - vertices + components) * (n + 1) + components) * 2 + (edges > 0)
-        kinds, at = gfnum.distinct(code)
+        kinds, kind_of = gfnum.distinct(code)
         made = []
         for kind in kinds.tolist():
             (h1, c), top_degree = divmod(kind // 2, n + 1), kind % 2
             made.append(HomologyProfile((c - 1, h1)[:top_degree + 1], ((),) * (top_degree + 1),
                                         top_degree) if c else
                         HomologyProfile((0,), ((),), 0, empty=True))
-        out = [made[k] for k in at.tolist()]
+        out = [made[k] for k in kind_of.tolist()]
         for s in np.flatnonzero(chained).tolist():
             bounds = np.searchsorted(owner, [s, s + 1])
             chosen = member[bounds[0]:bounds[1]].tolist()

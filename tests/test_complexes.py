@@ -568,6 +568,16 @@ def test_barycentric_invariance(build):
     assert direct == sub
 
 
+def test_poset_from_frames_refuses_codes_past_int64():
+    """Frames are coded as rows of digits below the largest member plus two;
+    a family whose codes would not fit in int64 is refused before any pair
+    is looked up."""
+    with pytest.raises(BudgetError, match="more than an int64 code holds"):
+        poset_from_frames([frozenset({0}), frozenset({1, 2, 2 ** 40})])
+    P = poset_from_frames([frozenset({0}), frozenset({1, 2, 2 ** 20}), frozenset({1, 2 ** 20})])
+    assert P.link(0) == [] and P.link(2) == [1]
+
+
 def test_closure_deformation_examples():
     chain = poset_from_less([0, 1, 2], lambda x, y: x < y)
     assert closure_deformation_check(chain, [0, 1, 2]).passed  # identity
