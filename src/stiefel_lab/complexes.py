@@ -8,8 +8,9 @@ degrees >= 2 says so.
 
 Every matrix takes one path, as numpy arrays of its entries: first the peel,
 vectorised rounds of +-1 pivots that are alone in their row or column and so
-create no fill (the coreductions of Mrozek and Batko); then sparse unit-pivot
-elimination in Markowitz order on the core the peel leaves; then dense
+create no fill (the coreductions of Mrozek and Batko); then rounds of
+independent +-1 pivots on the core the peel leaves, each chosen in Markowitz
+order and eliminated by one vectorised Schur complement update; then dense
 elimination of the leftover without a +-1 entry.  The test suite
 cross-checks the path against dense elimination of the whole and against
 gcds of minors.
@@ -18,10 +19,9 @@ gcds of minors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from math import gcd
-from operator import itemgetter, lt
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -32,16 +32,14 @@ from stiefel_lab.rings import BudgetError
 # "dense" or "sparse" by this column count, and need both names to occur.
 DENSE_COLUMN_CUTOFF = 2000
 # Entries a boundary may have, priced as (d + 1) n_d before its arrays are
-# built, and live entries the Markowitz elimination may hold.  The arrays and
-# the peel took 38 bytes of peak RSS per entry on the d = 2 boundary of
-# X(F_3^7) (7,960,680 entries, peeled whole), so a boundary at the budget
-# costs about 0.3 GB; the Markowitz row dicts and column sets took 190 and
-# 302 bytes per live entry on the cleared d = 2 boundaries of X(F_3^6) and
-# X(F_7^4), so a core at the budget stands for at most about 2.4 GB.
+# built, and live entries plus priced fill a round of unit pivots may hold.
+# The arrays and the peel took 38 bytes of peak RSS per entry on the d = 2
+# boundary of X(F_3^7) (7,960,680 entries, peeled whole), so a boundary at
+# the budget costs about 0.3 GB; the unit rounds took 84 and 92 bytes per
+# entry of their largest round's live entries plus priced fill (204,480 and
+# 203,160) on the cores of the cleared d = 2 boundaries of X(F_3^6) and
+# X(F_7^4), so a round at the budget stands for about 0.75 GB.
 SNF_ENTRY_BUDGET = 8_000_000
-# Sparse integer matrix entries: a dict {(row, col): value}, or its items
-# read once.
-Entries = Union[dict[tuple[int, int], int], Iterable[tuple[tuple[int, int], int]]]
 
 
 # ---------------------------------------------------------------------------
@@ -117,96 +115,107 @@ def _dense_snf(a: list[list[int]]) -> list[int]:
     return [a[i][i] for i in range(min(m, n)) if a[i][i]]
 
 
-def _sparse_unit_reduce(entries: Entries, pivot_columns: Optional[list[int]] = None):
-    """Eliminate with +-1 pivots in Markowitz order (Dumas, Saunders and
-    Villard 2001): pop the shortest live row off a heap and pivot on its unit
-    entry with the fewest column entries.  Only rows a pivot changes are
-    pushed again, and only while they hold a unit; stale heap entries are
-    skipped.  Returns the count of unit pivots and the leftover entries (to
-    finish densely), and appends each pivot's column to `pivot_columns` when
-    given.  The entries are read once into rows and columns, so a caller
-    that streams them (as `_invariant_factors` streams the peel's core)
-    holds no copy while the elimination runs.
+def _independent_pivots(rows: np.ndarray, cols: np.ndarray, i: np.ndarray, j: np.ndarray,
+                        rank: np.ndarray) -> np.ndarray:
+    """Positions of a maximal set of the candidates (i[k], j[k]) in which no
+    chosen row holds an entry in another chosen column, so A[I, J] is
+    diagonal: Luby's local minima (1986) under the distinct ranks `rank`.
+    Each pass takes every live candidate ranked below all the live ones it
+    meets (by an entry of its row in their column or of their row in its
+    column) and drops those it meets, until none is live; it reads only the
+    entries whose row and column hold a live candidate."""
+    none = rank.size
+    n_rows, n_cols = int(rows.max()) + 1, int(cols.max()) + 1
+    live, near, taken = np.arange(none), np.arange(rows.size), []
+    while live.size:
+        row_min, col_min = np.full(n_rows, none), np.full(n_cols, none)
+        np.minimum.at(row_min, i[live], rank[live])
+        np.minimum.at(col_min, j[live], rank[live])
+        near = near[(row_min[rows[near]] < none) & (col_min[cols[near]] < none)]
+        r, c = rows[near], cols[near]
+        via_row, via_col = np.full(n_rows, none), np.full(n_cols, none)
+        np.minimum.at(via_row, r, col_min[c])
+        np.minimum.at(via_col, c, row_min[r])
+        own = rank[live]
+        won = live[(own == via_row[i[live]]) & (own == via_col[j[live]])]
+        taken.append(won)
+        won_rows, won_cols = np.zeros(n_rows, dtype=bool), np.zeros(n_cols, dtype=bool)
+        won_rows[i[won]] = won_cols[j[won]] = True
+        out_rows, out_cols = np.zeros(n_rows, dtype=bool), np.zeros(n_cols, dtype=bool)
+        out_rows[r[won_cols[c]]] = out_cols[c[won_rows[r]]] = True
+        live = live[~(out_rows[i[live]] | out_cols[j[live]])]
+    return np.concatenate(taken)
 
-    The live entries are counted: loading reads at most SNF_ENTRY_BUDGET + 1
-    nonzero entries and refuses, before any pivot, when it holds more than
-    the budget; then each fill adds one, each cancellation and each entry of
-    a removed pivot row takes one away.  After every pivot the count is held
-    against SNF_ENTRY_BUDGET, and crossing it raises BudgetError with the
-    pivots done and the entries live."""
-    import heapq  # its C part is an extension library; load it only to reduce
 
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    nonzero = filter(itemgetter(1), entries.items() if isinstance(entries, dict) else entries)
-    for (i, j), val in islice(nonzero, SNF_ENTRY_BUDGET + 1):
-        row = rows.get(i)
-        if row is None:
-            row = rows[i] = {}
-        row[j] = val
-        cols.setdefault(j, set()).add(i)
-    live = sum(map(len, rows.values()))
+def _unit_rounds(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 pivot_columns: list[int]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Eliminate +-1 pivots in rounds until no +-1 entry is left; returns
+    the count of pivots and the leftover's rows, cols and vals, and appends
+    each round's pivot columns to `pivot_columns`.
+
+    A round offers each row's +-1 entry with the fewest column entries (ties
+    to the least column), ranked by the Markowitz score (r_i - 1)(c_j - 1)
+    of Dumas, Saunders and Villard (2001) (ties to the least row), and takes
+    `_independent_pivots` of them: A[I, J] = diag(d), d_k = +-1, or
+    AssertionError.  One Schur complement update clears every pivot column:
+    each entry a at (r, j_k) outside the pivot rows adds -a d_k times pivot
+    row i_k, by one ragged gather of the pivot rows, one sort of the codes
+    r C + c, one `np.add.reduceat` and one filter of the zero sums.
+
+    Exact: values stay int64 while M + L M^2 < 2^62 (M the largest |value|,
+    L the longest row: an entry gains one product per entry of its row in a
+    pivot column), else the round runs on Python ints in an object array.
+    Priced: more than SNF_ENTRY_BUDGET entries are refused before any pivot,
+    and a round whose fill (its gathered pivot-row entries) would take the
+    live entries past the budget, before its arrays are built."""
+    live = rows.size
     if live > SNF_ENTRY_BUDGET:
-        raise BudgetError(f"sparse elimination refused while loading, before any pivot: "
+        raise BudgetError(f"sparse elimination refused before any pivot: "
                           f"{live} live entries exceed {SNF_ENTRY_BUDGET}")
-
-    def has_unit(row):
-        return any(v == 1 or v == -1 for v in row.values())
-
-    heap = [(len(row), i) for i, row in rows.items() if has_unit(row)]
-    heapq.heapify(heap)
-    unit_pivots = 0
-    while heap:
-        size, pi = heapq.heappop(heap)
-        prow = rows.get(pi)
-        if prow is None or len(prow) != size or not has_unit(prow):
-            continue
-        _, pj = min((len(cols[j]), j) for j, v in prow.items() if v == 1 or v == -1)
-        del rows[pi]
-        live -= size
-        pval = prow.pop(pj)
-        for j in prow:
-            cols[j].discard(pi)
-        for i in cols.pop(pj):
-            if i == pi:
-                continue
-            row = rows[i]
-            before = len(row)  # fills and cancellations, counted per row
-            factor = row.pop(pj) * pval  # pval in {1,-1}: division is multiplication
-            for j, val in prow.items():
-                val *= factor
-                old = row.get(j)
-                if old is None:
-                    row[j] = -val
-                    cols[j].add(i)
-                elif old != val:
-                    row[j] = old - val
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            live += len(row) - before
-            if not row:
-                del rows[i]
-            elif has_unit(row):
-                heapq.heappush(heap, (len(row), i))
-        unit_pivots += 1
-        if pivot_columns is not None:
-            pivot_columns.append(pj)
-        if live > SNF_ENTRY_BUDGET:
-            raise BudgetError(f"sparse elimination refused after {unit_pivots} unit pivots: "
-                              f"{live} live entries exceed {SNF_ENTRY_BUDGET}")
-    leftover = {(i, j): v for i, row in rows.items() for j, v in row.items()}
-    return unit_pivots, leftover
-
-
-def _densify(entries: dict[tuple[int, int], int], row_ids, col_ids) -> list[list[int]]:
-    """Dense matrix of the entries, rows and columns in the given id order."""
-    ri = {r: k for k, r in enumerate(row_ids)}
-    ci = {c: k for k, c in enumerate(col_ids)}
-    dense = [[0] * len(ci) for _ in range(len(ri))]
-    for (i, j), val in entries.items():
-        dense[ri[i]][ci[j]] = val
-    return dense
+    taken = 0
+    while True:
+        units = np.flatnonzero((vals == 1) | (vals == -1))
+        if not units.size:
+            return taken, rows, cols, vals
+        row_len, col_len = np.bincount(rows), np.bincount(cols)
+        units = units[np.lexsort((cols[units], col_len[cols[units]], rows[units]))]
+        units = units[np.diff(rows[units], prepend=-1) != 0]
+        i, j = rows[units], cols[units]
+        rank = np.empty_like(units)
+        rank[np.lexsort((i, (row_len[i] - 1) * (col_len[j] - 1)))] = np.arange(units.size)
+        won = _independent_pivots(rows, cols, i, j, rank)
+        units, i, j = units[won], i[won], j[won]
+        at_row, at_col = np.full(row_len.size, -1), np.full(col_len.size, -1)
+        at_row[i] = at_col[j] = np.arange(won.size)
+        pr, pc = at_row[rows], at_col[cols]  # pivots that meet leave an entry with pr != pc
+        if ((pr != pc) & (pr >= 0) & (pc >= 0)).any():
+            raise AssertionError(f"the {won.size} pivots of a round do not make A[I, J] diagonal")
+        src = np.flatnonzero((pr >= 0) & (pc < 0))
+        src = src[np.argsort(pr[src])]
+        ptr = np.searchsorted(pr[src], np.arange(won.size + 1))
+        hit = np.flatnonzero((pr < 0) & (pc >= 0))
+        k = pc[hit]
+        fill = int((ptr[k + 1] - ptr[k]).sum())
+        if live + fill > SNF_ENTRY_BUDGET:
+            raise BudgetError(f"sparse elimination refused after {taken} unit pivots: {live} live "
+                              f"entries and a priced fill of {fill} exceed {SNF_ENTRY_BUDGET}")
+        big = int(np.abs(vals).max())
+        vals = vals.astype(np.int64 if big + int(row_len.max()) * big * big < 2 ** 62 else object)
+        owner, at = _neighbours(ptr, src, k)
+        rest = (pr < 0) & (pc < 0)
+        key = np.concatenate([rows[rest] * col_len.size + cols[rest],
+                              rows[hit[owner]] * col_len.size + cols[at]])
+        order = np.argsort(key)
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        added = -(vals[hit] * vals[units[k]])[owner] * vals[at]
+        sums = np.add.reduceat(np.concatenate([vals[rest], added])[order], first)
+        nonzero = sums != 0
+        rows, cols = np.divmod(key[first[nonzero]], col_len.size)
+        vals = sums[nonzero]
+        pivot_columns += j.tolist()
+        taken += won.size
+        live = rows.size
 
 
 def _peel(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -248,15 +257,15 @@ def _peel(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 def _invariant_factors(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                        pivot_columns: list[int]) -> list[int]:
     """Nonzero invariant factors of the matrix with the given entries
-    (distinct positions, nonzero values): the peel, then unit-pivot
-    elimination of its core in Markowitz order, then dense elimination of
-    what is left.  Every pivot's column is appended to `pivot_columns`."""
+    (distinct positions, nonzero values): the peel, then rounds of unit
+    pivots on its core, then dense elimination of what is left.  Every
+    pivot's column is appended to `pivot_columns`."""
     peeled, rows, cols, vals = _peel(rows, cols, vals, pivot_columns)
-    units, leftover = _sparse_unit_reduce(
-        zip(zip(rows.tolist(), cols.tolist()), vals.tolist()), pivot_columns)
-    rest = _dense_snf(_densify(
-        leftover, sorted({i for i, _ in leftover}), sorted({j for _, j in leftover})))
-    return [1] * (peeled + units) + rest
+    units, rows, cols, vals = _unit_rounds(rows, cols, vals, pivot_columns)
+    (_, r), (_, c) = gfnum.distinct(rows), gfnum.distinct(cols)
+    dense = np.zeros((r.max(initial=-1) + 1, c.max(initial=-1) + 1), dtype=vals.dtype)
+    dense[r, c] = vals
+    return [1] * (peeled + units) + _dense_snf(dense.tolist())
 
 
 def smith_normal_form(matrix) -> list[int]:
@@ -273,19 +282,39 @@ def smith_normal_form(matrix) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _ascending(table: np.ndarray) -> np.ndarray:
+    """Whether each row of the table comes strictly after the row before it
+    in lexicographic order, one flag per row after the first; read column
+    by column from the last, so no copy of the table is made."""
+    after = np.zeros(max(len(table) - 1, 0), dtype=bool)
+    for col in table.T[::-1]:
+        after = (col[1:] > col[:-1]) | ((col[1:] == col[:-1]) & after)
+    return after
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Simplices stored per dimension as sorted tuples of vertex indices."""
+    """Simplices stored per dimension as sorted tuples of vertex indices,
+    each level also read once into an int64 table, checked there (the first
+    simplex of the wrong length or order is named; sorted rows that do not
+    strictly ascend are duplicates) and kept for `_vertex_ranks`."""
 
     simplices: dict[int, list[tuple[int, ...]]]
+    _levels: dict[int, np.ndarray] = field(init=False, repr=False, compare=False,
+                                           default_factory=dict)
 
     def __post_init__(self) -> None:
         for d, simps in self.simplices.items():
-            for s in simps:
-                if len(s) != d + 1 or not all(map(lt, s, s[1:])):
-                    raise ValueError(f"bad {d}-simplex {s}")
-            if len(set(simps)) != len(simps):
+            wrong = np.flatnonzero(np.fromiter(map(len, simps), np.int64, len(simps)) != d + 1)
+            head = simps[:wrong[0]] if wrong.size else simps
+            table = np.fromiter(chain.from_iterable(head), np.int64,
+                                (d + 1) * len(head)).reshape(-1, d + 1)
+            bad = np.flatnonzero((table[:, 1:] <= table[:, :-1]).any(axis=1))
+            if bad.size or wrong.size:
+                raise ValueError(f"bad {d}-simplex {simps[bad[0] if bad.size else wrong[0]]}")
+            if not (_ascending(table).all() or _ascending(table[np.lexsort(table.T[::-1])]).all()):
                 raise ValueError(f"duplicate {d}-simplices")
+            self._levels[d] = table
 
     @property
     def dimension(self) -> int:
@@ -302,14 +331,25 @@ class SimplicialComplex:
 
     def _vertex_ranks(self, d: int) -> np.ndarray:
         """The d-simplices as rows of vertex ranks: each vertex label's
-        position among the sorted labels of the 0-simplices."""
-        labels = np.sort(np.array(self.simplices.get(0, []), dtype=np.int64).reshape(-1))
-        table = np.array(self.simplices.get(d, []), dtype=np.int64).reshape(-1, d + 1)
-        known = gfnum.member(labels, table).all(axis=1)
+        position among the sorted labels of the 0-simplices, found by one
+        binary search and checked to be that label."""
+        labels = np.sort(self._levels.get(0, np.zeros(0, dtype=np.int64)).reshape(-1))
+        table = self._levels.get(d, np.zeros((0, d + 1), dtype=np.int64))
+        ranks = np.searchsorted(labels, table)
+        known = ((ranks < labels.size) & (np.append(labels, 0)[ranks] == table)).all(axis=1)
         if not known.all():
             raise ValueError(f"{d}-simplex {self.simplices[d][known.argmin()]} "
                              f"has a vertex that is no 0-simplex")
-        return np.searchsorted(labels, table)
+        return ranks
+
+    def price_boundary(self, d: int) -> int:
+        """The count of d-simplices, refused with BudgetError when the
+        (d + 1) n_d entries of the boundary d_d exceed SNF_ENTRY_BUDGET."""
+        count = self.n_simplices(d)
+        if (d + 1) * count > SNF_ENTRY_BUDGET:
+            raise BudgetError(f"the boundary d_{d} has {d + 1} x {count} = {(d + 1) * count} "
+                              f"entries, more than {SNF_ENTRY_BUDGET}; refused before it is built")
+        return count
 
     def boundary_arrays(self, d: int, cleared: Collection[int]):
         """The entries of the boundary map C_d -> C_(d-1), d >= 1, without
@@ -321,10 +361,7 @@ class SimplicialComplex:
         face raises ValueError naming the simplex.  Refused with BudgetError
         before any array is built when the boundary's (d + 1) n_d entries
         exceed SNF_ENTRY_BUDGET."""
-        count = self.n_simplices(d)
-        if (d + 1) * count > SNF_ENTRY_BUDGET:
-            raise BudgetError(f"the boundary d_{d} has {d + 1} x {count} = {(d + 1) * count} "
-                              f"entries, more than {SNF_ENTRY_BUDGET}; refused before it is built")
+        count = self.price_boundary(d)
         upper = self._vertex_ranks(d)
         w = gfnum.code_weights(self.n_simplices(0), d)
         lower = gfnum.codes(self._vertex_ranks(d - 1), w)
@@ -425,13 +462,18 @@ def reduced_homology(
 
     Boundaries are reduced bottom-up in one loop, each cleared by the one
     below (Chen and Kerber's twist): the rows of d_(k+1) at the pivot columns
-    J of d_k are dropped before it is reduced.  The pivots, in the order they
-    were taken (the peel's, then the Markowitz core's), make d_k[I, J]
-    upper triangular with +-1 on the diagonal after row operations, as each
-    clears its column from every row still live; so d_k[I, J] is unimodular.
-    As d_k d_(k+1) = 0, rows J of d_(k+1) are then integer combinations of
-    its other rows, and dropping them keeps the row lattice, hence the rank
-    and the invariant factors.  The loop starts from d_0, the augmentation
+    J of d_k are dropped before it is reduced.  Each pivot, once taken,
+    leaves its column free of every other live row: the peel finds it alone
+    in its column, or alone in its row and adds multiples of that row to the
+    others; a unit round adds multiples of its pivot rows to clear all its
+    pivot columns at once, and inside a round no pivot's row meets another
+    pivot's column, so the round's block of d_k[I, J] is diagonal with +-1
+    entries.  With the pivots in the order they were appended, round after
+    round, these unimodular row operations make d_k[I, J] upper triangular
+    with +-1 on the diagonal; so d_k[I, J] is unimodular.  As d_k d_(k+1) =
+    0, rows J of d_(k+1) are then integer combinations of its other rows,
+    and dropping them keeps the row lattice, hence the rank and the
+    invariant factors.  The loop starts from d_0, the augmentation
     C_0 -> Z (rank 1, which makes the homology reduced): its one row is all
     ones, so its unit pivot at vertex 0 makes d_0[I, J] = (1), and d_1 is
     reduced without row 0.  The peel then takes a spanning tree of the
@@ -441,7 +483,9 @@ def reduced_homology(
 
     A boundary above the complex's dimension is zero and never built.  A
     graph (dimension 1) is not eliminated at all: every invariant factor of
-    d_1 is 1, so its rank is the vertex count minus the component count."""
+    d_1 is 1, so its rank is the vertex count minus the component count.
+    Every boundary to be reduced is priced before the first is built, so a
+    refusal wastes no elimination."""
     dimension = K.dimension
     complete = max_degree >= dimension
     if K.n_simplices(0) == 0:
@@ -458,7 +502,10 @@ def reduced_homology(
     torsion: list[tuple[int, ...]] = [()] * (max_degree + 2)
     cleared = [0]
     top = min(max_degree + 1, dimension)
-    for d in range(2 if dimension == 1 else 1, top + 1):  # a graph's d_1 is not eliminated
+    reduced = range(2 if dimension == 1 else 1, top + 1)  # a graph's d_1 is not eliminated
+    for d in reduced:
+        K.price_boundary(d)
+    for d in reduced:
         pivots: list[int] = []
         factors = _invariant_factors(*K.boundary_arrays(d, cleared), pivots)
         ranks[d], torsion[d], cleared = len(factors), tuple(f for f in factors if f != 1), pivots

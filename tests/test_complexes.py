@@ -23,7 +23,7 @@ from stiefel_lab.complexes import (
     reduced_homology,
     smith_normal_form,
 )
-from stiefel_lab.complexes import _dense_snf, _invariant_factors, _peel, _sparse_unit_reduce
+from stiefel_lab.complexes import _dense_snf, _invariant_factors, _peel, _unit_rounds
 from stiefel_lab.quadmod import euclidean
 from stiefel_lab.rings import BudgetError, finite_field
 from stiefel_lab.stiefel import build_stiefel
@@ -57,67 +57,113 @@ def test_snf_divisibility_chain():
 
 
 def test_unit_reduce_repushes_changed_rows():
-    # Row 1 holds no unit until the first pivot turns (2, 3) into (0, 1).
-    assert _sparse_unit_reduce({(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 3}) == (2, {})
+    """Row 1 holds no unit until the first round's pivot, at (0, 0) (row
+    0's units tie on their column counts, so the least column), turns its
+    (2, 3) into (0, 1); the next round pivots on that 1."""
+    pivots = []
+    taken, rows, cols, vals = _unit_rounds(*entry_arrays([[1, 1], [2, 3]]), pivots)
+    assert (taken, pivots, rows.size) == (2, [0, 1], 0)
 
 
 def test_unit_reduce_without_units_leaves_everything():
-    entries = {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}
-    assert _sparse_unit_reduce(entries) == (0, entries)
+    entries = entry_arrays([[2, 4], [6, 8]])
+    pivots = []
+    taken, *left = _unit_rounds(*entries, pivots)
+    assert (taken, pivots) == (0, [])
+    assert all(np.array_equal(a, b) for a, b in zip(left, entries))
+
+
+def dense_leftover(rows, cols, vals):
+    """The leftover entries as a dense matrix over their own rows and columns."""
+    ids = [sorted(set(rows.tolist())), sorted(set(cols.tolist()))]
+    dense = [[0] * len(ids[1]) for _ in ids[0]]
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        dense[ids[0].index(i)][ids[1].index(j)] = v
+    return dense
 
 
 def test_unit_reduce_plus_dense_leftover_matches_minor_oracle():
     rng = random.Random(3)
     for _ in range(40):
         m = [[rng.choice([0, 0, 0, 1, -1, 2, 3]) for _ in range(5)] for _ in range(5)]
-        entries = {(i, j): x for i, r in enumerate(m) for j, x in enumerate(r) if x}
-        units, leftover = _sparse_unit_reduce(entries)
-        rows = sorted({i for i, _ in leftover})
-        cols = sorted({j for _, j in leftover})
-        rest = _dense_snf([[leftover.get((i, j), 0) for j in cols] for i in rows])
+        units, *leftover = _unit_rounds(*entry_arrays(m), [])
+        rest = _dense_snf(dense_leftover(*leftover))
         assert [1] * units + rest == invariant_factors_by_minors(m)
 
 
 def test_unit_reduce_pivot_count_on_f3_n5_boundary():
     K = build_stiefel(euclidean(finite_field(3), 5), 2)
-    assert _sparse_unit_reduce(K.boundary_entries(2)) == (837, {})
+    taken, rows, *_ = _unit_rounds(*K.boundary_arrays(2, ()), [])
+    assert (taken, rows.size) == (837, 0)
 
 
 def test_unit_reduce_refuses_past_its_entry_budget(monkeypatch):
-    """The F_3, n = 5, d = 2 boundary has 6,480 entries and fills up to 6,486
-    live ones; one entry less of budget is refused, with the counts."""
-    entries = build_stiefel(euclidean(finite_field(3), 5), 2).boundary_entries(2)
-    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 6486)
-    assert _sparse_unit_reduce(entries) == (837, {})
-    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 6485)
-    with pytest.raises(BudgetError, match="after 3 unit pivots: 6486 live entries exceed 6485"):
-        _sparse_unit_reduce(entries)
+    """The F_3, n = 5, d = 2 boundary has 6,480 entries: 1,080 edge rows of
+    6 and 2,160 triangle columns of 3.  Its first round takes 432 pivots (the
+    size of that round's independent set); each pivot column holds 2
+    entries outside the pivot rows, and each of those gathers the 5 other
+    entries of its pivot row, so the round's priced fill is 432 x 2 x 5 =
+    4,320, and 6,480 + 4,320 = 10,800 entries are the most any round
+    prices.  One entry less of budget is refused before the first round,
+    with the counts."""
+    entries = build_stiefel(euclidean(finite_field(3), 5), 2).boundary_arrays(2, ())
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 10800)
+    assert _unit_rounds(*entries, [])[0] == 837
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 10799)
+    with pytest.raises(BudgetError, match="^sparse elimination refused after 0 unit pivots: "
+                                          "6480 live entries and a priced fill of 4320 "
+                                          "exceed 10799$"):
+        _unit_rounds(*entries, [])
 
 
 def test_unit_reduce_refuses_a_load_past_its_entry_budget(monkeypatch):
-    """A boundary with more entries than the budget is refused while it is
-    loaded: no pivot is taken, and at most one entry past the budget is
-    read from the stream."""
-    entries = build_stiefel(euclidean(finite_field(3), 5), 2).boundary_entries(2)
-    assert len(entries) == 6480
-    read = []
-
-    def stream():
-        for item in entries.items():
-            read.append(item)
-            yield item
-
+    """A matrix with more entries than the budget is refused before any
+    pivot is taken."""
+    entries = build_stiefel(euclidean(finite_field(3), 5), 2).boundary_arrays(2, ())
+    assert entries[0].size == 6480
     pivots = []
-    refused = "^sparse elimination refused while loading, before any pivot: "
     monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 6479)
-    with pytest.raises(BudgetError, match=refused + "6480 live entries exceed 6479$"):
-        _sparse_unit_reduce(stream(), pivots)
-    assert pivots == [] and len(read) == 6480
-    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 100)
-    read.clear()
-    with pytest.raises(BudgetError, match=refused + "101 live entries exceed 100$"):
-        _sparse_unit_reduce(stream(), pivots)
-    assert pivots == [] and len(read) == 101
+    with pytest.raises(BudgetError, match="^sparse elimination refused before any pivot: "
+                                          "6480 live entries exceed 6479$"):
+        _unit_rounds(*entries, pivots)
+    assert pivots == []
+
+
+def test_unit_rounds_match_the_oracles_near_int64():
+    """Seeded sparse matrices with entries in {0, +-1, +-2, 3}, every other
+    one with an entry near 2^62: the whole path agrees with gcds of minors
+    and with dense elimination.  A round whose bound M + L M^2 reaches 2^62
+    runs on Python ints, so its leftover comes back as an exact object
+    array: pivoting on the 1 of [[1, b], [b, 3]], b = 2^62 - 1, leaves
+    3 - b^2."""
+    rng = random.Random(34)
+    near = [2 ** 62 - 1, -(2 ** 62) + 5, 2 ** 62 + 3]
+    on_objects = 0
+    for trial in range(60):
+        size = rng.randint(2, 5)
+        m = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3]) for _ in range(size)] for _ in range(size)]
+        if trial % 2:
+            m[rng.randrange(size)][rng.randrange(size)] = rng.choice(near)
+        oracle = invariant_factors_by_minors(m)
+        assert _invariant_factors(*entry_arrays(m), []) == oracle
+        assert _dense_snf([row[:] for row in m]) == oracle
+        on_objects += _unit_rounds(*entry_arrays(m), [])[3].dtype == object
+    assert on_objects > 0
+    b = 2 ** 62 - 1
+    taken, rows, cols, vals = _unit_rounds(*entry_arrays([[1, b], [b, 3]]), [])
+    assert (taken, rows.tolist(), cols.tolist()) == (1, [1], [1])
+    assert vals.dtype == object and vals.tolist() == [3 - b * b]
+
+
+def test_a_round_refuses_pivots_that_meet(monkeypatch):
+    """A round's independence is checked by an explicit exception (not a
+    bare assert, which python -O would strip): the two units of column 0,
+    both taken, do not make A[I, J] diagonal."""
+    monkeypatch.setattr(complexes, "_independent_pivots",
+                        lambda rows, cols, i, j, rank: np.arange(i.size))
+    with pytest.raises(AssertionError, match=r"^the 2 pivots of a round do not make "
+                                             r"A\[I, J\] diagonal$"):
+        _unit_rounds(*entry_arrays([[1, 1], [1, 1]]), [])
 
 
 def test_snf_sparse_path_matches_dense():
@@ -229,34 +275,37 @@ def test_snf_stays_exact_beyond_int64():
 
 def test_core_keeps_the_markowitz_refusals(monkeypatch):
     """A core the peel cannot touch (every unit shares its row and column)
-    is refused while it is loaded past the budget, or when the first pivot's
-    fill passes it: four rows 1 at column 0 and 2 at three columns of their
-    own hold 16 entries, and pivoting on row 0 leaves 3 x 6 = 18."""
+    is refused before any pivot past the budget, or when the first round's
+    priced fill passes it: four rows 1 at column 0 and 2 at three columns of
+    their own hold 16 entries.  The four units share column 0, so the round
+    takes one; the 3 other entries of its column each gather the 3 other
+    entries of its row, a priced fill of 9, and 16 + 9 = 25."""
     m = [[1] + [2 if j // 3 == k else 0 for j in range(12)] for k in range(4)]
     assert smith_normal_form(m) == [1, 2, 2, 2]
-    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 17)
-    with pytest.raises(BudgetError, match="^sparse elimination refused after 1 unit pivots: "
-                                          "18 live entries exceed 17$"):
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 25)
+    assert smith_normal_form(m) == [1, 2, 2, 2]
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 24)
+    with pytest.raises(BudgetError, match="^sparse elimination refused after 0 unit pivots: "
+                                          "16 live entries and a priced fill of 9 exceed 24$"):
         smith_normal_form(m)
     monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 15)
-    with pytest.raises(BudgetError, match="^sparse elimination refused while loading, before "
-                                          "any pivot: 16 live entries exceed 15$"):
+    with pytest.raises(BudgetError, match="^sparse elimination refused before any pivot: "
+                                          "16 live entries exceed 15$"):
         smith_normal_form(m)
 
 
 def test_cores_reaching_markowitz_hold_no_peelable_unit(monkeypatch):
-    """In reduced_homology the core handed to the Markowitz elimination never
-    holds a +-1 entry alone in its row or column; X(F_3^5)'s d_3 and d_1
-    are peeled whole."""
+    """In reduced_homology the core handed to the unit rounds never holds a
+    +-1 entry alone in its row or column; X(F_3^5)'s d_3 and d_1 are peeled
+    whole."""
     cores = []
-    reduce = complexes._sparse_unit_reduce
+    reduce = complexes._unit_rounds
 
-    def spy(entries, pivots):
-        entries = list(entries)
-        cores.append(entries)
-        return reduce(entries, pivots)
+    def spy(rows, cols, vals, pivots):
+        cores.append((rows.tolist(), cols.tolist(), vals.tolist()))
+        return reduce(rows, cols, vals, pivots)
 
-    monkeypatch.setattr(complexes, "_sparse_unit_reduce", spy)
+    monkeypatch.setattr(complexes, "_unit_rounds", spy)
     builds = [rp2, octahedron, lambda: build_stiefel(euclidean(finite_field(3), 5), 3)]
     builds += [lambda seed=seed: random_flag_complex(seed) for seed in range(6)]
     for build in builds:
@@ -264,11 +313,10 @@ def test_cores_reaching_markowitz_hold_no_peelable_unit(monkeypatch):
         cores.clear()
         reduced_homology(K, K.dimension)
         assert len(cores) == K.dimension
-        for entries in cores:
-            assert alone_units([i for (i, _), _ in entries], [j for (_, j), _ in entries],
-                               [v for _, v in entries]) == []
+        for core in cores:
+            assert alone_units(*core) == []
         if K.n_simplices(3) == 2160:
-            assert [len(c) for c in cores][::2] == [0, 0]
+            assert [len(rows) for rows, _, _ in cores][::2] == [0, 0]
 
 
 def reference_boundary_items(K, d, cleared=()):
@@ -333,19 +381,45 @@ def test_boundary_arrays_refuse_a_missing_face():
 
 def test_boundary_is_priced_before_its_arrays(monkeypatch):
     """(d + 1) n_d entries past the budget are refused with the counts
-    before any array of the boundary is built."""
+    before any array of the boundary is built, whether the boundary is asked
+    for alone or by reduced_homology, which prices every boundary it will
+    reduce before it builds the first: d_1 (2 x 72 = 144 entries, within the
+    budget) is not built either."""
     K = build_stiefel(euclidean(finite_field(3), 4), 3)
     built = []
     ranks = SimplicialComplex._vertex_ranks
     monkeypatch.setattr(SimplicialComplex, "_vertex_ranks",
                         lambda self, d: built.append(d) or ranks(self, d))
     monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 3 * 96 - 1)
-    with pytest.raises(BudgetError, match=r"^the boundary d_2 has 3 x 96 = 288 entries, "
-                                          r"more than 287; refused before it is built$"):
+    refused = (r"^the boundary d_2 has 3 x 96 = 288 entries, more than 287; "
+               r"refused before it is built$")
+    with pytest.raises(BudgetError, match=refused):
+        K.boundary_arrays(2, ())
+    with pytest.raises(BudgetError, match=refused):
         reduced_homology(K, 2)
-    assert built == [1, 0]
+    assert built == []
     monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 3 * 96)
     assert reduced_homology(K, 2).betti == (2, 0, 0)
+
+
+def test_every_boundary_is_priced_before_the_first_elimination(monkeypatch):
+    """X(F_3^5) to dimension 3 has 1,080 edges, 2,160 triangles and 2,160
+    tetrahedra, so its top boundary d_3 has 4 x 2,160 = 8,640 entries, more
+    than d_1's 2,160 and d_2's 6,480.  With one entry less of budget,
+    homology up to degree 2, which reduces d_1, d_2 and d_3, is refused
+    before the peel sees any boundary."""
+    K = build_stiefel(euclidean(finite_field(3), 5), 3)
+    peeled = []
+    peel = complexes._peel
+    monkeypatch.setattr(complexes, "_peel", lambda *args: peeled.append(args) or peel(*args))
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 8639)
+    with pytest.raises(BudgetError, match=r"^the boundary d_3 has 4 x 2160 = 8640 entries, "
+                                          r"more than 8639; refused before it is built$"):
+        reduced_homology(K, 2)
+    assert peeled == []
+    monkeypatch.setattr(complexes, "SNF_ENTRY_BUDGET", 8640)
+    assert reduced_homology(K, 2).betti == (0, 154, 0)
+    assert len(peeled) == 3
 
 
 def triangle_boundary():

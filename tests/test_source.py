@@ -319,6 +319,64 @@ def test_component_labelling_has_one_home():
                                     .read_text()))
 
 
+def _unit_searches(tree) -> list[int]:
+    """Lines that look for +-1 entries, the pivots of a unit elimination:
+    `x == 1` beside `x == -1` in one `|` or `or`, or `abs(x) == 1`.  A
+    ring's unit test `value in (1, -1)` is no such search."""
+    def sign(node):
+        if isinstance(node, ast.Compare) and [type(op) for op in node.ops] == [ast.Eq]:
+            try:
+                value = ast.literal_eval(node.comparators[0])
+            except ValueError:
+                return None
+            if value in (1, -1):
+                return ast.dump(node.left), value
+        return None
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            operands = node.values
+        else:
+            operands = []
+        signs = {sign(operand) for operand in operands} - {None}
+        if any((left, -value) in signs for left, value in signs):
+            found.add(node.lineno)
+        if sign(node) and sign(node)[1] == 1 and isinstance(node.left, ast.Call) \
+                and getattr(node.left.func, "id", None) == "abs":
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_unit_elimination_has_one_home():
+    """Unit pivots are eliminated only in `complexes`, by the peel and the
+    unit rounds: no other module or function searches for +-1 entries, and
+    nothing in the package imports `heapq` for a pivot queue."""
+    sample = ast.parse("u = (v == 1) | (v == -1)\n"
+                       "w = x == 1 or x == -1\n"
+                       "y = (a == 1) | (b == -1)\n"
+                       "z = abs(t) == 1\n"
+                       "ok = s.value in (1, -1)\n")
+    assert _unit_searches(sample) == [1, 2, 4]
+    found, homes = [], set()
+    for path in sorted(Path(stiefel_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno} imports heapq" for node in ast.walk(tree)
+                  if "heapq" in _imported_modules(node)]
+        lines = _unit_searches(tree)
+        if path.name != "complexes.py":
+            found += [f"{path.name}:{line}" for line in lines]
+            continue
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    func.lineno <= line <= func.end_lineno for line in lines):
+                homes.add(func.name)
+    assert found == []
+    assert homes == {"_peel", "_unit_rounds"}
+
+
 def _vector_tables(tree) -> list[int]:
     """Lines that call `np.indices` (or `numpy.indices`)."""
     return sorted({node.lineno for node in ast.walk(tree)
